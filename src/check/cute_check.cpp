@@ -233,37 +233,33 @@ checkCuteCaseWithDemotion(const CuteCase &c)
 {
     CuteDemotionReport out;
     auto spec = c.spec();
-    auto planned = cute::tryPlanCuteConversion(c.request, spec);
-    if (!planned) {
+    auto decomposed = cute::decomposeCuteConversion(c.request, spec);
+    if (!decomposed) {
         out.survived = false;
-        out.report.detail = planned.diag().toString();
-        out.notes.push_back(planned.diag().toString());
+        out.report.detail = decomposed.diag().toString();
+        out.notes.push_back(decomposed.diag().toString());
         return out;
     }
-    cute::CutePlan plan = *planned;
-    if (plan.hasCorePlan) {
-        out.initialKind = plan.corePlan.kind;
-        // Mirror the engine: execution failures demote the core's
-        // distributed plan one rung at a time until one survives.
-        while (true) {
-            auto fail = codegen::smokeExecutePlan(
-                plan.corePlan, plan.coreSrc, plan.coreDst,
-                c.request.elemBytes, spec);
-            if (!fail.has_value())
-                break;
-            out.notes.push_back(fail->toString());
-            auto lower = codegen::tryReplanBelow(
-                plan.corePlan.kind, plan.coreSrc, plan.coreDst,
-                c.request.elemBytes, spec);
-            if (!lower) {
-                out.notes.push_back(lower.diag().toString());
-                out.survived = false;
-                return out;
-            }
-            plan.corePlan = *lower;
-            ++out.demotions;
+    cute::CutePlan plan = std::move(*decomposed);
+    if (plan.needsCorePlan()) {
+        auto verified = codegen::planAndVerify(
+            plan.coreSrc, plan.coreDst, c.request.elemBytes, spec);
+        out.notes = std::move(verified.notes);
+        if (!verified.plan.ok()) {
+            out.survived = false;
+            out.report.detail = verified.plan.diag().toString();
+            out.notes.push_back(out.report.detail);
+            return out;
         }
-        out.finalKind = plan.corePlan.kind;
+        out.initialKind = verified.initialKind;
+        out.finalKind = verified.plan->kind;
+        out.demotions = verified.demotions;
+        if (verified.execFailed) {
+            out.survived = false;
+            return out;
+        }
+        plan.corePlan = std::move(*verified.plan);
+        plan.hasCorePlan = true;
     }
     out.report = checkCutePlan(plan, c.request, spec);
     return out;

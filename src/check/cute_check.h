@@ -129,10 +129,11 @@ struct CuteDemotionReport
 };
 
 /**
- * Plan the case, smoke-execute the core's distributed plan, demote via
- * codegen::tryReplanBelow on execution failures until a rung survives,
- * then run the full admission oracle on the surviving plan. Cases with
- * no core plan (single-element box) skip straight to the oracle.
+ * Decompose the case, run the core's distributed conversion through
+ * codegen::planAndVerify (plan, smoke-execute, demote until a rung
+ * survives), then run the full admission oracle on the surviving plan.
+ * Cases with no core plan (single-element box) skip straight to the
+ * oracle.
  */
 CuteDemotionReport checkCuteCaseWithDemotion(const CuteCase &c);
 

@@ -324,39 +324,20 @@ checkConversionCase(const ConversionCase &c, const PlanMutator &mutate)
 DemotionReport
 checkCaseWithDemotion(const ConversionCase &c)
 {
-    DemotionReport out;
     auto spec = c.spec();
     failpoint::ScopedSet guard(c.failpoints);
-    auto plan = codegen::planConversion(c.src, c.dst, c.elemBytes, spec);
-    out.initialKind = plan.kind;
-    out.finalKind = plan.kind;
-
-    // The engine's execution-triggered demotion loop, replayed here so
-    // tests can audit what the engine would have shipped.
-    while (true) {
-        auto fail = codegen::smokeExecutePlan(plan, c.src, c.dst,
-                                              c.elemBytes, spec);
-        if (!fail.has_value())
-            break;
-        out.notes.push_back("convert:" + codegen::toString(plan.kind) +
-                            " execution failed: " + fail->toString());
-        if (plan.kind == codegen::ConversionKind::SharedScalar) {
-            out.survived = false;
-            return out;
-        }
-        auto replanned = codegen::tryReplanBelow(
-            plan.kind, c.src, c.dst, c.elemBytes, spec);
-        if (!replanned.ok()) {
-            out.notes.push_back("demoted re-plan failed: " +
-                                replanned.diag().toString());
-            out.survived = false;
-            return out;
-        }
-        ++out.demotions;
-        plan = std::move(*replanned);
-        out.finalKind = plan.kind;
-    }
-    out.report = checkPlan(plan, c.src, c.dst, c.elemBytes, spec);
+    auto verified = codegen::planAndVerify(c.src, c.dst, c.elemBytes, spec);
+    llUserCheck(verified.plan.ok(), "planConversion failed: " +
+                                        verified.plan.diag().toString());
+    DemotionReport out;
+    out.initialKind = verified.initialKind;
+    out.finalKind = verified.plan->kind;
+    out.demotions = verified.demotions;
+    out.survived = !verified.execFailed;
+    out.notes = std::move(verified.notes);
+    if (out.survived)
+        out.report = checkPlan(*verified.plan, c.src, c.dst, c.elemBytes,
+                               spec);
     return out;
 }
 

@@ -122,7 +122,7 @@ struct DemotionReport
     /** The rung the planner picked before any execution failure. */
     codegen::ConversionKind initialKind = codegen::ConversionKind::NoOp;
     /** The rung whose execution finally succeeded (== the checked
-     *  plan's kind). */
+     *  plan's kind), or the last rung that failed when !survived. */
     codegen::ConversionKind finalKind = codegen::ConversionKind::NoOp;
     /** Execution-triggered demotion steps taken. */
     int demotions = 0;
@@ -132,19 +132,18 @@ struct DemotionReport
     bool survived = true;
     /** The full oracle verdict on the finally-executed plan. */
     OracleReport report;
-    /** ExecDiagnostics and re-plan failures accumulated on the way. */
+    /** Execution failures, demotions and re-plan failures on the way
+     *  (codegen::VerifiedPlan::notes). */
     std::vector<std::string> notes;
 };
 
 /**
- * Mirror the engine's execution-triggered demotion on one conversion
- * case, then audit the surviving plan with the full oracle: plan the
- * case (under its failpoint set), smoke-execute, and on an
- * ExecDiagnostic re-plan one rung down via
- * codegen::demotionSitesFor until execution succeeds. This is how the
- * exec-fallback tests prove a demoted re-plan still round-trips
- * bit-exactly. Planning failures propagate as exceptions, like
- * checkConversionCase.
+ * Run one conversion case through codegen::planAndVerify — the same
+ * plan -> smoke -> demote routine the engine and the service use —
+ * under the case's failpoint set, then audit the surviving plan with
+ * the full oracle. This is how the exec-fallback tests prove a demoted
+ * re-plan still round-trips bit-exactly. Planning failures raise
+ * UserError, like checkConversionCase.
  */
 DemotionReport checkCaseWithDemotion(const ConversionCase &c);
 

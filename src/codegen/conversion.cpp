@@ -971,6 +971,73 @@ tryReplanBelow(ConversionKind failed, const LinearLayout &src,
     return result;
 }
 
+namespace {
+/** Run one planner entry point, turning an exception into a
+ *  PlannerInternalError diagnostic attributed to `stage`. */
+template <typename PlanFn>
+Result<ConversionPlan>
+planGuarded(const char *stage, PlanFn &&plan)
+{
+    try {
+        return plan();
+    } catch (const std::exception &e) {
+        return makeDiag(DiagCode::PlannerInternalError, stage,
+                        std::string("planner threw: ") + e.what());
+    }
+}
+} // namespace
+
+VerifiedPlan
+planAndVerify(const LinearLayout &src, const LinearLayout &dst,
+              int elemBytes, const sim::GpuSpec &spec)
+{
+    VerifiedPlan out(planGuarded("plan.verify", [&] {
+        return tryPlanConversion(src, dst, elemBytes, spec);
+    }));
+    if (!out.plan.ok())
+        return out;
+    out.initialKind = out.plan->kind;
+    while (true) {
+        trace::Span iter("convert.demotion-iter", "plan");
+        const std::string kind = toString(out.plan->kind);
+        if (iter.active())
+            iter.arg("kind", kind);
+        auto fail = smokeExecutePlan(*out.plan, src, dst, elemBytes, spec);
+        if (!fail.has_value()) {
+            iter.arg("outcome", "smoke-ok");
+            return out;
+        }
+        out.notes.push_back("convert:" + kind +
+                            " execution failed: " + fail->toString());
+        if (out.plan->kind == ConversionKind::SharedScalar) {
+            // Nothing below the terminal rung to demote to.
+            out.execFailed = true;
+            iter.arg("outcome", "terminal-failure");
+            return out;
+        }
+        auto replanned = planGuarded("plan.replan", [&] {
+            return tryReplanBelow(out.plan->kind, src, dst, elemBytes,
+                                  spec);
+        });
+        if (!replanned.ok()) {
+            out.notes.push_back("demoted re-plan failed: " +
+                                replanned.diag().toString());
+            out.execFailed = true;
+            iter.arg("outcome", "replan-failure");
+            return out;
+        }
+        ++out.demotions;
+        out.plan = std::move(replanned);
+        const std::string toKind = toString(out.plan->kind);
+        if (iter.active()) {
+            iter.arg("outcome", "demoted");
+            iter.arg("to_kind", toKind);
+        }
+        out.notes.push_back("demoted to convert:" + toKind +
+                            " after execution failure");
+    }
+}
+
 double
 ConversionPlan::estimateCycles(const LinearLayout &src, int elemBytes,
                                const sim::GpuSpec &spec) const

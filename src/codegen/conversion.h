@@ -197,6 +197,48 @@ smokeExecutePlan(const ConversionPlan &plan, const LinearLayout &src,
                  const LinearLayout &dst, int elemBytes,
                  const sim::GpuSpec &spec);
 
+/** What planAndVerify made of one conversion. */
+struct VerifiedPlan
+{
+    explicit VerifiedPlan(Result<ConversionPlan> planned)
+        : plan(std::move(planned))
+    {
+    }
+
+    /** The plan whose smoke execution passed or, when `execFailed`,
+     *  the last plan whose execution failed (kept for diagnosis). A
+     *  Diagnostic only when the initial planning failed. */
+    Result<ConversionPlan> plan;
+    /** The rung the planner picked before any execution failure. */
+    ConversionKind initialKind = ConversionKind::NoOp;
+    /** Execution-triggered demotion steps taken. */
+    int demotions = 0;
+    /** No rung survived execution: the terminal rung failed, or a
+     *  demoted re-plan could not be built. */
+    bool execFailed = false;
+    /** One line per execution failure, demotion and failed re-plan, in
+     *  the order they happened. */
+    std::vector<std::string> notes;
+
+    bool verified() const { return plan.ok() && !execFailed; }
+};
+
+/**
+ * The one plan -> smoke -> demote routine every conversion goes
+ * through (the layout engine via the service, the service itself, the
+ * check oracles and llstat). Plans with tryPlanConversion (a planner
+ * exception becomes a PlannerInternalError diagnostic), smoke-executes
+ * the plan, and on an ExecDiagnostic resumes the ladder strictly below
+ * the failing rung with tryReplanBelow until a rung survives. The
+ * resume point moves strictly toward the terminal scalar rung, so the
+ * loop terminates. Never throws on planner or executor trouble.
+ *
+ * Span: "convert.demotion-iter" per smoke execution, with "kind" and an
+ * "outcome" of smoke-ok | demoted | terminal-failure | replan-failure.
+ */
+VerifiedPlan planAndVerify(const LinearLayout &src, const LinearLayout &dst,
+                           int elemBytes, const sim::GpuSpec &spec);
+
 /**
  * Deterministic, exhaustive rendering of a plan: kind, the shuffle
  * schedule digest (vec/rounds/regs plus a checksum over every

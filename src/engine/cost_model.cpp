@@ -23,12 +23,6 @@ regCount(const LinearLayout &l)
     return l.hasInDim(kReg) ? l.getInDimSize(kReg) : 1;
 }
 
-int
-warpCount(const LinearLayout &l)
-{
-    return l.hasInDim(kWarp) ? l.getInDimSize(kWarp) : 1;
-}
-
 /** Global traffic of one load/store of a tensor in `layout`. The
  *  replay lives in synth::globalMemorySectors so the synthesis node
  *  cost and this estimate are one function, not two copies. */
@@ -94,9 +88,8 @@ estimateKernelCost(const ir::Function &f, const sim::GpuSpec &spec,
                 ++cost.sharedConversions;
                 ++cost.localLoads;
                 ++cost.localStores;
-                cost.cycles += spec.sharedRoundTripCycles +
-                               2.0 * regCount(*src.layout) *
-                                   spec.sharedWavefrontCycles;
+                cost.cycles +=
+                    synth::unplannableConversionCycles(*src.layout, spec);
                 break;
             }
             switch (plan->kind) {

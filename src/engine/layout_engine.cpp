@@ -9,8 +9,8 @@
 #include "engine/cost_model.h"
 #include "engine/shape_transfer.h"
 #include "layout/dims.h"
+#include "service/conversion_service.h"
 #include "service/cute_service.h"
-#include "service/plan_cache.h"
 #include "support/failpoint.h"
 #include "support/metrics.h"
 #include "support/trace.h"
@@ -77,8 +77,6 @@ LayoutEngine::planCuteConversion(const cute::CuteLayout &src,
     req.dst = dst;
     req.elemBytes = elemBytes;
     req.numWarps = options_.numWarps;
-    if (options_.planCache == nullptr)
-        return cute::tryPlanCuteConversion(req, options_.spec);
     auto outcome = service::serveCuteConversion(options_.planCache, req,
                                                 options_.spec);
     if (outcome.planned())
@@ -341,25 +339,33 @@ void
 LayoutEngine::planConversions(ir::Function &f, EngineStats &stats)
 {
     trace::Span phase("engine.plan-conversions", "engine");
-    // Successful smoke verdicts from earlier ops in this run, keyed by
-    // (src, dst, elemBytes, kind). Failures are never cached: the
-    // demotion loop needs fresh diagnostics and each failpoint
-    // activation's limited shots must be consumed by real executions.
-    std::map<std::string, bool> smokeOk;
+    // Every op goes through service::serveConversion. Without a shared
+    // cache the run keeps its own, over a private interner, so a
+    // conversion repeated within the run is planned and smoke-executed
+    // once; the cache's failpoint/deadline insert policy still applies.
+    const bool sharedCache = options_.planCache != nullptr;
+    service::PlanCache *cache = options_.planCache;
+    std::optional<service::LayoutInterner> runInterner;
+    std::optional<service::PlanCache> runCache;
+    if (!sharedCache) {
+        service::PlanCache::Config config;
+        config.interner = &runInterner.emplace();
+        cache = &runCache.emplace(config);
+    }
     for (int i = 0; i < f.numOps(); ++i) {
         ir::Op &o = f.op(i);
         if (o.erased || o.kind != OpKind::ConvertLayout)
             continue;
         trace::Span opSpan("convert.op", "engine");
         opSpan.arg("op", i);
+        const std::string opName = "op " + std::to_string(i);
         const auto &have = f.value(o.operands[0]).layout;
         const auto &want = f.value(o.results[0]).layout;
         if (!have || !want) {
             o.tag = "convert:unplanned";
             ++stats.planFailures;
             stats.planDiagnostics.push_back(
-                "op " + std::to_string(i) +
-                ": conversion endpoint is missing a layout");
+                opName + ": conversion endpoint is missing a layout");
             opSpan.arg("outcome", "unplanned");
             continue;
         }
@@ -367,181 +373,53 @@ LayoutEngine::planConversions(ir::Function &f, EngineStats &stats)
         int elemBytes = std::max(1, bitWidth(type.dtype) / 8);
         LinearLayout dst = want->transposeOuts(have->getOutDimNames());
 
-        // Shared plan cache: a hit serves the whole op — memoized plan
-        // or memoized rejection — without planning or smoke-executing,
-        // so the per-run smoke cache below is never consulted and the
-        // two caches cannot double count.
-        std::optional<service::PlanKey> cacheKey;
-        if (options_.planCache != nullptr) {
-            cacheKey = options_.planCache->key(*have, dst, elemBytes,
-                                               options_.spec);
-            if (auto cached = options_.planCache->lookup(*cacheKey)) {
-                if (cached->negative()) {
-                    o.tag = "convert:unplanned";
-                    ++stats.planFailures;
-                    ++stats.planCacheNegativeHits;
-                    stats.planDiagnostics.push_back(
-                        "op " + std::to_string(i) + " (plan-cache): " +
-                        cached->rejection->toString());
-                    opSpan.arg("outcome", "unplanned");
-                    opSpan.arg("plan_cache", "negative-hit");
-                } else {
-                    const codegen::ConversionPlan &hit = *cached->plan;
-                    o.tag = "convert:" + codegen::toString(hit.kind);
-                    ++stats.convertsPlanned;
-                    ++stats.planCacheHits;
-                    if (!hit.diagnostics.empty()) {
-                        ++stats.planFallbacks;
-                        stats.planDiagnostics.push_back(
-                            "op " + std::to_string(i) + " (" + o.tag +
-                            "): " + hit.diagnostics.toString());
-                    }
-                    if (opSpan.active()) {
-                        opSpan.arg("outcome", o.tag);
-                        opSpan.arg("plan_cache", "hit");
-                    }
-                }
-                continue;
-            }
-            ++stats.planCacheMisses;
+        const auto outcome = service::serveConversion(
+            cache, *have, dst, elemBytes, options_.spec);
+        if (sharedCache) {
+            if (!outcome.fromCache)
+                ++stats.planCacheMisses;
+            else if (outcome.cachedRejection)
+                ++stats.planCacheNegativeHits;
+            else
+                ++stats.planCacheHits;
+            if (outcome.fromCache)
+                opSpan.arg("plan_cache", outcome.cachedRejection
+                                             ? "negative-hit"
+                                             : "hit");
         }
+        for (const auto &note : outcome.notes)
+            stats.planDiagnostics.push_back(opName + ": " + note);
+        stats.execFallbacks += outcome.demotions;
 
-        auto tryPlan = [&]() -> Result<codegen::ConversionPlan> {
-            try {
-                return codegen::tryPlanConversion(*have, dst, elemBytes,
-                                                  options_.spec);
-            } catch (const std::exception &e) {
-                return makeDiag(DiagCode::PlannerInternalError,
-                                "engine.plan",
-                                std::string("planner threw: ") +
-                                    e.what());
-            }
-        };
-        auto plan = tryPlan();
-        if (!plan.ok()) {
-            // Deterministic rejections are worth memoizing; the cache
-            // itself refuses every other code and anything planned
-            // while a failpoint is active.
-            if (cacheKey &&
-                plan.diag().code == DiagCode::InvalidInput)
-                options_.planCache->insertRejection(*cacheKey,
-                                                    plan.diag());
-            o.tag = "convert:unplanned";
-            ++stats.planFailures;
-            stats.planDiagnostics.push_back(
-                "op " + std::to_string(i) + ": " +
-                plan.diag().toString());
-            opSpan.arg("outcome", "unplanned");
-            continue;
-        }
-
-        // Execution-triggered demotion: smoke-execute the plan; when an
-        // executor reports an ExecDiagnostic, resume planning at the
-        // rung strictly below the failing plan's (tryReplanBelow — the
-        // rungs above are not re-evaluated). The resume point moves
-        // strictly toward the terminal scalar rung, so this loop
-        // terminates.
-        bool execDead = false;
-        int demotions = 0;
-        while (true) {
-            trace::Span iter("convert.demotion-iter", "engine");
-            if (iter.active())
-                iter.arg("kind", codegen::toString(plan->kind));
-            std::string smokeKey;
-            if (options_.cacheSmokeResults) {
-                smokeKey = have->toString() + "|" + dst.toString() +
-                           "|" + std::to_string(elemBytes) + "|" +
-                           codegen::toString(plan->kind);
-                if (smokeOk.count(smokeKey)) {
-                    ++stats.smokeCacheHits;
-                    static auto &hits =
-                        metrics::counter("engine.smoke.cache_hits");
-                    hits.inc();
-                    iter.arg("outcome", "cache-hit");
-                    break;
-                }
-            }
-            auto fail = codegen::smokeExecutePlan(
-                *plan, *have, dst, elemBytes, options_.spec);
-            if (!fail.has_value()) {
-                if (options_.cacheSmokeResults)
-                    smokeOk.emplace(std::move(smokeKey), true);
-                iter.arg("outcome", "smoke-ok");
-                break;
-            }
-            stats.planDiagnostics.push_back(
-                "op " + std::to_string(i) + " (convert:" +
-                codegen::toString(plan->kind) +
-                "): execution failed: " + fail->toString());
-            if (plan->kind == codegen::ConversionKind::SharedScalar) {
-                // Terminal rung failed while executing: nothing below
-                // it to demote to.
-                execDead = true;
-                iter.arg("outcome", "terminal-failure");
-                break;
-            }
-            auto replanned =
-                [&]() -> Result<codegen::ConversionPlan> {
-                try {
-                    return codegen::tryReplanBelow(plan->kind, *have,
-                                                   dst, elemBytes,
-                                                   options_.spec);
-                } catch (const std::exception &e) {
-                    return makeDiag(DiagCode::PlannerInternalError,
-                                    "engine.replan",
-                                    std::string("planner threw: ") +
-                                        e.what());
-                }
-            }();
-            if (!replanned.ok()) {
-                stats.planDiagnostics.push_back(
-                    "op " + std::to_string(i) +
-                    ": demoted re-plan failed: " +
-                    replanned.diag().toString());
-                execDead = true;
-                iter.arg("outcome", "replan-failure");
-                break;
-            }
-            ++stats.execFallbacks;
-            ++demotions;
-            static auto &demoted =
-                metrics::counter("engine.exec_fallbacks");
-            demoted.inc();
-            plan = std::move(replanned);
-            if (iter.active()) {
-                iter.arg("outcome", "demoted");
-                iter.arg("to_kind", codegen::toString(plan->kind));
-            }
-            stats.planDiagnostics.push_back(
-                "op " + std::to_string(i) + ": demoted to convert:" +
-                codegen::toString(plan->kind) +
-                " after execution failure");
-        }
-        if (execDead) {
+        if (outcome.execFailed) {
             o.tag = "convert:unplanned";
             ++stats.execFailures;
             opSpan.arg("outcome", "exec-failure");
             continue;
         }
+        if (!outcome.plan) {
+            o.tag = "convert:unplanned";
+            ++stats.planFailures;
+            stats.planDiagnostics.push_back(
+                opName + (outcome.cachedRejection ? " (plan-cache): "
+                                                  : ": ") +
+                outcome.error);
+            opSpan.arg("outcome", "unplanned");
+            continue;
+        }
 
-        // Only undemoted plans are offered to the shared cache: a plan
-        // that survived demotion encodes this run's execution failures,
-        // not the pure planning function of the key. The cache applies
-        // its own failpoint policy on top.
-        if (cacheKey && demotions == 0)
-            options_.planCache->insert(*cacheKey, *plan);
-
-        o.tag = "convert:" + codegen::toString(plan->kind);
+        const codegen::ConversionPlan &plan = *outcome.plan;
+        o.tag = "convert:" + codegen::toString(plan.kind);
         ++stats.convertsPlanned;
         if (opSpan.active()) {
             opSpan.arg("outcome", o.tag);
-            opSpan.arg("demotions", demotions);
+            opSpan.arg("demotions", outcome.demotions);
         }
-        if (!plan->diagnostics.empty()) {
+        if (!plan.diagnostics.empty()) {
             ++stats.planFallbacks;
-            stats.planDiagnostics.push_back(
-                "op " + std::to_string(i) + " (" + o.tag +
-                "): " + plan->diagnostics.toString());
+            stats.planDiagnostics.push_back(opName + " (" + o.tag +
+                                            "): " +
+                                            plan.diagnostics.toString());
         }
     }
 }
@@ -692,6 +570,7 @@ LayoutEngine::run(ir::Function &f)
     mirror("engine.plan_failures", stats.planFailures);
     mirror("engine.transfer_fallbacks", stats.transferFallbacks);
     mirror("engine.exec_failures", stats.execFailures);
+    mirror("engine.exec_fallbacks", stats.execFallbacks);
     mirror("engine.plan_cache_hits", stats.planCacheHits);
     mirror("engine.plan_cache_negative_hits",
            stats.planCacheNegativeHits);
@@ -704,9 +583,6 @@ LayoutEngine::run(ir::Function &f)
         metrics::counter("synth.runs").inc();
     static auto &runsC = metrics::counter("engine.runs");
     runsC.inc();
-    // engine.exec_fallbacks and engine.smoke.cache_hits are counted at
-    // their sites in planConversions.
-
     // The per-run metric delta: every registry counter that moved while
     // this run was underway.
     const auto after = metrics::Registry::instance().counterSnapshot();

@@ -36,25 +36,26 @@ namespace engine {
 
 struct EngineOptions
 {
+    EngineOptions() = default;
+    /** The common case: a target and a warp count, everything else
+     *  defaulted. */
+    EngineOptions(sim::GpuSpec spec, int numWarps)
+        : spec(std::move(spec)), numWarps(numWarps)
+    {
+    }
+
     sim::GpuSpec spec = sim::GpuSpec::gh200();
     int numWarps = 4;
-    /** Reuse smoke-execution verdicts across identical conversions:
-     *  within one run, two ConvertLayout ops with the same
-     *  (src, dst, elemBytes, kind) share one successful smoke execution
-     *  (failures are never cached — the demotion loop needs fresh
-     *  diagnostics and failpoint semantics). Hits are counted in
-     *  EngineStats::smokeCacheHits and the "engine.smoke.cache_hits"
-     *  metric. */
-    bool cacheSmokeResults = true;
-    /** Shared, sharded plan cache (borrowed, not owned; nullptr
-     *  disables). A cache hit serves the memoized plan — or a memoized
-     *  InvalidInput rejection — without planning or smoke-executing
-     *  anything, and is counted in EngineStats::planCacheHits /
-     *  planCacheNegativeHits, distinct from the per-run smoke-verdict
-     *  cache above (a plan-cache hit never touches the smoke cache, so
-     *  the two never double count one op). Plans that survived
-     *  demotion, were shaped by failpoints, or were planned while any
-     *  failpoint was active are never inserted. */
+    /** Shared, sharded plan cache (borrowed, not owned; nullptr gives
+     *  each run a private cache of its own, so a conversion repeated
+     *  within one run is still planned and smoke-executed once). Every
+     *  op is served by service::serveConversion: a hit serves the
+     *  memoized plan — or a memoized InvalidInput rejection — without
+     *  planning or smoke-executing anything. Only shared-cache traffic
+     *  is counted in EngineStats::planCacheHits / planCacheNegativeHits
+     *  / planCacheMisses. Plans that survived demotion, were shaped by
+     *  failpoints, or were planned while any failpoint was active are
+     *  never inserted. */
     service::PlanCache *planCache = nullptr;
     /** Run the whole-kernel anchor-assignment search (src/synth) before
      *  propagation and adopt its winning assignment when the true cost
@@ -95,12 +96,9 @@ struct EngineStats
      *  to (or whose demoted re-plan failed); the op is tagged
      *  "convert:unplanned" and the engine carries on. */
     int execFailures = 0;
-    /** Smoke executions skipped because an identical conversion already
-     *  passed earlier in the run (see EngineOptions::cacheSmokeResults). */
-    int smokeCacheHits = 0;
     /** Conversions served whole from the shared plan cache
-     *  (EngineOptions::planCache): no planning, no smoke execution, no
-     *  smoke-cache involvement. Mirrored as "engine.plan_cache_hits";
+     *  (EngineOptions::planCache): no planning, no smoke execution.
+     *  Mirrored as "engine.plan_cache_hits";
      *  the cache's own counters live under "service.plan_cache.*". */
     int planCacheHits = 0;
     /** Conversions rejected from a memoized InvalidInput entry; also
@@ -170,9 +168,10 @@ class LayoutEngine
     /**
      * Accept a cute (shape,stride) relayout — including non-pow2
      * logical shapes the F2 entry points reject — with this engine's
-     * spec and warp configuration. The pow2 core routes through
-     * EngineOptions::planCache when one is configured (sharing interned
-     * layouts and cached ladder plans with ordinary conversions);
+     * spec and warp configuration. The pow2 core always goes through
+     * service::serveCuteConversion — smoke-verified and demoted like any
+     * conversion — sharing interned layouts and cached ladder plans with
+     * ordinary conversions when EngineOptions::planCache is configured;
      * malformed requests fail with DiagCode::InvalidInput, and nothing
      * here answers InvalidInput merely for being non-pow2.
      */
@@ -198,10 +197,11 @@ class LayoutEngine
     std::map<int, LinearLayout> synthesizeAssignment(const ir::Function &f,
                                                      EngineStats &stats);
 
-    /** Lower every surviving ConvertLayout to a ConversionPlan and tag
-     *  it "convert:<kind>". A plan that cannot be built downgrades the
-     *  op to "convert:unplanned" and is recorded in the stats; this
-     *  pass never throws. */
+    /** Serve every surviving ConvertLayout through
+     *  service::serveConversion and tag it "convert:<kind>". A plan that
+     *  cannot be built, or that no rung of which survives execution,
+     *  downgrades the op to "convert:unplanned" and is recorded in the
+     *  stats; this pass never throws. */
     void planConversions(ir::Function &f, EngineStats &stats);
 
     /** Convert operand `slot` of op `opIdx` to `want` unless it is

@@ -138,6 +138,8 @@ executeAttempt(const CompileRequest &req, const ExecContext &ctx,
             const ConversionOutcome &outcome = flight.outcome;
             resp.coalesced = flight.role == FlightRole::Follower;
             resp.error = outcome.error;
+            resp.stats.execFallbacks = outcome.demotions;
+            resp.stats.planDiagnostics = outcome.notes;
             if (flight.role == FlightRole::TimedOut) {
                 resp.ok = false;
                 resp.outcome = RequestOutcome::DeadlineExceeded;
@@ -354,7 +356,6 @@ accumulateStats(engine::EngineStats &into,
     into.transferFallbacks += from.transferFallbacks;
     into.execFallbacks += from.execFallbacks;
     into.execFailures += from.execFailures;
-    into.smokeCacheHits += from.smokeCacheHits;
     into.planCacheHits += from.planCacheHits;
     into.planCacheNegativeHits += from.planCacheNegativeHits;
     into.planCacheMisses += from.planCacheMisses;

@@ -6,27 +6,32 @@ namespace ll {
 namespace service {
 
 ConversionOutcome
+outcomeFromCache(const CachedPlan &hit)
+{
+    ConversionOutcome out;
+    out.fromCache = true;
+    if (hit.negative()) {
+        out.cachedRejection = true;
+        out.error = hit.rejection->toString();
+    } else {
+        out.plan = hit.plan;
+    }
+    return out;
+}
+
+ConversionOutcome
 serveConversion(PlanCache *cache, const LinearLayout &src,
                 const LinearLayout &dst, int elemBytes,
                 const sim::GpuSpec &spec)
 {
     trace::Span span("service.conversion", "service");
-    ConversionOutcome out;
-
     std::optional<PlanKey> key;
     if (cache != nullptr) {
         key = cache->key(src, dst, elemBytes, spec);
         if (auto hit = cache->lookup(*key)) {
-            out.fromCache = true;
-            if (hit->negative()) {
-                out.cachedRejection = true;
-                out.error = hit->rejection->toString();
-                span.arg("outcome", "cached-rejection");
-                return out;
-            }
-            out.plan = hit->plan;
-            span.arg("outcome", "cache-hit");
-            return out;
+            span.arg("outcome",
+                     hit->negative() ? "cached-rejection" : "cache-hit");
+            return outcomeFromCache(*hit);
         }
     }
 
@@ -42,39 +47,34 @@ planAndPublish(PlanCache *cache, const PlanKey *key,
     trace::Span span("service.conversion.plan", "service");
     ConversionOutcome out;
 
-    auto planned = [&]() -> Result<codegen::ConversionPlan> {
-        try {
-            return codegen::tryPlanConversion(src, dst, elemBytes, spec);
-        } catch (const std::exception &e) {
-            return makeDiag(DiagCode::PlannerInternalError,
-                            "service.plan",
-                            std::string("planner threw: ") + e.what());
-        }
-    }();
-    if (!planned.ok()) {
-        out.error = planned.diag().toString();
+    auto verified = codegen::planAndVerify(src, dst, elemBytes, spec);
+    if (!verified.plan.ok()) {
+        out.error = verified.plan.diag().toString();
         if (key)
-            cache->insertRejection(*key, planned.diag());
+            cache->insertRejection(*key, verified.plan.diag());
         span.arg("outcome", "plan-failed");
         return out;
     }
 
-    auto fail = codegen::smokeExecutePlan(*planned, src, dst, elemBytes,
-                                          spec);
-    if (fail.has_value()) {
+    out.plan = std::make_shared<const codegen::ConversionPlan>(
+        std::move(*verified.plan));
+    out.demotions = verified.demotions;
+    out.notes = std::move(verified.notes);
+    if (verified.execFailed) {
         out.execFailed = true;
-        out.error = fail->toString();
-        out.plan = std::make_shared<const codegen::ConversionPlan>(
-            std::move(*planned));
+        out.error = out.notes.back();
         span.arg("outcome", "exec-failed");
         return out;
     }
 
-    out.plan = std::make_shared<const codegen::ConversionPlan>(
-        std::move(*planned));
-    if (key)
+    // Only undemoted plans are published: a demoted plan encodes this
+    // request's execution failures, not the pure planning function of
+    // the key. The cache applies its own failpoint policy on top.
+    if (key && out.demotions == 0)
         cache->insert(*key, out.plan);
     span.arg("outcome", "planned");
+    if (out.demotions > 0)
+        span.arg("demotions", out.demotions);
     return out;
 }
 

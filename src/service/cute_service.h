@@ -44,7 +44,7 @@ struct CuteConversionOutcome
     bool coreFromCache = false;
     /** The core failure was served from a memoized rejection. */
     bool cachedRejection = false;
-    /** Core planning succeeded but its smoke execution failed. */
+    /** Core planning succeeded but no rung survived its smoke run. */
     bool execFailed = false;
     /** Failure rendering; empty on success. */
     std::string error;

@@ -130,13 +130,7 @@ serveConversionCoalesced(
     const PlanKey key = cache->key(src, dst, elemBytes, spec);
     if (auto hit = cache->lookup(key)) {
         result.role = FlightRole::Leader; // served directly, no flight
-        result.outcome.fromCache = true;
-        if (hit->negative()) {
-            result.outcome.cachedRejection = true;
-            result.outcome.error = hit->rejection->toString();
-        } else {
-            result.outcome.plan = hit->plan;
-        }
+        result.outcome = outcomeFromCache(*hit);
         return result;
     }
 
@@ -156,17 +150,8 @@ serveConversionCoalesced(
             // key between our counted miss and this flight opening.
             // peek() is stat-free, so the request still records exactly
             // one lookup, and an expired negative reads as a miss.
-            if (auto hit = cache->peek(key)) {
-                ConversionOutcome out;
-                out.fromCache = true;
-                if (hit->negative()) {
-                    out.cachedRejection = true;
-                    out.error = hit->rejection->toString();
-                } else {
-                    out.plan = hit->plan;
-                }
-                return out;
-            }
+            if (auto hit = cache->peek(key))
+                return outcomeFromCache(*hit);
             return planAndPublish(cache, &key, src, dst, elemBytes,
                                   spec);
         },

@@ -162,6 +162,14 @@ globalMemorySectors(const LinearLayout &layout, int elemBits,
     return sectorsPerInst * instsPerThread * warpCount(layout);
 }
 
+double
+unplannableConversionCycles(const LinearLayout &src,
+                            const sim::GpuSpec &spec)
+{
+    return spec.sharedRoundTripCycles +
+           2.0 * regCount(src) * spec.sharedWavefrontCycles;
+}
+
 PropagationMap
 propagationMap(const ir::Function &f, const sim::GpuSpec &spec,
                int numWarps)

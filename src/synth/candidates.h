@@ -73,6 +73,16 @@ LinearLayout dotOperandLayout(const ir::TensorType &operandType,
 int64_t globalMemorySectors(const LinearLayout &layout, int elemBits,
                             const sim::GpuSpec &spec);
 
+/**
+ * Modeled cycles of a conversion out of `src` that cannot be planned: a
+ * scalar shared round trip, one store and one load wavefront per
+ * register. The one price engine::estimateKernelCost charges a
+ * convert:unplanned op and the synthesis edge pricing charges an
+ * unplannable pair.
+ */
+double unplannableConversionCycles(const LinearLayout &src,
+                                   const sim::GpuSpec &spec);
+
 /** One candidate layout for an anchor, with a human-readable origin
  *  ("default", "blocked/vec2", "dot-operand:0", "neighbor", ...). */
 struct LayoutCandidate

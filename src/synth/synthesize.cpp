@@ -5,7 +5,6 @@
 #include <string>
 
 #include "codegen/conversion.h"
-#include "layout/dims.h"
 #include "service/conversion_service.h"
 #include "support/trace.h"
 
@@ -15,12 +14,6 @@ namespace synth {
 namespace {
 
 using ir::OpKind;
-
-int
-regCount(const LinearLayout &l)
-{
-    return l.hasInDim(dims::kReg) ? l.getInDimSize(dims::kReg) : 1;
-}
 
 /** A load or store whose traffic depends on anchor `anchorIdx`'s
  *  candidate (the carried layout prices the access). */
@@ -89,9 +82,7 @@ class ConversionPricer
     price(const LinearLayout &src, const LinearLayout &dst,
           int elemBytes)
     {
-        const double unplannable =
-            spec_.sharedRoundTripCycles +
-            2.0 * regCount(src) * spec_.sharedWavefrontCycles;
+        const double unplannable = unplannableConversionCycles(src, spec_);
         try {
             LinearLayout d = dst.transposeOuts(src.getOutDimNames());
             if (codegen::conversionIsNoOp(src, d))

@@ -6,8 +6,9 @@
  * under the oracle, at a modeled cost no lower than the plan it
  * replaced. Also covers the CTA-budget gate (an oversized tensor demotes
  * to a windowed scalar plan instead of raising UserError), the padding
- * search regression pins, and the engine-level execFallbacks /
- * execFailures accounting.
+ * search regression pins, the engine-level execFallbacks /
+ * execFailures accounting, and the engine, service and oracle agreeing
+ * on one demotion.
  */
 
 #include <gtest/gtest.h>
@@ -26,6 +27,7 @@
 #include "engine/layout_engine.h"
 #include "ir/function.h"
 #include "layout/dims.h"
+#include "service/conversion_service.h"
 #include "support/failpoint.h"
 #include "support/metrics.h"
 #include "triton/encodings.h"
@@ -122,7 +124,7 @@ TEST(ExecFallback, SitePoolIsCompleteAndDisjointFromPlannerSites)
 }
 
 // Cumulative knockout sets: each demotion step disables strictly more
-// rungs, so the engine's demotion loop must terminate; the terminal
+// rungs, so planAndVerify's demotion loop must terminate; the terminal
 // scalar rung has nowhere left to go.
 TEST(ExecFallback, DemotionSitesGrowStrictlyDownTheLadder)
 {
@@ -485,6 +487,66 @@ TEST(ExecFallback, EngineSurvivesPersistentExecutionFailure)
             sawUnplanned = true;
     }
     EXPECT_TRUE(sawUnplanned);
+}
+
+// The engine, the service and the check oracle share one demotion
+// routine (codegen::planAndVerify), so a single forced shared-memory
+// allocation failure must end every one of them on the same rung after
+// the same single demotion — and the demoted plan is never published
+// to a plan cache.
+TEST(ExecFallback, EngineServiceAndOracleDemoteAlike)
+{
+    const auto spec = sim::GpuSpec::gh200();
+    const std::string site = "exec.shared.alloc";
+
+    // The first surviving conversion of the healthy gemm takes the
+    // failpoint's one shot; pin it to a demotable shared rung.
+    auto healthy = gemmFunction();
+    engine::LayoutEngine({spec, 4}).run(healthy);
+    int opIdx = -1;
+    for (int i = 0; i < healthy.numOps() && opIdx < 0; ++i) {
+        const auto &o = healthy.op(i);
+        if (!o.erased && o.kind == ir::OpKind::ConvertLayout)
+            opIdx = i;
+    }
+    ASSERT_GE(opIdx, 0);
+    ASSERT_EQ(healthy.op(opIdx).tag, "convert:shared-memory")
+        << "fixture no longer plans its first conversion to shared";
+    const auto &have = *healthy.value(healthy.op(opIdx).operands[0]).layout;
+    const auto &want = *healthy.value(healthy.op(opIdx).results[0]).layout;
+    ConversionCase c;
+    c.src = have;
+    c.dst = want.transposeOuts(have.getOutDimNames());
+    c.elemBytes = ir::byteWidth(
+        healthy.value(healthy.op(opIdx).results[0]).type.dtype);
+
+    failpoint::activate(site, 1);
+    auto f = gemmFunction();
+    auto stats = engine::LayoutEngine({spec, 4}).run(f);
+    failpoint::deactivate(site);
+    ASSERT_EQ(stats.execFallbacks, 1);
+    EXPECT_EQ(stats.execFailures, 0);
+    const std::string engineTag = f.op(opIdx).tag;
+
+    service::PlanCache cache;
+    failpoint::activate(site, 1);
+    auto served =
+        service::serveConversion(&cache, c.src, c.dst, c.elemBytes, spec);
+    failpoint::deactivate(site);
+    ASSERT_TRUE(served.planned()) << served.error;
+    EXPECT_EQ(served.demotions, 1);
+    EXPECT_EQ("convert:" + toString(served.plan->kind), engineTag);
+    EXPECT_EQ(cache.size(), 0) << "a demoted plan was published";
+    EXPECT_EQ(cache.stats().inserts, 0);
+
+    failpoint::activate(site, 1);
+    DemotionReport dr = check::checkCaseWithDemotion(c);
+    failpoint::deactivate(site);
+    ASSERT_TRUE(dr.survived);
+    EXPECT_EQ(dr.demotions, 1);
+    EXPECT_EQ(dr.initialKind, ConversionKind::SharedMemory);
+    EXPECT_EQ("convert:" + toString(dr.finalKind), engineTag);
+    EXPECT_TRUE(dr.report.ok()) << dr.report.toString();
 }
 
 // A healthy engine takes no demotions and reports zero execution

@@ -8,11 +8,15 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
+#include "codegen/conversion.h"
 #include "engine/cost_model.h"
 #include "engine/layout_engine.h"
 #include "engine/shape_transfer.h"
 #include "ir/function.h"
 #include "layout/dims.h"
+#include "service/plan_cache.h"
 #include "triton/encodings.h"
 
 namespace ll {
@@ -354,15 +358,14 @@ TEST(CostModel, CrossWarpReductionPaysSharedRoundTrip)
     EXPECT_GE(cost.localStores, 1); // partials through shared memory
 }
 
-TEST(Engine, SmokeCacheDeduplicatesIdenticalConversions)
+TEST(Engine, RunCachePlansEachDistinctConversionOnce)
 {
     // Two dots over the same operands: each dot wants the same
-    // blocked -> MMA-input conversions, so the second op's smoke
-    // executions are pure repeats of the first's. With caching on, the
-    // repeats must be served from the per-run cache (and counted); with
-    // caching off, the counter must stay zero. Both runs must plan
-    // every conversion either way — the cache skips re-execution, never
-    // planning.
+    // blocked -> MMA-input conversions, so the second dot's are pure
+    // repeats of the first's. With no shared cache the run serves the
+    // repeats from its own plan cache: every distinct conversion is
+    // planned exactly once, and the lowering matches a shared-cache
+    // run's plan for plan.
     auto build = [] {
         Function f("twin_gemm");
         int a = f.load({DType::F16, {64, 64}});
@@ -373,29 +376,64 @@ TEST(Engine, SmokeCacheDeduplicatesIdenticalConversions)
         f.store(d);
         return f;
     };
+    const auto spec = sim::GpuSpec::gh200();
+    struct Conversion
+    {
+        int op;
+        LinearLayout src, dst;
+        int elemBytes;
+    };
+    auto conversions = [](const Function &f) {
+        std::vector<Conversion> out;
+        for (int i = 0; i < f.numOps(); ++i) {
+            const auto &o = f.op(i);
+            if (o.erased || o.kind != OpKind::ConvertLayout)
+                continue;
+            const auto &have = *f.value(o.operands[0]).layout;
+            const auto &want = *f.value(o.results[0]).layout;
+            out.push_back({i, have,
+                           want.transposeOuts(have.getOutDimNames()),
+                           ir::byteWidth(f.value(o.results[0]).type.dtype)});
+        }
+        return out;
+    };
 
-    EngineOptions cached{sim::GpuSpec::gh200(), 4};
-    ASSERT_TRUE(cached.cacheSmokeResults); // caching is the default
     Function f1 = build();
-    auto statsCached = LayoutEngine(cached).run(f1);
-    EXPECT_GE(statsCached.smokeCacheHits, 1);
-    EXPECT_EQ(statsCached.execFailures, 0);
-    // The registry-backed mirror must agree with the struct field.
-    auto it = statsCached.metrics.find("engine.smoke.cache_hits");
-    ASSERT_NE(it, statsCached.metrics.end());
-    EXPECT_EQ(it->second, statsCached.smokeCacheHits);
+    auto stats = LayoutEngine({spec, 4}).run(f1);
+    EXPECT_EQ(stats.execFailures, 0);
+    EXPECT_EQ(stats.planCacheHits + stats.planCacheMisses, 0)
+        << "the run's own cache is not the shared plan cache";
+    std::set<std::string> distinct;
+    for (const auto &c : conversions(f1))
+        distinct.insert(c.src.toString() + "|" + c.dst.toString() + "|" +
+                        std::to_string(c.elemBytes));
+    ASSERT_LT(distinct.size(), conversions(f1).size())
+        << "fixture no longer repeats a conversion";
+    EXPECT_EQ(stats.convertsPlanned,
+              static_cast<int>(conversions(f1).size()));
+    EXPECT_EQ(stats.metrics["plan.planned"],
+              static_cast<int64_t>(distinct.size()));
 
-    EngineOptions uncached{sim::GpuSpec::gh200(), 4};
-    uncached.cacheSmokeResults = false;
+    service::PlanCache cache;
+    EngineOptions shared{spec, 4};
+    shared.planCache = &cache;
     Function f2 = build();
-    auto statsUncached = LayoutEngine(uncached).run(f2);
-    EXPECT_EQ(statsUncached.smokeCacheHits, 0);
-    EXPECT_EQ(statsUncached.metrics.count("engine.smoke.cache_hits"),
-              0u);
-    // Same function, same planning outcome — only the execution count
-    // differs.
-    EXPECT_EQ(statsUncached.convertsPlanned, statsCached.convertsPlanned);
-    EXPECT_EQ(statsUncached.planFailures, statsCached.planFailures);
+    LayoutEngine(shared).run(f2);
+    auto ops1 = conversions(f1);
+    auto ops2 = conversions(f2);
+    ASSERT_EQ(ops1.size(), ops2.size());
+    for (size_t k = 0; k < ops1.size(); ++k) {
+        EXPECT_EQ(f1.op(ops1[k].op).tag, f2.op(ops2[k].op).tag);
+        auto hit = cache.peek(cache.key(ops2[k].src, ops2[k].dst,
+                                        ops2[k].elemBytes, spec));
+        ASSERT_TRUE(hit.has_value() && hit->plan) << "op " << ops2[k].op;
+        auto fresh = codegen::planAndVerify(ops1[k].src, ops1[k].dst,
+                                            ops1[k].elemBytes, spec);
+        ASSERT_TRUE(fresh.verified()) << "op " << ops1[k].op;
+        EXPECT_EQ(codegen::describePlan(*fresh.plan),
+                  codegen::describePlan(*hit->plan))
+            << "op " << ops1[k].op;
+    }
 }
 
 } // namespace

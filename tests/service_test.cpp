@@ -5,7 +5,7 @@
  * shares immutable plans, evicts LRU, memoizes only deterministic
  * InvalidInput rejections (with a lookup-count TTL), and refuses
  * inserts under fault injection; the engine distinguishes plan-cache
- * hits from its per-run smoke-verdict cache with no double counting;
+ * hits from its private per-run cache with no double counting;
  * cached plans are bit-identical to freshly planned ones over the
  * whole committed corpus; and the thread-pool batch driver aggregates
  * stats race-free. The ≥8-thread stress test is the TSan target
@@ -463,11 +463,11 @@ TEST_F(ServiceTest, StressInternerAndCacheUnderConcurrentEviction)
     EXPECT_LE(interner.size(), 5 + kKeys);
 }
 
-// The engine's two caches must stay distinguishable: a shared-plan-
-// cache hit skips planning and smoke execution entirely (and never
-// touches the per-run smoke-verdict cache), so a second engine run
-// over the same kernel serves every conversion from the plan cache
-// with zero smoke-cache hits — no double counting anywhere.
+// The engine's two caches must stay distinguishable: a run without a
+// shared cache serves its repeats from a private per-run cache that is
+// never counted as plan-cache traffic, while a second engine run over
+// the same kernel serves every conversion from the shared plan cache
+// — no double counting anywhere.
 TEST_F(ServiceTest, EngineDistinguishesPlanCacheFromSmokeCache)
 {
     auto suite = kernels::allKernels();
@@ -507,10 +507,8 @@ TEST_F(ServiceTest, EngineDistinguishesPlanCacheFromSmokeCache)
     EXPECT_EQ(run2.convertsPlanned, run1.convertsPlanned);
     EXPECT_EQ(run2.planCacheHits, run1.convertsPlanned);
     EXPECT_EQ(run2.planCacheMisses, 0);
-    EXPECT_EQ(run2.smokeCacheHits, 0); // plan-cache hits preempt it
-    // The mirrored metric families stay separate too.
-    EXPECT_EQ(run2.metrics.count("engine.smoke.cache_hits"), 0u);
     EXPECT_GT(run2.metrics.at("engine.plan_cache_hits"), 0);
+    EXPECT_EQ(base.metrics.count("engine.plan_cache_hits"), 0u);
 
     // And the lowering is unchanged by cache placement: same tags.
     std::vector<std::string> tags1, tags2;

@@ -229,8 +229,9 @@ TEST(SynthEngine, OffIsBitIdentical)
         const auto &a = plain.value(v).layout;
         const auto &b = gated.value(v).layout;
         ASSERT_EQ(a.has_value(), b.has_value());
-        if (a)
+        if (a) {
             EXPECT_EQ(*a, *b) << "value " << v;
+        }
     }
 }
 

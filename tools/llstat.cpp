@@ -6,8 +6,8 @@
  * Three workloads, combinable in one invocation:
  *
  *   --corpus DIR   replay every corpus case file in DIR (the fuzzer's
- *                  text format) through tryPlanConversion and a smoke
- *                  execution, mirroring what the engine does per
+ *                  text format) through codegen::planAndVerify, the
+ *                  plan -> smoke -> demote routine the engine runs per
  *                  ConvertLayout op;
  *   --case FILE    replay one corpus case file;
  *   --kernels      run the Figure 9 kernel suite through LayoutEngine
@@ -194,10 +194,10 @@ struct ReplayTally
 
 /**
  * Replay one conversion case the way the engine treats one
- * ConvertLayout op: structured planning, then a smoke execution of the
- * chosen plan. With span checking on, the window of trace events this
- * case appended must contain a "plan.conversion" span whose args carry
- * the selected rung ("kind") and the modeled cost ("cycles").
+ * ConvertLayout op: codegen::planAndVerify plans, smoke-executes and
+ * demotes. With span checking on, the window of trace events this case
+ * appended must contain a "plan.conversion" span whose args carry the
+ * initially selected rung ("kind") and the modeled cost ("cycles").
  */
 void
 replayCase(const check::ConversionCase &c, const std::string &label,
@@ -205,22 +205,18 @@ replayCase(const check::ConversionCase &c, const std::string &label,
 {
     ++tally.cases;
     const size_t before = trace::eventCount();
-    auto spec = c.spec();
-    auto plan =
-        codegen::tryPlanConversion(c.src, c.dst, c.elemBytes, spec);
-    if (plan.ok()) {
-        ++tally.planned;
-        auto fail = codegen::smokeExecutePlan(*plan, c.src, c.dst,
-                                              c.elemBytes, spec);
-        if (fail.has_value()) {
-            ++tally.execFailed;
-            std::cerr << "llstat: smoke execution failed on " << label
-                      << ": " << fail->toString() << "\n";
-        }
-    } else {
+    auto verified = codegen::planAndVerify(c.src, c.dst, c.elemBytes,
+                                           c.spec());
+    if (!verified.plan.ok()) {
         ++tally.planFailed;
         std::cerr << "llstat: planning failed on " << label << ": "
-                  << plan.diag().toString() << "\n";
+                  << verified.plan.diag().toString() << "\n";
+    } else if (verified.execFailed) {
+        ++tally.execFailed;
+        std::cerr << "llstat: smoke execution failed on " << label
+                  << ": " << verified.notes.back() << "\n";
+    } else {
+        ++tally.planned;
     }
 
     if (!checkSpans)
@@ -234,8 +230,8 @@ replayCase(const check::ConversionCase &c, const std::string &label,
         const std::string *kind = spanArg(e, "kind");
         if (!kind)
             continue;
-        if (plan.ok()) {
-            if (*kind == codegen::toString(plan->kind) &&
+        if (verified.plan.ok()) {
+            if (*kind == codegen::toString(verified.initialKind) &&
                 spanArg(e, "cycles")) {
                 found = true;
                 break;
