@@ -399,15 +399,26 @@ smokeExecutePlan(const ConversionPlan &plan, const LinearLayout &srcIn,
         LinearLayout src = canonicalIns(srcIn);
         LinearLayout dst =
             canonicalIns(dstIn.transposeOuts(srcIn.getOutDimNames()));
-        const uint64_t srcSize =
-            static_cast<uint64_t>(src.getTotalInDimSize());
-        std::vector<uint64_t> srcFile(srcSize);
-        for (uint64_t i = 0; i < srcSize; ++i)
-            srcFile[i] = src.applyFlat(i);
-        auto rt = runSharedRoundTrip(*plan.shared, src, dst, srcFile,
-                                     elemBytes, spec);
+        auto rt = runSharedRoundTrip(*plan.shared, src, dst,
+                                     flatImage(src), elemBytes, spec);
         if (!rt)
             return rt.diag();
+        // Every register carried its tensor coordinate, so each dst
+        // register must hold its own; an aliased plan loads poison or
+        // another element.
+        const std::vector<uint64_t> expect = flatImage(dst);
+        for (size_t j = 0; j < expect.size(); ++j) {
+            const uint64_t got = rt->dstFile[j];
+            if (got == expect[j])
+                continue;
+            return makeExecDiag(
+                ExecError::DataMismatch, "exec.shared.verify",
+                "dst register " + std::to_string(j) + " expected element " +
+                    std::to_string(expect[j]) + ", got " +
+                    (got == sim::SharedMemory::kPoison
+                         ? std::string("poison")
+                         : "element " + std::to_string(got)));
+        }
         return std::nullopt;
       }
     }

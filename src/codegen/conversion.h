@@ -187,10 +187,12 @@ std::vector<std::string> demotionSitesFor(ConversionKind kind);
  * Execute `plan` once on tagged data to prove its executors are sound
  * for these layouts: WarpShuffle runs its shuffle schedule for warp 0
  * (the schedule is warp-invariant), the shared kinds run the full
- * simulated round trip. NoOp and RegisterPermute have no executor and
- * trivially pass. Returns the first executor failure, or nullopt when
- * execution succeeded — correctness of the *data* is the oracle's job
- * (src/check), not this smoke test's.
+ * simulated round trip and then check that every destination register
+ * holds its own tensor coordinate (a mismatch is a DataMismatch at stage
+ * "exec.shared.verify"). NoOp and RegisterPermute have no executor and
+ * trivially pass. Returns the first failure, or nullopt when execution
+ * succeeded. The full audit — wavefront totals, Lemma 9.4, every kind's
+ * data — stays the oracle's job (src/check).
  */
 std::optional<ExecDiagnostic>
 smokeExecutePlan(const ConversionPlan &plan, const LinearLayout &src,

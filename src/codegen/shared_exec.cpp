@@ -1,7 +1,7 @@
 #include "codegen/shared_exec.h"
 
-#include <map>
-#include <set>
+#include <algorithm>
+#include <unordered_map>
 
 #include "layout/dims.h"
 #include "support/bits.h"
@@ -70,7 +70,100 @@ bankBudget(int64_t instructions, int lanes, int vecBytes,
     return instructions * std::max(lanes, 1) * wordsPerLane;
 }
 
+/** The image of every input index under the F2-linear map with these
+ *  columns, by one prefix-XOR sweep: clearing the lowest set bit of
+ *  `in` leaves an index already computed, and the difference is one
+ *  column. */
+std::vector<uint64_t>
+xorSweep(const std::vector<uint64_t> &cols)
+{
+    std::vector<uint64_t> image(size_t(1) << cols.size());
+    image[0] = 0;
+    for (size_t in = 1; in < image.size(); ++in)
+        image[in] = image[in & (in - 1)] ^
+                    cols[static_cast<size_t>(std::countr_zero(in))];
+    return image;
+}
+
+/**
+ * How one side of a round trip moves its registers, flat. offsets[in]
+ * is the linear shared offset of flat input `in` (the composed map
+ * tensorToOffset . dist is linear, so the table is one prefix-XOR
+ * sweep). reps is registerGroupReps(swz, dist), the one definition of a
+ * register group; group g holds members[start[g] .. start[g + 1]), the
+ * registers sharing reps[g]'s vec window, in register order. By
+ * linearity two registers share a vec window in one thread iff they
+ * share it in every thread, so the warp access (reps[g], warp) moves
+ * exactly group g's registers in every lane, each through slot
+ * offsets[in] & vecMask of its lane's window — no per-lane lookup.
+ */
+struct RegisterGroups
+{
+    RegisterGroups(const SwizzledShared &swz, const LinearLayout &dist)
+        : regLog(dist.getInDimSizeLog2(kReg)),
+          laneLog(dist.getInDimSizeLog2(kLane)),
+          reps(registerGroupReps(swz, dist))
+    {
+        std::vector<uint64_t> cols(
+            static_cast<size_t>(dist.getTotalInDimSizeLog2()));
+        for (size_t i = 0; i < cols.size(); ++i) {
+            cols[i] = swz.tensorToOffset.applyFlat(
+                dist.applyFlat(uint64_t(1) << i));
+        }
+        offsets = xorSweep(cols);
+        const uint64_t keep = ~(static_cast<uint64_t>(swz.vecElems()) - 1);
+        std::unordered_map<uint64_t, int32_t> groupOfWindow;
+        for (size_t g = 0; g < reps.size(); ++g) {
+            groupOfWindow.emplace(
+                offsets[static_cast<size_t>(reps[g])] & keep,
+                static_cast<int32_t>(g));
+        }
+        const size_t regs = size_t(1) << regLog;
+        std::vector<int32_t> groupOf(regs);
+        for (size_t reg = 0; reg < regs; ++reg)
+            groupOf[reg] = groupOfWindow.at(offsets[reg] & keep);
+        start.assign(reps.size() + 1, 0);
+        for (int32_t g : groupOf)
+            ++start[static_cast<size_t>(g) + 1];
+        for (size_t g = 0; g < reps.size(); ++g)
+            start[g + 1] += start[g];
+        members.resize(regs);
+        std::vector<size_t> fill(start.begin(), start.end() - 1);
+        for (size_t reg = 0; reg < regs; ++reg)
+            members[fill[static_cast<size_t>(groupOf[reg])]++] =
+                static_cast<uint32_t>(reg);
+    }
+
+    /** Group g's registers in thread (warp, lane), as flat inputs. */
+    template <typename Fn>
+    void
+    forEachMember(size_t g, int warp, size_t lane, Fn &&fn) const
+    {
+        const uint64_t thread =
+            ((static_cast<uint64_t>(warp) << laneLog) | lane) << regLog;
+        for (size_t i = start[g]; i < start[g + 1]; ++i)
+            fn(thread | members[i]);
+    }
+
+    int regLog;
+    int laneLog;
+    std::vector<int32_t> reps;
+    std::vector<uint64_t> offsets;
+    std::vector<size_t> start;
+    std::vector<uint32_t> members;
+};
+
 } // namespace
+
+std::vector<uint64_t>
+flatImage(const LinearLayout &layout)
+{
+    std::vector<uint64_t> cols(
+        static_cast<size_t>(layout.getTotalInDimSizeLog2()));
+    for (size_t i = 0; i < cols.size(); ++i)
+        cols[i] = layout.applyFlat(uint64_t(1) << i);
+    return xorSweep(cols);
+}
 
 Result<SharedConversionResult, ExecDiagnostic>
 executeSharedConversion(const SwizzledShared &swz, const LinearLayout &src,
@@ -112,6 +205,11 @@ executeSharedConversion(const SwizzledShared &swz, const LinearLayout &src,
         swz, src.transposeOuts(swz.memLayout.getOutDimNames()));
     const WarpAccessTable loadTable(
         swz, dstAligned.transposeOuts(swz.memLayout.getOutDimNames()));
+    const auto vecSz = static_cast<size_t>(vec);
+    // Per-access buffers, reused by every access of every pass.
+    std::vector<int64_t> offsets, global;
+    std::vector<uint64_t> values, loaded;
+    offsets.reserve(static_cast<size_t>(warpSize));
     result.correct = true;
     for (int64_t pass = 0; pass < passes; ++pass) {
         sim::SharedMemory smem(spec, elemBytes, alloc);
@@ -119,10 +217,9 @@ executeSharedConversion(const SwizzledShared &swz, const LinearLayout &src,
         // --- store phase: every warp writes its fragment ---------------
         for (int warp = 0; warp < numWarps; ++warp) {
             for (int32_t rep : storeReps) {
-                std::vector<int64_t> offsets;
-                offsets.reserve(static_cast<size_t>(warpSize));
+                offsets.clear();
                 storeTable.offsetsInto(rep, warp, offsets);
-                std::vector<std::vector<uint64_t>> values(offsets.size());
+                values.resize(offsets.size() * vecSz);
                 for (size_t lane = 0; lane < offsets.size(); ++lane) {
                     if (faults.window || offsets[lane] < 0 ||
                         offsets[lane] + vec > storage) {
@@ -135,9 +232,9 @@ executeSharedConversion(const SwizzledShared &swz, const LinearLayout &src,
                                 std::to_string(storage));
                     }
                     int64_t linear = swz.unpadOffset(offsets[lane]);
-                    for (int k = 0; k < vec; ++k) {
-                        values[lane].push_back(swz.memLayout.applyFlat(
-                            static_cast<uint64_t>(linear + k)));
+                    for (size_t k = 0; k < vecSz; ++k) {
+                        values[lane * vecSz + k] = swz.memLayout.applyFlat(
+                            static_cast<uint64_t>(linear) + k);
                     }
                 }
                 const int64_t active = maskToWindow(offsets, pass, alloc);
@@ -152,26 +249,23 @@ executeSharedConversion(const SwizzledShared &swz, const LinearLayout &src,
         // --- load phase + verification ---------------------------------
         for (int warp = 0; warp < numWarpsDst; ++warp) {
             for (int32_t rep : loadReps) {
-                std::vector<int64_t> offsets;
-                offsets.reserve(static_cast<size_t>(warpSize));
+                offsets.clear();
                 loadTable.offsetsInto(rep, warp, offsets);
-                auto global = offsets;
+                global.assign(offsets.begin(), offsets.end());
                 const int64_t active = maskToWindow(offsets, pass, alloc);
                 lanesMasked +=
                     static_cast<int64_t>(offsets.size()) - active;
                 if (active == 0)
                     continue;
-                auto loaded = smem.warpLoad(offsets, vec,
-                                            result.loadStats);
+                smem.warpLoad(offsets, vec, loaded, result.loadStats);
                 for (size_t lane = 0; lane < offsets.size(); ++lane) {
                     if (offsets[lane] == sim::kInactiveLane)
                         continue;
                     int64_t linear = swz.unpadOffset(global[lane]);
-                    for (int k = 0; k < vec; ++k) {
+                    for (size_t k = 0; k < vecSz; ++k) {
                         uint64_t expect = swz.memLayout.applyFlat(
-                            static_cast<uint64_t>(linear + k));
-                        if (loaded[lane][static_cast<size_t>(k)] !=
-                            expect)
+                            static_cast<uint64_t>(linear) + k);
+                        if (loaded[lane * vecSz + k] != expect)
                             result.correct = false;
                     }
                 }
@@ -251,112 +345,41 @@ runSharedRoundTrip(const SwizzledShared &swz, const LinearLayout &srcIn,
                 std::to_string(spec.sharedMemPerCta));
     }
     const int vec = swz.vecElems();
-    const uint64_t vecMask = static_cast<uint64_t>(vec) - 1;
+    const auto vecSz = static_cast<size_t>(vec);
 
-    // Per thread, the offset every register writes to; grouped into
-    // vec-aligned windows so each window becomes one vectorized access.
-    // Window keys are *storage* bases (padOffset applied) to match
-    // warpAccessOffsets; the slot within a window is pad-invariant
-    // because padding is a multiple of the vectorization.
-    //
-    // The composed map tensorToOffset . dist is linear, so the whole
-    // offset table falls out of one prefix-XOR sweep: clearing the
-    // lowest set bit of `in` leaves an index already computed, and the
-    // difference is one composed column.
-    auto flatOffsets = [&](const LinearLayout &dist) {
-        const int bits = dist.getTotalInDimSizeLog2();
-        std::vector<uint64_t> cols(static_cast<size_t>(bits));
-        for (int i = 0; i < bits; ++i) {
-            cols[static_cast<size_t>(i)] = swz.tensorToOffset.applyFlat(
-                dist.applyFlat(uint64_t(1) << i));
-        }
-        std::vector<uint64_t> offs(size_t(1) << bits);
-        offs[0] = 0;
-        for (size_t in = 1; in < offs.size(); ++in)
-            offs[in] = offs[in & (in - 1)] ^
-                       cols[static_cast<size_t>(std::countr_zero(in))];
-        return offs;
-    };
-
-    const int srcRegLog = src.getInDimSizeLog2(kReg);
-    const int srcLaneLog = src.getInDimSizeLog2(kLane);
     const int srcWarps =
         src.hasInDim(kWarp) ? src.getInDimSize(kWarp) : 1;
-    const int srcLanes = 1 << srcLaneLog;
-    auto storeReps = registerGroupReps(swz, src);
-
-    const int dstRegLog = dstAligned.getInDimSizeLog2(kReg);
-    const int dstLaneLog = dstAligned.getInDimSizeLog2(kLane);
     const int dstWarps =
         dstAligned.hasInDim(kWarp) ? dstAligned.getInDimSize(kWarp) : 1;
-    const int dstLanes = 1 << dstLaneLog;
+    const auto srcLanes = size_t(1) << src.getInDimSizeLog2(kLane);
+    const auto dstLanes = size_t(1) << dstAligned.getInDimSizeLog2(kLane);
     result.dstFile.assign(
         static_cast<size_t>(dstAligned.getTotalInDimSize()),
         sim::SharedMemory::kPoison);
-    auto loadReps = registerGroupReps(swz, dstAligned);
-
-    // Per warp and lane: vec-window base -> (slot within window,
-    // payload) for stores, (slot, dst flat input) for loads. Built once;
-    // every pass reuses them.
-    using LaneMap =
-        std::map<int64_t, std::vector<std::pair<int, uint64_t>>>;
-    const auto srcOffs = flatOffsets(src);
-    const auto dstOffs = flatOffsets(dstAligned);
-    std::vector<std::vector<LaneMap>> held(
-        static_cast<size_t>(srcWarps),
-        std::vector<LaneMap>(static_cast<size_t>(srcLanes)));
-    for (int warp = 0; warp < srcWarps; ++warp) {
-        for (int lane = 0; lane < srcLanes; ++lane) {
-            for (int32_t reg = 0; reg < (1 << srcRegLog); ++reg) {
-                uint64_t in =
-                    static_cast<uint64_t>(reg) |
-                    (static_cast<uint64_t>(lane) << srcRegLog) |
-                    (static_cast<uint64_t>(warp)
-                     << (srcRegLog + srcLaneLog));
-                uint64_t off = srcOffs[in];
-                held[static_cast<size_t>(warp)][static_cast<size_t>(lane)]
-                    [swz.padOffset(static_cast<int64_t>(off & ~vecMask))]
-                        .emplace_back(static_cast<int>(off & vecMask),
-                                      srcFile[static_cast<size_t>(in)]);
-            }
-        }
-    }
-    std::vector<std::vector<LaneMap>> wanted(
-        static_cast<size_t>(dstWarps),
-        std::vector<LaneMap>(static_cast<size_t>(dstLanes)));
-    for (int warp = 0; warp < dstWarps; ++warp) {
-        for (int lane = 0; lane < dstLanes; ++lane) {
-            for (int32_t reg = 0; reg < (1 << dstRegLog); ++reg) {
-                uint64_t in =
-                    static_cast<uint64_t>(reg) |
-                    (static_cast<uint64_t>(lane) << dstRegLog) |
-                    (static_cast<uint64_t>(warp)
-                     << (dstRegLog + dstLaneLog));
-                uint64_t off = dstOffs[in];
-                wanted[static_cast<size_t>(warp)]
-                      [static_cast<size_t>(lane)]
-                      [swz.padOffset(static_cast<int64_t>(off & ~vecMask))]
-                          .emplace_back(static_cast<int>(off & vecMask),
-                                        in);
-            }
-        }
-    }
+    // Built once; every pass reuses them.
+    const RegisterGroups stores(swz, src);
+    const RegisterGroups loads(swz, dstAligned);
+    const uint64_t vecMask = static_cast<uint64_t>(vec) - 1;
+    auto slot = [&](const RegisterGroups &side, size_t lane, uint64_t in) {
+        return lane * vecSz + static_cast<size_t>(side.offsets[in] & vecMask);
+    };
 
     const WarpAccessTable storeTable(swz, src);
     const WarpAccessTable loadTable(swz, dstAligned);
+    // Per-access buffers, reused by every access of every pass.
+    std::vector<int64_t> offsets;
+    std::vector<uint64_t> values, loaded;
+    offsets.reserve(std::max(srcLanes, dstLanes));
     for (int64_t pass = 0; pass < passes; ++pass) {
         sim::SharedMemory smem(spec, elemBytes, alloc);
 
         // --- store phase -----------------------------------------------
         for (int warp = 0; warp < srcWarps; ++warp) {
-            for (int32_t rep : storeReps) {
-                std::vector<int64_t> offsets;
-                offsets.reserve(static_cast<size_t>(srcLanes));
-                storeTable.offsetsInto(rep, warp, offsets);
-                std::vector<std::vector<uint64_t>> values(
-                    offsets.size(),
-                    std::vector<uint64_t>(static_cast<size_t>(vec),
-                                          sim::SharedMemory::kPoison));
+            for (size_t g = 0; g < stores.reps.size(); ++g) {
+                offsets.clear();
+                storeTable.offsetsInto(stores.reps[g], warp, offsets);
+                values.assign(offsets.size() * vecSz,
+                              sim::SharedMemory::kPoison);
                 for (size_t lane = 0; lane < offsets.size(); ++lane) {
                     if (faults.window || offsets[lane] < 0 ||
                         offsets[lane] + vec > storage) {
@@ -368,13 +391,9 @@ runSharedRoundTrip(const SwizzledShared &swz, const LinearLayout &srcIn,
                                 " outside storage of " +
                                 std::to_string(storage));
                     }
-                    const auto &laneMap =
-                        held[static_cast<size_t>(warp)][lane];
-                    auto it = laneMap.find(offsets[lane]);
-                    if (it == laneMap.end())
-                        continue;
-                    for (const auto &[slot, payload] : it->second)
-                        values[lane][static_cast<size_t>(slot)] = payload;
+                    stores.forEachMember(g, warp, lane, [&](uint64_t in) {
+                        values[slot(stores, lane, in)] = srcFile[in];
+                    });
                 }
                 const int64_t active = maskToWindow(offsets, pass, alloc);
                 lanesMasked +=
@@ -387,30 +406,21 @@ runSharedRoundTrip(const SwizzledShared &swz, const LinearLayout &srcIn,
 
         // --- load phase ------------------------------------------------
         for (int warp = 0; warp < dstWarps; ++warp) {
-            for (int32_t rep : loadReps) {
-                std::vector<int64_t> offsets;
-                offsets.reserve(static_cast<size_t>(dstLanes));
-                loadTable.offsetsInto(rep, warp, offsets);
-                auto global = offsets;
+            for (size_t g = 0; g < loads.reps.size(); ++g) {
+                offsets.clear();
+                loadTable.offsetsInto(loads.reps[g], warp, offsets);
                 const int64_t active = maskToWindow(offsets, pass, alloc);
                 lanesMasked +=
                     static_cast<int64_t>(offsets.size()) - active;
                 if (active == 0)
                     continue;
-                auto loaded =
-                    smem.warpLoad(offsets, vec, result.loadStats);
+                smem.warpLoad(offsets, vec, loaded, result.loadStats);
                 for (size_t lane = 0; lane < offsets.size(); ++lane) {
                     if (offsets[lane] == sim::kInactiveLane)
                         continue;
-                    const auto &laneMap =
-                        wanted[static_cast<size_t>(warp)][lane];
-                    auto it = laneMap.find(global[lane]);
-                    if (it == laneMap.end())
-                        continue;
-                    for (const auto &[slot, in] : it->second) {
-                        result.dstFile[static_cast<size_t>(in)] =
-                            loaded[lane][static_cast<size_t>(slot)];
-                    }
+                    loads.forEachMember(g, warp, lane, [&](uint64_t in) {
+                        result.dstFile[in] = loaded[slot(loads, lane, in)];
+                    });
                 }
             }
         }
@@ -420,7 +430,7 @@ runSharedRoundTrip(const SwizzledShared &swz, const LinearLayout &srcIn,
                                  result.loadStats.instructions;
     const int64_t measured =
         result.storeStats.wavefronts + result.loadStats.wavefronts;
-    const int lanes = std::max(srcLanes, dstLanes);
+    const int lanes = static_cast<int>(std::max(srcLanes, dstLanes));
     if (faults.bankBudget ||
         measured >
             bankBudget(instructions, lanes, vec * elemBytes, spec)) {

@@ -78,6 +78,13 @@ runSharedRoundTrip(const SwizzledShared &swz, const LinearLayout &src,
                    const std::vector<uint64_t> &srcFile, int elemBytes,
                    const sim::GpuSpec &spec);
 
+/**
+ * applyFlat of every input index of `layout`, in input order, by one
+ * prefix-XOR sweep over its columns: the tagged register file a smoke
+ * round trip stores (for src) and must load back (for dst).
+ */
+std::vector<uint64_t> flatImage(const LinearLayout &layout);
+
 } // namespace codegen
 } // namespace ll
 

@@ -1,5 +1,6 @@
 #include "engine/cost_model.h"
 
+#include <optional>
 #include <sstream>
 
 #include "codegen/conversion.h"
@@ -79,12 +80,21 @@ estimateKernelCost(const ir::Function &f, const sim::GpuSpec &spec,
                 break;
             ++cost.converts;
             int elemBytes = byteWidth(src.type.dtype);
-            auto plan = codegen::tryPlanConversion(
-                *src.layout, *dst.layout, elemBytes, spec);
-            if (!plan) {
-                // An unplannable conversion gets priced like a scalar
-                // shared round trip rather than sinking the whole
-                // estimate; the engine has already tagged the op.
+            // Price the plan the engine verified and attached; only ops
+            // it never tried (synthesis's trial copies, hand-built IR)
+            // are planned here. An op it rejected stays unplanned.
+            const codegen::ConversionPlan *plan = o.plan.get();
+            std::optional<codegen::ConversionPlan> fresh;
+            if (plan == nullptr && o.tag != ir::kUnplannedConvertTag) {
+                auto planned = codegen::tryPlanConversion(
+                    *src.layout, *dst.layout, elemBytes, spec);
+                if (planned)
+                    plan = &fresh.emplace(std::move(*planned));
+            }
+            if (plan == nullptr) {
+                // An unplannable or rejected conversion gets priced like
+                // a scalar shared round trip rather than sinking the
+                // whole estimate.
                 ++cost.sharedConversions;
                 ++cost.localLoads;
                 ++cost.localStores;

@@ -43,7 +43,14 @@ struct KernelCost
     std::string toString() const;
 };
 
-/** Price an engine-annotated function on the given GPU model. */
+/**
+ * Price an engine-annotated function on the given GPU model. A
+ * ConvertLayout op is priced from the plan LayoutEngine::run attached to
+ * it, so `spec` must be the spec of that run and the op's endpoint
+ * layouts must be the ones it planned (see ir::Op::plan). An op tagged
+ * ir::kUnplannedConvertTag is priced as an unplannable conversion; any
+ * other op without a plan is planned here, without a smoke run.
+ */
 KernelCost estimateKernelCost(const ir::Function &f,
                               const sim::GpuSpec &spec, int numWarps = 4);
 

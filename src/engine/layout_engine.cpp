@@ -362,7 +362,7 @@ LayoutEngine::planConversions(ir::Function &f, EngineStats &stats)
         const auto &have = f.value(o.operands[0]).layout;
         const auto &want = f.value(o.results[0]).layout;
         if (!have || !want) {
-            o.tag = "convert:unplanned";
+            o.tag = ir::kUnplannedConvertTag;
             ++stats.planFailures;
             stats.planDiagnostics.push_back(
                 opName + ": conversion endpoint is missing a layout");
@@ -392,13 +392,13 @@ LayoutEngine::planConversions(ir::Function &f, EngineStats &stats)
         stats.execFallbacks += outcome.demotions;
 
         if (outcome.execFailed) {
-            o.tag = "convert:unplanned";
+            o.tag = ir::kUnplannedConvertTag;
             ++stats.execFailures;
             opSpan.arg("outcome", "exec-failure");
             continue;
         }
         if (!outcome.plan) {
-            o.tag = "convert:unplanned";
+            o.tag = ir::kUnplannedConvertTag;
             ++stats.planFailures;
             stats.planDiagnostics.push_back(
                 opName + (outcome.cachedRejection ? " (plan-cache): "
@@ -409,6 +409,7 @@ LayoutEngine::planConversions(ir::Function &f, EngineStats &stats)
         }
 
         const codegen::ConversionPlan &plan = *outcome.plan;
+        o.plan = outcome.plan;
         o.tag = "convert:" + codegen::toString(plan.kind);
         ++stats.convertsPlanned;
         if (opSpan.active()) {
@@ -464,9 +465,10 @@ LayoutEngine::synthesizeAssignment(const ir::Function &f,
 
     // Reprice the finalists with the true pipeline: a trial
     // assignment + cleanup on a copy is exactly what the real run
-    // produces (planConversions only tags ops), so the cost comparison
-    // below is exact, not a guide estimate — the never-worse guarantee
-    // rests on it.
+    // produces, and the cost model plans the copy's conversions the way
+    // planConversions would (they differ only if a smoke failure
+    // demotes a plan), so the cost comparison below is exact, not a
+    // guide estimate — the never-worse guarantee rests on it.
     struct Eval
     {
         double cycles = 0.0;
@@ -543,6 +545,16 @@ LayoutEngine::run(ir::Function &f)
     const auto before = metrics::Registry::instance().counterSnapshot();
 
     EngineStats stats;
+    // Plans and rejections recorded by an earlier run describe the old
+    // layouts; neither synthesis's trial copies nor this run may price
+    // them.
+    for (int i = 0; i < f.numOps(); ++i) {
+        ir::Op &o = f.op(i);
+        o.plan.reset();
+        if (o.kind == OpKind::ConvertLayout &&
+            o.tag == ir::kUnplannedConvertTag)
+            o.tag.clear();
+    }
     std::map<int, LinearLayout> anchorOverrides;
     if (options_.synthesizeLayouts)
         anchorOverrides = synthesizeAssignment(f, stats);

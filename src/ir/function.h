@@ -16,6 +16,7 @@
 #ifndef LL_IR_FUNCTION_H
 #define LL_IR_FUNCTION_H
 
+#include <memory>
 #include <optional>
 #include <string>
 #include <utility>
@@ -25,6 +26,10 @@
 #include "layout/linear_layout.h"
 
 namespace ll {
+namespace codegen {
+struct ConversionPlan;
+} // namespace codegen
+
 namespace ir {
 
 enum class OpKind
@@ -68,7 +73,18 @@ struct Op
     std::vector<int32_t> order; ///< Trans permutation
     std::string tag;            ///< free-form label ("add", "exp", ...)
     bool erased = false;        ///< dead ops are tombstoned, not removed
+    /** ConvertLayout only: the verified plan the layout engine chose for
+     *  this op's endpoint layouts and GPU model, which the cost model
+     *  prices instead of re-planning. Null until the engine plans the
+     *  op, or when no plan survived (the op is then tagged
+     *  kUnplannedConvertTag). Whoever edits an endpoint layout outside
+     *  the engine must reset it; LayoutEngine::run resets it first. */
+    std::shared_ptr<const codegen::ConversionPlan> plan;
 };
+
+/** Tag of a ConvertLayout op the layout engine tried and could not
+ *  plan, or whose every rung failed its smoke run. */
+inline constexpr const char *kUnplannedConvertTag = "convert:unplanned";
 
 class Function
 {

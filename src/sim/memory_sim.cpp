@@ -1,6 +1,7 @@
 #include "sim/memory_sim.h"
 
 #include <algorithm>
+#include <bit>
 #include <map>
 #include <set>
 
@@ -39,42 +40,71 @@ SharedMemory::countWavefronts(const GpuSpec &spec,
     // Same model as the reference below, but flat: a word's bank is a
     // function of the word (w % numBanks), so the per-bank sets of the
     // reference are just the residue classes of the distinct word list.
-    // Sort + unique a small reused buffer instead of building a map of
-    // sets per lane group — this counter runs millions of times per
-    // planning sweep.
-    const int wordBytes = spec.bankWidthBytes;
+    // This counter runs millions of times per planning sweep and smoke
+    // run, so it allocates nothing per call (the buffers are per
+    // thread), finds word and bank by shift and mask (every modeled
+    // bank geometry is a power of two, which the planner's swizzle
+    // construction requires as well), and settles the common
+    // conflict-free group in one pass: bankWord records the first word
+    // seen per bank, and only a group where some bank sees a second
+    // distinct word is sorted and counted per bank. Between calls
+    // perBank is all zeros and bankWord all -1.
+    llAssert(std::has_single_bit(static_cast<unsigned>(spec.numBanks)) &&
+                 std::has_single_bit(
+                     static_cast<unsigned>(spec.bankWidthBytes)),
+             "bank geometry of " << spec.name
+                                 << " is not a power of two");
+    const int wordShift =
+        std::countr_zero(static_cast<unsigned>(spec.bankWidthBytes));
+    const int64_t bankMask = spec.numBanks - 1;
     const int lanesPerGroup =
         std::max(1, spec.wavefrontBytes / std::max(accessBytes, 1));
-    std::vector<int64_t> words;
-    words.reserve(byteAddrs.size() * 2 + 8);
-    std::vector<int32_t> perBank(
-        static_cast<size_t>(std::max(1, spec.numBanks)), 0);
+    thread_local std::vector<int64_t> words;
+    thread_local std::vector<int32_t> perBank;
+    thread_local std::vector<int64_t> bankWord;
+    const auto numBanks = static_cast<size_t>(spec.numBanks);
+    if (perBank.size() < numBanks) {
+        perBank.resize(numBanks, 0);
+        bankWord.resize(numBanks, -1);
+    }
+    auto bankOf = [&](int64_t w) { return static_cast<size_t>(w & bankMask); };
     int64_t wavefronts = 0;
     for (size_t base = 0; base < byteAddrs.size();
          base += static_cast<size_t>(lanesPerGroup)) {
         words.clear();
+        bool conflict = false;
         for (size_t l = base;
              l < std::min(byteAddrs.size(),
                           base + static_cast<size_t>(lanesPerGroup));
              ++l) {
             if (byteAddrs[l] == kInactiveLane)
                 continue;
-            int64_t first = byteAddrs[l] / wordBytes;
-            int64_t last = (byteAddrs[l] + accessBytes - 1) / wordBytes;
-            for (int64_t w = first; w <= last; ++w)
+            int64_t first = byteAddrs[l] >> wordShift;
+            int64_t last = (byteAddrs[l] + accessBytes - 1) >> wordShift;
+            for (int64_t w = first; w <= last; ++w) {
                 words.push_back(w);
+                int64_t &owner = bankWord[bankOf(w)];
+                if (owner < 0)
+                    owner = w;
+                else if (owner != w)
+                    conflict = true;
+            }
         }
         if (words.empty())
             continue;
+        for (int64_t w : words)
+            bankWord[bankOf(w)] = -1;
+        if (!conflict) {
+            ++wavefronts; // every bank serves one distinct word
+            continue;
+        }
         std::sort(words.begin(), words.end());
         words.erase(std::unique(words.begin(), words.end()), words.end());
         int64_t worst = 1;
-        for (int64_t w : words) {
-            auto bank = static_cast<size_t>(w % spec.numBanks);
-            worst = std::max(worst, static_cast<int64_t>(++perBank[bank]));
-        }
         for (int64_t w : words)
-            perBank[static_cast<size_t>(w % spec.numBanks)] = 0;
+            worst = std::max(worst, static_cast<int64_t>(++perBank[bankOf(w)]));
+        for (int64_t w : words)
+            perBank[bankOf(w)] = 0;
         wavefronts += worst;
     }
     return wavefronts;
@@ -146,54 +176,52 @@ SharedMemory::countTransactions(const GpuSpec &spec,
 
 void
 SharedMemory::account(const std::vector<int64_t> &elemOffsets, int vecElems,
-                      AccessStats &stats) const
+                      AccessStats &stats)
 {
-    std::vector<int64_t> byteAddrs;
-    byteAddrs.reserve(elemOffsets.size());
+    byteAddrs_.clear();
     for (int64_t off : elemOffsets) {
-        byteAddrs.push_back(off == kInactiveLane ? kInactiveLane
-                                                 : off * elemBytes_);
+        byteAddrs_.push_back(off == kInactiveLane ? kInactiveLane
+                                                  : off * elemBytes_);
     }
     stats.instructions += 1;
     stats.transactions +=
-        countTransactions(spec_, byteAddrs, vecElems * elemBytes_);
+        countTransactions(spec_, byteAddrs_, vecElems * elemBytes_);
     stats.wavefronts +=
-        countWavefronts(spec_, byteAddrs, vecElems * elemBytes_);
+        countWavefronts(spec_, byteAddrs_, vecElems * elemBytes_);
 }
 
 void
 SharedMemory::warpStore(const std::vector<int64_t> &elemOffsets,
-                        int vecElems,
-                        const std::vector<std::vector<uint64_t>> &values,
+                        int vecElems, const std::vector<uint64_t> &values,
                         AccessStats &stats)
 {
-    llAssert(values.size() == elemOffsets.size(),
-             "one value vector per lane required");
+    const auto vec = static_cast<size_t>(vecElems);
+    llAssert(values.size() == elemOffsets.size() * vec,
+             "store needs vecElems values per lane");
     account(elemOffsets, vecElems, stats);
     for (size_t l = 0; l < elemOffsets.size(); ++l) {
         if (elemOffsets[l] == kInactiveLane)
             continue;
-        llAssert(values[l].size() == static_cast<size_t>(vecElems),
-                 "store width mismatch");
-        for (int v = 0; v < vecElems; ++v)
-            poke(elemOffsets[l] + v, values[l][static_cast<size_t>(v)]);
+        for (size_t v = 0; v < vec; ++v)
+            poke(elemOffsets[l] + static_cast<int64_t>(v),
+                 values[l * vec + v]);
     }
 }
 
-std::vector<std::vector<uint64_t>>
+void
 SharedMemory::warpLoad(const std::vector<int64_t> &elemOffsets, int vecElems,
-                       AccessStats &stats)
+                       std::vector<uint64_t> &out, AccessStats &stats)
 {
+    const auto vec = static_cast<size_t>(vecElems);
     account(elemOffsets, vecElems, stats);
-    std::vector<std::vector<uint64_t>> out(elemOffsets.size());
+    out.assign(elemOffsets.size() * vec, kPoison);
     for (size_t l = 0; l < elemOffsets.size(); ++l) {
         if (elemOffsets[l] == kInactiveLane)
             continue;
-        out[l].reserve(static_cast<size_t>(vecElems));
-        for (int v = 0; v < vecElems; ++v)
-            out[l].push_back(peek(elemOffsets[l] + v));
+        for (size_t v = 0; v < vec; ++v)
+            out[l * vec + v] =
+                peek(elemOffsets[l] + static_cast<int64_t>(v));
     }
-    return out;
 }
 
 uint64_t

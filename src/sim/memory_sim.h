@@ -63,18 +63,22 @@ class SharedMemory
     int elemBytes() const { return elemBytes_; }
 
     /**
-     * One warp-wide vectorized store: lane l writes values[l] (vecElems
-     * elements) at consecutive element offsets starting at
-     * elemOffsets[l]. Offsets must be vecElems-aligned.
+     * One warp-wide vectorized store: lane l writes the vecElems values
+     * values[l * vecElems ..] at consecutive element offsets starting at
+     * elemOffsets[l]. Offsets must be vecElems-aligned; inactive lanes'
+     * values are ignored.
      */
     void warpStore(const std::vector<int64_t> &elemOffsets, int vecElems,
-                   const std::vector<std::vector<uint64_t>> &values,
-                   AccessStats &stats);
+                   const std::vector<uint64_t> &values, AccessStats &stats);
 
-    /** One warp-wide vectorized load; inactive lanes get empty vectors. */
-    std::vector<std::vector<uint64_t>>
-    warpLoad(const std::vector<int64_t> &elemOffsets, int vecElems,
-             AccessStats &stats);
+    /**
+     * One warp-wide vectorized load into `out`, resized to
+     * elemOffsets.size() * vecElems with lane l's elements at
+     * out[l * vecElems ..]; inactive lanes' slots hold kPoison. Reusing
+     * `out` across accesses keeps the load allocation-free.
+     */
+    void warpLoad(const std::vector<int64_t> &elemOffsets, int vecElems,
+                  std::vector<uint64_t> &out, AccessStats &stats);
 
     uint64_t peek(int64_t elemOffset) const;
     void poke(int64_t elemOffset, uint64_t value);
@@ -113,11 +117,12 @@ class SharedMemory
 
   private:
     void account(const std::vector<int64_t> &elemOffsets, int vecElems,
-                 AccessStats &stats) const;
+                 AccessStats &stats);
 
     const GpuSpec &spec_;
     int elemBytes_;
     std::vector<uint64_t> cells_;
+    std::vector<int64_t> byteAddrs_; ///< account()'s reused scratch
 };
 
 class GlobalMemory

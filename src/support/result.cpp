@@ -60,6 +60,8 @@ toString(ExecError code)
         return "bank-budget-exceeded";
       case ExecError::UnfilledSlot:
         return "unfilled-slot";
+      case ExecError::DataMismatch:
+        return "data-mismatch";
       case ExecError::FailpointInjected:
         return "failpoint-injected";
       case ExecError::ExecInternalError:

@@ -78,6 +78,7 @@ enum class ExecError
     SharedWindowOverflow,  ///< shared offset outside the allocated window
     BankBudgetExceeded,    ///< measured wavefronts blew the conflict budget
     UnfilledSlot,          ///< a destination slot was never written
+    DataMismatch,          ///< a destination register got the wrong value
     FailpointInjected,     ///< a failpoint forced this execution site off
     ExecInternalError,     ///< unexpected exception inside an executor
 };

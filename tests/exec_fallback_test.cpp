@@ -24,12 +24,14 @@
 #include "check/oracle.h"
 #include "codegen/conversion.h"
 #include "codegen/gather.h"
+#include "engine/cost_model.h"
 #include "engine/layout_engine.h"
 #include "ir/function.h"
 #include "layout/dims.h"
 #include "service/conversion_service.h"
 #include "support/failpoint.h"
 #include "support/metrics.h"
+#include "synth/candidates.h"
 #include "triton/encodings.h"
 
 namespace ll {
@@ -547,6 +549,97 @@ TEST(ExecFallback, EngineServiceAndOracleDemoteAlike)
     EXPECT_EQ(dr.initialKind, ConversionKind::SharedMemory);
     EXPECT_EQ("convert:" + toString(dr.finalKind), engineTag);
     EXPECT_TRUE(dr.report.ok()) << dr.report.toString();
+
+    // The cost model prices the demoted plan the tag names, not the
+    // shared-memory plan that failed its smoke run: the kernel's price
+    // moves by exactly the difference between the two plans.
+    const auto &demoted = f.op(opIdx).plan;
+    const auto &original = healthy.op(opIdx).plan;
+    ASSERT_NE(demoted, nullptr);
+    ASSERT_NE(original, nullptr);
+    EXPECT_EQ("convert:" + toString(demoted->kind), engineTag);
+    const double delta =
+        demoted->estimateCycles(c.src, c.elemBytes, spec) -
+        original->estimateCycles(c.src, c.elemBytes, spec);
+    EXPECT_GT(delta, 0.0) << "demotion did not change the plan's price";
+    EXPECT_DOUBLE_EQ(engine::estimateKernelCost(f, spec, 4).cycles -
+                         engine::estimateKernelCost(healthy, spec, 4).cycles,
+                     delta);
+}
+
+// When every rung of a conversion fails its smoke run, the engine tags
+// the op unplanned and attaches no plan. The cost model must price it as
+// an unplannable conversion, not re-plan it and price the shared plan
+// the engine rejected: the kernel's price moves by exactly the
+// difference on each rejected op.
+TEST(ExecFallback, CostModelPricesARejectedConversionAsUnplannable)
+{
+    const auto spec = sim::GpuSpec::gh200();
+    auto healthy = gemmFunction();
+    engine::LayoutEngine({spec, 4}).run(healthy);
+
+    auto f = gemmFunction();
+    {
+        failpoint::ScopedSet guard({"exec.shared.file-size"});
+        auto stats = engine::LayoutEngine({spec, 4}).run(f);
+        ASSERT_GE(stats.execFailures, 1);
+    }
+    ASSERT_EQ(f.numOps(), healthy.numOps());
+
+    int rejected = 0;
+    double delta = 0.0;
+    for (int i = 0; i < f.numOps(); ++i) {
+        const auto &o = f.op(i);
+        if (o.erased || o.kind != ir::OpKind::ConvertLayout)
+            continue;
+        const auto &h = healthy.op(i);
+        const auto &src = *f.value(o.operands[0]).layout;
+        ASSERT_EQ(src, *healthy.value(h.operands[0]).layout);
+        if (o.tag != ir::kUnplannedConvertTag) {
+            EXPECT_EQ(o.tag, h.tag);
+            continue;
+        }
+        ++rejected;
+        EXPECT_EQ(o.plan, nullptr);
+        ASSERT_NE(h.plan, nullptr);
+        EXPECT_TRUE(h.plan->shared.has_value()) << h.tag;
+        const int elemBytes =
+            ir::byteWidth(f.value(o.operands[0]).type.dtype);
+        delta += synth::unplannableConversionCycles(src, spec) -
+                 h.plan->estimateCycles(src, elemBytes, spec);
+    }
+    ASSERT_GE(rejected, 1);
+    EXPECT_NE(delta, 0.0)
+        << "the fixture cannot tell a rejected plan from a priced one";
+    EXPECT_DOUBLE_EQ(engine::estimateKernelCost(f, spec, 4).cycles -
+                         engine::estimateKernelCost(healthy, spec, 4).cycles,
+                     delta);
+}
+
+// An aliased swizzle executes cleanly (every offset is in range) but
+// loses data: two elements share one cell, so some register loads
+// poison or the other element. The smoke run compares what each dst
+// register received and reports it, so the plan demotes instead of
+// passing.
+TEST(ExecFallback, SmokeRejectsAnAliasedSwizzle)
+{
+    const auto spec = sim::GpuSpec::gh200();
+    ConversionCase c;
+    c.src = blocked({1, 4}, {8, 4}, {4, 1}, {1, 0}, {32, 32});
+    c.dst = blocked({4, 1}, {8, 4}, {4, 1}, {0, 1}, {32, 32});
+    c.elemBytes = 2;
+    auto plan = planWith(c, forceShared());
+    ASSERT_TRUE(plan.shared.has_value());
+    EXPECT_FALSE(
+        codegen::smokeExecutePlan(plan, c.src, c.dst, c.elemBytes, spec))
+        << "the healthy plan must pass";
+
+    ASSERT_TRUE(check::injectSwizzleAliasBug(plan));
+    auto fail =
+        codegen::smokeExecutePlan(plan, c.src, c.dst, c.elemBytes, spec);
+    ASSERT_TRUE(fail.has_value()) << "an aliased plan passed its smoke run";
+    EXPECT_EQ(fail->code, ExecError::DataMismatch) << fail->toString();
+    EXPECT_EQ(fail->stage, "exec.shared.verify");
 }
 
 // A healthy engine takes no demotions and reports zero execution

@@ -15,8 +15,10 @@
 #include "engine/layout_engine.h"
 #include "engine/shape_transfer.h"
 #include "ir/function.h"
+#include "kernels.h"
 #include "layout/dims.h"
 #include "service/plan_cache.h"
+#include "support/metrics.h"
 #include "triton/encodings.h"
 
 namespace ll {
@@ -434,6 +436,49 @@ TEST(Engine, RunCachePlansEachDistinctConversionOnce)
                   codegen::describePlan(*hit->plan))
             << "op " << ops1[k].op;
     }
+}
+
+// The engine attaches every verified plan to its op, so pricing a
+// compiled kernel plans nothing, and prices each conversion exactly as
+// re-planning it from the endpoint layouts would.
+TEST(CostModel, PricesAttachedPlansWithoutPlanning)
+{
+    const auto &planned = metrics::counter("plan.planned");
+    const auto &attempts = metrics::counter("plan.attempts");
+    int converts = 0;
+    for (const auto &spec : {sim::GpuSpec::rtx4090(), sim::GpuSpec::gh200(),
+                             sim::GpuSpec::mi250()}) {
+        for (const auto &k : kernels::allKernels()) {
+            for (int32_t size : k.sizes) {
+                const std::string what =
+                    k.name + "/" + std::to_string(size) + " on " + spec.name;
+                Function f = k.build(size);
+                LayoutEngine({spec, 4}).run(f);
+                Function stripped = f;
+                for (int i = 0; i < stripped.numOps(); ++i) {
+                    const auto &o = f.op(i);
+                    if (!o.erased && o.kind == OpKind::ConvertLayout &&
+                        o.tag != "convert:unplanned") {
+                        EXPECT_NE(o.plan, nullptr) << what << " op " << i;
+                    }
+                    stripped.op(i).plan.reset();
+                }
+
+                const int64_t plannedBefore = planned.value();
+                const int64_t attemptsBefore = attempts.value();
+                const KernelCost cost = estimateKernelCost(f, spec, 4);
+                EXPECT_EQ(planned.value(), plannedBefore) << what;
+                EXPECT_EQ(attempts.value(), attemptsBefore) << what;
+
+                const KernelCost replanned =
+                    estimateKernelCost(stripped, spec, 4);
+                EXPECT_EQ(cost.cycles, replanned.cycles) << what;
+                EXPECT_EQ(cost.toString(), replanned.toString()) << what;
+                converts += cost.converts;
+            }
+        }
+    }
+    EXPECT_GT(converts, 0) << "no kernel kept a conversion";
 }
 
 } // namespace

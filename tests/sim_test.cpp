@@ -95,17 +95,38 @@ TEST(SharedMemoryData, StoreLoadRoundTrip)
     SharedMemory smem(spec, 4, 256);
     AccessStats stats;
     std::vector<int64_t> offsets(32);
-    std::vector<std::vector<uint64_t>> values(32);
+    std::vector<uint64_t> values(64);
     for (int i = 0; i < 32; ++i) {
         offsets[i] = i * 2;
-        values[i] = {uint64_t(i) * 10, uint64_t(i) * 10 + 1};
+        values[2 * i] = uint64_t(i) * 10;
+        values[2 * i + 1] = uint64_t(i) * 10 + 1;
     }
     smem.warpStore(offsets, 2, values, stats);
     EXPECT_EQ(stats.instructions, 1);
-    auto loaded = smem.warpLoad(offsets, 2, stats);
-    for (int i = 0; i < 32; ++i)
-        EXPECT_EQ(loaded[i], values[i]);
+    std::vector<uint64_t> loaded;
+    smem.warpLoad(offsets, 2, loaded, stats);
+    EXPECT_EQ(loaded, values);
     EXPECT_EQ(smem.peek(3), 11u);
+}
+
+TEST(SharedMemoryData, InactiveLanesMoveNothing)
+{
+    auto spec = GpuSpec::gh200();
+    SharedMemory smem(spec, 4, 64);
+    AccessStats stats;
+    std::vector<int64_t> offsets = {0, kInactiveLane, 4, kInactiveLane};
+    std::vector<uint64_t> values = {1, 2, 3, 4, 5, 6, 7, 8};
+    smem.warpStore(offsets, 2, values, stats);
+    EXPECT_EQ(smem.peek(0), 1u);
+    EXPECT_EQ(smem.peek(2), SharedMemory::kPoison); // lane 1 skipped
+    EXPECT_EQ(smem.peek(4), 5u);
+    // A reused output buffer is resized, and inactive slots hold poison.
+    std::vector<uint64_t> loaded(100, 0);
+    offsets = {kInactiveLane, 0, kInactiveLane, 4};
+    smem.warpLoad(offsets, 2, loaded, stats);
+    const uint64_t p = SharedMemory::kPoison;
+    EXPECT_EQ(loaded, (std::vector<uint64_t>{p, p, 1, 2, p, p, 5, 6}));
+    EXPECT_EQ(stats.instructions, 2);
 }
 
 TEST(SharedMemoryData, CapacityIsEnforced)

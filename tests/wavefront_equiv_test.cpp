@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "check/case_io.h"
+#include "check/oracle.h"
 #include "codegen/conversion.h"
 #include "codegen/swizzle.h"
 #include "sim/memory_sim.h"
@@ -117,6 +118,46 @@ TEST(WavefrontEquiv, EnumerateMatchesReferenceOnCorpusPlans)
                       codegen::enumerateWavefronts_reference(
                           swz, e.c.dst, e.c.elemBytes, spec))
                 << e.file << " under " << label << " (dst)";
+        }
+    }
+    EXPECT_GT(sharedPlans, 0) << "no corpus case reached a shared rung";
+}
+
+// The shared executor against two independent references, at every
+// rung knockout: the wavefronts runSharedRoundTrip measures (through the
+// oracle, which runs it on the tagged register file) equal
+// enumerateWavefronts of src (stores) and dst (loads), and every dst
+// register receives the element the oracle computes by applying dst.
+TEST(WavefrontEquiv, RoundTripMatchesEnumerationAndOracle)
+{
+    int sharedPlans = 0;
+    for (const auto &[label, sites] : rungKnockouts()) {
+        for (const auto &e : corpus()) {
+            failpoint::ScopedSet guard(sites);
+            const auto spec = e.c.spec();
+            auto plan = codegen::tryPlanConversion(
+                e.c.src, e.c.dst, e.c.elemBytes, spec);
+            ASSERT_TRUE(plan.ok()) << e.file << " under " << label;
+            if (!plan->shared.has_value())
+                continue;
+            ++sharedPlans;
+            const auto &swz = *plan->shared;
+            const check::OracleReport report = check::checkPlan(
+                *plan, e.c.src, e.c.dst, e.c.elemBytes, spec);
+            ASSERT_TRUE(report.structureOk)
+                << e.file << " under " << label << ": " << report.detail;
+            EXPECT_EQ(report.measuredStoreWavefronts,
+                      codegen::enumerateWavefronts(swz, e.c.src,
+                                                   e.c.elemBytes, spec))
+                << e.file << " under " << label << " (store)";
+            EXPECT_EQ(report.measuredLoadWavefronts,
+                      codegen::enumerateWavefronts(swz, e.c.dst,
+                                                   e.c.elemBytes, spec))
+                << e.file << " under " << label << " (load)";
+            EXPECT_EQ(report.elementsChecked, e.c.dst.getTotalInDimSize())
+                << e.file << " under " << label;
+            EXPECT_EQ(report.mismatches, 0)
+                << e.file << " under " << label << ": " << report.detail;
         }
     }
     EXPECT_GT(sharedPlans, 0) << "no corpus case reached a shared rung";
