@@ -48,10 +48,8 @@ kernelRunsOn(const kernels::KernelSpec &k, const sim::GpuSpec &spec)
 
 /**
  * LL_FIG9_KERNELS: comma-separated kernel-name subset for the table
- * and plan-cache passes. Empty/unset runs the full suite. The
- * fig9_speedup_smoke guard uses this to compare the word-parallel and
- * scalar-reference paths on a representative subset instead of the
- * whole (expensive, on the reference path) suite.
+ * and plan-cache passes. Empty/unset runs the full suite; a subset
+ * keeps profiling runs short.
  */
 bool
 kernelSelected(const kernels::KernelSpec &k)
@@ -181,10 +179,9 @@ printPlanCacheAmortization()
  * EngineOptions::synthesizeLayouts on and report it against the
  * synth-off baseline — the paper-style converts_eliminated / total
  * cycles measurement the ISSUE tracks against the 52/344 propagation
- * baseline. Off by default so the fig9_speedup_smoke timing guard is
- * unaffected; the fig9_synth_smoke ctest sets it and enforces the
- * emitted counters (strictly more conversions eliminated, never more
- * cycles on any kernel).
+ * baseline. Off by default; the fig9_synth_smoke ctest sets it and
+ * enforces the emitted counters (strictly more conversions eliminated,
+ * never more cycles on any kernel).
  */
 bool
 synthRequested()

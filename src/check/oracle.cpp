@@ -6,6 +6,8 @@
 #include <vector>
 
 #include "codegen/shared_exec.h"
+#include "codegen/swizzle.h"
+#include "f2/subspace.h"
 #include "layout/dims.h"
 #include "support/diagnostics.h"
 #include "support/failpoint.h"
@@ -87,6 +89,14 @@ OracleReport::toString() const
            << ")";
         if (totalsDiverge())
             os << " TOTALS-DIVERGENCE";
+    }
+    const auto &n = f2Compared;
+    if (n.matrix + n.subspace + n.applyFlat + n.wavefront > 0) {
+        os << " f2(matrix " << n.matrix << ", subspace " << n.subspace
+           << ", applyFlat " << n.applyFlat << ", wavefront "
+           << n.wavefront << ")";
+        if (f2Divergences > 0)
+            os << " F2-DIVERGENCE";
     }
     if (!detail.empty())
         os << "\n  first failure: " << detail;
@@ -339,6 +349,160 @@ checkCaseWithDemotion(const ConversionCase &c)
         out.report = checkPlan(*verified.plan, c.src, c.dst, c.elemBytes,
                                spec);
     return out;
+}
+
+OracleReport
+diffF2(const ConversionCase &c)
+{
+    OracleReport report;
+    auto &n = report.f2Compared;
+    std::string where; // the input under comparison, named in detail
+    auto same = [&](int64_t &count, bool equal, const char *what) {
+        ++count;
+        if (!equal && report.f2Divergences++ == 0)
+            report.detail =
+                where + ": " + what + " diverged from its reference";
+    };
+    const auto spec = c.spec();
+    failpoint::ScopedSet guard(c.failpoints);
+    auto plan =
+        codegen::tryPlanConversion(c.src, c.dst, c.elemBytes, spec);
+    const codegen::SwizzledShared *swz = nullptr;
+    if (plan.ok()) {
+        report.kind = plan->kind;
+        if (plan->shared.has_value())
+            swz = &*plan->shared;
+    }
+
+    std::vector<std::pair<std::string, f2::F2Matrix>> mats = {
+        {"src", c.src.toF2Matrix()},
+        {"dst", c.dst.toF2Matrix()},
+        {"conversion map", c.dst.invertAndCompose(c.src).toF2Matrix()}};
+    if (swz)
+        mats.emplace_back("memLayout", swz->memLayout.toF2Matrix());
+    for (const auto &[name, m] : mats) {
+        where = name + " matrix";
+        const int rows = m.numRows();
+        const int cols = m.numCols();
+        for (int j = 0; j < cols; ++j) {
+            for (uint64_t x : {uint64_t(1) << j, (uint64_t(2) << j) - 1})
+                same(n.matrix, m.apply(x) == m.apply_reference(x),
+                     "F2Matrix::apply");
+        }
+        const f2::F2Matrix t = m.transpose();
+        same(n.matrix, t == m.transpose_reference(),
+             "F2Matrix::transpose");
+        same(n.matrix, m.multiply(t) == m.multiply_reference(t),
+             "F2Matrix::multiply");
+        same(n.matrix, m.rank() == m.rank_reference(), "F2Matrix::rank");
+        same(n.matrix, m.kernelBasis() == m.kernelBasis_reference(),
+             "F2Matrix::kernelBasis");
+        // Unit right-hand sides hit both consistent and inconsistent
+        // systems; the columns are always consistent.
+        std::vector<uint64_t> rhs = m.columns();
+        for (int i = 0; i < rows; ++i)
+            rhs.push_back(uint64_t(1) << i);
+        if (cols < 64) { // solve augments one column
+            for (uint64_t b : rhs)
+                same(n.matrix, m.solve(b) == m.solve_reference(b),
+                     "F2Matrix::solve");
+        }
+        if (rows + cols <= 64 && m.isSurjective())
+            same(n.matrix, m.rightInverse() == m.rightInverse_reference(),
+                 "F2Matrix::rightInverse");
+
+        // The subspace layer on the matrix's column set.
+        const std::vector<uint64_t> &vecs = m.columns();
+        f2::EchelonBasis fast;
+        f2::EchelonBasisReference ref;
+        for (uint64_t v : vecs)
+            same(n.subspace, fast.insert(v) == ref.insert(v),
+                 "EchelonBasis::insert");
+        same(n.subspace, fast.vectors() == ref.vectors(),
+             "EchelonBasis::vectors");
+        for (uint64_t e : rhs) {
+            same(n.subspace,
+                 fast.reduce(e) == ref.reduce(e) &&
+                     fast.contains(e) == ref.contains(e),
+                 "EchelonBasis::reduce");
+            same(n.subspace,
+                 f2::spanContains(vecs, e) ==
+                     f2::spanContains_reference(vecs, e),
+                 "spanContains");
+        }
+        const auto basis = f2::reduceToBasis(vecs);
+        same(n.subspace, basis == f2::reduceToBasis_reference(vecs),
+             "reduceToBasis");
+        same(n.subspace,
+             f2::rankOfVectors(vecs) == f2::rankOfVectors_reference(vecs),
+             "rankOfVectors");
+        same(n.subspace,
+             f2::complementBasis(vecs, rows) ==
+                 f2::complementBasis_reference(vecs, rows),
+             "complementBasis");
+        same(n.subspace,
+             f2::completeBasis(basis, rows) ==
+                 f2::completeBasis_reference(basis, rows),
+             "completeBasis");
+        if (rows <= 32) {
+            const auto mid = vecs.begin() + cols / 2;
+            const std::vector<uint64_t> u(vecs.begin(), mid);
+            const std::vector<uint64_t> v(mid, vecs.end());
+            same(n.subspace,
+                 f2::intersectSpans(u, v, rows) ==
+                     f2::intersectSpans_reference(u, v, rows),
+                 "intersectSpans");
+        }
+        if (basis.size() <= 16)
+            same(n.subspace,
+                 f2::enumerateSpan(basis) ==
+                     f2::enumerateSpan_reference(basis),
+                 "enumerateSpan");
+    }
+
+    for (const LinearLayout *layout : {&c.src, &c.dst}) {
+        const std::string side = layout == &c.src ? "src" : "dst";
+        const auto size = static_cast<uint64_t>(layout->getTotalInDimSize());
+        for (uint64_t i = 0; i < size; ++i) {
+            const bool equal =
+                layout->applyFlat(i) == layout->applyFlat_reference(i);
+            if (!equal)
+                where = side + " layout, flat index " + std::to_string(i);
+            same(n.applyFlat, equal, "LinearLayout::applyFlat");
+        }
+        if (!swz)
+            continue;
+        where = side + " layout";
+        same(n.wavefront,
+             codegen::enumerateWavefronts(*swz, *layout, c.elemBytes,
+                                          spec) ==
+                 codegen::enumerateWavefronts_reference(
+                     *swz, *layout, c.elemBytes, spec),
+             "enumerateWavefronts");
+        // Every warp access of the pass, priced on both counters.
+        LinearLayout dist = canonicalIns(
+            layout->transposeOuts(swz->memLayout.getOutDimNames()));
+        codegen::WarpAccessTable table(*swz, dist);
+        const int accessBytes = swz->vecElems() * c.elemBytes;
+        const auto reps = codegen::registerGroupReps(*swz, dist);
+        std::vector<int64_t> offsets, addrs;
+        for (int32_t warp = 0; warp < dist.getInDimSize(kWarp); ++warp) {
+            for (int32_t rep : reps) {
+                offsets.clear();
+                table.offsetsInto(rep, warp, offsets);
+                addrs.clear();
+                for (int64_t o : offsets)
+                    addrs.push_back(o * c.elemBytes);
+                same(n.wavefront,
+                     sim::SharedMemory::countWavefronts(spec, addrs,
+                                                        accessBytes) ==
+                         sim::SharedMemory::countWavefronts_reference(
+                             spec, addrs, accessBytes),
+                     "SharedMemory::countWavefronts");
+            }
+        }
+    }
+    return report;
 }
 
 bool

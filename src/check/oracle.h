@@ -64,6 +64,27 @@ struct OracleReport
     int64_t plannedStoreTotal = 0;
     int64_t plannedLoadTotal = 0;
 
+    /** Fast-vs-reference comparisons diffF2 made, per family. */
+    struct F2Comparisons
+    {
+        int64_t matrix = 0;    ///< F2Matrix ops
+        int64_t subspace = 0;  ///< EchelonBasis and the span functions
+        int64_t applyFlat = 0; ///< LinearLayout::applyFlat
+        int64_t wavefront = 0; ///< enumerateWavefronts, countWavefronts
+
+        F2Comparisons &
+        operator+=(const F2Comparisons &o)
+        {
+            matrix += o.matrix;
+            subspace += o.subspace;
+            applyFlat += o.applyFlat;
+            wavefront += o.wavefront;
+            return *this;
+        }
+    } f2Compared;
+    /** Comparisons where a fast path disagreed with its reference. */
+    int64_t f2Divergences = 0;
+
     /** Human-readable description of the first failure, if any. */
     std::string detail;
 
@@ -90,7 +111,7 @@ struct OracleReport
     {
         return structureOk && mismatches == 0 &&
                localityViolations == 0 && !wavefrontsDiverge() &&
-               !totalsDiverge();
+               !totalsDiverge() && f2Divergences == 0;
     }
 
     std::string toString() const;
@@ -146,6 +167,19 @@ struct DemotionReport
  * UserError, like checkConversionCase.
  */
 DemotionReport checkCaseWithDemotion(const ConversionCase &c);
+
+/**
+ * The word-parallel F2 core against its scalar `*_reference` twins,
+ * called directly. Plans the case under its failpoints, then compares
+ * every fast/reference pair on inputs taken from the case: the F2
+ * matrices of src, dst, their conversion map and the shared plan's
+ * memLayout (apply, transpose, multiply, rank, kernelBasis, solve,
+ * rightInverse), EchelonBasis and the span functions on those
+ * matrices' columns, applyFlat on every flat index of src and dst, and
+ * for shared plans enumerateWavefronts and countWavefronts on both
+ * sides. Counts land in f2Compared; the first divergence in detail.
+ */
+OracleReport diffF2(const ConversionCase &c);
 
 /**
  * The canonical injected bug: zero the first nonzero basis vector of the

@@ -12,7 +12,6 @@
 #include "support/failpoint.h"
 #include "support/metrics.h"
 #include "support/parallel.h"
-#include "support/refmode.h"
 #include "support/trace.h"
 
 namespace ll {
@@ -584,8 +583,6 @@ int64_t
 enumerateWavefronts(const SwizzledShared &swz, const LinearLayout &distIn,
                     int elemBytes, const sim::GpuSpec &spec)
 {
-    if (refmode::active())
-        return enumerateWavefronts_reference(swz, distIn, elemBytes, spec);
     LinearLayout dist = canonicalDist(
         distIn.transposeOuts(swz.memLayout.getOutDimNames()));
     const int numWarps = dist.getInDimSize(dims::kWarp);

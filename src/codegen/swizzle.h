@@ -223,8 +223,7 @@ int64_t enumerateWavefronts(const SwizzledShared &swz,
 /**
  * The original enumerateWavefronts — one warpAccessOffsets layout walk
  * per access — kept as the differential oracle for the table-driven
- * fast path. enumerateWavefronts dispatches here under
- * refmode::active().
+ * fast path, called directly by check::diffF2.
  */
 int64_t enumerateWavefronts_reference(const SwizzledShared &swz,
                                       const LinearLayout &dist,

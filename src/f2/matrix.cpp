@@ -2,8 +2,6 @@
 
 #include <sstream>
 
-#include "support/refmode.h"
-
 namespace ll {
 namespace f2 {
 
@@ -67,8 +65,6 @@ F2Matrix::multiply_reference(const F2Matrix &other) const
 F2Matrix
 F2Matrix::transpose() const
 {
-    if (refmode::active())
-        return transpose_reference();
     uint64_t block[64] = {0};
     for (int j = 0; j < numCols(); ++j)
         block[j] = cols_[j];
@@ -127,8 +123,6 @@ F2Matrix::eliminate(std::vector<uint64_t> rows, int n) const
 F2Matrix::Echelon
 F2Matrix::echelonForm(const std::vector<uint64_t> &augCols) const
 {
-    if (refmode::active())
-        return echelonFormReference(augCols);
     const int n = numCols();
     const int width = n + static_cast<int>(augCols.size());
     llAssert(width <= 64, "echelon width " << width << " exceeds 64 bits");

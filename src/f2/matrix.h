@@ -197,8 +197,6 @@ class F2Matrix
      * The fast engine packs [M | aug] rows with one 64x64 butterfly
      * transpose (support/bits.h transpose64) instead of the reference
      * engine's per-bit gather; elimination itself was always row-packed.
-     * echelonForm dispatches to the reference engine under
-     * refmode::active() so whole runs can be replayed on scalar paths.
      */
     struct Echelon
     {

@@ -5,7 +5,6 @@
 
 #include "support/bits.h"
 #include "support/diagnostics.h"
-#include "support/refmode.h"
 
 namespace ll {
 namespace f2 {
@@ -119,15 +118,12 @@ EchelonBasisReference::insert(uint64_t v)
 }
 
 // ---------------------------------------------------------------------------
-// Free functions. Each fast version dispatches to its scalar reference
-// under refmode::active() so whole runs can replay on the original paths.
+// Free functions, each followed by its scalar reference twin.
 // ---------------------------------------------------------------------------
 
 std::vector<uint64_t>
 reduceToBasis(const std::vector<uint64_t> &vectors)
 {
-    if (refmode::active())
-        return reduceToBasis_reference(vectors);
     EchelonBasis ech;
     std::vector<uint64_t> out;
     for (uint64_t v : vectors) {
@@ -152,8 +148,6 @@ reduceToBasis_reference(const std::vector<uint64_t> &vectors)
 int
 rankOfVectors(const std::vector<uint64_t> &vectors)
 {
-    if (refmode::active())
-        return rankOfVectors_reference(vectors);
     return EchelonBasis(vectors).dimension();
 }
 
@@ -166,8 +160,6 @@ rankOfVectors_reference(const std::vector<uint64_t> &vectors)
 bool
 spanContains(const std::vector<uint64_t> &basis, uint64_t v)
 {
-    if (refmode::active())
-        return spanContains_reference(basis, v);
     return EchelonBasis(basis).contains(v);
 }
 
@@ -180,8 +172,6 @@ spanContains_reference(const std::vector<uint64_t> &basis, uint64_t v)
 std::vector<uint64_t>
 complementBasis(const std::vector<uint64_t> &basis, int dim)
 {
-    if (refmode::active())
-        return complementBasis_reference(basis, dim);
     llAssert(dim >= 0 && dim <= 64, "dimension out of range");
     EchelonBasis ech(basis);
     std::vector<uint64_t> added;
@@ -233,8 +223,6 @@ std::vector<uint64_t>
 intersectSpans(const std::vector<uint64_t> &u, const std::vector<uint64_t> &v,
                int dim)
 {
-    if (refmode::active())
-        return intersectSpans_reference(u, v, dim);
     llAssert(dim >= 0 && dim <= 32,
              "intersectSpans supports dimensions up to 32");
     // Zassenhaus on packed (hi << dim) | lo pairs, with the reduced row
@@ -326,8 +314,6 @@ intersectSpans_reference(const std::vector<uint64_t> &u,
 std::vector<uint64_t>
 enumerateSpan(const std::vector<uint64_t> &basis)
 {
-    if (refmode::active())
-        return enumerateSpan_reference(basis);
     llAssert(basis.size() <= 20, "span too large to enumerate");
     // Prefix recurrence: clearing the lowest set bit of i leaves an index
     // already computed, so element i is one XOR instead of popcount(i).

@@ -129,10 +129,9 @@ std::vector<uint64_t> intersectSpans(const std::vector<uint64_t> &u,
 std::vector<uint64_t> enumerateSpan(const std::vector<uint64_t> &basis);
 
 /**
- * Scalar references for the free functions above, preserved verbatim for
- * the differential suite. The fast functions dispatch to these when
- * refmode::active() (LL_F2_REFERENCE=1), so whole planning runs can be
- * replayed on the scalar paths and compared bit for bit.
+ * Scalar references for the free functions above, preserved verbatim as
+ * oracles: no production code calls them; check::diffF2 and the
+ * differential suite compare them bit for bit against the fast versions.
  */
 std::vector<uint64_t>
 reduceToBasis_reference(const std::vector<uint64_t> &vectors);

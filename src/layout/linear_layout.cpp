@@ -5,7 +5,6 @@
 
 #include "f2/subspace.h"
 #include "support/bits.h"
-#include "support/refmode.h"
 #include "support/string_utils.h"
 
 namespace ll {
@@ -359,8 +358,6 @@ LinearLayout::apply(const std::vector<DimSize> &ins) const
 uint64_t
 LinearLayout::applyFlat(uint64_t in) const
 {
-    if (refmode::active())
-        return applyFlat_reference(in);
     const int pos = static_cast<int>(flatCache_.size());
     llAssert((in >> pos) == 0, "applyFlat: index out of range");
     uint64_t acc = 0;

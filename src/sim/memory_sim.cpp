@@ -6,7 +6,6 @@
 #include <set>
 
 #include "support/diagnostics.h"
-#include "support/refmode.h"
 
 namespace ll {
 namespace sim {
@@ -35,8 +34,6 @@ SharedMemory::countWavefronts(const GpuSpec &spec,
                               const std::vector<int64_t> &byteAddrs,
                               int accessBytes)
 {
-    if (refmode::active())
-        return countWavefronts_reference(spec, byteAddrs, accessBytes);
     // Same model as the reference below, but flat: a word's bank is a
     // function of the word (w % numBanks), so the per-bank sets of the
     // reference are just the residue classes of the distinct word list.

@@ -10,7 +10,6 @@
 #include <utility>
 
 #include "f2/matrix.h"
-#include "support/refmode.h"
 
 namespace ll {
 namespace f2 {
@@ -372,21 +371,6 @@ TEST_P(F2Differential, WordParallelMatchesReferenceBitForBit)
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, F2Differential, ::testing::Range(0, 40));
-
-// refmode must reroute the fast entry points onto the scalar engine:
-// under Scoped, fast and reference are literally the same code path.
-TEST(F2Differential, RefmodeScopedDispatchesToReference)
-{
-    std::mt19937 rng(7);
-    F2Matrix m = randomMatrix(rng, 24, 31);
-    const F2Matrix fastT = m.transpose();
-    const int fastRank = m.rank();
-    refmode::Scoped ref;
-    EXPECT_EQ(m.transpose(), fastT);
-    EXPECT_EQ(m.transpose(), m.transpose_reference());
-    EXPECT_EQ(m.rank(), fastRank);
-    EXPECT_EQ(m.rank(), m.rank_reference());
-}
 
 } // namespace
 } // namespace f2

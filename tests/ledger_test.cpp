@@ -6,9 +6,6 @@
  *  - replaying the corpus single-threaded and across 8 threads yields
  *    byte-identical sorted JSONL exports (records are pure functions of
  *    the conversion inputs — no timestamps, tids or sequence numbers);
- *  - the scalar reference F2 paths (LL_F2_REFERENCE / refmode::Scoped)
- *    produce the same measured wavefront totals, so the word-parallel
- *    core cannot skew the calibration corpus;
  *  - exactly one terminal record per planned conversion;
  *  - repeat plannings of the same key are deduplicated, contributing
  *    no duplicate records.
@@ -29,7 +26,6 @@
 #include "check/case_io.h"
 #include "codegen/conversion.h"
 #include "support/ledger.h"
-#include "support/refmode.h"
 
 namespace ll {
 namespace {
@@ -107,20 +103,6 @@ TEST_F(LedgerTest, SingleVsEightThreadsByteIdentical)
     auto threaded = replayCorpus(cases, 8);
     EXPECT_EQ(serial, threaded)
         << "sorted JSONL export depends on thread interleaving";
-}
-
-TEST_F(LedgerTest, ReferenceF2ModeProducesIdenticalLedger)
-{
-    auto cases = loadCorpus();
-    ASSERT_FALSE(cases.empty());
-    auto fast = replayCorpus(cases, 1);
-    std::vector<std::string> reference;
-    {
-        refmode::Scoped ref;
-        reference = replayCorpus(cases, 1);
-    }
-    EXPECT_EQ(fast, reference)
-        << "scalar reference paths changed the measured totals";
 }
 
 TEST_F(LedgerTest, ExactlyOneTerminalRecordPerConversion)

@@ -10,6 +10,7 @@
 
 #include <random>
 
+#include "check/generators.h"
 #include "layout/dims.h"
 #include "layout/linear_layout.h"
 
@@ -126,6 +127,25 @@ TEST(LinearLayout, ApplyFlatMatchesApply)
         uint64_t expect = static_cast<uint64_t>(out[0].second) |
                           (static_cast<uint64_t>(out[1].second) << 4);
         EXPECT_EQ(outFlat, expect);
+        EXPECT_EQ(outFlat, a.applyFlat_reference(v));
+    }
+    // The scalar reference on degenerate shapes: 0 input bits, a single
+    // basis vector, and the widest of 200 generated layouts.
+    std::mt19937 rng(11);
+    LinearLayout widest = LinearLayout::empty();
+    for (int i = 0; i < 200; ++i) {
+        auto c = check::randomConversionCase(rng);
+        for (const LinearLayout *l : {&c.src, &c.dst}) {
+            if (l->getTotalInDimSizeLog2() > widest.getTotalInDimSizeLog2())
+                widest = *l;
+        }
+    }
+    ASSERT_GE(widest.getTotalInDimSizeLog2(), 12);
+    for (const LinearLayout &l :
+         {LinearLayout::empty(), LinearLayout::identity1D(1, dims::kReg, "x"),
+          LinearLayout::identity1D(2, dims::kReg, "x"), widest}) {
+        for (uint64_t v = 0; v < uint64_t(l.getTotalInDimSize()); ++v)
+            EXPECT_EQ(l.applyFlat(v), l.applyFlat_reference(v)) << v;
     }
 }
 

@@ -1,21 +1,18 @@
 /**
  * @file
- * Differential equivalence of the word-parallel wavefront enumeration
- * against the scalar reference paths, over the whole check corpus and
- * every forced fallback rung.
+ * Differential equivalence of the word-parallel F2 core against its
+ * scalar reference twins, over the whole check corpus and every forced
+ * fallback rung.
  *
  * Three contracts:
- *  - enumerateWavefronts (table-driven, composed-column fast path) and
- *    enumerateWavefronts_reference (per-access layout walk) agree
- *    count-for-count on every shared plan the corpus produces,
- *    including windowed plans where kInactiveLane masking is live.
+ *  - check::diffF2 finds every fast/reference pair equal (F2Matrix
+ *    ops, the subspace layer, applyFlat, enumerateWavefronts and
+ *    countWavefronts) on every corpus case under every knockout, and
+ *    compares something in every family.
+ *  - enumerateWavefronts agrees with its reference on a windowed plan,
+ *    where kInactiveLane masking is live.
  *  - sim::SharedMemory::countWavefronts and its node-based reference
  *    agree on random address patterns with idle lanes.
- *  - describePlan output (which embeds FNV digests of every shuffle
- *    transfer and shared basis) is bit-identical between a plan built
- *    on the fast paths and a fresh plan built entirely on the scalar
- *    reference paths (refmode::Scoped), on every corpus case under
- *    every demotion knockout set.
  */
 
 #include <gtest/gtest.h>
@@ -32,7 +29,6 @@
 #include "codegen/swizzle.h"
 #include "sim/memory_sim.h"
 #include "support/failpoint.h"
-#include "support/refmode.h"
 #include "triton/encodings.h"
 
 namespace ll {
@@ -88,39 +84,27 @@ rungKnockouts()
     return sets;
 }
 
-// The table-driven enumeration must agree count-for-count with the
-// per-access reference walk on every shared plan the corpus produces,
-// at every forced rung (swizzled, padded, and scalar shared layouts all
-// occur across the knockout sets).
+// Every fast F2 primitive must equal its reference twin on the inputs
+// each corpus case yields, at every forced rung (swizzled, padded and
+// scalar shared layouts all occur across the knockout sets), and no
+// comparison family may come out empty.
 TEST(WavefrontEquiv, EnumerateMatchesReferenceOnCorpusPlans)
 {
-    int sharedPlans = 0;
+    check::OracleReport::F2Comparisons total;
     for (const auto &[label, sites] : rungKnockouts()) {
         for (const auto &e : corpus()) {
-            failpoint::ScopedSet guard(sites);
-            auto plan = codegen::tryPlanConversion(
-                e.c.src, e.c.dst, e.c.elemBytes, e.c.spec());
-            ASSERT_TRUE(plan.ok())
-                << e.file << " under " << label << ": "
-                << plan.diag().toString();
-            if (!plan->shared.has_value())
-                continue;
-            ++sharedPlans;
-            const auto &swz = *plan->shared;
-            const auto spec = e.c.spec();
-            EXPECT_EQ(codegen::enumerateWavefronts(swz, e.c.src,
-                                                   e.c.elemBytes, spec),
-                      codegen::enumerateWavefronts_reference(
-                          swz, e.c.src, e.c.elemBytes, spec))
-                << e.file << " under " << label << " (src)";
-            EXPECT_EQ(codegen::enumerateWavefronts(swz, e.c.dst,
-                                                   e.c.elemBytes, spec),
-                      codegen::enumerateWavefronts_reference(
-                          swz, e.c.dst, e.c.elemBytes, spec))
-                << e.file << " under " << label << " (dst)";
+            ConversionCase c = e.c;
+            c.failpoints = sites;
+            const check::OracleReport report = check::diffF2(c);
+            EXPECT_TRUE(report.ok())
+                << e.file << " under " << label << ": " << report.detail;
+            total += report.f2Compared;
         }
     }
-    EXPECT_GT(sharedPlans, 0) << "no corpus case reached a shared rung";
+    EXPECT_GT(total.matrix, 0);
+    EXPECT_GT(total.subspace, 0);
+    EXPECT_GT(total.applyFlat, 0);
+    EXPECT_GT(total.wavefront, 0) << "no corpus case reached a shared rung";
 }
 
 // The shared executor against two independent references, at every
@@ -223,40 +207,6 @@ TEST(WavefrontEquiv, CountWavefrontsMatchesReferenceOnRandomAccesses)
                       sim::SharedMemory::countWavefronts_reference(
                           spec, byteAddrs, accessBytes))
                 << "trial " << trial << " accessBytes " << accessBytes;
-        }
-    }
-}
-
-// Full planning equivalence: on every corpus case, under every
-// demotion knockout, a plan built on the word-parallel paths and a
-// fresh plan built entirely on the scalar reference paths must render
-// identical describePlan strings — same kind, same parameters, same
-// FNV digests of every shuffle transfer and shared basis.
-TEST(WavefrontEquiv, DescribePlanChecksumsMatchScalarPlanning)
-{
-    for (const auto &[label, sites] : rungKnockouts()) {
-        for (const auto &e : corpus()) {
-            std::string fast, scalar;
-            {
-                failpoint::ScopedSet guard(sites);
-                auto plan = codegen::tryPlanConversion(
-                    e.c.src, e.c.dst, e.c.elemBytes, e.c.spec());
-                ASSERT_TRUE(plan.ok())
-                    << e.file << " under " << label << ": "
-                    << plan.diag().toString();
-                fast = codegen::describePlan(*plan);
-            }
-            {
-                refmode::Scoped ref;
-                failpoint::ScopedSet guard(sites);
-                auto plan = codegen::tryPlanConversion(
-                    e.c.src, e.c.dst, e.c.elemBytes, e.c.spec());
-                ASSERT_TRUE(plan.ok())
-                    << e.file << " under " << label << " (reference): "
-                    << plan.diag().toString();
-                scalar = codegen::describePlan(*plan);
-            }
-            EXPECT_EQ(fast, scalar) << e.file << " under " << label;
         }
     }
 }

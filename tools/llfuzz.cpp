@@ -50,10 +50,10 @@
  * terminal.
  *
  * --diff-f2 fuzzes the word-parallel F2 core against its scalar
- * references: every case is planned twice (fast paths, then
- * refmode::Scoped reference paths) and any divergence in describePlan
- * output or enumerated wavefront totals fails the run and is shrunk to
- * a minimal reproducer.
+ * references via check::diffF2: any divergence fails the run and is
+ * shrunk to a minimal reproducer, and a comparison family (matrix,
+ * subspace, applyFlat, wavefront) that compared nothing over the run
+ * fails it too.
  *
  * --diff-cute fuzzes the CuteLayout bridge and the non-pow2 admission
  * path. Each iteration (a) generates a random nested (shape,stride)
@@ -98,7 +98,6 @@
 #include "service/compile_service.h"
 #include "service/singleflight.h"
 #include "support/failpoint.h"
-#include "support/refmode.h"
 
 using namespace ll;
 
@@ -752,63 +751,21 @@ runFailpointPairs(const Options &opt)
 
 /**
  * --diff-f2: differential fuzzing of the word-parallel F2 core. Every
- * random case is planned twice — once on the fast word-parallel paths
- * and once entirely on the scalar reference paths (refmode::Scoped) —
- * and any divergence in describePlan output (plan kind, parameters,
- * FNV schedule/basis digests) or in the enumerated wavefront totals of
- * a shared plan is a failure, shrunk with the standard case shrinker.
+ * random case goes through check::diffF2, which calls each fast F2
+ * primitive and its scalar `*_reference` twin directly on inputs taken
+ * from the case; a divergence fails and is shrunk with the standard
+ * case shrinker. The run also fails when a comparison family compared
+ * nothing, so a generator change cannot silently empty the check.
  */
 int
 runDiffF2(const Options &opt)
 {
-    auto diffChecker = [](const check::ConversionCase &c) {
-        check::OracleReport report;
-        auto spec = c.spec();
-        failpoint::ScopedSet guard(c.failpoints);
-        std::string fast, ref;
-        int64_t fastWf = 0, refWf = 0;
-        auto planOnce = [&](std::string &desc, int64_t &wf) {
-            auto plan = codegen::tryPlanConversion(c.src, c.dst,
-                                                   c.elemBytes, spec);
-            if (!plan.ok()) {
-                desc = "unplanned: " + plan.diag().toString();
-                return;
-            }
-            report.kind = plan->kind;
-            desc = codegen::describePlan(*plan);
-            // Inside refmode::Scoped this dispatches to the reference
-            // enumeration, so the totals compare fast-vs-scalar too.
-            if (plan->shared.has_value()) {
-                wf = codegen::enumerateWavefronts(*plan->shared, c.src,
-                                                  c.elemBytes, spec) +
-                     codegen::enumerateWavefronts(*plan->shared, c.dst,
-                                                  c.elemBytes, spec);
-            }
-        };
-        planOnce(fast, fastWf);
-        {
-            refmode::Scoped scoped;
-            planOnce(ref, refWf);
-        }
-        if (fast != ref) {
-            report.structureOk = false;
-            report.detail =
-                "word-parallel vs reference describePlan diverged:\n"
-                "  fast: " + fast + "\n  ref:  " + ref;
-        } else if (fastWf != refWf) {
-            report.structureOk = false;
-            report.detail = "word-parallel vs reference wavefront "
-                            "totals diverged: fast=" +
-                            std::to_string(fastWf) +
-                            " ref=" + std::to_string(refWf);
-        }
-        return report;
-    };
-
+    const check::CaseChecker diffChecker = check::diffF2;
     std::mt19937 rng(opt.seed);
     check::GenOptions gen;
     gen.maxRank = opt.maxRank;
     std::map<std::string, int> kindCounts;
+    check::OracleReport::F2Comparisons total;
     for (int iter = 0; iter < opt.iters; ++iter) {
         auto c = check::randomConversionCase(rng, gen);
         check::OracleReport report;
@@ -822,20 +779,32 @@ runDiffF2(const Options &opt)
         ++kindCounts[codegen::toString(report.kind)];
         if (opt.verbose) {
             std::cout << "[" << iter << "] " << c.summary << ": "
-                      << (report.ok() ? "equivalent" : report.detail)
-                      << "\n";
+                      << report.toString() << "\n";
         }
         if (!report.ok())
             return reportFailure(c, report, diffChecker);
+        total += report.f2Compared;
     }
 
     std::cout << "llfuzz --diff-f2: " << opt.iters
-              << " cases planned word-parallel and scalar, no "
-                 "divergence (seed "
+              << " cases, fast F2 paths equal their references (seed "
               << opt.seed << ")\n";
     for (const auto &[kind, count] : kindCounts)
         std::cout << "  " << kind << ": " << count << "\n";
-    return 0;
+    bool vacuous = false;
+    for (const auto &[family, count] :
+         {std::pair<const char *, int64_t>{"matrix", total.matrix},
+          {"subspace", total.subspace},
+          {"applyFlat", total.applyFlat},
+          {"wavefront", total.wavefront}}) {
+        std::cout << "  compared " << family << ": " << count << "\n";
+        if (count == 0) {
+            std::cerr << "llfuzz --diff-f2: family " << family
+                      << " compared nothing\n";
+            vacuous = true;
+        }
+    }
+    return vacuous ? 1 : 0;
 }
 
 /**
