@@ -419,6 +419,19 @@ smokeExecutePlan(const ConversionPlan &plan, const LinearLayout &srcIn,
                          ? std::string("poison")
                          : "element " + std::to_string(got)));
         }
+        // The plan was priced by enumerateWavefronts totals; the
+        // simulator must measure the same, or the price is wrong.
+        const int64_t store = rt->storeStats.wavefronts;
+        const int64_t load = rt->loadStats.wavefronts;
+        if (store != plan.storeWavefrontsTotal ||
+            load != plan.loadWavefrontsTotal) {
+            return makeExecDiag(
+                ExecError::CostMismatch, "exec.shared.cost",
+                "measured store/load wavefronts " + std::to_string(store) +
+                    "/" + std::to_string(load) + ", priced " +
+                    std::to_string(plan.storeWavefrontsTotal) + "/" +
+                    std::to_string(plan.loadWavefrontsTotal));
+        }
         return std::nullopt;
       }
     }

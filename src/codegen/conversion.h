@@ -189,10 +189,12 @@ std::vector<std::string> demotionSitesFor(ConversionKind kind);
  * (the schedule is warp-invariant), the shared kinds run the full
  * simulated round trip and then check that every destination register
  * holds its own tensor coordinate (a mismatch is a DataMismatch at stage
- * "exec.shared.verify"). NoOp and RegisterPermute have no executor and
- * trivially pass. Returns the first failure, or nullopt when execution
- * succeeded. The full audit — wavefront totals, Lemma 9.4, every kind's
- * data — stays the oracle's job (src/check).
+ * "exec.shared.verify") and that the measured store/load wavefronts equal
+ * the plan's storeWavefrontsTotal/loadWavefrontsTotal (a CostMismatch at
+ * stage "exec.shared.cost"). NoOp and RegisterPermute have no executor
+ * and trivially pass. Returns the first failure, or nullopt when
+ * execution succeeded. The full audit — Lemma 9.4, every kind's data —
+ * stays the oracle's job (src/check).
  */
 std::optional<ExecDiagnostic>
 smokeExecutePlan(const ConversionPlan &plan, const LinearLayout &src,

@@ -1,6 +1,7 @@
 #include "codegen/shared_exec.h"
 
 #include <algorithm>
+#include <bit>
 #include <unordered_map>
 
 #include "layout/dims.h"
@@ -366,6 +367,24 @@ runSharedRoundTrip(const SwizzledShared &swz, const LinearLayout &srcIn,
 
     const WarpAccessTable storeTable(swz, src);
     const WarpAccessTable loadTable(swz, dstAligned);
+    // When a side's lanes fit one window (WarpAccessTable::lanesFit),
+    // each of its accesses lies wholly in pass base >> log2(alloc) and
+    // every other pass would mask all its lanes and skip it, so it is
+    // visited only in that pass; the lanes those skipped visits would
+    // have masked are added after the loop. An access whose pass lies
+    // past the last is out of storage and keeps pass 0, where its store
+    // fails the bounds check exactly as before.
+    const int windowLog = std::countr_zero(static_cast<uint64_t>(alloc));
+    const bool storesHomed = passes > 1 && storeTable.lanesFit(alloc);
+    const bool loadsHomed = passes > 1 && loadTable.lanesFit(alloc);
+    auto skip = [&](bool homed, const WarpAccessTable &table, int32_t rep,
+                    int warp, int64_t pass) {
+        if (!homed)
+            return false;
+        const auto home =
+            static_cast<int64_t>(table.base(rep, warp) >> windowLog);
+        return (home < passes ? home : 0) != pass;
+    };
     // Per-access buffers, reused by every access of every pass.
     std::vector<int64_t> offsets;
     std::vector<uint64_t> values, loaded;
@@ -376,6 +395,9 @@ runSharedRoundTrip(const SwizzledShared &swz, const LinearLayout &srcIn,
         // --- store phase -----------------------------------------------
         for (int warp = 0; warp < srcWarps; ++warp) {
             for (size_t g = 0; g < stores.reps.size(); ++g) {
+                if (skip(storesHomed, storeTable, stores.reps[g], warp,
+                         pass))
+                    continue;
                 offsets.clear();
                 storeTable.offsetsInto(stores.reps[g], warp, offsets);
                 values.assign(offsets.size() * vecSz,
@@ -407,6 +429,8 @@ runSharedRoundTrip(const SwizzledShared &swz, const LinearLayout &srcIn,
         // --- load phase ------------------------------------------------
         for (int warp = 0; warp < dstWarps; ++warp) {
             for (size_t g = 0; g < loads.reps.size(); ++g) {
+                if (skip(loadsHomed, loadTable, loads.reps[g], warp, pass))
+                    continue;
                 offsets.clear();
                 loadTable.offsetsInto(loads.reps[g], warp, offsets);
                 const int64_t active = maskToWindow(offsets, pass, alloc);
@@ -426,6 +450,14 @@ runSharedRoundTrip(const SwizzledShared &swz, const LinearLayout &srcIn,
         }
     }
 
+    if (storesHomed) {
+        lanesMasked += (passes - 1) * srcWarps *
+                       static_cast<int64_t>(stores.reps.size() * srcLanes);
+    }
+    if (loadsHomed) {
+        lanesMasked += (passes - 1) * dstWarps *
+                       static_cast<int64_t>(loads.reps.size() * dstLanes);
+    }
     const int64_t instructions = result.storeStats.instructions +
                                  result.loadStats.instructions;
     const int64_t measured =

@@ -65,7 +65,10 @@ struct SharedRoundTrip
  * surface as kPoison. This is the execution backend of the differential
  * oracle (src/check). Both layouts must have their input dims in
  * canonical (register, lane, warp) order; each side's warp size is its
- * own lane-dim size. Total over any input: a mismatched register file,
+ * own lane-dim size. A windowed run visits an access whose lanes fit
+ * one window (WarpAccessTable::lanesFit) only in that window's pass,
+ * with the same stores, loads, stats and masked-lane count as visiting
+ * it in every pass. Total over any input: a mismatched register file,
  * an oversize allocation, an out-of-window offset, or a blown
  * bank-conflict budget comes back as an ExecDiagnostic instead of
  * aborting, so the engine can demote the plan. Failpoint sites:

@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <set>
 
 #include "f2/subspace.h"
 #include "layout/dims.h"
@@ -474,6 +473,9 @@ planPaddedShared(const LinearLayout &a, const LinearLayout &b,
                     candidates.push_back(std::move(padded));
                 }
             }
+            // With no pair inside the CTA budget the baseline stands.
+            if (candidates.empty())
+                return swz;
             // Slot 0 prices the unpadded baseline.
             std::vector<int64_t> costs(candidates.size() + 1, 0);
             support::parallelFor(
@@ -555,17 +557,42 @@ planScalarShared(const LinearLayout &a, const LinearLayout &b,
 std::vector<int32_t>
 registerGroupReps(const SwizzledShared &swz, const LinearLayout &dist)
 {
-    std::set<uint64_t> seen;
-    std::vector<int32_t> reps;
-    const int numRegs = dist.hasInDim(dims::kReg)
-                            ? dist.getInDimSize(dims::kReg)
-                            : 1;
-    for (int32_t reg = 0; reg < numRegs; ++reg) {
-        uint64_t x = dist.applyFlat(static_cast<uint64_t>(reg));
-        uint64_t key = swz.tensorToOffset.applyFlat(x) >> swz.vecBits;
-        if (seen.insert(key).second)
-            reps.push_back(reg);
+    // A register's offset is the XOR of the composed columns of its set
+    // bits, so one applyFlat pair per register bit prices them all. A
+    // flat bitmap over vec windows (offset >> vecBits) keeps the first
+    // register of each window, in register order. The bitmap is per
+    // thread and all zero between calls: only the words set here are
+    // cleared, so a call costs O(registers) however large the tensor.
+    const int regLog = dist.hasInDim(dims::kReg)
+                           ? dist.getInDimSizeLog2(dims::kReg)
+                           : 0;
+    std::vector<uint64_t> cols(static_cast<size_t>(regLog));
+    for (size_t i = 0; i < cols.size(); ++i) {
+        cols[i] = swz.tensorToOffset.applyFlat(
+            dist.applyFlat(uint64_t(1) << i));
     }
+    const auto windows = static_cast<size_t>(
+        swz.tensorToOffset.getTotalOutDimSize() >> swz.vecBits);
+    thread_local std::vector<uint64_t> seen;
+    if (seen.size() * 64 < windows)
+        seen.resize((windows + 63) / 64, 0);
+    std::vector<uint64_t> offs(size_t(1) << regLog, 0);
+    std::vector<int32_t> reps;
+    for (size_t reg = 0; reg < offs.size(); ++reg) {
+        if (reg != 0) {
+            offs[reg] = offs[reg & (reg - 1)] ^
+                        cols[static_cast<size_t>(std::countr_zero(reg))];
+        }
+        const uint64_t key = offs[reg] >> swz.vecBits;
+        uint64_t &word = seen[key / 64];
+        const uint64_t bit = uint64_t(1) << (key % 64);
+        if ((word & bit) == 0) {
+            word |= bit;
+            reps.push_back(static_cast<int32_t>(reg));
+        }
+    }
+    for (int32_t reg : reps)
+        seen[(offs[static_cast<size_t>(reg)] >> swz.vecBits) / 64] = 0;
     return reps;
 }
 
@@ -599,6 +626,31 @@ enumerateWavefronts(const SwizzledShared &swz, const LinearLayout &distIn,
     std::vector<int64_t> offsets, byteAddrs;
     offsets.reserve(static_cast<size_t>(table.warpSize()));
     byteAddrs.reserve(static_cast<size_t>(table.warpSize()));
+    // Translation invariance (the fact behind §5.4 and Lemma 9.4): lane
+    // l of access (rep, warp) sits at b ^ x_l, where b = table.base(rep,
+    // warp) and x_l are the lanes of access (0, 0), all vec-aligned.
+    // When the lanes fit the window (unpadded, every x_l < window; an
+    // unwindowed plan's window is the whole tensor), the access lies
+    // wholly in pass b >> log2(window), is masked out of every other,
+    // and its window-local offsets are o - lo == o ^ lo ==
+    // (b & (window - 1)) ^ x_l: access (0, 0) XOR a vec-aligned
+    // constant c. With a power-of-two elemBytes the byte addresses are
+    // XORed by c * elemBytes, a multiple of the access width, so every
+    // bank word w maps to w ^ k for one k: lane groups are unchanged,
+    // banks are permuted (w & bankMask ^ k & bankMask) and distinct
+    // words stay distinct, so countWavefronts returns the same number.
+    // Every access therefore costs what access (0, 0) costs. Padding
+    // (padOffset is not XOR-linear) and lanes straddling a window
+    // (masking differs per access) fall through to the full sweep.
+    if (table.lanesFit(window) &&
+        std::has_single_bit(static_cast<unsigned>(elemBytes))) {
+        table.offsetsInto(0, 0, offsets);
+        for (int64_t o : offsets)
+            byteAddrs.push_back(o * elemBytes);
+        return sim::SharedMemory::countWavefronts(spec, byteAddrs,
+                                                  accessBytes) *
+               numWarps * static_cast<int64_t>(reps.size());
+    }
     int64_t total = 0;
     for (int64_t pass = 0; pass < passes; ++pass) {
         const int64_t lo = pass * window;
@@ -761,23 +813,36 @@ WarpAccessTable::WarpAccessTable(const SwizzledShared &swz,
             (cols_[static_cast<size_t>(regLog_) +
                    static_cast<size_t>(std::countr_zero(lane))] &
              keepMask_);
+        laneBits_ |= laneMasked_[lane];
     }
+}
+
+uint64_t
+WarpAccessTable::base(int32_t rep, int32_t warp) const
+{
+    uint64_t b = 0;
+    for (uint64_t m = static_cast<uint64_t>(rep); m != 0; m &= m - 1)
+        b ^= cols_[static_cast<size_t>(std::countr_zero(m))];
+    for (uint64_t m = static_cast<uint64_t>(warp); m != 0; m &= m - 1) {
+        b ^= cols_[static_cast<size_t>(warpShift_) +
+                   static_cast<size_t>(std::countr_zero(m))];
+    }
+    return b & keepMask_;
+}
+
+bool
+WarpAccessTable::lanesFit(int64_t window) const
+{
+    return !swz_.padded() && laneBits_ < static_cast<uint64_t>(window);
 }
 
 void
 WarpAccessTable::offsetsInto(int32_t rep, int32_t warp,
                              std::vector<int64_t> &out) const
 {
-    uint64_t base = 0;
-    for (uint64_t m = static_cast<uint64_t>(rep); m != 0; m &= m - 1)
-        base ^= cols_[static_cast<size_t>(std::countr_zero(m))];
-    for (uint64_t m = static_cast<uint64_t>(warp); m != 0; m &= m - 1) {
-        base ^= cols_[static_cast<size_t>(warpShift_) +
-                      static_cast<size_t>(std::countr_zero(m))];
-    }
-    base &= keepMask_;
+    const uint64_t b = base(rep, warp);
     for (uint64_t lm : laneMasked_)
-        out.push_back(swz_.padOffset(static_cast<int64_t>(base ^ lm)));
+        out.push_back(swz_.padOffset(static_cast<int64_t>(b ^ lm)));
 }
 
 std::vector<int64_t>

@@ -210,11 +210,15 @@ int64_t countWarpAccesses(const SwizzledShared &swz,
                           const LinearLayout &dist);
 
 /**
- * Total wavefronts of a full store or load pass, measured by pricing
- * every warp access on sim::SharedMemory's bank model. Unlike
- * analyticWavefronts this makes no uniformity assumption, so it is
- * valid for padded layouts (where different rows hit different bank
- * phases); the padded rung is priced and audited with these totals.
+ * Total wavefronts of a full store or load pass on sim::SharedMemory's
+ * bank model, over every pass of a windowed swizzle. Unlike
+ * analyticWavefronts it is valid for padded and windowed layouts; the
+ * padded and scalar rungs are priced and audited with these totals.
+ * Where every access is a vec-aligned XOR translate of access (0, 0)
+ * lying wholly in one window (unpadded, lanes fit the window — always
+ * so unwindowed), every access costs the same, so the total is that
+ * one access's count times countWarpAccesses; padded layouts and lanes
+ * that straddle a window price every access of every pass.
  */
 int64_t enumerateWavefronts(const SwizzledShared &swz,
                             const LinearLayout &dist, int elemBytes,
@@ -261,12 +265,30 @@ class WarpAccessTable
     void offsetsInto(int32_t rep, int32_t warp,
                      std::vector<int64_t> &out) const;
 
+    /**
+     * The linear offset of lane 0 of access (rep, warp), vec bits
+     * cleared, before padding. Lane l of the access sits at
+     * padOffset(base ^ x_l), where x_l is a vec-aligned per-lane term
+     * independent of the access; access (0, 0) has base 0.
+     */
+    uint64_t base(int32_t rep, int32_t warp) const;
+
+    /**
+     * True iff every access lies inside the `window`-aligned block of
+     * its base: the swizzle is unpadded and every per-lane term x_l is
+     * below `window` (a power of two). Then access (rep, warp) touches
+     * only offsets in [lo, lo + window) with lo = base & ~(window - 1),
+     * and its window-local offsets are (base & (window - 1)) ^ x_l.
+     */
+    bool lanesFit(int64_t window) const;
+
   private:
     const SwizzledShared &swz_;
     int regLog_ = 0;
     int warpShift_ = 0;             // regLog + laneLog
     std::vector<uint64_t> cols_;    // composed columns, input-bit order
     std::vector<uint64_t> laneMasked_; // per-lane XOR, vec bits cleared
+    uint64_t laneBits_ = 0;         // OR of laneMasked_
     uint64_t keepMask_ = 0;         // ~vecMask
 };
 

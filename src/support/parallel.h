@@ -4,7 +4,9 @@
  *
  * The shared-memory planner prices whole families of independent
  * candidates — notably the (padInterval, padElems) pairs of the padded
- * rung, each of which costs two full enumerateWavefronts sweeps — and
+ * rung, each of which costs two enumerateWavefronts calls that walk
+ * every warp access, since padding defeats their one-access shortcut —
+ * and
  * the compilation service drains request batches. Both fan out through
  * this module so the process holds exactly one set of worker threads
  * instead of every layer spawning its own.

@@ -62,6 +62,8 @@ toString(ExecError code)
         return "unfilled-slot";
       case ExecError::DataMismatch:
         return "data-mismatch";
+      case ExecError::CostMismatch:
+        return "cost-mismatch";
       case ExecError::FailpointInjected:
         return "failpoint-injected";
       case ExecError::ExecInternalError:

@@ -79,6 +79,7 @@ enum class ExecError
     BankBudgetExceeded,    ///< measured wavefronts blew the conflict budget
     UnfilledSlot,          ///< a destination slot was never written
     DataMismatch,          ///< a destination register got the wrong value
+    CostMismatch,          ///< measured wavefronts differ from the priced
     FailpointInjected,     ///< a failpoint forced this execution site off
     ExecInternalError,     ///< unexpected exception inside an executor
 };

@@ -642,6 +642,47 @@ TEST(ExecFallback, SmokeRejectsAnAliasedSwizzle)
     EXPECT_EQ(fail->stage, "exec.shared.verify");
 }
 
+// The smoke run audits the price as well as the data: a shared plan is
+// priced by its enumerated store/load wavefront totals, and the round
+// trip must measure exactly those. A plan whose recorded total is off
+// by one moves every element correctly, yet fails at exec.shared.cost
+// and demotes to a rung below that passes.
+TEST(ExecFallback, SmokeRejectsAMispricedPlanAndDemotes)
+{
+    const auto spec = sim::GpuSpec::gh200();
+    ConversionCase c;
+    c.src = blocked({1, 4}, {8, 4}, {4, 1}, {1, 0}, {32, 32});
+    c.dst = blocked({4, 1}, {8, 4}, {4, 1}, {0, 1}, {32, 32});
+    c.elemBytes = 2;
+    const auto plan = planWith(c, forceShared());
+    ASSERT_EQ(plan.kind, ConversionKind::SharedMemory);
+    EXPECT_FALSE(
+        codegen::smokeExecutePlan(plan, c.src, c.dst, c.elemBytes, spec))
+        << "the healthy plan must pass";
+
+    for (const bool mutateStore : {true, false}) {
+        codegen::ConversionPlan mispriced = plan;
+        (mutateStore ? mispriced.storeWavefrontsTotal
+                     : mispriced.loadWavefrontsTotal) += 1;
+        auto fail = codegen::smokeExecutePlan(mispriced, c.src, c.dst,
+                                              c.elemBytes, spec);
+        ASSERT_TRUE(fail.has_value())
+            << (mutateStore ? "store" : "load")
+            << " total mispriced by one passed its smoke run";
+        EXPECT_EQ(fail->code, ExecError::CostMismatch) << fail->toString();
+        EXPECT_EQ(fail->stage, "exec.shared.cost");
+
+        auto demoted = codegen::tryReplanBelow(mispriced.kind, c.src, c.dst,
+                                               c.elemBytes, spec);
+        ASSERT_TRUE(demoted.ok()) << demoted.diag().toString();
+        EXPECT_GT(rung(demoted->kind), rung(mispriced.kind));
+        EXPECT_FALSE(codegen::smokeExecutePlan(*demoted, c.src, c.dst,
+                                               c.elemBytes, spec))
+            << "the demoted " << codegen::toString(demoted->kind)
+            << " plan must pass";
+    }
+}
+
 // A healthy engine takes no demotions and reports zero execution
 // failures — the new accounting stays silent on the happy path.
 TEST(ExecFallback, HealthyEngineReportsNoExecFallbacks)

@@ -9,8 +9,11 @@
  *    ops, the subspace layer, applyFlat, enumerateWavefronts and
  *    countWavefronts) on every corpus case under every knockout, and
  *    compares something in every family.
- *  - enumerateWavefronts agrees with its reference on a windowed plan,
- *    where kInactiveLane masking is live.
+ *  - enumerateWavefronts agrees with its reference on each path: the
+ *    one-access shortcut (unwindowed, and windowed with every lane in
+ *    its window) and the full sweep (lanes straddling a window,
+ *    padding). A multi-pass round trip moves and counts exactly what
+ *    the one-pass-at-a-time executor does, on either path.
  *  - sim::SharedMemory::countWavefronts and its node-based reference
  *    agree on random address patterns with idle lanes.
  */
@@ -26,9 +29,12 @@
 #include "check/case_io.h"
 #include "check/oracle.h"
 #include "codegen/conversion.h"
+#include "codegen/shared_exec.h"
 #include "codegen/swizzle.h"
+#include "layout/dims.h"
 #include "sim/memory_sim.h"
 #include "support/failpoint.h"
+#include "support/metrics.h"
 #include "triton/encodings.h"
 
 namespace ll {
@@ -147,42 +153,288 @@ TEST(WavefrontEquiv, RoundTripMatchesEnumerationAndOracle)
     EXPECT_GT(sharedPlans, 0) << "no corpus case reached a shared rung";
 }
 
+LinearLayout
+blocked(const triton::Shape &spt, const triton::Shape &tpw,
+        const triton::Shape &wpc, const std::vector<int32_t> &order,
+        const triton::Shape &shape)
+{
+    triton::BlockedEncoding enc;
+    enc.sizePerThread = spt;
+    enc.threadsPerWarp = tpw;
+    enc.warpsPerCta = wpc;
+    enc.order = order;
+    return enc.toLinearLayout(shape);
+}
+
+/** (register, lane, warp) input order with size-1 fills, outputs in
+ *  `outs` order: the form the shared executors and access tables take. */
+LinearLayout
+canonical(const LinearLayout &layout, const std::vector<std::string> &outs)
+{
+    LinearLayout out = layout;
+    for (const auto &dim : {dims::kReg, dims::kLane, dims::kWarp}) {
+        if (!out.hasInDim(dim))
+            out = out * LinearLayout::identity1D(
+                            1, dim, out.getOutDimNames().front());
+    }
+    return out.transposeIns({dims::kReg, dims::kLane, dims::kWarp})
+        .transposeOuts(outs);
+}
+
+/** Whether every access of `dist` through `swz` lies in one window —
+ *  the condition for enumerateWavefronts' one-access shortcut. */
+bool
+lanesFit(const codegen::SwizzledShared &swz, const LinearLayout &dist)
+{
+    const codegen::WarpAccessTable table(
+        swz, canonical(dist, swz.memLayout.getOutDimNames()));
+    return table.lanesFit(
+        swz.allocElems(swz.memLayout.getTotalInDimSize()));
+}
+
+codegen::ConversionPlan
+planUnder(const LinearLayout &src, const LinearLayout &dst, int elemBytes,
+          const sim::GpuSpec &spec, const std::vector<std::string> &sites)
+{
+    failpoint::ScopedSet guard(sites);
+    return codegen::planConversion(src, dst, elemBytes, spec);
+}
+
+/** 256 x 256 x f32 = 256 KiB exceeds GH200's 228 KiB CTA budget, so
+ *  the pair plans to a windowed scalar round trip (two passes) whose
+ *  lanes all fit one window. */
+codegen::ConversionPlan
+oversizedWindowedPlan(LinearLayout &src, LinearLayout &dst)
+{
+    src = blocked({1, 4}, {8, 4}, {2, 2}, {1, 0}, {256, 256});
+    dst = blocked({4, 1}, {4, 8}, {2, 2}, {0, 1}, {256, 256});
+    return codegen::planConversion(src, dst, 4, sim::GpuSpec::gh200());
+}
+
+/** The scalar plan of a 32 x 32 x f32 transpose: src and dst set, plan
+ *  unwindowed and unpadded. */
+codegen::ConversionPlan
+scalarTransposePlan(LinearLayout &src, LinearLayout &dst)
+{
+    src = blocked({1, 4}, {8, 4}, {4, 1}, {1, 0}, {32, 32});
+    dst = blocked({4, 1}, {8, 4}, {4, 1}, {0, 1}, {32, 32});
+    return planUnder(src, dst, 4, sim::GpuSpec::gh200(),
+                     codegen::demotionSitesFor(ConversionKind::SharedPadded));
+}
+
+/** scalarTransposePlan hand-windowed to 8 elements: 128 passes, and
+ *  every warp access spans several windows, so lanes straddle. Its
+ *  totals are re-priced by the reference enumeration. */
+codegen::ConversionPlan
+straddlingWindowedPlan(LinearLayout &src, LinearLayout &dst)
+{
+    const auto spec = sim::GpuSpec::gh200();
+    codegen::ConversionPlan plan = scalarTransposePlan(src, dst);
+    plan.shared->windowElems = 8;
+    plan.storeWavefrontsTotal =
+        codegen::enumerateWavefronts_reference(*plan.shared, src, 4, spec);
+    plan.loadWavefrontsTotal =
+        codegen::enumerateWavefronts_reference(*plan.shared, dst, 4, spec);
+    return plan;
+}
+
 // Windowed plans partition the offset space into shared-memory-sized
-// windows; lanes outside the current window are kInactiveLane. An
-// oversized tensor (256 KiB > GH200's 228 KiB CTA budget) forces a
-// windowed scalar plan, so the masking path is live in both
-// enumerations.
+// windows; lanes outside the current window are kInactiveLane. The
+// oversized fixture forces a windowed scalar plan, so the masking path
+// is live in the reference enumeration.
 TEST(WavefrontEquiv, WindowedPlanMatchesReference)
 {
-    auto spec = sim::GpuSpec::gh200();
-    triton::BlockedEncoding srcEnc;
-    srcEnc.sizePerThread = {1, 4};
-    srcEnc.threadsPerWarp = {8, 4};
-    srcEnc.warpsPerCta = {2, 2};
-    srcEnc.order = {1, 0};
-    triton::BlockedEncoding dstEnc;
-    dstEnc.sizePerThread = {4, 1};
-    dstEnc.threadsPerWarp = {4, 8};
-    dstEnc.warpsPerCta = {2, 2};
-    dstEnc.order = {0, 1};
-    const triton::Shape shape = {256, 256};
-    LinearLayout src = srcEnc.toLinearLayout(shape);
-    LinearLayout dst = dstEnc.toLinearLayout(shape);
+    const auto spec = sim::GpuSpec::gh200();
     const int elemBytes = 4;
-
-    auto plan = codegen::tryPlanConversion(src, dst, elemBytes, spec);
-    ASSERT_TRUE(plan.ok()) << plan.diag().toString();
-    ASSERT_TRUE(plan->shared.has_value());
-    ASSERT_TRUE(plan->shared->windowed())
+    LinearLayout src, dst;
+    const auto plan = oversizedWindowedPlan(src, dst);
+    ASSERT_TRUE(plan.shared.has_value());
+    ASSERT_TRUE(plan.shared->windowed())
         << "fixture no longer forces a windowed plan";
-    EXPECT_EQ(codegen::enumerateWavefronts(*plan->shared, src, elemBytes,
+    EXPECT_EQ(codegen::enumerateWavefronts(*plan.shared, src, elemBytes,
                                            spec),
-              codegen::enumerateWavefronts_reference(*plan->shared, src,
+              codegen::enumerateWavefronts_reference(*plan.shared, src,
                                                      elemBytes, spec));
-    EXPECT_EQ(codegen::enumerateWavefronts(*plan->shared, dst, elemBytes,
+    EXPECT_EQ(codegen::enumerateWavefronts(*plan.shared, dst, elemBytes,
                                            spec),
-              codegen::enumerateWavefronts_reference(*plan->shared, dst,
+              codegen::enumerateWavefronts_reference(*plan.shared, dst,
                                                      elemBytes, spec));
+}
+
+/** What the one-access shortcut would price `dist` at: the wavefronts
+ *  of access (0, 0), unmasked, times the number of warp accesses. */
+int64_t
+oneAccessTimesCount(const codegen::SwizzledShared &swz,
+                    const LinearLayout &dist, int elemBytes,
+                    const sim::GpuSpec &spec)
+{
+    const codegen::WarpAccessTable table(
+        swz, canonical(dist, swz.memLayout.getOutDimNames()));
+    std::vector<int64_t> offsets, byteAddrs;
+    table.offsetsInto(0, 0, offsets);
+    for (int64_t o : offsets)
+        byteAddrs.push_back(o * elemBytes);
+    return sim::SharedMemory::countWavefronts(spec, byteAddrs,
+                                              swz.vecElems() * elemBytes) *
+           codegen::countWarpAccesses(swz, dist);
+}
+
+// enumerateWavefronts prices a plan whose accesses each lie in one
+// window by one access times the access count (every access is a
+// vec-aligned XOR translate of access (0, 0)), and sweeps every access
+// of every pass otherwise. Both paths must equal the reference sweep:
+// an unwindowed swizzle and a windowed plan with every lane in its
+// window take the shortcut; a window the lanes straddle and a padded
+// layout take the sweep.
+TEST(WavefrontEquiv, OneAccessShortcutMatchesReference)
+{
+    struct Probe
+    {
+        std::string label;
+        codegen::ConversionPlan plan;
+        LinearLayout src, dst;
+        int elemBytes;
+        sim::GpuSpec spec;
+        bool shortcut;
+    };
+    std::vector<Probe> probes;
+    {
+        const auto spec = sim::GpuSpec::gh200();
+        auto src = blocked({1, 4}, {8, 4}, {4, 1}, {1, 0}, {32, 32});
+        auto dst = blocked({4, 1}, {8, 4}, {4, 1}, {0, 1}, {32, 32});
+        auto plan = planUnder(src, dst, 2, spec,
+                              codegen::demotionSitesFor(
+                                  ConversionKind::WarpShuffle));
+        probes.push_back({"unwindowed", plan, src, dst, 2, spec, true});
+    }
+    {
+        LinearLayout src, dst;
+        auto plan = oversizedWindowedPlan(src, dst);
+        probes.push_back({"windowed, lanes in window", plan, src, dst, 4,
+                          sim::GpuSpec::gh200(), true});
+    }
+    {
+        LinearLayout src, dst;
+        auto plan = straddlingWindowedPlan(src, dst);
+        probes.push_back({"windowed, lanes straddle", plan, src, dst, 4,
+                          sim::GpuSpec::gh200(), false});
+    }
+    {
+        // A pad of one element every 48 rotates rows by amounts no XOR
+        // reproduces, so accesses differ in cost.
+        LinearLayout src, dst;
+        auto plan = scalarTransposePlan(src, dst);
+        plan.shared->padInterval = 48;
+        plan.shared->padElems = 1;
+        probes.push_back(
+            {"padded", plan, src, dst, 4, sim::GpuSpec::gh200(), false});
+    }
+
+    for (const auto &p : probes) {
+        ASSERT_TRUE(p.plan.shared.has_value()) << p.label;
+        const auto &swz = *p.plan.shared;
+        const int64_t numElems = p.src.getTotalOutDimSize();
+        if (p.label == "unwindowed")
+            EXPECT_FALSE(swz.windowed() || swz.padded()) << p.label;
+        else if (p.label == "padded")
+            EXPECT_TRUE(swz.padded()) << p.label;
+        else
+            EXPECT_GE(swz.passesFor(numElems), 2) << p.label;
+        EXPECT_EQ(lanesFit(swz, p.src) && lanesFit(swz, p.dst), p.shortcut)
+            << p.label << ": fixture no longer takes the intended path";
+        int64_t reference = 0, oneAccessPriced = 0;
+        for (const auto *side : {&p.src, &p.dst}) {
+            const int64_t ref = codegen::enumerateWavefronts_reference(
+                swz, *side, p.elemBytes, p.spec);
+            EXPECT_EQ(codegen::enumerateWavefronts(swz, *side, p.elemBytes,
+                                                   p.spec),
+                      ref)
+                << p.label << (side == &p.src ? " (store)" : " (load)");
+            reference += ref;
+            oneAccessPriced += oneAccessTimesCount(swz, *side, p.elemBytes,
+                                                   p.spec);
+        }
+        // A sweep fixture must be one the shortcut would misprice.
+        if (!p.shortcut) {
+            EXPECT_NE(oneAccessPriced, reference) << p.label;
+        }
+    }
+}
+
+// A multi-pass round trip visits an access whose lanes fit one window
+// only in that window's pass, and walks every access in every pass when
+// lanes straddle. Either way it must move and count exactly what the
+// one-pass-at-a-time executor does: the same store/load stats as
+// executeSharedConversion, every dst register holding its own element
+// (so the smoke run passes, price audit included), and one masked lane
+// per (access, lane, pass) that is not the lane's own pass.
+TEST(WavefrontEquiv, MultiPassRoundTripMatchesExecutorAndMasksTheRest)
+{
+    const auto spec = sim::GpuSpec::gh200();
+    const int elemBytes = 4;
+    auto &masked = metrics::counter("exec.shared.lanes_masked");
+    for (const bool straddle : {false, true}) {
+        const std::string label =
+            straddle ? "lanes straddle" : "lanes in window";
+        LinearLayout src, dst;
+        const codegen::ConversionPlan plan =
+            straddle ? straddlingWindowedPlan(src, dst)
+                     : oversizedWindowedPlan(src, dst);
+        ASSERT_EQ(plan.kind, ConversionKind::SharedScalar) << label;
+        const auto &swz = *plan.shared;
+        const int64_t numElems = src.getTotalOutDimSize();
+        const int64_t passes = swz.passesFor(numElems);
+        ASSERT_GE(passes, 2) << label;
+        EXPECT_EQ(lanesFit(swz, src) && lanesFit(swz, dst), !straddle)
+            << label;
+
+        const LinearLayout s = canonical(src, src.getOutDimNames());
+        const LinearLayout d = canonical(dst, src.getOutDimNames());
+        const int64_t before = masked.value();
+        auto rt = codegen::runSharedRoundTrip(swz, s, d,
+                                              codegen::flatImage(s),
+                                              elemBytes, spec);
+        ASSERT_TRUE(rt.ok()) << label << ": " << rt.diag().toString();
+        const int64_t maskedDelta = masked.value() - before;
+
+        auto ref = codegen::executeSharedConversion(swz, src, dst,
+                                                    elemBytes, spec);
+        ASSERT_TRUE(ref.ok()) << label << ": " << ref.diag().toString();
+        EXPECT_TRUE(ref->correct) << label;
+        for (const auto &[got, want] :
+             {std::pair{rt->storeStats, ref->storeStats},
+              std::pair{rt->loadStats, ref->loadStats}}) {
+            EXPECT_EQ(got.instructions, want.instructions) << label;
+            EXPECT_EQ(got.transactions, want.transactions) << label;
+            EXPECT_EQ(got.wavefronts, want.wavefronts) << label;
+        }
+        EXPECT_EQ(rt->dstFile, codegen::flatImage(d)) << label;
+        EXPECT_FALSE(
+            codegen::smokeExecutePlan(plan, src, dst, elemBytes, spec))
+            << label;
+
+        // Every lane of every access is active in exactly the pass that
+        // holds its offset and masked in all the others.
+        const int64_t storage = swz.storageElems(numElems);
+        int64_t expected = 0;
+        for (const LinearLayout *side : {&s, &d}) {
+            const LinearLayout dist =
+                canonical(*side, swz.memLayout.getOutDimNames());
+            const codegen::WarpAccessTable table(swz, dist);
+            const int warps = dist.getInDimSize(dims::kWarp);
+            std::vector<int64_t> offsets;
+            for (int warp = 0; warp < warps; ++warp) {
+                for (int32_t rep : codegen::registerGroupReps(swz, dist)) {
+                    offsets.clear();
+                    table.offsetsInto(rep, warp, offsets);
+                    expected += passes * table.warpSize();
+                    for (int64_t o : offsets)
+                        expected -= (o >= 0 && o < storage) ? 1 : 0;
+                }
+            }
+        }
+        EXPECT_EQ(maskedDelta, expected) << label;
+    }
 }
 
 // The sort-based per-access counter against the node-based reference,
