@@ -103,13 +103,12 @@ percentileMs(std::vector<double> samples, double p)
  * The schema here is a contract: llstat --validate-bench-json (and the
  * bench_json_smoke ctest entry) reject reports that drift from it.
  *
- * The run also carves a per-bench calibration ledger: recording is
- * enabled for the reps and the records flush to LEDGER_<name>.jsonl
+ * The run also carves a per-bench plan-provenance ledger: recording
+ * is enabled for the reps and the records flush to LEDGER_<name>.jsonl
  * next to the BENCH json, pairing every report's wall times with the
- * predicted-vs-measured rung corpus that produced them (llprof ingests
- * the pair). The ledger is cleared before and after, so each bench
- * attributes exactly its own conversions and the prior enabled state
- * is restored.
+ * rung corpus that produced them (llprof ingests the pair). The
+ * ledger is cleared before and after, so each bench attributes exactly
+ * its own conversions and the prior enabled state is restored.
  */
 inline void
 emitBenchJson(const std::string &name, const std::function<void()> &fn)

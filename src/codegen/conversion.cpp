@@ -1,7 +1,6 @@
 #include "codegen/conversion.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "codegen/shared_exec.h"
 #include "codegen/tiles.h"
@@ -471,32 +470,6 @@ rungName(int rung)
     }
     return "unknown";
 }
-
-/**
- * Feed the prediction-error family: selection cost vs the cost the
- * measured wavefront totals imply, for plans that carry a measurement
- * (the shared kinds). The exponential buckets cover 1/8x..128x around
- * a perfectly priced ratio of 1; observations land in
- * EngineStats::metrics like every other plan.calib.* counter.
- */
-void
-observeCalibration(const ConversionPlan &plan, const LinearLayout &src,
-                   int elemBytes, const sim::GpuSpec &spec)
-{
-    if (!plan.shared.has_value())
-        return;
-    const double measured = plan.reportingCycles(src, elemBytes, spec);
-    if (measured <= 0.0)
-        return;
-    const double predicted = plan.estimateCycles(src, elemBytes, spec);
-    static auto &ratio = metrics::Registry::instance().histogram(
-        "plan.calib.error_ratio",
-        metrics::exponentialBounds(0.125, 2.0, 11));
-    ratio.observe(predicted / measured);
-    static auto &observations =
-        metrics::counter("plan.calib.observations");
-    observations.inc();
-}
 } // namespace
 
 static Result<ConversionPlan>
@@ -543,9 +516,9 @@ tryPlanConversionImpl(const LinearLayout &src, const LinearLayout &dst,
     };
 
     // Plan-provenance ledger (support/ledger.h): when recording is on,
-    // every rung evaluated below appends a CalibrationRecord — the
-    // predicted-vs-measured corpus the profile-guided cost model trains
-    // on. beginConversion() deduplicates per (inputs, startRung) and
+    // every rung evaluated below appends a CalibrationRecord — each
+    // rung's outcome, and for an accepted rung its cost and wavefront
+    // totals. beginConversion() deduplicates per (inputs, startRung) and
     // refuses while failpoints are active, so records are attributed
     // exactly once per planned conversion and fuzzing never pollutes
     // the corpus. Records carry no timestamps or sequence numbers: a
@@ -576,10 +549,7 @@ tryPlanConversionImpl(const LinearLayout &src, const LinearLayout &dst,
         r.terminal = terminal;
         r.deadlineShaped = deadlineDemoted;
         if (accepted != nullptr) {
-            r.predictedCycles =
-                accepted->estimateCycles(src, elemBytes, spec);
-            r.measuredCycles =
-                accepted->reportingCycles(src, elemBytes, spec);
+            r.cycles = accepted->estimateCycles(src, elemBytes, spec);
             r.storeWavefronts = accepted->storeWavefrontsTotal;
             r.loadWavefronts = accepted->loadWavefrontsTotal;
             if (accepted->shared) {
@@ -785,12 +755,8 @@ tryPlanConversionImpl(const LinearLayout &src, const LinearLayout &dst,
         rung4.arg("outcome", haveBest ? "accept" : "reject");
         if (haveBest) {
             rung4.arg("cycles", bestCost);
-            // Measured side next to the prediction, so traces and the
-            // calibration ledger agree on both halves of the split.
             rung4.arg("store_wavefronts", best.storeWavefrontsTotal);
             rung4.arg("load_wavefronts", best.loadWavefrontsTotal);
-            rung4.arg("measured_cycles",
-                      best.reportingCycles(src, elemBytes, spec));
         } else if (!notes.empty()) {
             rung4.arg("reason", notes.notes.back().toString());
         }
@@ -830,9 +796,6 @@ tryPlanConversionImpl(const LinearLayout &src, const LinearLayout &dst,
                                  trial.storeWavefrontsTotal);
                         rung.arg("load_wavefronts",
                                  trial.loadWavefrontsTotal);
-                        rung.arg("measured_cycles",
-                                 trial.reportingCycles(src, elemBytes,
-                                                       spec));
                     }
                     recordRung("shared-padded", true, "", true, &trial);
                     return trial;
@@ -874,9 +837,6 @@ tryPlanConversionImpl(const LinearLayout &src, const LinearLayout &dst,
                                  trial.storeWavefrontsTotal);
                         rung.arg("load_wavefronts",
                                  trial.loadWavefrontsTotal);
-                        rung.arg("measured_cycles",
-                                 trial.reportingCycles(src, elemBytes,
-                                                       spec));
                     }
                     recordRung("shared-scalar", true, "", true, &trial);
                     return trial;
@@ -921,13 +881,9 @@ tryPlanConversion(const LinearLayout &src, const LinearLayout &dst,
         static auto &cyclesHist = metrics::Registry::instance().histogram(
             "plan.cycles", {1.0, 10.0, 100.0, 1000.0, 10000.0});
         cyclesHist.observe(cycles);
-        observeCalibration(*result, src, elemBytes, spec);
         if (span.active()) {
             span.arg("kind", toString(result->kind));
             span.arg("cycles", cycles);
-            if (result->shared.has_value())
-                span.arg("measured_cycles",
-                         result->reportingCycles(src, elemBytes, spec));
             span.arg("rungs_rejected",
                      static_cast<int64_t>(result->diagnostics.notes.size()));
         }
@@ -985,8 +941,6 @@ tryReplanBelow(ConversionKind failed, const LinearLayout &src,
     replans.inc();
     auto result =
         tryPlanConversionImpl(src, dst, elemBytes, spec, startRung);
-    if (result.ok())
-        observeCalibration(*result, src, elemBytes, spec);
     if (span.active()) {
         span.arg("below", toString(failed));
         span.arg("outcome",
@@ -1081,12 +1035,16 @@ ConversionPlan::estimateCycles(const LinearLayout &src, int elemBytes,
         return static_cast<double>(
                    shuffle->countShuffleInstructions(elemBytes)) *
                spec.shuffleCycles;
-      case ConversionKind::SharedMemory: {
-        // The optimal rung carries audited accounting, so it is priced
-        // by its measured whole-pass wavefront totals, serialized per
-        // warp. ldmatrix/stmatrix replace a side's plain accesses only
-        // when the tile pricing is actually cheaper — the instructions
-        // can never make a plan look worse than not using them.
+      case ConversionKind::SharedMemory:
+      case ConversionKind::SharedPadded:
+      case ConversionKind::SharedScalar: {
+        // Every shared rung is priced by its whole-pass wavefront
+        // totals — the counts the smoke run audits (CostMismatch) —
+        // serialized per warp, plus one round-trip barrier per pass (a
+        // windowed plan pays it once per window). ldmatrix/stmatrix
+        // replace a side's plain accesses only when the tile pricing
+        // is actually cheaper, so the instructions can never make a
+        // plan look worse than not using them; only rung 4 sets them.
         double storeCycles = static_cast<double>(storeWavefrontsTotal) /
                              numWarpsSrc * spec.sharedWavefrontCycles;
         double loadCycles = static_cast<double>(loadWavefrontsTotal) /
@@ -1098,61 +1056,13 @@ ConversionPlan::estimateCycles(const LinearLayout &src, int elemBytes,
         if (usesLdmatrix)
             loadCycles = std::min(loadCycles,
                                   tiles * spec.ldmatrixCyclesPerTile);
-        return storeCycles + loadCycles + spec.sharedRoundTripCycles;
-      }
-      case ConversionKind::SharedPadded:
-      case ConversionKind::SharedScalar: {
-        // Fallback rungs are priced by a worst-case serialization bound
-        // rather than measured luck: pessimism grows as guarantees
-        // shrink down the ladder. The bound is taken at vector width 1
-        // — the worst-case wavefronts needed to move the warp's bytes
-        // are non-increasing in the width, so any measured total of a
-        // higher rung (bounded by its own width's worst case) stays
-        // below it, and estimateCycles is monotone in the rung order.
-        // An issue-cost adder keyed to the plan's actual instruction
-        // count then separates padded (vectorized) from scalar.
-        const int lanes =
-            src.hasInDim(dims::kLane) ? src.getInDimSize(dims::kLane) : 1;
-        const double groups = std::max(
-            1.0, std::ceil(static_cast<double>(lanes) * elemBytes /
-                           spec.wavefrontBytes));
-        // A group moves wavefrontBytes; fully serialized it retires one
-        // bank word per wavefront.
-        const double worstPerGroup =
-            static_cast<double>(spec.wavefrontBytes) /
-            spec.bankWidthBytes;
-        const double worstWavefronts =
-            2.0 * numRegsSrc * groups * worstPerGroup;
-        const double issuedInstr =
-            2.0 * std::max(1, numRegsSrc / shared->vecElems());
-        // A windowed plan pays the round-trip barrier once per pass;
-        // the adder only grows down the ladder (windowing engages only
-        // on the scalar rung, when the flat allocation cannot fit), so
-        // rung-order monotonicity is preserved.
         const double passes = static_cast<double>(
             shared->passesFor(src.getTotalOutDimSize()));
-        return worstWavefronts * spec.sharedWavefrontCycles +
-               issuedInstr + passes * spec.sharedRoundTripCycles;
+        return storeCycles + loadCycles +
+               passes * spec.sharedRoundTripCycles;
       }
     }
     return 0.0;
-}
-
-double
-ConversionPlan::reportingCycles(const LinearLayout &src, int elemBytes,
-                                const sim::GpuSpec &spec) const
-{
-    if (!shared.has_value())
-        return estimateCycles(src, elemBytes, spec);
-    const int numWarpsSrc =
-        src.hasInDim(dims::kWarp) ? src.getInDimSize(dims::kWarp) : 1;
-    const double storeCycles = static_cast<double>(storeWavefrontsTotal) /
-                               numWarpsSrc * spec.sharedWavefrontCycles;
-    const double loadCycles = static_cast<double>(loadWavefrontsTotal) /
-                              numWarpsSrc * spec.sharedWavefrontCycles;
-    const double passes =
-        static_cast<double>(shared->passesFor(src.getTotalOutDimSize()));
-    return storeCycles + loadCycles + passes * spec.sharedRoundTripCycles;
 }
 
 } // namespace codegen

@@ -93,27 +93,15 @@ struct ConversionPlan
      * Modeled cost in cycles for converting one CTA worth of data.
      * numWarps warps each hold regs-per-thread elements.
      *
-     * This is the *selection* cost: the fallback rungs are priced by a
-     * worst-case bound so the ladder stays monotone by construction,
-     * which is what rung ordering needs (see the rung-6 comment in the
-     * implementation). Use reportingCycles() for the measured side.
+     * The plan's one cost: rung 4's candidate choice, the engine's
+     * cost model, layout synthesis, traces and the ledger all read it. The shared
+     * kinds are priced by storeWavefrontsTotal + loadWavefrontsTotal
+     * serialized per warp plus one round-trip barrier per pass — the
+     * totals smokeExecutePlan audits — with the ldmatrix/stmatrix
+     * discount applied only where it is cheaper.
      */
     double estimateCycles(const LinearLayout &src, int elemBytes,
                           const sim::GpuSpec &spec) const;
-
-    /**
-     * The *reporting* cost: cycles implied by the measured enumerated
-     * wavefront totals (store + load serialized per warp, plus one
-     * round-trip barrier per pass), with no worst-case pessimism and no
-     * ldmatrix/stmatrix discount. This is the calibration ledger's
-     * measured side; selection-vs-reporting disagreement is exactly the
-     * signal the profile-guided cost model (ROADMAP item 1) trains on.
-     * For the kinds with no shared accounting (NoOp, RegisterPermute,
-     * WarpShuffle) there is nothing measured and this returns
-     * estimateCycles().
-     */
-    double reportingCycles(const LinearLayout &src, int elemBytes,
-                           const sim::GpuSpec &spec) const;
 };
 
 /**

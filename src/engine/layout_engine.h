@@ -133,11 +133,9 @@ struct EngineStats
      *  The int fields above are mirrors of the engine.* entries here;
      *  they keep working unchanged. When the calibration ledger is
      *  recording (LL_LEDGER), the plan.calib.* family appears here too:
-     *  records / terminal_records / conversions / dedup_skips /
-     *  observations counter deltas, surfacing per-run ledger activity
-     *  without the caller touching ledger::Ledger (DESIGN.md §16; the
-     *  plan.calib.error_ratio histogram lives in the registry's
-     *  exposition, histograms are not delta-snapshotted). */
+     *  records / terminal_records / conversions / dedup_skips counter
+     *  deltas, surfacing per-run ledger activity without the caller
+     *  touching ledger::Ledger (DESIGN.md §16). */
     std::map<std::string, int64_t> metrics;
 };
 

@@ -132,8 +132,7 @@ CalibrationRecord::toJsonl() const
     out += ",\"reason\":";
     appendJsonString(out, reason);
     out += std::string(",\"terminal\":") + (terminal ? "true" : "false");
-    out += ",\"predicted_cycles\":" + formatDouble(predictedCycles);
-    out += ",\"measured_cycles\":" + formatDouble(measuredCycles);
+    out += ",\"cycles\":" + formatDouble(cycles);
     out += ",\"store_wf\":" + std::to_string(storeWavefronts);
     out += ",\"load_wf\":" + std::to_string(loadWavefronts);
     out += ",\"window_elems\":" + std::to_string(windowElems);

@@ -1,16 +1,15 @@
 /**
  * @file
- * Plan-provenance ledger: the calibration corpus for the cost model.
+ * Plan-provenance ledger: one record per rung the planner evaluates.
  *
  * Every rung the conversion planner evaluates appends a
  * CalibrationRecord — (layout-pair structural hashes, GpuSpec
- * fingerprint, rung, accept/reject outcome, predicted *selection* cost,
- * measured enumerated wavefront totals and the *reporting* cost they
- * imply, and the chosen plan parameters: window size,
+ * fingerprint, rung, accept/reject outcome, and for an accepted rung
+ * its one cost, the enumerated wavefront totals that cost is priced
+ * from, and the chosen plan parameters: window size,
  * padInterval/padElems, vectorization width, demotion / deadline
  * shaping flags) — into a process-global, thread-safe ledger. This is
- * the predicted-vs-measured corpus the profile-guided cost model
- * (ROADMAP item 1) trains on, and what `tools/llprof` reports over.
+ * the per-rung corpus `tools/llprof` reports over.
  *
  * Recording is runtime-gated exactly like the span tracer: set
  * `LL_LEDGER=/path/to/ledger.jsonl` and any binary in the repo records
@@ -84,13 +83,9 @@ struct CalibrationRecord
     std::string outcome;   ///< accept | reject
     std::string reason;    ///< rejection rendering; empty on accept
     bool terminal = false;
-    /** Selection cost: estimateCycles, monotone in the rung order by
-     *  construction (worst-case bounds on the fallback rungs). */
-    double predictedCycles = 0.0;
-    /** Reporting cost: the cycles the measured enumerated wavefront
-     *  totals imply (ConversionPlan::reportingCycles). 0 when the rung
-     *  has no shared accounting. */
-    double measuredCycles = 0.0;
+    /** The accepted plan's cost (ConversionPlan::estimateCycles); 0
+     *  on a rejected rung. */
+    double cycles = 0.0;
     int64_t storeWavefronts = 0; ///< enumerated whole-pass totals
     int64_t loadWavefronts = 0;
     /** Chosen plan parameters (0 where the rung has none). */

@@ -73,22 +73,6 @@ void Histogram::reset()
     sum_.store(0.0, std::memory_order_relaxed);
 }
 
-std::vector<double> exponentialBounds(double start, double factor,
-                                      int count)
-{
-    llAssert(start > 0.0 && factor > 1.0 && count >= 1,
-             "exponential histogram bounds need start > 0, factor > 1, "
-             "count >= 1");
-    std::vector<double> bounds;
-    bounds.reserve(static_cast<size_t>(count));
-    double bound = start;
-    for (int i = 0; i < count; ++i) {
-        bounds.push_back(bound);
-        bound *= factor;
-    }
-    return bounds;
-}
-
 Registry &Registry::instance()
 {
     static Registry r;

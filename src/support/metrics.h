@@ -118,17 +118,6 @@ inline Counter &counter(const std::string &name)
     return Registry::instance().counter(name);
 }
 
-/**
- * Exponential histogram bounds: `count` upper bounds starting at
- * `start` and growing by `factor` (start, start*factor, ...). The
- * constructor of choice for ratio- and latency-shaped families — e.g.
- * the prediction-error-ratio histogram "plan.calib.error_ratio" uses
- * exponentialBounds(0.125, 2.0, 11) to cover 1/8x .. 128x around a
- * perfectly priced 1.0. Requires start > 0, factor > 1, count >= 1.
- */
-std::vector<double> exponentialBounds(double start, double factor,
-                                      int count);
-
 } // namespace metrics
 } // namespace ll
 

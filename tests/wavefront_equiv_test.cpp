@@ -90,13 +90,48 @@ rungKnockouts()
     return sets;
 }
 
+codegen::ConversionPlan
+planUnder(const LinearLayout &src, const LinearLayout &dst, int elemBytes,
+          const sim::GpuSpec &spec, const std::vector<std::string> &sites)
+{
+    failpoint::ScopedSet guard(sites);
+    return codegen::planConversion(src, dst, elemBytes, spec);
+}
+
+/** The one cost of a shared plan rebuilt from the reference-swept
+ *  store/load wavefront totals: each side serialized per warp, plus one
+ *  round-trip barrier per pass, with no ldmatrix/stmatrix discount. */
+double
+referenceSharedCycles(const codegen::ConversionPlan &plan,
+                      const LinearLayout &src, const LinearLayout &dst,
+                      int elemBytes, const sim::GpuSpec &spec)
+{
+    const auto &swz = *plan.shared;
+    const int numWarps =
+        src.hasInDim(dims::kWarp) ? src.getInDimSize(dims::kWarp) : 1;
+    const double store = static_cast<double>(
+                             codegen::enumerateWavefronts_reference(
+                                 swz, src, elemBytes, spec)) /
+                         numWarps * spec.sharedWavefrontCycles;
+    const double load = static_cast<double>(
+                            codegen::enumerateWavefronts_reference(
+                                swz, dst, elemBytes, spec)) /
+                        numWarps * spec.sharedWavefrontCycles;
+    const double passes =
+        static_cast<double>(swz.passesFor(src.getTotalOutDimSize()));
+    return store + load + passes * spec.sharedRoundTripCycles;
+}
+
 // Every fast F2 primitive must equal its reference twin on the inputs
 // each corpus case yields, at every forced rung (swizzled, padded and
 // scalar shared layouts all occur across the knockout sets), and no
-// comparison family may come out empty.
+// comparison family may come out empty. Every shared plan's cost is
+// the one its reference-swept totals imply: exactly, or at most that
+// when an ldmatrix/stmatrix discount applies.
 TEST(WavefrontEquiv, EnumerateMatchesReferenceOnCorpusPlans)
 {
     check::OracleReport::F2Comparisons total;
+    int sharedPlans = 0;
     for (const auto &[label, sites] : rungKnockouts()) {
         for (const auto &e : corpus()) {
             ConversionCase c = e.c;
@@ -105,8 +140,26 @@ TEST(WavefrontEquiv, EnumerateMatchesReferenceOnCorpusPlans)
             EXPECT_TRUE(report.ok())
                 << e.file << " under " << label << ": " << report.detail;
             total += report.f2Compared;
+
+            const auto spec = c.spec();
+            const auto plan = planUnder(c.src, c.dst, c.elemBytes, spec,
+                                        sites);
+            if (!plan.shared.has_value())
+                continue;
+            ++sharedPlans;
+            const double cycles =
+                plan.estimateCycles(c.src, c.elemBytes, spec);
+            const double reference = referenceSharedCycles(
+                plan, c.src, c.dst, c.elemBytes, spec);
+            if (plan.usesLdmatrix || plan.usesStmatrix)
+                EXPECT_LE(cycles, reference)
+                    << e.file << " under " << label;
+            else
+                EXPECT_EQ(cycles, reference)
+                    << e.file << " under " << label;
         }
     }
+    EXPECT_GT(sharedPlans, 0) << "no corpus case reached a shared rung";
     EXPECT_GT(total.matrix, 0);
     EXPECT_GT(total.subspace, 0);
     EXPECT_GT(total.applyFlat, 0);
@@ -192,13 +245,6 @@ lanesFit(const codegen::SwizzledShared &swz, const LinearLayout &dist)
         swz.allocElems(swz.memLayout.getTotalInDimSize()));
 }
 
-codegen::ConversionPlan
-planUnder(const LinearLayout &src, const LinearLayout &dst, int elemBytes,
-          const sim::GpuSpec &spec, const std::vector<std::string> &sites)
-{
-    failpoint::ScopedSet guard(sites);
-    return codegen::planConversion(src, dst, elemBytes, spec);
-}
 
 /** 256 x 256 x f32 = 256 KiB exceeds GH200's 228 KiB CTA budget, so
  *  the pair plans to a windowed scalar round trip (two passes) whose
@@ -411,6 +457,10 @@ TEST(WavefrontEquiv, MultiPassRoundTripMatchesExecutorAndMasksTheRest)
         EXPECT_EQ(rt->dstFile, codegen::flatImage(d)) << label;
         EXPECT_FALSE(
             codegen::smokeExecutePlan(plan, src, dst, elemBytes, spec))
+            << label;
+        // A windowed plan pays one round-trip barrier per pass.
+        EXPECT_EQ(plan.estimateCycles(src, elemBytes, spec),
+                  referenceSharedCycles(plan, src, dst, elemBytes, spec))
             << label;
 
         // Every lane of every access is active in exactly the pass that

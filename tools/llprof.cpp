@@ -1,30 +1,19 @@
 /**
  * @file
- * llprof — calibration and regression-gate tooling over the
+ * llprof — report and regression-gate tooling over the
  * plan-provenance ledger and the BENCH_<name>.json reports.
  *
  * Report mode (default):
  *
- *   --ledger PATH   ingest a calibration ledger (a JSONL file written
- *                   via LL_LEDGER / ledger::Ledger, or a directory
- *                   scanned for *.jsonl). Repeatable. Reports, over
- *                   terminal records that carry a measurement:
- *                     - per-rung prediction error: MAPE of the
- *                       selection cost (estimateCycles) against the
- *                       reporting cost the measured enumerated
- *                       wavefront totals imply, plus the ratio spread;
- *                     - the worst mispriced layout pairs (largest
- *                       |log(predicted/measured)|, --top N);
- *                     - measured-space monotonicity violations: layout
- *                       pairs whose measured cost *decreases* down the
- *                       ladder even though the selection costs are
- *                       non-decreasing by construction — exactly the
- *                       cases where worst-case selection pricing
- *                       mischose, i.e. the autotuner's training signal.
+ *   --ledger PATH   ingest a plan-provenance ledger (a JSONL file
+ *                   written via LL_LEDGER / ledger::Ledger, or a
+ *                   directory scanned for *.jsonl). Repeatable. Reports
+ *                   per rung how often it was evaluated and accepted.
+ *                   Exits 1 when no record could be read: a report
+ *                   over nothing checks nothing.
  *   --bench DIR     summarize the BENCH_*.json reports in DIR
  *                   (wall-time medians, the fig9 suite context for the
  *                   ledger numbers).
- *   --top N         how many worst pairs to print (default 5).
  *
  * Gate mode:
  *
@@ -52,7 +41,6 @@
  */
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -75,7 +63,6 @@ struct Options
 {
     std::vector<std::string> ledgerPaths;
     std::string benchDir;
-    int top = 5;
     bool gate = false;
     std::string gateBaseline;
     std::string gateCurrent;
@@ -87,7 +74,7 @@ void
 usage()
 {
     std::cerr
-        << "usage: llprof [--ledger PATH]... [--bench DIR] [--top N]\n"
+        << "usage: llprof [--ledger PATH]... [--bench DIR]\n"
            "       llprof --gate BASELINE CURRENT [--tolerance FRAC]\n"
            "              [--slack-ms MS]\n";
 }
@@ -114,11 +101,6 @@ parseArgs(int argc, char **argv, Options &opt)
             if (!v)
                 return false;
             opt.benchDir = v;
-        } else if (arg == "--top") {
-            const char *v = needValue("--top");
-            if (!v)
-                return false;
-            opt.top = std::max(1, std::atoi(v));
         } else if (arg == "--gate") {
             if (i + 2 >= argc) {
                 std::cerr << "llprof: --gate needs BASELINE and "
@@ -167,30 +149,18 @@ parseArgs(int argc, char **argv, Options &opt)
 
 struct LedgerRecord
 {
-    std::string src, dst, spec;
-    int elemBytes = 0;
-    std::string startRung, rung, outcome;
-    bool terminal = false;
-    double predicted = 0.0;
-    double measured = 0.0;
-    int64_t storeWf = 0, loadWf = 0;
-    bool demoted = false, deadline = false;
-
-    bool hasMeasurement() const { return storeWf + loadWf > 0; }
-    std::string pairKey() const
-    {
-        return src + "|" + dst + "|" + std::to_string(elemBytes) + "|" +
-               spec;
-    }
+    std::string src, dst, rung, outcome;
 };
+
+/** The span-taxonomy rung names, in ladder order. */
+const char *const kLadder[] = {
+    "noop",          "register-permute", "warp-shuffle",
+    "shared-memory", "shared-padded",    "shared-scalar"};
 
 /** Ladder position of a span-taxonomy rung name; -1 if unknown. */
 int
 rungIndex(const std::string &rung)
 {
-    static const char *kLadder[] = {
-        "noop",          "register-permute", "warp-shuffle",
-        "shared-memory", "shared-padded",    "shared-scalar"};
     for (int i = 0; i < 6; ++i) {
         if (rung == kLadder[i])
             return i + 1;
@@ -248,34 +218,10 @@ readLedgerFile(const std::string &path, std::vector<LedgerRecord> &out,
             if (v && v->isString())
                 into = v->str;
         };
-        auto num = [&](const char *key, double &into) {
-            const auto *v = parsed->find(key);
-            if (v && v->isNumber())
-                into = v->number;
-        };
-        auto boolean = [&](const char *key, bool &into) {
-            const auto *v = parsed->find(key);
-            if (v && v->isBool())
-                into = v->boolean;
-        };
         str("src", r.src);
         str("dst", r.dst);
-        str("spec", r.spec);
-        str("start_rung", r.startRung);
         str("rung", r.rung);
         str("outcome", r.outcome);
-        boolean("terminal", r.terminal);
-        boolean("demoted", r.demoted);
-        boolean("deadline", r.deadline);
-        double elem = 0, store = 0, load = 0;
-        num("elem", elem);
-        num("predicted_cycles", r.predicted);
-        num("measured_cycles", r.measured);
-        num("store_wf", store);
-        num("load_wf", load);
-        r.elemBytes = static_cast<int>(elem);
-        r.storeWf = static_cast<int64_t>(store);
-        r.loadWf = static_cast<int64_t>(load);
         if (r.src.empty() || r.dst.empty() || rungIndex(r.rung) < 0) {
             ++skipped;
             continue;
@@ -305,129 +251,28 @@ reportLedger(const Options &opt)
     if (skipped)
         std::printf(", %d unparseable line(s) skipped", skipped);
     std::printf("\n");
+    if (records.empty()) {
+        std::cerr << "llprof: no ledger records read\n";
+        return 1;
+    }
 
-    // Per-rung prediction error over measured terminal accepts.
     struct RungStats
     {
         int64_t evaluated = 0;
         int64_t accepted = 0;
-        int64_t measuredN = 0;
-        double apeSum = 0.0; ///< sum of |pred-meas|/meas
-        double ratioMin = 0.0, ratioMax = 0.0;
     };
     std::map<int, RungStats> byRung;
-    std::vector<const LedgerRecord *> measured;
     for (const auto &r : records) {
         RungStats &s = byRung[rungIndex(r.rung)];
         ++s.evaluated;
-        if (r.outcome != "accept")
-            continue;
-        ++s.accepted;
-        if (!r.terminal || !r.hasMeasurement() || r.measured <= 0.0)
-            continue;
-        const double ratio = r.predicted / r.measured;
-        if (s.measuredN == 0) {
-            s.ratioMin = s.ratioMax = ratio;
-        } else {
-            s.ratioMin = std::min(s.ratioMin, ratio);
-            s.ratioMax = std::max(s.ratioMax, ratio);
-        }
-        ++s.measuredN;
-        s.apeSum += std::fabs(r.predicted - r.measured) / r.measured;
-        measured.push_back(&r);
+        s.accepted += r.outcome == "accept";
     }
-    std::printf("\nper-rung prediction error (selection cost vs "
-                "measured reporting cost):\n");
-    std::printf("  %-18s %9s %9s %9s %9s %9s %9s\n", "rung", "evals",
-                "accepts", "measured", "MAPE%", "ratio-min",
-                "ratio-max");
-    static const char *kLadder[] = {
-        "noop",          "register-permute", "warp-shuffle",
-        "shared-memory", "shared-padded",    "shared-scalar"};
-    for (int i = 1; i <= 6; ++i) {
-        auto it = byRung.find(i);
-        if (it == byRung.end())
-            continue;
-        const RungStats &s = it->second;
-        if (s.measuredN > 0)
-            std::printf("  %-18s %9lld %9lld %9lld %9.1f %9.3f %9.3f\n",
-                        kLadder[i - 1],
-                        static_cast<long long>(s.evaluated),
-                        static_cast<long long>(s.accepted),
-                        static_cast<long long>(s.measuredN),
-                        100.0 * s.apeSum /
-                            static_cast<double>(s.measuredN),
-                        s.ratioMin, s.ratioMax);
-        else
-            std::printf("  %-18s %9lld %9lld %9s %9s %9s %9s\n",
-                        kLadder[i - 1],
-                        static_cast<long long>(s.evaluated),
-                        static_cast<long long>(s.accepted), "-", "-",
-                        "-", "-");
-    }
-
-    // Worst mispriced layout pairs.
-    std::sort(measured.begin(), measured.end(),
-              [](const LedgerRecord *a, const LedgerRecord *b) {
-                  const double la =
-                      std::fabs(std::log(a->predicted / a->measured));
-                  const double lb =
-                      std::fabs(std::log(b->predicted / b->measured));
-                  if (la != lb)
-                      return la > lb;
-                  return a->pairKey() < b->pairKey();
-              });
-    const int top =
-        std::min<int>(opt.top, static_cast<int>(measured.size()));
-    if (top > 0) {
-        std::printf("\nworst mispriced layout pairs (top %d):\n", top);
-        for (int i = 0; i < top; ++i) {
-            const LedgerRecord &r = *measured[static_cast<size_t>(i)];
-            std::printf("  %s -> %s elem=%d rung=%s predicted=%.1f "
-                        "measured=%.1f ratio=%.3f%s\n",
-                        r.src.c_str(), r.dst.c_str(), r.elemBytes,
-                        r.rung.c_str(), r.predicted, r.measured,
-                        r.predicted / r.measured,
-                        r.demoted ? " (demoted)" : "");
-        }
-    }
-
-    // Measured-space monotonicity: the ladder's selection costs are
-    // non-decreasing down the ladder by construction; flag layout
-    // pairs where the *measured* costs invert that order (a lower rung
-    // measured costlier than a higher one).
-    std::map<std::string, std::vector<const LedgerRecord *>> byPair;
-    for (const auto *r : measured)
-        byPair[r->pairKey()].push_back(r);
-    int64_t pairsChecked = 0, violations = 0;
-    for (auto &[key, recs] : byPair) {
-        if (recs.size() < 2)
-            continue;
-        std::sort(recs.begin(), recs.end(),
-                  [](const LedgerRecord *a, const LedgerRecord *b) {
-                      return rungIndex(a->rung) < rungIndex(b->rung);
-                  });
-        for (size_t i = 0; i + 1 < recs.size(); ++i) {
-            for (size_t j = i + 1; j < recs.size(); ++j) {
-                if (rungIndex(recs[i]->rung) == rungIndex(recs[j]->rung))
-                    continue;
-                ++pairsChecked;
-                if (recs[i]->measured > recs[j]->measured) {
-                    ++violations;
-                    std::printf("  monotonicity violation: %s rung %s "
-                                "measured %.1f > rung %s measured "
-                                "%.1f\n",
-                                key.c_str(), recs[i]->rung.c_str(),
-                                recs[i]->measured, recs[j]->rung.c_str(),
-                                recs[j]->measured);
-                }
-            }
-        }
-    }
-    std::printf("\nmeasured-space monotonicity: %lld rung pair(s) "
-                "compared, %lld violation(s)\n",
-                static_cast<long long>(pairsChecked),
-                static_cast<long long>(violations));
+    std::printf("\nper-rung evaluations:\n");
+    std::printf("  %-18s %9s %9s\n", "rung", "evals", "accepts");
+    for (const auto &[rung, s] : byRung)
+        std::printf("  %-18s %9lld %9lld\n", kLadder[rung - 1],
+                    static_cast<long long>(s.evaluated),
+                    static_cast<long long>(s.accepted));
     return errors ? 1 : 0;
 }
 

@@ -1,4 +1,4 @@
-# Smoke-run the calibration pipeline end to end:
+# Smoke-run the plan-provenance ledger pipeline end to end:
 #   1. replay the seed corpus and the fig9 kernel suite through llstat
 #      with LL_LEDGER set — every planned conversion must land in the
 #      JSONL ledger;
@@ -6,7 +6,10 @@
 #      per planned conversion;
 #   3. llserve over the same corpus with --ledger on 8 threads — the
 #      coalesced service path must produce a schema-valid ledger too;
-#   4. llprof over both ledgers must report per-rung MAPE and exit 0.
+#   4. llprof over both ledgers must print the per-rung evals/accepts
+#      table and exit 0;
+#   5. llprof over a ledger of only unparseable lines must exit 1: a
+#      report that read no record compared nothing.
 #
 # Script arguments (via -D):
 #   LLSTAT      path to the llstat binary
@@ -67,9 +70,20 @@ message("${out}")
 if(NOT rc EQUAL 0)
     message(FATAL_ERROR "llprof exited with ${rc}")
 endif()
-if(NOT out MATCHES "MAPE")
-    message(FATAL_ERROR "llprof report lacks the per-rung MAPE table")
+if(NOT out MATCHES "rung +evals +accepts")
+    message(FATAL_ERROR "llprof report lacks the per-rung evals/accepts table")
 endif()
-if(NOT out MATCHES "monotonicity")
-    message(FATAL_ERROR "llprof report lacks the monotonicity section")
+
+file(WRITE "${OUT_DIR}/ledger_garbage.jsonl"
+     "not json\n{\"rung\":\"no-such-rung\"}\n")
+execute_process(
+    COMMAND "${LLPROF}" --ledger "${OUT_DIR}/ledger_garbage.jsonl"
+    RESULT_VARIABLE rc
+    OUTPUT_VARIABLE out
+    ERROR_VARIABLE err)
+message("${out}${err}")
+if(NOT rc EQUAL 1)
+    message(FATAL_ERROR
+            "llprof over a ledger with no readable record exited with "
+            "${rc}, expected 1")
 endif()

@@ -573,7 +573,7 @@ validateLedgerRecord(const jsonlite::Value &v, std::string &why)
         }
     }
     for (const char *field :
-         {"predicted_cycles", "measured_cycles", "store_wf", "load_wf",
+         {"cycles", "store_wf", "load_wf",
           "window_elems", "pad_interval", "pad_elems", "vec_bits"}) {
         const auto *x = v.find(field);
         if (!x || !x->isNumber() || x->number < 0.0) {
