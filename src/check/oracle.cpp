@@ -17,23 +17,10 @@ namespace check {
 
 namespace {
 
+using codegen::canonicalIns;
 using dims::kLane;
 using dims::kReg;
 using dims::kWarp;
-
-/** Canonicalize to (register, lane, warp) input order, adding size-1
- *  dims where missing so flat-index field extraction is uniform. */
-LinearLayout
-canonicalIns(const LinearLayout &layout)
-{
-    LinearLayout out = layout;
-    for (const auto &dim : {kReg, kLane, kWarp}) {
-        if (!out.hasInDim(dim))
-            out = out * LinearLayout::identity1D(
-                            1, dim, out.getOutDimNames().front());
-    }
-    return out.transposeIns({kReg, kLane, kWarp});
-}
 
 /** (register, lane, warp) fields of a flat input index. */
 struct InFields

@@ -183,20 +183,6 @@ evaluateSharedCandidate(const ConversionPlan &base, SwizzledShared cand,
     return trial;
 }
 
-/** Canonicalize to (register, lane, warp) input order, adding size-1
- *  dims where missing, as the shared executors require. */
-LinearLayout
-canonicalIns(const LinearLayout &layout)
-{
-    LinearLayout out = layout;
-    for (const auto &dim : {dims::kReg, dims::kLane, dims::kWarp}) {
-        if (!out.hasInDim(dim))
-            out = out * LinearLayout::identity1D(
-                            1, dim, out.getOutDimNames().front());
-    }
-    return out.transposeIns({dims::kReg, dims::kLane, dims::kWarp});
-}
-
 } // namespace
 
 std::string
@@ -348,8 +334,8 @@ demotionSitesFor(ConversionKind kind)
 }
 
 std::optional<ExecDiagnostic>
-smokeExecutePlan(const ConversionPlan &plan, const LinearLayout &srcIn,
-                 const LinearLayout &dstIn, int elemBytes,
+smokeExecutePlan(const ConversionPlan &plan, const LinearLayout &src,
+                 const LinearLayout &dst, int elemBytes,
                  const sim::GpuSpec &spec)
 {
     switch (plan.kind) {
@@ -395,29 +381,10 @@ smokeExecutePlan(const ConversionPlan &plan, const LinearLayout &srcIn,
                                 "exec.shared",
                                 "shared plan carries no layout");
         }
-        LinearLayout src = canonicalIns(srcIn);
-        LinearLayout dst =
-            canonicalIns(dstIn.transposeOuts(srcIn.getOutDimNames()));
-        auto rt = runSharedRoundTrip(*plan.shared, src, dst,
-                                     flatImage(src), elemBytes, spec);
+        auto rt = executeSharedConversion(*plan.shared, src, dst,
+                                          elemBytes, spec);
         if (!rt)
             return rt.diag();
-        // Every register carried its tensor coordinate, so each dst
-        // register must hold its own; an aliased plan loads poison or
-        // another element.
-        const std::vector<uint64_t> expect = flatImage(dst);
-        for (size_t j = 0; j < expect.size(); ++j) {
-            const uint64_t got = rt->dstFile[j];
-            if (got == expect[j])
-                continue;
-            return makeExecDiag(
-                ExecError::DataMismatch, "exec.shared.verify",
-                "dst register " + std::to_string(j) + " expected element " +
-                    std::to_string(expect[j]) + ", got " +
-                    (got == sim::SharedMemory::kPoison
-                         ? std::string("poison")
-                         : "element " + std::to_string(got)));
-        }
         // The plan was priced by enumerateWavefronts totals; the
         // simulator must measure the same, or the price is wrong.
         const int64_t store = rt->storeStats.wavefronts;

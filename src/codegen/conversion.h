@@ -174,10 +174,11 @@ std::vector<std::string> demotionSitesFor(ConversionKind kind);
 /**
  * Execute `plan` once on tagged data to prove its executors are sound
  * for these layouts: WarpShuffle runs its shuffle schedule for warp 0
- * (the schedule is warp-invariant), the shared kinds run the full
- * simulated round trip and then check that every destination register
- * holds its own tensor coordinate (a mismatch is a DataMismatch at stage
- * "exec.shared.verify") and that the measured store/load wavefronts equal
+ * (the schedule is warp-invariant), the shared kinds run
+ * executeSharedConversion — the full simulated round trip, with every
+ * destination register required to hold its own tensor coordinate (a
+ * mismatch is a DataMismatch at stage "exec.shared.verify") — and then
+ * check that the measured store/load wavefronts equal
  * the plan's storeWavefrontsTotal/loadWavefrontsTotal (a CostMismatch at
  * stage "exec.shared.cost"). NoOp and RegisterPermute have no executor
  * and trivially pass. Returns the first failure, or nullopt when

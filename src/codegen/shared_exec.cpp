@@ -166,146 +166,16 @@ flatImage(const LinearLayout &layout)
     return xorSweep(cols);
 }
 
-Result<SharedConversionResult, ExecDiagnostic>
-executeSharedConversion(const SwizzledShared &swz, const LinearLayout &src,
-                        const LinearLayout &dst, int elemBytes,
-                        const sim::GpuSpec &spec)
+LinearLayout
+canonicalIns(const LinearLayout &layout)
 {
-  trace::Span span("exec.shared.convert", "exec");
-  static auto &runs = metrics::counter("exec.shared.runs");
-  runs.inc();
-  int64_t lanesMasked = 0;
-  try {
-    SharedExecFaults faults;
-    SharedConversionResult result;
-    const int64_t numElems = src.getTotalOutDimSize();
-    const int64_t storage = swz.storageElems(numElems);
-    const int64_t alloc = swz.allocElems(numElems);
-    const int64_t passes = swz.passesFor(numElems);
-    if (faults.alloc || !sim::SharedMemory::fits(spec, elemBytes, alloc)) {
-        return makeExecDiag(
-            ExecError::SharedWindowOverflow, "exec.shared.alloc",
-            "allocation of " + std::to_string(alloc * elemBytes) +
-                " bytes exceeds the CTA budget of " +
-                std::to_string(spec.sharedMemPerCta));
+    LinearLayout out = layout;
+    for (const auto &dim : {kReg, kLane, kWarp}) {
+        if (!out.hasInDim(dim))
+            out = out * LinearLayout::identity1D(
+                            1, dim, out.getOutDimNames().front());
     }
-    const int warpSize = src.getInDimSize(kLane);
-    const int numWarps = src.hasInDim(kWarp) ? src.getInDimSize(kWarp) : 1;
-    const int vec = swz.vecElems();
-
-    LinearLayout dstAligned = dst.transposeOuts(src.getOutDimNames());
-    auto storeReps = registerGroupReps(swz, src);
-    auto loadReps = registerGroupReps(swz, dstAligned);
-    const int numWarpsDst = dstAligned.hasInDim(kWarp)
-                                ? dstAligned.getInDimSize(kWarp)
-                                : 1;
-    // Composed address tables: one applyFlat per input bit up front,
-    // then each warp access is a run of XORs — the offsets are
-    // bit-identical to warpAccessOffsets (see WarpAccessTable).
-    const WarpAccessTable storeTable(
-        swz, src.transposeOuts(swz.memLayout.getOutDimNames()));
-    const WarpAccessTable loadTable(
-        swz, dstAligned.transposeOuts(swz.memLayout.getOutDimNames()));
-    const auto vecSz = static_cast<size_t>(vec);
-    // Per-access buffers, reused by every access of every pass.
-    std::vector<int64_t> offsets, global;
-    std::vector<uint64_t> values, loaded;
-    offsets.reserve(static_cast<size_t>(warpSize));
-    result.correct = true;
-    for (int64_t pass = 0; pass < passes; ++pass) {
-        sim::SharedMemory smem(spec, elemBytes, alloc);
-
-        // --- store phase: every warp writes its fragment ---------------
-        for (int warp = 0; warp < numWarps; ++warp) {
-            for (int32_t rep : storeReps) {
-                offsets.clear();
-                storeTable.offsetsInto(rep, warp, offsets);
-                values.resize(offsets.size() * vecSz);
-                for (size_t lane = 0; lane < offsets.size(); ++lane) {
-                    if (faults.window || offsets[lane] < 0 ||
-                        offsets[lane] + vec > storage) {
-                        return makeExecDiag(
-                            ExecError::SharedWindowOverflow,
-                            "exec.shared.window",
-                            "store offset " +
-                                std::to_string(offsets[lane]) +
-                                " outside storage of " +
-                                std::to_string(storage));
-                    }
-                    int64_t linear = swz.unpadOffset(offsets[lane]);
-                    for (size_t k = 0; k < vecSz; ++k) {
-                        values[lane * vecSz + k] = swz.memLayout.applyFlat(
-                            static_cast<uint64_t>(linear) + k);
-                    }
-                }
-                const int64_t active = maskToWindow(offsets, pass, alloc);
-                lanesMasked +=
-                    static_cast<int64_t>(offsets.size()) - active;
-                if (active == 0)
-                    continue;
-                smem.warpStore(offsets, vec, values, result.storeStats);
-            }
-        }
-
-        // --- load phase + verification ---------------------------------
-        for (int warp = 0; warp < numWarpsDst; ++warp) {
-            for (int32_t rep : loadReps) {
-                offsets.clear();
-                loadTable.offsetsInto(rep, warp, offsets);
-                global.assign(offsets.begin(), offsets.end());
-                const int64_t active = maskToWindow(offsets, pass, alloc);
-                lanesMasked +=
-                    static_cast<int64_t>(offsets.size()) - active;
-                if (active == 0)
-                    continue;
-                smem.warpLoad(offsets, vec, loaded, result.loadStats);
-                for (size_t lane = 0; lane < offsets.size(); ++lane) {
-                    if (offsets[lane] == sim::kInactiveLane)
-                        continue;
-                    int64_t linear = swz.unpadOffset(global[lane]);
-                    for (size_t k = 0; k < vecSz; ++k) {
-                        uint64_t expect = swz.memLayout.applyFlat(
-                            static_cast<uint64_t>(linear) + k);
-                        if (loaded[lane * vecSz + k] != expect)
-                            result.correct = false;
-                    }
-                }
-            }
-        }
-    }
-
-    const int64_t instructions = result.storeStats.instructions +
-                                 result.loadStats.instructions;
-    const int64_t measured =
-        result.storeStats.wavefronts + result.loadStats.wavefronts;
-    if (faults.bankBudget ||
-        measured >
-            bankBudget(instructions, warpSize, vec * elemBytes, spec)) {
-        return makeExecDiag(
-            ExecError::BankBudgetExceeded, "exec.shared.bank-budget",
-            std::to_string(measured) +
-                " wavefronts exceed the full-serialization budget");
-    }
-    static auto &passesRun = metrics::counter("exec.shared.passes");
-    passesRun.add(passes);
-    static auto &wavefronts = metrics::counter("exec.shared.wavefronts");
-    wavefronts.add(measured);
-    static auto &masked = metrics::counter("exec.shared.lanes_masked");
-    masked.add(lanesMasked);
-    static auto &bytes = metrics::counter("exec.shared.bytes_moved");
-    bytes.add(2 * numElems * elemBytes);
-    if (span.active()) {
-        span.arg("passes", passes);
-        span.arg("alloc_bytes", alloc * elemBytes);
-        span.arg("wavefronts", measured);
-        span.arg("lanes_masked", lanesMasked);
-        span.arg("bytes_moved", 2 * numElems * elemBytes);
-    }
-    return result;
-  } catch (const std::exception &e) {
-    return makeExecDiag(ExecError::ExecInternalError, "exec.shared",
-                        e.what());
-  }
+    return out.transposeIns({kReg, kLane, kWarp});
 }
 
 Result<SharedRoundTrip, ExecDiagnostic>
@@ -491,6 +361,36 @@ runSharedRoundTrip(const SwizzledShared &swz, const LinearLayout &srcIn,
     return makeExecDiag(ExecError::ExecInternalError, "exec.shared",
                         e.what());
   }
+}
+
+Result<SharedRoundTrip, ExecDiagnostic>
+executeSharedConversion(const SwizzledShared &swz, const LinearLayout &srcIn,
+                        const LinearLayout &dstIn, int elemBytes,
+                        const sim::GpuSpec &spec)
+{
+    LinearLayout src = canonicalIns(srcIn);
+    LinearLayout dst =
+        canonicalIns(dstIn.transposeOuts(srcIn.getOutDimNames()));
+    auto rt = runSharedRoundTrip(swz, src, dst, flatImage(src), elemBytes,
+                                 spec);
+    if (!rt)
+        return rt;
+    // Every register carried its tensor coordinate, so each dst register
+    // must hold its own; an aliased plan loads poison or another element.
+    const std::vector<uint64_t> expect = flatImage(dst);
+    for (size_t j = 0; j < expect.size(); ++j) {
+        const uint64_t got = rt->dstFile[j];
+        if (got == expect[j])
+            continue;
+        return makeExecDiag(
+            ExecError::DataMismatch, "exec.shared.verify",
+            "dst register " + std::to_string(j) + " expected element " +
+                std::to_string(expect[j]) + ", got " +
+                (got == sim::SharedMemory::kPoison
+                     ? std::string("poison")
+                     : "element " + std::to_string(got)));
+    }
+    return rt;
 }
 
 } // namespace codegen

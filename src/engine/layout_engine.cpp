@@ -596,15 +596,8 @@ LayoutEngine::run(ir::Function &f)
     static auto &runsC = metrics::counter("engine.runs");
     runsC.inc();
     // The per-run metric delta: every registry counter that moved while
-    // this run was underway.
-    const auto after = metrics::Registry::instance().counterSnapshot();
-    for (const auto &[name, value] : after) {
-        auto it = before.find(name);
-        const int64_t delta =
-            value - (it == before.end() ? 0 : it->second);
-        if (delta != 0)
-            stats.metrics[name] = delta;
-    }
+    // this run was underway, on any thread.
+    stats.metrics = metrics::Registry::instance().counterDelta(before);
     if (span.active()) {
         span.arg("converts_planned", stats.convertsPlanned);
         span.arg("converts_eliminated", stats.convertsEliminated);

@@ -130,9 +130,13 @@ struct EngineStats
     std::vector<std::string> planDiagnostics;
     /** Per-run delta of every registry counter that moved during this
      *  run (metrics::Registry names — see DESIGN.md "Observability").
-     *  The int fields above are mirrors of the engine.* entries here;
-     *  they keep working unchanged. When the calibration ledger is
-     *  recording (LL_LEDGER), the plan.calib.* family appears here too:
+     *  The registry is process-wide, so the delta is exact only when no
+     *  other thread is compiling; summing the deltas of concurrent runs
+     *  counts each other's increments again (CompileService takes one
+     *  delta around the whole batch instead). The int fields above are
+     *  mirrors of the engine.* entries here; they keep working
+     *  unchanged. When the calibration ledger is recording (LL_LEDGER),
+     *  the plan.calib.* family appears here too:
      *  records / terminal_records / conversions / dedup_skips counter
      *  deltas, surfacing per-run ledger activity without the caller
      *  touching ledger::Ledger (DESIGN.md §16). */

@@ -367,8 +367,6 @@ accumulateStats(engine::EngineStats &into,
     into.planDiagnostics.insert(into.planDiagnostics.end(),
                                 from.planDiagnostics.begin(),
                                 from.planDiagnostics.end());
-    for (const auto &[name, delta] : from.metrics)
-        into.metrics[name] += delta;
 }
 
 std::vector<double>
@@ -406,6 +404,9 @@ ServiceReport
 CompileService::run(const std::vector<CompileRequest> &requests)
 {
     trace::Span span("service.batch", "service");
+    // One delta around the whole call: the workers' own per-run deltas
+    // overlap whenever more than one of them compiles at a time.
+    const auto before = metrics::Registry::instance().counterSnapshot();
     static auto &runs = metrics::counter("service.batch.runs");
     runs.inc();
 
@@ -458,6 +459,8 @@ CompileService::run(const std::vector<CompileRequest> &requests)
         span.arg("threads", report.threads);
         span.arg("failures", report.failures);
     }
+    report.totals.metrics =
+        metrics::Registry::instance().counterDelta(before);
     return report;
 }
 
@@ -466,6 +469,8 @@ CompileService::serve(const std::vector<CompileRequest> &stream,
                       const ServerConfig &cfg)
 {
     trace::Span span("service.server", "service");
+    // As in run(): one counter delta around the whole call.
+    const auto before = metrics::Registry::instance().counterSnapshot();
     static auto &runs = metrics::counter("service.server.runs");
     runs.inc();
 
@@ -624,6 +629,8 @@ CompileService::serve(const std::vector<CompileRequest> &stream,
         span.arg("deadline_exceeded", report.deadlineExceeded);
         span.arg("failed", report.failed);
     }
+    report.totals.metrics =
+        metrics::Registry::instance().counterDelta(before);
     return report;
 }
 

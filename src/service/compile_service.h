@@ -131,7 +131,9 @@ struct ServiceReport
      *  cache hit nor a follower). On a cold stream with singleflight
      *  this equals the number of distinct keys — duplicates are 0. */
     int64_t freshPlans = 0;
-    /** Sum over responses (kernel stats + conversion outcomes). */
+    /** Sum over responses (kernel stats + conversion outcomes), except
+     *  `metrics`: one registry delta around the whole run()/serve()
+     *  call, exact as long as nothing outside the call is compiling. */
     engine::EngineStats totals;
     /** Latency percentiles over *admitted* requests (shed excluded;
      *  server mode measures arrival-to-terminal). */
@@ -213,8 +215,9 @@ class CompileService
     Singleflight flights_;
 };
 
-/** Sum `from` into `into`: every counter field plus the metric deltas;
- *  planDiagnostics are appended. */
+/** Sum `from` into `into`: every counter field; planDiagnostics are
+ *  appended. The metric deltas are not summed — concurrent runs' deltas
+ *  overlap (EngineStats::metrics). */
 void accumulateStats(engine::EngineStats &into,
                      const engine::EngineStats &from);
 

@@ -110,6 +110,19 @@ std::map<std::string, int64_t> Registry::counterSnapshot() const
     return out;
 }
 
+std::map<std::string, int64_t>
+Registry::counterDelta(const std::map<std::string, int64_t> &before) const
+{
+    std::map<std::string, int64_t> delta;
+    for (const auto &[name, value] : counterSnapshot()) {
+        auto it = before.find(name);
+        const int64_t d = value - (it == before.end() ? 0 : it->second);
+        if (d != 0)
+            delta[name] = d;
+    }
+    return delta;
+}
+
 void Registry::writeText(std::ostream &os) const
 {
     std::lock_guard<std::mutex> lock(mu_);

@@ -94,6 +94,12 @@ class Registry
     /** name -> value for every registered counter. */
     std::map<std::string, int64_t> counterSnapshot() const;
 
+    /** name -> (value now - value in `before`) for every counter that
+     *  moved since counterSnapshot() returned `before`. Counters are
+     *  process-wide, so the delta includes every thread's increments. */
+    std::map<std::string, int64_t>
+    counterDelta(const std::map<std::string, int64_t> &before) const;
+
     /** Prometheus-style text exposition (names sanitized, ll_ prefix). */
     void writeText(std::ostream &os) const;
 

@@ -178,8 +178,8 @@ TEST_P(SwizzlePairs, ConversionThroughSharedIsCorrect)
     auto swz = computeOptimalSwizzle(a, b, 2, spec_);
     EXPECT_TRUE(swz.memLayout.isInvertible());
     auto result = executeSharedConversion(swz, a, b, 2, spec_);
-    ASSERT_TRUE(result.ok()) << result.diag().toString();
-    EXPECT_TRUE(result->correct) << "a=" << ai << " b=" << bi;
+    EXPECT_TRUE(result.ok()) << "a=" << ai << " b=" << bi << ": "
+                             << result.diag().toString();
 }
 
 TEST_P(SwizzlePairs, AnalyticWavefrontsMatchSimulator)
@@ -229,7 +229,6 @@ TEST(Swizzle, TransposeConversionIsConflictFree)
     auto result = executeSharedConversion(swz, rowMajor, colMajor, 1,
                                           spec);
     ASSERT_TRUE(result.ok()) << result.diag().toString();
-    EXPECT_TRUE(result->correct);
 }
 
 TEST(Swizzle, VectorizationIsMaximal)
@@ -256,7 +255,6 @@ TEST(Swizzle, SubWordTransposeIsConflictFreeEndToEnd)
     auto swz = computeOptimalSwizzle(src, dst, 1, spec);
     auto result = executeSharedConversion(swz, src, dst, 1, spec);
     ASSERT_TRUE(result.ok()) << result.diag().toString();
-    EXPECT_TRUE(result->correct);
     EXPECT_EQ(result->storeStats.wavefronts,
               result->storeStats.transactions);
     EXPECT_EQ(result->loadStats.wavefronts,
@@ -273,7 +271,6 @@ TEST(Swizzle, ExecutedWavefrontsMatchAnalyticAcrossPairs)
     auto swz = computeOptimalSwizzle(a, b, elemBytes, spec);
     auto result = executeSharedConversion(swz, a, b, elemBytes, spec);
     ASSERT_TRUE(result.ok()) << result.diag().toString();
-    ASSERT_TRUE(result->correct);
     // Totals = per-access analytic count x number of accesses.
     int64_t storeAccesses = result->storeStats.instructions;
     int64_t loadAccesses = result->loadStats.instructions;
@@ -296,7 +293,6 @@ TEST(Swizzle, UnavoidableConflictsAreDetectedButCorrect)
     auto swz = computeOptimalSwizzle(a, b, 4, spec);
     auto result = executeSharedConversion(swz, a, b, 4, spec);
     ASSERT_TRUE(result.ok()) << result.diag().toString();
-    EXPECT_TRUE(result->correct);
 }
 
 // ----------------------------------------------------------------------
@@ -469,7 +465,6 @@ TEST(Conversion, SelectsCheapestKind)
     auto result =
         executeSharedConversion(*planC.shared, a, c, 2, spec);
     ASSERT_TRUE(result.ok()) << result.diag().toString();
-    EXPECT_TRUE(result->correct);
 }
 
 TEST(Conversion, CostOrderingMatchesIntuition)
@@ -499,7 +494,6 @@ TEST(Conversion, BroadcastLayoutsFallBackToShared)
     ASSERT_TRUE(plan.shared.has_value());
     auto rb = executeSharedConversion(*plan.shared, a, b, 2, spec);
     ASSERT_TRUE(rb.ok()) << rb.diag().toString();
-    EXPECT_TRUE(rb->correct);
 }
 
 TEST(Conversion, LdmatrixDetectedOnHopper)

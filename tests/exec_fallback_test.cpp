@@ -24,6 +24,7 @@
 #include "check/oracle.h"
 #include "codegen/conversion.h"
 #include "codegen/gather.h"
+#include "codegen/shared_exec.h"
 #include "engine/cost_model.h"
 #include "engine/layout_engine.h"
 #include "ir/function.h"
@@ -618,9 +619,9 @@ TEST(ExecFallback, CostModelPricesARejectedConversionAsUnplannable)
 
 // An aliased swizzle executes cleanly (every offset is in range) but
 // loses data: two elements share one cell, so some register loads
-// poison or the other element. The smoke run compares what each dst
-// register received and reports it, so the plan demotes instead of
-// passing.
+// poison or the other element. executeSharedConversion compares what
+// each dst register received and reports it, so the smoke run demotes
+// the plan instead of passing it.
 TEST(ExecFallback, SmokeRejectsAnAliasedSwizzle)
 {
     const auto spec = sim::GpuSpec::gh200();
@@ -633,6 +634,9 @@ TEST(ExecFallback, SmokeRejectsAnAliasedSwizzle)
     EXPECT_FALSE(
         codegen::smokeExecutePlan(plan, c.src, c.dst, c.elemBytes, spec))
         << "the healthy plan must pass";
+    auto healthy = codegen::executeSharedConversion(
+        *plan.shared, c.src, c.dst, c.elemBytes, spec);
+    EXPECT_TRUE(healthy.ok()) << healthy.diag().toString();
 
     ASSERT_TRUE(check::injectSwizzleAliasBug(plan));
     auto fail =
@@ -640,6 +644,15 @@ TEST(ExecFallback, SmokeRejectsAnAliasedSwizzle)
     ASSERT_TRUE(fail.has_value()) << "an aliased plan passed its smoke run";
     EXPECT_EQ(fail->code, ExecError::DataMismatch) << fail->toString();
     EXPECT_EQ(fail->stage, "exec.shared.verify");
+
+    // The verifying executor that fig2, tab5 and the examples run is
+    // the same check, so it rejects the aliased plan too.
+    auto aliased = codegen::executeSharedConversion(
+        *plan.shared, c.src, c.dst, c.elemBytes, spec);
+    ASSERT_FALSE(aliased.ok()) << "an aliased plan executed correctly";
+    EXPECT_EQ(aliased.diag().code, ExecError::DataMismatch)
+        << aliased.diag().toString();
+    EXPECT_EQ(aliased.diag().stage, "exec.shared.verify");
 }
 
 // The smoke run audits the price as well as the data: a shared plan is

@@ -589,6 +589,42 @@ TEST_F(ServiceTest, BatchDriverAggregatesExactlyThePerResponseStats)
               static_cast<int64_t>(2 * corpus().size()));
 }
 
+// Each engine run's metric map is a process-wide registry delta, so
+// under concurrency it also holds the other workers' increments, and a
+// sum of those deltas counts them again. The report's metrics are one
+// delta around the whole batch: exactly one engine.runs per kernel
+// request, and the same planner counts as a single-threaded batch.
+TEST_F(ServiceTest, BatchMetricsCountEachKernelRunOnceAcrossThreads)
+{
+    std::vector<service::CompileRequest> requests;
+    for (int pass = 0; pass < 2; ++pass) {
+        for (const auto &spec : kernels::allKernels()) {
+            service::CompileRequest req;
+            req.name = "kernel:" + spec.name;
+            req.build = [build = spec.build,
+                         size = spec.sizes.front()]() {
+                return build(size);
+            };
+            requests.push_back(std::move(req));
+        }
+    }
+    auto metricsWith = [&](int threads) {
+        service::CompileService::Options options;
+        options.threads = threads;
+        service::CompileService svc{options};
+        auto report = svc.run(requests);
+        EXPECT_EQ(report.failures, 0) << threads << " thread(s)";
+        return report.totals.metrics;
+    };
+    const auto serial = metricsWith(1);
+    const auto parallel = metricsWith(8);
+    EXPECT_EQ(parallel.at("engine.runs"),
+              static_cast<int64_t>(requests.size()));
+    EXPECT_EQ(serial.at("engine.runs"),
+              static_cast<int64_t>(requests.size()));
+    EXPECT_EQ(parallel.at("plan.planned"), serial.at("plan.planned"));
+}
+
 TEST_F(ServiceTest, LedgerAttributesEachConversionOnceAcrossThreads)
 {
     // The calibration ledger's service-side attribution contract:

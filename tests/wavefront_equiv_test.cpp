@@ -13,7 +13,8 @@
  *    one-access shortcut (unwindowed, and windowed with every lane in
  *    its window) and the full sweep (lanes straddling a window,
  *    padding). A multi-pass round trip moves and counts exactly what
- *    the one-pass-at-a-time executor does, on either path.
+ *    a reference walk of every access in every pass does, on either
+ *    path.
  *  - sim::SharedMemory::countWavefronts and its node-based reference
  *    agree on random address patterns with idle lanes.
  */
@@ -409,11 +410,13 @@ TEST(WavefrontEquiv, OneAccessShortcutMatchesReference)
 
 // A multi-pass round trip visits an access whose lanes fit one window
 // only in that window's pass, and walks every access in every pass when
-// lanes straddle. Either way it must move and count exactly what the
-// one-pass-at-a-time executor does: the same store/load stats as
-// executeSharedConversion, every dst register holding its own element
-// (so the smoke run passes, price audit included), and one masked lane
-// per (access, lane, pass) that is not the lane's own pass.
+// lanes straddle. Either way it must move and count exactly what a
+// walk of every access in every pass does: the same store/load stats
+// as an independent reference that masks each access to each window
+// and issues it on a per-pass sim::SharedMemory, every dst register
+// holding its own element (so executeSharedConversion and the smoke
+// run pass, price audit included), and one masked lane per (access,
+// lane, pass) that is not the lane's own pass.
 TEST(WavefrontEquiv, MultiPassRoundTripMatchesExecutorAndMasksTheRest)
 {
     const auto spec = sim::GpuSpec::gh200();
@@ -442,19 +445,11 @@ TEST(WavefrontEquiv, MultiPassRoundTripMatchesExecutorAndMasksTheRest)
                                               elemBytes, spec);
         ASSERT_TRUE(rt.ok()) << label << ": " << rt.diag().toString();
         const int64_t maskedDelta = masked.value() - before;
-
-        auto ref = codegen::executeSharedConversion(swz, src, dst,
-                                                    elemBytes, spec);
-        ASSERT_TRUE(ref.ok()) << label << ": " << ref.diag().toString();
-        EXPECT_TRUE(ref->correct) << label;
-        for (const auto &[got, want] :
-             {std::pair{rt->storeStats, ref->storeStats},
-              std::pair{rt->loadStats, ref->loadStats}}) {
-            EXPECT_EQ(got.instructions, want.instructions) << label;
-            EXPECT_EQ(got.transactions, want.transactions) << label;
-            EXPECT_EQ(got.wavefronts, want.wavefronts) << label;
-        }
         EXPECT_EQ(rt->dstFile, codegen::flatImage(d)) << label;
+        auto verified = codegen::executeSharedConversion(swz, src, dst,
+                                                         elemBytes, spec);
+        EXPECT_TRUE(verified.ok()) << label << ": "
+                                   << verified.diag().toString();
         EXPECT_FALSE(
             codegen::smokeExecutePlan(plan, src, dst, elemBytes, spec))
             << label;
@@ -463,25 +458,60 @@ TEST(WavefrontEquiv, MultiPassRoundTripMatchesExecutorAndMasksTheRest)
                   referenceSharedCycles(plan, src, dst, elemBytes, spec))
             << label;
 
-        // Every lane of every access is active in exactly the pass that
-        // holds its offset and masked in all the others.
-        const int64_t storage = swz.storageElems(numElems);
+        // The reference walk: every access of every pass, each lane
+        // active in exactly the pass that holds its offset and masked in
+        // all the others, stores before loads within a pass.
+        const int64_t window = swz.allocElems(numElems);
+        const int vec = swz.vecElems();
+        sim::AccessStats storeStats, loadStats;
         int64_t expected = 0;
-        for (const LinearLayout *side : {&s, &d}) {
-            const LinearLayout dist =
-                canonical(*side, swz.memLayout.getOutDimNames());
-            const codegen::WarpAccessTable table(swz, dist);
-            const int warps = dist.getInDimSize(dims::kWarp);
-            std::vector<int64_t> offsets;
-            for (int warp = 0; warp < warps; ++warp) {
-                for (int32_t rep : codegen::registerGroupReps(swz, dist)) {
-                    offsets.clear();
-                    table.offsetsInto(rep, warp, offsets);
-                    expected += passes * table.warpSize();
-                    for (int64_t o : offsets)
-                        expected -= (o >= 0 && o < storage) ? 1 : 0;
+        std::vector<int64_t> offsets;
+        std::vector<uint64_t> values, loaded;
+        for (int64_t pass = 0; pass < passes; ++pass) {
+            sim::SharedMemory smem(spec, elemBytes, window);
+            for (const LinearLayout *side : {&s, &d}) {
+                const LinearLayout dist =
+                    canonical(*side, swz.memLayout.getOutDimNames());
+                const codegen::WarpAccessTable table(swz, dist);
+                const int warps = dist.getInDimSize(dims::kWarp);
+                for (int warp = 0; warp < warps; ++warp) {
+                    for (int32_t rep :
+                         codegen::registerGroupReps(swz, dist)) {
+                        offsets.clear();
+                        table.offsetsInto(rep, warp, offsets);
+                        int64_t active = 0;
+                        for (int64_t &o : offsets) {
+                            if (o >= pass * window &&
+                                o < (pass + 1) * window) {
+                                o -= pass * window;
+                                ++active;
+                            } else {
+                                o = sim::kInactiveLane;
+                            }
+                        }
+                        expected +=
+                            static_cast<int64_t>(offsets.size()) - active;
+                        if (active == 0)
+                            continue;
+                        if (side == &s) {
+                            values.assign(offsets.size() *
+                                              static_cast<size_t>(vec),
+                                          0);
+                            smem.warpStore(offsets, vec, values,
+                                           storeStats);
+                        } else {
+                            smem.warpLoad(offsets, vec, loaded, loadStats);
+                        }
+                    }
                 }
             }
+        }
+        for (const auto &[got, want] :
+             {std::pair{rt->storeStats, storeStats},
+              std::pair{rt->loadStats, loadStats}}) {
+            EXPECT_EQ(got.instructions, want.instructions) << label;
+            EXPECT_EQ(got.transactions, want.transactions) << label;
+            EXPECT_EQ(got.wavefronts, want.wavefronts) << label;
         }
         EXPECT_EQ(maskedDelta, expected) << label;
     }
