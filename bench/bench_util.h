@@ -23,7 +23,6 @@
 #include "codegen/swizzle.h"
 #include "layout/linear_layout.h"
 #include "sim/gpu_spec.h"
-#include "support/ledger.h"
 #include "support/metrics.h"
 #include "triton/encodings.h"
 
@@ -102,13 +101,8 @@ percentileMs(std::vector<double> samples, double p)
  *
  * The schema here is a contract: llstat --validate-bench-json (and the
  * bench_json_smoke ctest entry) reject reports that drift from it.
- *
- * The run also carves a per-bench plan-provenance ledger: recording
- * is enabled for the reps and the records flush to LEDGER_<name>.jsonl
- * next to the BENCH json, pairing every report's wall times with the
- * rung corpus that produced them (llprof ingests the pair). The
- * ledger is cleared before and after, so each bench attributes exactly
- * its own conversions and the prior enabled state is restored.
+ * Its plan.rung.<rung>.evaluated and plan.kind.<kind> counters are the
+ * per-rung evals/accepts table that llprof --bench prints.
  */
 inline void
 emitBenchJson(const std::string &name, const std::function<void()> &fn)
@@ -116,10 +110,6 @@ emitBenchJson(const std::string &name, const std::function<void()> &fn)
     int reps = 5;
     if (const char *env = std::getenv("LL_BENCH_REPS"))
         reps = std::max(1, std::atoi(env));
-
-    const bool ledgerWasEnabled = ledger::enabled();
-    ledger::Ledger::instance().clear();
-    ledger::Ledger::instance().setEnabled(true);
 
     auto before = metrics::Registry::instance().counterSnapshot();
     std::vector<double> wallMs;
@@ -151,24 +141,6 @@ emitBenchJson(const std::string &name, const std::function<void()> &fn)
     std::string dir = ".";
     if (const char *env = std::getenv("LL_BENCH_JSON_DIR"))
         dir = env;
-
-    auto &ledger = ledger::Ledger::instance();
-    ledger.setEnabled(ledgerWasEnabled);
-    if (ledger.recordCount() > 0) {
-        const std::string ledgerPath =
-            dir + "/LEDGER_" + name + ".jsonl";
-        std::ofstream los(ledgerPath);
-        if (los.good()) {
-            ledger.writeJsonl(los);
-            std::printf("bench: wrote %s (%lld record(s))\n",
-                        ledgerPath.c_str(),
-                        static_cast<long long>(ledger.recordCount()));
-        } else {
-            std::fprintf(stderr, "bench: cannot write %s\n",
-                         ledgerPath.c_str());
-        }
-    }
-    ledger.clear();
 
     double mean = 0.0;
     for (double w : wallMs)

@@ -18,6 +18,7 @@
 #include <string>
 
 #include "codegen/conversion.h"
+#include "codegen/swizzle.h"
 #include "codegen/vectorize.h"
 #include "triton/encodings.h"
 
@@ -107,9 +108,10 @@ runConvert(int32_t m, int32_t nCols, int elemBytes)
         std::printf("  vec=%d elems, store/load wavefronts per access = "
                     "%lld/%lld, ldmatrix=%d stmatrix=%d\n",
                     plan.shared->vecElems(),
-                    static_cast<long long>(
-                        plan.storeWavefrontsPerAccess),
-                    static_cast<long long>(plan.loadWavefrontsPerAccess),
+                    static_cast<long long>(codegen::analyticWavefronts(
+                        *plan.shared, src, elemBytes, spec)),
+                    static_cast<long long>(codegen::analyticWavefronts(
+                        *plan.shared, dst, elemBytes, spec)),
                     plan.usesLdmatrix, plan.usesStmatrix);
     }
     std::printf("  modeled cycles: %.0f\n",

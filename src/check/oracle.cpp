@@ -262,10 +262,13 @@ checkPlan(const codegen::ConversionPlan &plan, const LinearLayout &srcIn,
             !plan.shared->windowed()) {
             // Lemma 9.4 applies only without padding, and windowing
             // splits each access across passes, breaking the per-access
-            // uniformity the audit multiplies by.
+            // uniformity the audit multiplies by. The plan is priced by
+            // enumerated totals; the analytic count is this audit's own.
             report.audited = true;
-            report.analyticStorePerAccess = plan.storeWavefrontsPerAccess;
-            report.analyticLoadPerAccess = plan.loadWavefrontsPerAccess;
+            report.analyticStorePerAccess = codegen::analyticWavefronts(
+                *plan.shared, srcIn, elemBytes, spec);
+            report.analyticLoadPerAccess = codegen::analyticWavefronts(
+                *plan.shared, dstIn, elemBytes, spec);
         }
         report.storeInstructions = rt.storeStats.instructions;
         report.loadInstructions = rt.loadStats.instructions;

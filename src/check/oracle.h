@@ -13,8 +13,9 @@
  *
  * Shared-memory plans are additionally audited for bank conflicts: the
  * wavefronts the simulator measures while executing must equal the
- * analytic Lemma 9.4 numbers the plan was priced with. Any divergence is
- * a bug in either the cost model or the simulator, and fails the check.
+ * enumerated totals the plan was priced with and, where Lemma 9.4
+ * applies, its analytic per-access count. Any divergence is a bug in
+ * either the cost model or the simulator, and fails the check.
  */
 
 #ifndef LL_CHECK_ORACLE_H

@@ -7,10 +7,8 @@
 #include "triton/encodings.h"
 #include "layout/dims.h"
 #include "sim/memory_sim.h"
-#include "support/bits.h"
 #include "support/deadline.h"
 #include "support/failpoint.h"
-#include "support/ledger.h"
 #include "support/metrics.h"
 #include "support/trace.h"
 
@@ -152,19 +150,6 @@ evaluateSharedCandidate(const ConversionPlan &base, SwizzledShared cand,
     trial.usesLdmatrix = allowLdmatrix && spec.hasLdmatrix &&
                          !cand.padded() &&
                          matchesLdmatrixTile(loadCvt, elemBytes);
-    if (!cand.padded() && !cand.windowed()) {
-        // Lemma 9.4 needs per-access uniformity; padding breaks it and
-        // windowing splits accesses across passes, so both fall back to
-        // the enumerated totals below.
-        auto storeWfPer = tryAnalyticWavefronts(cand, src, elemBytes, spec);
-        if (!storeWfPer)
-            return storeWfPer.diag();
-        auto loadWfPer = tryAnalyticWavefronts(cand, dst, elemBytes, spec);
-        if (!loadWfPer)
-            return loadWfPer.diag();
-        trial.storeWavefrontsPerAccess = *storeWfPer;
-        trial.loadWavefrontsPerAccess = *loadWfPer;
-    }
     trial.storeWavefrontsTotal =
         enumerateWavefronts(cand, src, elemBytes, spec);
     trial.loadWavefrontsTotal =
@@ -263,11 +248,8 @@ describePlan(const ConversionPlan &plan)
     }
     out += std::string(" ldmatrix=") + (plan.usesLdmatrix ? "1" : "0") +
            " stmatrix=" + (plan.usesStmatrix ? "1" : "0") +
-           " wavefronts{store/access=" +
-           std::to_string(plan.storeWavefrontsPerAccess) +
-           " load/access=" +
-           std::to_string(plan.loadWavefrontsPerAccess) +
-           " store=" + std::to_string(plan.storeWavefrontsTotal) +
+           " wavefronts{store=" +
+           std::to_string(plan.storeWavefrontsTotal) +
            " load=" + std::to_string(plan.loadWavefrontsTotal) + "}";
     if (!plan.diagnostics.empty())
         out += " notes=[" + plan.diagnostics.toString() + "]";
@@ -415,28 +397,6 @@ enum Rung : int {
     kRungSharedPadded = 5,
     kRungSharedScalar = 6,
 };
-
-/** Span-taxonomy rung name for a ladder position (the ledger's
- *  start_rung/rung vocabulary). */
-const char *
-rungName(int rung)
-{
-    switch (rung) {
-      case kRungNoOp:
-        return "noop";
-      case kRungRegisterPermute:
-        return "register-permute";
-      case kRungWarpShuffle:
-        return "warp-shuffle";
-      case kRungSharedMemory:
-        return "shared-memory";
-      case kRungSharedPadded:
-        return "shared-padded";
-      case kRungSharedScalar:
-        return "shared-scalar";
-    }
-    return "unknown";
-}
 } // namespace
 
 static Result<ConversionPlan>
@@ -482,58 +442,11 @@ tryPlanConversionImpl(const LinearLayout &src, const LinearLayout &dst,
         return true;
     };
 
-    // Plan-provenance ledger (support/ledger.h): when recording is on,
-    // every rung evaluated below appends a CalibrationRecord — each
-    // rung's outcome, and for an accepted rung its cost and wavefront
-    // totals. beginConversion() deduplicates per (inputs, startRung) and
-    // refuses while failpoints are active, so records are attributed
-    // exactly once per planned conversion and fuzzing never pollutes
-    // the corpus. Records carry no timestamps or sequence numbers: a
-    // record is a pure function of the conversion inputs, which is what
-    // makes sorted ledgers byte-identical across thread counts.
-    ledger::CalibrationRecord proto;
-    bool ledgerLive = false;
-    if (ledger::enabled()) {
-        proto.srcHash = src.structuralHash();
-        proto.dstHash = dst.structuralHash();
-        proto.specId = spec.fingerprint();
-        proto.elemBytes = elemBytes;
-        proto.startRung = rungName(startRung);
-        proto.demoted = startRung != kRungNoOp;
-        ledgerLive = ledger::Ledger::instance().beginConversion(
-            proto.srcHash, proto.dstHash, elemBytes, proto.specId,
-            proto.startRung);
-    }
-    auto recordRung = [&](const char *rung, bool accept,
-                          const std::string &reason, bool terminal,
-                          const ConversionPlan *accepted) {
-        if (!ledgerLive)
-            return;
-        ledger::CalibrationRecord r = proto;
-        r.rung = rung;
-        r.outcome = accept ? "accept" : "reject";
-        r.reason = reason;
-        r.terminal = terminal;
-        r.deadlineShaped = deadlineDemoted;
-        if (accepted != nullptr) {
-            r.cycles = accepted->estimateCycles(src, elemBytes, spec);
-            r.storeWavefronts = accepted->storeWavefrontsTotal;
-            r.loadWavefronts = accepted->loadWavefrontsTotal;
-            if (accepted->shared) {
-                r.windowElems = accepted->shared->windowElems;
-                r.padInterval = accepted->shared->padInterval;
-                r.padElems = accepted->shared->padElems;
-                r.vecBits = accepted->shared->vecBits;
-            } else if (accepted->shuffle) {
-                r.vecBits = static_cast<int>(log2Exact(
-                    static_cast<uint64_t>(accepted->shuffle->vecElems)));
-            }
-        }
-        ledger::Ledger::instance().append(std::move(r));
-    };
-    auto lastNote = [&notes]() -> std::string {
-        return notes.empty() ? std::string()
-                             : notes.notes.back().toString();
+    // plan.kind.<kind> counts every accepted rung, the re-plans of a
+    // demotion (tryReplanBelow) included, so it pairs with the
+    // plan.rung.<rung>.evaluated counters as the ladder's accept count.
+    auto countKind = [](ConversionKind kind) {
+        metrics::counter("plan.kind." + toString(kind)).inc();
     };
 
     // Each rung gets its own span so a trace shows where planning time
@@ -556,11 +469,10 @@ tryPlanConversionImpl(const LinearLayout &src, const LinearLayout &dst,
             rung.arg("outcome", "accept");
             rung.arg("cycles", 0.0);
             plan.kind = ConversionKind::NoOp;
-            recordRung("noop", true, "", true, &plan);
+            countKind(plan.kind);
             return plan;
         }
         rejectRung(rung);
-        recordRung("noop", false, "", false, nullptr);
     }
 
     // Rung 2: data stays within each thread.
@@ -576,11 +488,10 @@ tryPlanConversionImpl(const LinearLayout &src, const LinearLayout &dst,
             if (rung.active())
                 rung.arg("cycles",
                          plan.estimateCycles(src, elemBytes, spec));
-            recordRung("register-permute", true, "", true, &plan);
+            countKind(plan.kind);
             return plan;
         }
         rejectRung(rung);
-        recordRung("register-permute", false, "", false, nullptr);
     }
 
     // Rung 3: data stays within each warp.
@@ -598,7 +509,7 @@ tryPlanConversionImpl(const LinearLayout &src, const LinearLayout &dst,
                 if (rung.active())
                     rung.arg("cycles",
                              plan.estimateCycles(src, elemBytes, spec));
-                recordRung("warp-shuffle", true, "", true, &plan);
+                countKind(plan.kind);
                 return plan;
             }
             // Not-applicable is the ordinary road to shared memory;
@@ -609,8 +520,6 @@ tryPlanConversionImpl(const LinearLayout &src, const LinearLayout &dst,
                 rung.arg("outcome", "reject");
                 rung.arg("reason", shuffle.diag().toString());
             }
-            recordRung("warp-shuffle", false,
-                       shuffle.diag().toString(), false, nullptr);
         } else {
             rejectRung(rung);
         }
@@ -730,10 +639,9 @@ tryPlanConversionImpl(const LinearLayout &src, const LinearLayout &dst,
     }
     rung4.finish();
     if (haveBest) {
-        recordRung("shared-memory", true, "", true, &best);
+        countKind(best.kind);
         return best;
     }
-    recordRung("shared-memory", false, lastNote(), false, nullptr);
     } // startRung <= kRungSharedMemory
 
     // Rung 5: unswizzled shared memory with bank-offset padding.
@@ -764,7 +672,7 @@ tryPlanConversionImpl(const LinearLayout &src, const LinearLayout &dst,
                         rung.arg("load_wavefronts",
                                  trial.loadWavefrontsTotal);
                     }
-                    recordRung("shared-padded", true, "", true, &trial);
+                    countKind(trial.kind);
                     return trial;
                 }
                 notes.note(evaluated.diag());
@@ -777,7 +685,6 @@ tryPlanConversionImpl(const LinearLayout &src, const LinearLayout &dst,
             notes.note(padded.diag());
         }
         rejectRung(rung);
-        recordRung("shared-padded", false, lastNote(), false, nullptr);
     }
 
     // Rung 6: element-wise scalar round trip — the terminal rung,
@@ -805,7 +712,7 @@ tryPlanConversionImpl(const LinearLayout &src, const LinearLayout &dst,
                         rung.arg("load_wavefronts",
                                  trial.loadWavefrontsTotal);
                     }
-                    recordRung("shared-scalar", true, "", true, &trial);
+                    countKind(trial.kind);
                     return trial;
                 }
                 notes.note(evaluated.diag());
@@ -820,12 +727,7 @@ tryPlanConversionImpl(const LinearLayout &src, const LinearLayout &dst,
         rejectRung(rung);
     }
 
-    // The whole ladder failed (only reachable by injection). The
-    // terminal reject record keeps the ledger's one-terminal-per-
-    // conversion invariant; in practice ledgerLive is false here, since
-    // total failure needs active failpoints and beginConversion refuses
-    // under them.
-    recordRung("shared-scalar", false, notes.toString(), true, nullptr);
+    // The whole ladder failed (only reachable by injection).
     return makeDiag(DiagCode::PlannerInternalError, "plan",
                     "every rung of the fallback ladder failed: " +
                         notes.toString());
@@ -842,7 +744,6 @@ tryPlanConversion(const LinearLayout &src, const LinearLayout &dst,
     if (result.ok()) {
         static auto &planned = metrics::counter("plan.planned");
         planned.inc();
-        metrics::counter("plan.kind." + toString(result->kind)).inc();
         const double cycles =
             result->estimateCycles(src, elemBytes, spec);
         static auto &cyclesHist = metrics::Registry::instance().histogram(

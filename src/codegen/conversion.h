@@ -72,13 +72,10 @@ struct ConversionPlan
     std::optional<SwizzledShared> shared;
     bool usesLdmatrix = false;
     bool usesStmatrix = false;
-    /** Analytic per-warp-access wavefronts (Lemma 9.4); valid for the
-     *  unpadded shared kinds only. */
-    int64_t storeWavefrontsPerAccess = 0;
-    int64_t loadWavefrontsPerAccess = 0;
     /** Enumerated whole-pass wavefront totals (warps x register groups);
-     *  filled for every shared kind, and the only valid accounting for
-     *  SharedPadded, where Lemma 9.4's uniformity assumption fails. */
+     *  filled for every shared kind. The oracle audits them, and
+     *  audits Lemma 9.4's per-access count separately where it
+     *  applies (check::checkPlan). */
     int64_t storeWavefrontsTotal = 0;
     int64_t loadWavefrontsTotal = 0;
 
@@ -94,7 +91,7 @@ struct ConversionPlan
      * numWarps warps each hold regs-per-thread elements.
      *
      * The plan's one cost: rung 4's candidate choice, the engine's
-     * cost model, layout synthesis, traces and the ledger all read it. The shared
+     * cost model, layout synthesis and traces all read it. The shared
      * kinds are priced by storeWavefrontsTotal + loadWavefrontsTotal
      * serialized per warp plus one round-trip barrier per pass — the
      * totals smokeExecutePlan audits — with the ldmatrix/stmatrix

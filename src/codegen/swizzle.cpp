@@ -10,7 +10,6 @@
 #include "support/bits.h"
 #include "support/failpoint.h"
 #include "support/metrics.h"
-#include "support/parallel.h"
 #include "support/trace.h"
 
 namespace ll {
@@ -441,12 +440,7 @@ planPaddedShared(const LinearLayout &a, const LinearLayout &b,
         // keep the wavefront-cheapest pair that fits the CTA budget.
         // The unswizzled flat layout is the baseline: a pad that does
         // not measurably lower the enumerated totals is not adopted.
-        //
-        // Every candidate is priced independently (two enumerate sweeps
-        // each), so the family fans out across the shared work pool;
-        // the reduce walks the serial iteration order with the same
-        // strict comparison, so the adopted pair — including first-of-
-        // equal-cost tie-breaks — is identical to the serial loop's.
+        // The strict comparison keeps the first of equal-cost pairs.
         const int vec = swz.vecElems();
         const int totalBankBytes = spec.numBanks * spec.bankWidthBytes;
         const int64_t rowElems = totalBankBytes / elemBytes;
@@ -476,27 +470,21 @@ planPaddedShared(const LinearLayout &a, const LinearLayout &b,
             // With no pair inside the CTA budget the baseline stands.
             if (candidates.empty())
                 return swz;
-            // Slot 0 prices the unpadded baseline.
-            std::vector<int64_t> costs(candidates.size() + 1, 0);
-            support::parallelFor(
-                static_cast<int>(candidates.size()) + 1, [&](int i) {
-                    const SwizzledShared &cand =
-                        i == 0 ? swz
-                               : candidates[static_cast<size_t>(i - 1)];
-                    costs[static_cast<size_t>(i)] =
-                        enumerateWavefronts(cand, a, elemBytes, spec) +
-                        enumerateWavefronts(cand, b, elemBytes, spec);
-                });
-            int64_t bestWf = costs[0];
-            int best = -1;
-            for (size_t i = 0; i < candidates.size(); ++i) {
-                if (costs[i + 1] < bestWf) {
-                    bestWf = costs[i + 1];
-                    best = static_cast<int>(i);
+            auto wavefronts = [&](const SwizzledShared &cand) {
+                return enumerateWavefronts(cand, a, elemBytes, spec) +
+                       enumerateWavefronts(cand, b, elemBytes, spec);
+            };
+            int64_t bestWf = wavefronts(swz);
+            const SwizzledShared *best = nullptr;
+            for (const SwizzledShared &cand : candidates) {
+                const int64_t wf = wavefronts(cand);
+                if (wf < bestWf) {
+                    bestWf = wf;
+                    best = &cand;
                 }
             }
-            if (best >= 0)
-                swz = candidates[static_cast<size_t>(best)];
+            if (best != nullptr)
+                swz = *best;
         }
         return swz;
     } catch (const std::exception &e) {

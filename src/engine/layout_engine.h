@@ -135,11 +135,9 @@ struct EngineStats
      *  counts each other's increments again (CompileService takes one
      *  delta around the whole batch instead). The int fields above are
      *  mirrors of the engine.* entries here; they keep working
-     *  unchanged. When the calibration ledger is recording (LL_LEDGER),
-     *  the plan.calib.* family appears here too:
-     *  records / terminal_records / conversions / dedup_skips counter
-     *  deltas, surfacing per-run ledger activity without the caller
-     *  touching ledger::Ledger (DESIGN.md §16). */
+     *  unchanged. The planner's plan.rung.<rung>.evaluated and
+     *  plan.kind.<kind> counters appear here too: per rung, how often
+     *  it was evaluated and accepted (llprof --bench, DESIGN.md §16). */
     std::map<std::string, int64_t> metrics;
 };
 

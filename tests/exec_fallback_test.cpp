@@ -284,6 +284,45 @@ TEST(ExecFallback, DemotedReplanResumesBelowFailedRung)
     EXPECT_EQ(delta("plan.replans"), 1);
 }
 
+// plan.kind.<kind> counts accepted rungs, so the plan a demotion ships
+// is counted like any other: one shot of a shared executor failure on a
+// shared-memory plan raises both the rejected kind's counter and the
+// shipped kind's by exactly 1. llprof's accept column reads it.
+TEST(ExecFallback, DemotedPlanCountsItsShippedKind)
+{
+    const ConversionCase *c = nullptr;
+    for (const auto &e : corpus()) {
+        if (planWith(e.c, {}).kind == ConversionKind::SharedMemory) {
+            c = &e.c;
+            break;
+        }
+    }
+    ASSERT_NE(c, nullptr) << "no corpus case plans to shared memory";
+    auto &reg = metrics::Registry::instance();
+    const auto before = reg.counterSnapshot();
+
+    failpoint::activate("exec.shared.file-size", 1);
+    auto verified =
+        codegen::planAndVerify(c->src, c->dst, c->elemBytes, c->spec());
+    failpoint::deactivate("exec.shared.file-size");
+    ASSERT_TRUE(verified.plan.ok());
+    ASSERT_EQ(verified.demotions, 1);
+    ASSERT_FALSE(verified.execFailed);
+    const ConversionKind shipped = verified.plan->kind;
+    ASSERT_NE(shipped, ConversionKind::SharedMemory);
+
+    const auto after = reg.counterSnapshot();
+    auto delta = [&](ConversionKind k) {
+        const std::string name = "plan.kind." + codegen::toString(k);
+        auto a = after.find(name);
+        auto b = before.find(name);
+        return (a == after.end() ? 0 : a->second) -
+               (b == before.end() ? 0 : b->second);
+    };
+    EXPECT_EQ(delta(ConversionKind::SharedMemory), 1);
+    EXPECT_EQ(delta(shipped), 1) << toString(shipped);
+}
+
 // The gather executor is not part of the conversion ladder, so its
 // error paths are proven reachable directly: each forced site must fail
 // that one execution with a structured ExecDiagnostic naming the site,

@@ -83,7 +83,7 @@ TEST_F(FailpointTest, ClearAllForgetsActivationsAndCounters)
     EXPECT_EQ(failpoint::hitCount("fp.test.clear"), 1);
 }
 
-// The limit-N budget is one global atomic ledger behind the registry
+// The limit-N budget is one global atomic counter behind the registry
 // mutex, not a per-thread allowance: with 8 threads evaluating a
 // limit-8 site 200 times each, exactly 8 evaluations fire — no more
 // (racing decrements), no fewer — and every evaluation is counted.
@@ -147,7 +147,7 @@ TEST_F(FailpointTest, ScopedThreadLocalRestoresAndNesting)
 }
 
 // A thread-local overlay naming a site must not consume the *global*
-// activation's shot budget on the owning thread: the global ledger
+// activation's shot budget on the owning thread: the global budget
 // drains by exactly its limit, and the overlay keeps firing after.
 TEST_F(FailpointTest, ScopedThreadLocalLeavesGlobalBudgetUntouched)
 {

@@ -34,7 +34,6 @@
 #include "service/plan_cache.h"
 #include "service/singleflight.h"
 #include "support/failpoint.h"
-#include "support/ledger.h"
 
 namespace ll {
 namespace {
@@ -410,7 +409,7 @@ TEST_F(ServiceTest, CachedPlansAreBitIdenticalToFreshOnes)
 // with overlapping keys, so lookups, inserts, LRU splices, and
 // evictions collide constantly. Run under -DLL_SANITIZE=tsan this is
 // the service's data-race proof; the functional assertions are
-// liveness and conservation of the stats ledgers.
+// liveness and conservation of the stats totals.
 TEST_F(ServiceTest, StressInternerAndCacheUnderConcurrentEviction)
 {
     constexpr int kThreads = 8;
@@ -627,25 +626,11 @@ TEST_F(ServiceTest, BatchMetricsCountEachKernelRunOnceAcrossThreads)
 
 TEST_F(ServiceTest, LedgerAttributesEachConversionOnceAcrossThreads)
 {
-    // The calibration ledger's service-side attribution contract:
-    // a coalesced 8-thread run over a repeated stream — where
-    // singleflight leaders are the only planners and repeat passes are
-    // served from the cache — must record each distinct conversion
-    // exactly once, and the sorted export must match a plain
-    // single-threaded planner replay byte for byte.
-    auto &ledger = ledger::Ledger::instance();
-    ledger.clear();
-    ledger.setEnabled(true);
-    std::vector<std::string> direct;
-    for (const auto &c : corpus()) {
-        auto spec = c.spec();
-        auto plan =
-            codegen::tryPlanConversion(c.src, c.dst, c.elemBytes, spec);
-        ASSERT_TRUE(plan.ok());
-    }
-    direct = ledger.sortedLines();
-    ledger.clear();
-
+    // The service-side attribution contract: a coalesced 8-thread run
+    // over a repeated stream — where singleflight leaders are the only
+    // planners and repeat passes are served from the cache — plans
+    // each distinct conversion exactly once, and every cached plan
+    // renders the same as a plain single-threaded planner call.
     service::PlanCache cache;
     std::vector<service::CompileRequest> requests;
     for (int pass = 0; pass < 3; ++pass) {
@@ -666,13 +651,23 @@ TEST_F(ServiceTest, LedgerAttributesEachConversionOnceAcrossThreads)
     options.cache = &cache;
     service::CompileService svc{options};
     auto report = svc.run(requests);
-    ledger.setEnabled(false);
     EXPECT_EQ(report.failures, 0);
 
-    EXPECT_EQ(ledger.conversionCount(),
-              static_cast<int64_t>(corpus().size()));
-    EXPECT_EQ(ledger.sortedLines(), direct);
-    ledger.clear();
+    const auto distinct = static_cast<int64_t>(corpus().size());
+    EXPECT_EQ(report.totals.metrics["plan.planned"], distinct);
+    EXPECT_EQ(report.freshPlans, distinct);
+    for (const auto &c : corpus()) {
+        const auto spec = c.spec();
+        auto cached =
+            cache.peek(cache.key(c.src, c.dst, c.elemBytes, spec));
+        auto direct =
+            codegen::tryPlanConversion(c.src, c.dst, c.elemBytes, spec);
+        ASSERT_TRUE(cached.has_value() && cached->plan) << c.summary;
+        ASSERT_TRUE(direct.ok()) << c.summary;
+        EXPECT_EQ(codegen::describePlan(*cached->plan),
+                  codegen::describePlan(*direct))
+            << c.summary;
+    }
 }
 
 } // namespace

@@ -7,7 +7,8 @@
  * the plan, and checks it against the brute-force oracle: every element
  * must land in the register the destination layout demands, and every
  * shared-memory plan's measured bank-conflict wavefronts must equal the
- * analytic Lemma 9.4 numbers it was priced with.
+ * totals it was priced with and, where Lemma 9.4 applies, the analytic
+ * per-access count.
  *
  * On failure the case is shrunk to a minimal reproducer, printed both as
  * a ready-to-paste GoogleTest regression test and in the corpus text

@@ -1,19 +1,17 @@
 /**
  * @file
  * llprof — report and regression-gate tooling over the
- * plan-provenance ledger and the BENCH_<name>.json reports.
+ * BENCH_<name>.json reports.
  *
- * Report mode (default):
+ * Report mode:
  *
- *   --ledger PATH   ingest a plan-provenance ledger (a JSONL file
- *                   written via LL_LEDGER / ledger::Ledger, or a
- *                   directory scanned for *.jsonl). Repeatable. Reports
- *                   per rung how often it was evaluated and accepted.
- *                   Exits 1 when no record could be read: a report
- *                   over nothing checks nothing.
- *   --bench DIR     summarize the BENCH_*.json reports in DIR
- *                   (wall-time medians, the fig9 suite context for the
- *                   ledger numbers).
+ *   --bench DIR     summarize the BENCH_*.json reports in DIR:
+ *                   wall-time medians, then per planner rung how often
+ *                   it was evaluated and accepted, summed over every
+ *                   report's plan.rung.<rung>.evaluated and
+ *                   plan.kind.<kind> counters. Exits 1 when no report
+ *                   carries a plan.rung.* counter: a table over nothing
+ *                   checks nothing.
  *
  * Gate mode:
  *
@@ -34,16 +32,10 @@
  *   current report must carry them too: eliminated may not decrease at
  *   all (a deterministic model count) and cycles may not grow past the
  *   relative tolerance. fig9_synth_smoke exercises both directions.
- *
- * Ledger schema validation lives in `llstat --validate-ledger`; llprof
- * assumes well-formed records and skips lines it cannot parse (counted
- * and reported).
  */
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -51,7 +43,6 @@
 #include <optional>
 #include <sstream>
 #include <string>
-#include <vector>
 
 #include "support/json_lite.h"
 
@@ -61,7 +52,6 @@ namespace {
 
 struct Options
 {
-    std::vector<std::string> ledgerPaths;
     std::string benchDir;
     bool gate = false;
     std::string gateBaseline;
@@ -74,7 +64,7 @@ void
 usage()
 {
     std::cerr
-        << "usage: llprof [--ledger PATH]... [--bench DIR]\n"
+        << "usage: llprof --bench DIR\n"
            "       llprof --gate BASELINE CURRENT [--tolerance FRAC]\n"
            "              [--slack-ms MS]\n";
 }
@@ -91,12 +81,7 @@ parseArgs(int argc, char **argv, Options &opt)
             }
             return argv[++i];
         };
-        if (arg == "--ledger") {
-            const char *v = needValue("--ledger");
-            if (!v)
-                return false;
-            opt.ledgerPaths.push_back(v);
-        } else if (arg == "--bench") {
+        if (arg == "--bench") {
             const char *v = needValue("--bench");
             if (!v)
                 return false;
@@ -137,143 +122,12 @@ parseArgs(int argc, char **argv, Options &opt)
             return false;
         }
     }
-    if (!opt.gate && opt.ledgerPaths.empty() && opt.benchDir.empty()) {
+    if (!opt.gate && opt.benchDir.empty()) {
         std::cerr << "llprof: nothing to do\n";
         usage();
         return false;
     }
     return true;
-}
-
-/// Ledger ingestion ---------------------------------------------------
-
-struct LedgerRecord
-{
-    std::string src, dst, rung, outcome;
-};
-
-/** The span-taxonomy rung names, in ladder order. */
-const char *const kLadder[] = {
-    "noop",          "register-permute", "warp-shuffle",
-    "shared-memory", "shared-padded",    "shared-scalar"};
-
-/** Ladder position of a span-taxonomy rung name; -1 if unknown. */
-int
-rungIndex(const std::string &rung)
-{
-    for (int i = 0; i < 6; ++i) {
-        if (rung == kLadder[i])
-            return i + 1;
-    }
-    return -1;
-}
-
-std::vector<std::string>
-expandLedgerPaths(const std::vector<std::string> &paths, int &errors)
-{
-    std::vector<std::string> files;
-    for (const auto &p : paths) {
-        std::error_code ec;
-        if (std::filesystem::is_directory(p, ec)) {
-            for (const auto &entry :
-                 std::filesystem::directory_iterator(p, ec)) {
-                if (entry.is_regular_file() &&
-                    entry.path().extension() == ".jsonl")
-                    files.push_back(entry.path().string());
-            }
-            if (ec) {
-                std::cerr << "llprof: cannot read " << p << ": "
-                          << ec.message() << "\n";
-                ++errors;
-            }
-        } else {
-            files.push_back(p);
-        }
-    }
-    std::sort(files.begin(), files.end());
-    return files;
-}
-
-bool
-readLedgerFile(const std::string &path, std::vector<LedgerRecord> &out,
-               int &skipped)
-{
-    std::ifstream is(path);
-    if (!is.good()) {
-        std::cerr << "llprof: cannot open " << path << "\n";
-        return false;
-    }
-    std::string line;
-    while (std::getline(is, line)) {
-        if (line.empty())
-            continue;
-        auto parsed = jsonlite::parse(line);
-        if (!parsed.has_value() || !parsed->isObject()) {
-            ++skipped;
-            continue;
-        }
-        LedgerRecord r;
-        auto str = [&](const char *key, std::string &into) {
-            const auto *v = parsed->find(key);
-            if (v && v->isString())
-                into = v->str;
-        };
-        str("src", r.src);
-        str("dst", r.dst);
-        str("rung", r.rung);
-        str("outcome", r.outcome);
-        if (r.src.empty() || r.dst.empty() || rungIndex(r.rung) < 0) {
-            ++skipped;
-            continue;
-        }
-        out.push_back(std::move(r));
-    }
-    return true;
-}
-
-int
-reportLedger(const Options &opt)
-{
-    int errors = 0;
-    auto files = expandLedgerPaths(opt.ledgerPaths, errors);
-    if (files.empty()) {
-        std::cerr << "llprof: no ledger files found\n";
-        return 1;
-    }
-    std::vector<LedgerRecord> records;
-    int skipped = 0;
-    for (const auto &f : files) {
-        if (!readLedgerFile(f, records, skipped))
-            return 1;
-    }
-    std::printf("llprof: %zu record(s) from %zu ledger file(s)",
-                records.size(), files.size());
-    if (skipped)
-        std::printf(", %d unparseable line(s) skipped", skipped);
-    std::printf("\n");
-    if (records.empty()) {
-        std::cerr << "llprof: no ledger records read\n";
-        return 1;
-    }
-
-    struct RungStats
-    {
-        int64_t evaluated = 0;
-        int64_t accepted = 0;
-    };
-    std::map<int, RungStats> byRung;
-    for (const auto &r : records) {
-        RungStats &s = byRung[rungIndex(r.rung)];
-        ++s.evaluated;
-        s.accepted += r.outcome == "accept";
-    }
-    std::printf("\nper-rung evaluations:\n");
-    std::printf("  %-18s %9s %9s\n", "rung", "evals", "accepts");
-    for (const auto &[rung, s] : byRung)
-        std::printf("  %-18s %9lld %9lld\n", kLadder[rung - 1],
-                    static_cast<long long>(s.evaluated),
-                    static_cast<long long>(s.accepted));
-    return errors ? 1 : 0;
 }
 
 /// Bench-JSON handling ------------------------------------------------
@@ -292,6 +146,24 @@ struct BenchReport
      *  wall-time tolerance. */
     std::optional<double> synthEliminated;
     std::optional<double> synthCycles;
+    /** The planner's plan.rung.* and plan.kind.* counters. */
+    std::map<std::string, double> planCounters;
+};
+
+/** The planner's rungs in ladder order: the span-taxonomy rung name
+ *  (plan.rung.<rung>.evaluated) and the kind it ships on acceptance
+ *  (plan.kind.<kind>). */
+const struct
+{
+    const char *rung;
+    const char *kind;
+} kLadder[] = {
+    {"noop", "no-op"},
+    {"register-permute", "register-permute"},
+    {"warp-shuffle", "warp-shuffle"},
+    {"shared-memory", "shared-memory"},
+    {"shared-padded", "shared-padded"},
+    {"shared-scalar", "shared-scalar"},
 };
 
 std::optional<BenchReport>
@@ -326,6 +198,11 @@ readBenchReport(const std::string &path)
         const auto *cycles = metrics->find("synth.fig9.cycles");
         if (cycles && cycles->isNumber())
             r.synthCycles = cycles->number;
+        for (const auto &[key, value] : metrics->members) {
+            if (value.isNumber() && (key.rfind("plan.rung.", 0) == 0 ||
+                                     key.rfind("plan.kind.", 0) == 0))
+                r.planCounters[key] = value.number;
+        }
     }
     return r;
 }
@@ -380,6 +257,33 @@ reportBench(const std::string &dir)
         total += r.medianMs;
     }
     std::printf("  %-28s %12.3f\n", "total", total);
+
+    // Each counter summed over every report that carries it.
+    std::map<std::string, double> sums;
+    size_t counters = 0;
+    bool anyRung = false;
+    for (const auto &[name, r] : *reports) {
+        counters += r.planCounters.size();
+        for (const auto &[key, value] : r.planCounters) {
+            sums[key] += value;
+            anyRung = anyRung || key.rfind("plan.rung.", 0) == 0;
+        }
+    }
+    if (!anyRung) {
+        std::cerr << "llprof: no report in " << dir
+                  << " carries a plan.rung.* counter\n";
+        return 1;
+    }
+    std::printf("\nper-rung evaluations (%zu plan counter(s) from %zu "
+                "report(s)):\n",
+                counters, reports->size());
+    std::printf("  %-18s %9s %9s\n", "rung", "evals", "accepts");
+    for (const auto &step : kLadder) {
+        std::printf(
+            "  %-18s %9.0f %9.0f\n", step.rung,
+            sums[std::string("plan.rung.") + step.rung + ".evaluated"],
+            sums[std::string("plan.kind.") + step.kind]);
+    }
     return 0;
 }
 
@@ -477,12 +381,5 @@ main(int argc, char **argv)
     if (opt.gate)
         return runGate(opt);
 
-    int rc = 0;
-    if (!opt.ledgerPaths.empty())
-        rc = reportLedger(opt);
-    if (!opt.benchDir.empty()) {
-        int benchRc = reportBench(opt.benchDir);
-        rc = rc ? rc : benchRc;
-    }
-    return rc;
+    return reportBench(opt.benchDir);
 }

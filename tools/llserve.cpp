@@ -57,12 +57,9 @@
  * failures always exit nonzero, shed / deadline-exceeded outcomes are
  * an expected serving posture and do not.
  *
- * Calibration: --ledger PATH (or LL_LEDGER) records every planned
- * conversion's rung evaluations into the calibration ledger and writes
- * the sorted JSONL to PATH. Singleflight leaders are the only planners
- * and the ledger dedups on the planning key, so a coalesced
- * multi-thread run attributes each conversion exactly once — llstat
- * --validate-ledger enforces this, llprof consumes it.
+ * BENCH_service.json's metrics carry the planner's
+ * plan.rung.<rung>.evaluated and plan.kind.<kind> counters, which
+ * `llprof --bench` sums into its per-rung evals/accepts table.
  */
 
 #include <algorithm>
@@ -80,7 +77,6 @@
 #include "kernels.h"
 #include "service/compile_service.h"
 #include "service/plan_cache.h"
-#include "support/ledger.h"
 #include "support/metrics.h"
 
 using namespace ll;
@@ -106,7 +102,6 @@ struct Options
     /** Exit nonzero when the hit rate lands below this (percent);
      *  negative disables the check. Batch mode only. */
     double expectHitRate = -1.0;
-    std::string ledgerPath;
 
     // Server mode.
     double ratePerSec = 0.0;
@@ -141,7 +136,7 @@ usage()
            "               [--threads N]\n"
            "               [--repeat K] [--shuffle] [--seed S]\n"
            "               [--no-cache] [--cache-capacity N]\n"
-           "               [--expect-hit-rate PCT] [--ledger PATH]\n"
+           "               [--expect-hit-rate PCT]\n"
            "           server mode:\n"
            "               [--rate R | --rate-x-saturation X]\n"
            "               [--duration SEC] [--max-requests N]\n"
@@ -206,11 +201,6 @@ parseArgs(int argc, char **argv, Options &opt)
             if (!v)
                 return false;
             opt.expectHitRate = std::atof(v);
-        } else if (arg == "--ledger") {
-            const char *v = needValue("--ledger");
-            if (!v)
-                return false;
-            opt.ledgerPath = v;
         } else if (arg == "--rate") {
             const char *v = needValue("--rate");
             if (!v)
@@ -579,11 +569,6 @@ main(int argc, char **argv)
     if (!parseArgs(argc, argv, opt))
         return 2;
 
-    if (!opt.ledgerPath.empty()) {
-        ledger::Ledger::instance().setOutputPath(opt.ledgerPath);
-        ledger::Ledger::instance().setEnabled(true);
-    }
-
     std::vector<service::CompileRequest> base;
     if (!opt.corpusDir.empty() &&
         !buildCorpusRequests(opt.corpusDir, base))
@@ -731,19 +716,6 @@ main(int argc, char **argv)
         return 1;
 
     int rc = 0;
-    if (!opt.ledgerPath.empty()) {
-        auto &ledger = ledger::Ledger::instance();
-        if (ledger.flushToConfiguredPath()) {
-            std::cout << "llserve: ledger written to " << opt.ledgerPath
-                      << " (" << ledger.recordCount()
-                      << " record(s) across " << ledger.conversionCount()
-                      << " conversion(s))\n";
-        } else {
-            std::cerr << "llserve: could not write ledger to "
-                      << opt.ledgerPath << "\n";
-            rc = 1;
-        }
-    }
     if (report.failed > 0) {
         std::cerr << "llserve: " << report.failed
                   << " request(s) failed terminally\n";

@@ -39,16 +39,6 @@
  *                              wall_ms.median/p90, metrics object);
  *                              fails if DIR holds none.
  *
- *   --validate-ledger PATH     check a calibration ledger (the JSONL
- *                              file LL_LEDGER / ledger::Ledger writes)
- *                              against the CalibrationRecord schema:
- *                              every field present and well-typed, rung
- *                              names drawn from the span taxonomy
- *                              (DESIGN.md §16), and exactly one
- *                              terminal record per planned conversion
- *                              — the (src, dst, elem, spec, start_rung)
- *                              group.
- *
  * The --check-spans contract is what the llstat_corpus_spans ctest
  * entry enforces: the span taxonomy documented in DESIGN.md is load
  * bearing, not decorative.
@@ -85,7 +75,6 @@ struct Options
     std::string metricsFormat = "text";
     bool checkSpans = false;
     std::string validateBenchDir;
-    std::string validateLedgerPath;
 };
 
 void
@@ -95,8 +84,7 @@ usage()
         << "usage: llstat [--corpus DIR] [--case FILE] [--kernels]\n"
            "              [--trace PATH] [--trace-reset]\n"
            "              [--metrics text|json|none]\n"
-           "              [--check-spans] [--validate-bench-json DIR]\n"
-           "              [--validate-ledger PATH]\n";
+           "              [--check-spans] [--validate-bench-json DIR]\n";
 }
 
 bool
@@ -149,11 +137,6 @@ parseArgs(int argc, char **argv, Options &opt)
             if (!v)
                 return false;
             opt.validateBenchDir = v;
-        } else if (arg == "--validate-ledger") {
-            const char *v = needValue("--validate-ledger");
-            if (!v)
-                return false;
-            opt.validateLedgerPath = v;
         } else if (arg == "--help" || arg == "-h") {
             usage();
             std::exit(0);
@@ -164,7 +147,7 @@ parseArgs(int argc, char **argv, Options &opt)
         }
     }
     if (opt.corpusDir.empty() && opt.caseFile.empty() && !opt.kernels &&
-        opt.validateBenchDir.empty() && opt.validateLedgerPath.empty()) {
+        opt.validateBenchDir.empty()) {
         std::cerr << "llstat: nothing to do\n";
         usage();
         return false;
@@ -503,155 +486,6 @@ runValidateBenchJson(const Options &opt)
     return bad ? 1 : 0;
 }
 
-/** Span-taxonomy rung names a ledger record may carry. */
-bool
-isLedgerRung(const std::string &s)
-{
-    return s == "noop" || s == "register-permute" ||
-           s == "warp-shuffle" || s == "shared-memory" ||
-           s == "shared-padded" || s == "shared-scalar";
-}
-
-/**
- * One CalibrationRecord line against the schema ledger::Ledger writes
- * (DESIGN.md §16). `why` explains the first violation found.
- */
-bool
-validateLedgerRecord(const jsonlite::Value &v, std::string &why)
-{
-    if (!v.isObject()) {
-        why = "line is not a JSON object";
-        return false;
-    }
-    for (const char *field : {"src", "dst", "spec"}) {
-        const auto *x = v.find(field);
-        if (!x || !x->isString() || x->str.size() != 16) {
-            why = std::string("\"") + field +
-                  "\" missing or not a 16-hex-digit string";
-            return false;
-        }
-        for (char c : x->str) {
-            if (!((c >= '0' && c <= '9') || (c >= 'a' && c <= 'f'))) {
-                why = std::string("\"") + field +
-                      "\" holds a non-hex character";
-                return false;
-            }
-        }
-    }
-    const auto *elem = v.find("elem");
-    if (!elem || !elem->isNumber() ||
-        (elem->number != 1.0 && elem->number != 2.0 &&
-         elem->number != 4.0 && elem->number != 8.0)) {
-        why = "\"elem\" missing or not in {1,2,4,8}";
-        return false;
-    }
-    for (const char *field : {"start_rung", "rung"}) {
-        const auto *x = v.find(field);
-        if (!x || !x->isString() || !isLedgerRung(x->str)) {
-            why = std::string("\"") + field +
-                  "\" missing or not a span-taxonomy rung name";
-            return false;
-        }
-    }
-    const auto *outcome = v.find("outcome");
-    if (!outcome || !outcome->isString() ||
-        (outcome->str != "accept" && outcome->str != "reject")) {
-        why = "\"outcome\" missing or not accept/reject";
-        return false;
-    }
-    const auto *reason = v.find("reason");
-    if (!reason || !reason->isString()) {
-        why = "\"reason\" missing or not a string";
-        return false;
-    }
-    for (const char *field : {"terminal", "demoted", "deadline"}) {
-        const auto *x = v.find(field);
-        if (!x || !x->isBool()) {
-            why = std::string("\"") + field +
-                  "\" missing or not a boolean";
-            return false;
-        }
-    }
-    for (const char *field :
-         {"cycles", "store_wf", "load_wf",
-          "window_elems", "pad_interval", "pad_elems", "vec_bits"}) {
-        const auto *x = v.find(field);
-        if (!x || !x->isNumber() || x->number < 0.0) {
-            why = std::string("\"") + field +
-                  "\" missing or not a number >= 0";
-            return false;
-        }
-    }
-    return true;
-}
-
-int
-runValidateLedger(const Options &opt)
-{
-    std::ifstream is(opt.validateLedgerPath);
-    if (!is.good()) {
-        std::cerr << "llstat: cannot open " << opt.validateLedgerPath
-                  << "\n";
-        return 1;
-    }
-    int bad = 0;
-    int lineNo = 0;
-    int records = 0;
-    // Terminal-record count per planned conversion: the (src, dst,
-    // elem, spec, start_rung) group. Exactly one terminal record each —
-    // the ladder always ends somewhere, and only once.
-    std::map<std::string, int> terminals;
-    std::map<std::string, int> groupRecords;
-    std::string line;
-    while (std::getline(is, line)) {
-        ++lineNo;
-        if (line.empty())
-            continue;
-        ++records;
-        auto parsed = jsonlite::parse(line);
-        if (!parsed.has_value()) {
-            std::cerr << "llstat: " << opt.validateLedgerPath << ":"
-                      << lineNo << ": malformed JSON\n";
-            ++bad;
-            continue;
-        }
-        std::string why;
-        if (!validateLedgerRecord(*parsed, why)) {
-            std::cerr << "llstat: " << opt.validateLedgerPath << ":"
-                      << lineNo << ": " << why << "\n";
-            ++bad;
-            continue;
-        }
-        const std::string key = parsed->find("src")->str + "|" +
-                                parsed->find("dst")->str + "|" +
-                                std::to_string(static_cast<int>(
-                                    parsed->find("elem")->number)) +
-                                "|" + parsed->find("spec")->str + "|" +
-                                parsed->find("start_rung")->str;
-        ++groupRecords[key];
-        if (parsed->find("terminal")->boolean)
-            ++terminals[key];
-    }
-    if (records == 0) {
-        std::cerr << "llstat: " << opt.validateLedgerPath
-                  << " holds no records\n";
-        return 1;
-    }
-    for (const auto &[key, count] : groupRecords) {
-        const auto it = terminals.find(key);
-        const int n = it == terminals.end() ? 0 : it->second;
-        if (n != 1) {
-            std::cerr << "llstat: conversion " << key << " has " << n
-                      << " terminal record(s), want exactly 1\n";
-            ++bad;
-        }
-    }
-    std::cout << "llstat: validated " << records << " ledger record(s) "
-              << "across " << groupRecords.size()
-              << " conversion(s), " << bad << " violation(s)\n";
-    return bad ? 1 : 0;
-}
-
 } // namespace
 
 int
@@ -663,15 +497,6 @@ main(int argc, char **argv)
 
     if (!opt.validateBenchDir.empty()) {
         int rc = runValidateBenchJson(opt);
-        if (rc != 0)
-            return rc;
-        if (opt.corpusDir.empty() && opt.caseFile.empty() &&
-            !opt.kernels && opt.validateLedgerPath.empty())
-            return 0;
-    }
-
-    if (!opt.validateLedgerPath.empty()) {
-        int rc = runValidateLedger(opt);
         if (rc != 0)
             return rc;
         if (opt.corpusDir.empty() && opt.caseFile.empty() &&
