@@ -90,14 +90,20 @@ percentileMs(std::vector<double> samples, double p)
     return samples[std::min(rank, samples.size() - 1)];
 }
 
+/** A bench's headline table values, flat key -> number, in order. */
+using Results = std::vector<std::pair<std::string, double>>;
+
 /**
  * Run a figure's experiment `fn` LL_BENCH_REPS times (default 5) and
  * write a machine-readable BENCH_<name>.json report next to the
  * process (or into $LL_BENCH_JSON_DIR): name, rep count, wall-time
- * median / p90 / min / mean in milliseconds, and the delta of every
- * metrics-registry counter the reps moved. The first rep prints
- * normally — it is the human-facing table — and the remaining reps run
- * with stdout parked on /dev/null so timing reps do not repeat it.
+ * median / p90 / min / mean in milliseconds, the delta of every
+ * metrics-registry counter the reps moved and, when `results` is not
+ * empty after the last rep, a "results" object of its values (fn
+ * fills it; the repro_claims_smoke ctest checks the paper's claims on
+ * it). The first rep prints normally — it is the human-facing table —
+ * and the remaining reps run with stdout parked on /dev/null so timing
+ * reps do not repeat it.
  *
  * The schema here is a contract: llstat --validate-bench-json (and the
  * bench_json_smoke ctest entry) reject reports that drift from it.
@@ -105,7 +111,8 @@ percentileMs(std::vector<double> samples, double p)
  * per-rung evals/accepts table that llprof --bench prints.
  */
 inline void
-emitBenchJson(const std::string &name, const std::function<void()> &fn)
+emitBenchJson(const std::string &name, const std::function<void()> &fn,
+              const Results &results = {})
 {
     int reps = 5;
     if (const char *env = std::getenv("LL_BENCH_REPS"))
@@ -175,7 +182,18 @@ emitBenchJson(const std::string &name, const std::function<void()> &fn)
         os << (first ? "" : ", ") << "\"" << key << "\": " << delta;
         first = false;
     }
-    os << "}\n}\n";
+    os << "}";
+    if (!results.empty()) {
+        os << ",\n  \"results\": {";
+        first = true;
+        for (const auto &[key, value] : results) {
+            std::snprintf(buf, sizeof(buf), "%.6g", value);
+            os << (first ? "" : ", ") << "\"" << key << "\": " << buf;
+            first = false;
+        }
+        os << "}";
+    }
+    os << "\n}\n";
     std::printf("bench: wrote %s (%d reps)\n", path.c_str(), reps);
 }
 

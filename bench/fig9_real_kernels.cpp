@@ -15,6 +15,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <cctype>
 #include <cmath>
 #include <cstdlib>
 #include <string>
@@ -70,8 +72,14 @@ kernelSelected(const kernels::KernelSpec &k)
     return false;
 }
 
+/**
+ * Print the per-kernel table and its per-platform geomeans, and record
+ * each platform's geomean and case count in `results` as
+ * geomean.<platform> / cases.<platform> (platforms with no case are
+ * left out).
+ */
 void
-printTable()
+printTable(bench::Results &results)
 {
     const sim::GpuSpec specs[] = {sim::GpuSpec::rtx4090(),
                                   sim::GpuSpec::gh200(),
@@ -120,11 +128,19 @@ printTable()
         std::printf("\n");
     }
     std::printf("%-20s", "geomean");
+    results.clear();
     for (size_t p = 0; p < 3; ++p) {
+        const double geomean = std::exp(platformGeo[p] / platformCases[p]);
         char buf[32];
-        std::snprintf(buf, sizeof buf, "%.3fx",
-                      std::exp(platformGeo[p] / platformCases[p]));
+        std::snprintf(buf, sizeof buf, "%.3fx", geomean);
         std::printf(" %14s", buf);
+        if (platformCases[p] == 0)
+            continue;
+        std::string platform = specs[p].name;
+        std::transform(platform.begin(), platform.end(), platform.begin(),
+                       [](unsigned char c) { return std::tolower(c); });
+        results.emplace_back("geomean." + platform, geomean);
+        results.emplace_back("cases." + platform, platformCases[p]);
     }
     std::printf("   over %d+%d+%d cases\n", platformCases[0],
                 platformCases[1], platformCases[2]);
@@ -295,12 +311,16 @@ BENCHMARK(BM_EngineOnKernel)->Arg(0)->Arg(5)->Arg(8);
 int
 main(int argc, char **argv)
 {
-    ll::bench::emitBenchJson("fig9_real_kernels", [] {
-        printTable();
-        printPlanCacheAmortization();
-        if (synthRequested())
-            printSynthComparison();
-    });
+    ll::bench::Results results;
+    ll::bench::emitBenchJson(
+        "fig9_real_kernels",
+        [&results] {
+            printTable(results);
+            printPlanCacheAmortization();
+            if (synthRequested())
+                printSynthComparison();
+        },
+        results);
     benchmark::Initialize(&argc, argv);
     benchmark::RunSpecifiedBenchmarks();
     return 0;

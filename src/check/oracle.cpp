@@ -258,17 +258,28 @@ checkPlan(const codegen::ConversionPlan &plan, const LinearLayout &srcIn,
         }
         auto &rt = *rtOr;
         dstFile = rt.dstFile;
+        // Lemma 9.4 applies only without padding, and only where each
+        // side's lanes fit the window (always so unwindowed): every
+        // access then lies in one pass and is an XOR translate of
+        // access (0, 0), as enumerateWavefronts relies on. Lanes that
+        // straddle a window split accesses across passes, breaking the
+        // per-access uniformity the audit multiplies by. The plan is
+        // priced by enumerated totals; the analytic count is this
+        // audit's own.
+        const codegen::SwizzledShared &swz = *plan.shared;
+        const auto lanesFit = [&](const LinearLayout &side) {
+            return codegen::WarpAccessTable(
+                       swz, side.transposeOuts(
+                                swz.memLayout.getOutDimNames()))
+                .lanesFit(swz.allocElems(src.getTotalOutDimSize()));
+        };
         if (plan.kind != codegen::ConversionKind::SharedPadded &&
-            !plan.shared->windowed()) {
-            // Lemma 9.4 applies only without padding, and windowing
-            // splits each access across passes, breaking the per-access
-            // uniformity the audit multiplies by. The plan is priced by
-            // enumerated totals; the analytic count is this audit's own.
+            lanesFit(src) && lanesFit(dst)) {
             report.audited = true;
-            report.analyticStorePerAccess = codegen::analyticWavefronts(
-                *plan.shared, srcIn, elemBytes, spec);
-            report.analyticLoadPerAccess = codegen::analyticWavefronts(
-                *plan.shared, dstIn, elemBytes, spec);
+            report.analyticStorePerAccess =
+                codegen::analyticWavefronts(swz, srcIn, elemBytes, spec);
+            report.analyticLoadPerAccess =
+                codegen::analyticWavefronts(swz, dstIn, elemBytes, spec);
         }
         report.storeInstructions = rt.storeStats.instructions;
         report.loadInstructions = rt.loadStats.instructions;

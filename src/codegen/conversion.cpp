@@ -544,7 +544,8 @@ tryPlanConversionImpl(const LinearLayout &src, const LinearLayout &dst,
     // Rung 4: optimally swizzled shared memory. Candidates: the F2
     // construction and, on 2D tensors, the legacy-parameter mma swizzle
     // whose vec-granular phases keep 16-byte rows intact and so stay
-    // divisible by the ldmatrix/stmatrix tiles. Pick by modeled cost.
+    // divisible by the ldmatrix/stmatrix tiles. A candidate too big for
+    // the CTA budget is windowed. Pick by modeled cost.
     trace::Span rung4("plan.rung.shared-memory", "plan");
     static auto &rung4Evals =
         metrics::counter("plan.rung.shared-memory.evaluated");
@@ -591,7 +592,16 @@ tryPlanConversionImpl(const LinearLayout &src, const LinearLayout &dst,
     double bestCost = 0.0;
     int bestMatrixSides = 0;
     ConversionPlan best;
+    const int64_t numElems = src.getTotalOutDimSize();
     for (auto &cand : candidates) {
+        // A tile bigger than one CTA keeps its swizzle and runs in
+        // windowed passes. Only a budget that cannot hold one
+        // vectorized access leaves the candidate unwindowed, for
+        // evaluateSharedCandidate to reject as CtaBudgetExceeded.
+        if (!sim::SharedMemory::fits(spec, elemBytes,
+                                     cand.storageElems(numElems)))
+            cand.windowElems =
+                ctaWindowElems(elemBytes, spec, cand.vecElems());
         try {
             auto evaluated = evaluateSharedCandidate(
                 plan, std::move(cand), src, dst, elemBytes, spec,

@@ -12,10 +12,14 @@
  *   4. shared memory    — general case, through an optimally swizzled
  *                         scratch layout, with ldmatrix/stmatrix when
  *                         the hardware has them and the tiles divide;
+ *                         a tile bigger than the CTA budget keeps its
+ *                         swizzle and runs in windowed passes;
  *   5. padded shared    — unswizzled row-major scratch with bank-offset
  *                         padding, when no swizzle basis can be built;
  *   6. scalar shared    — element-wise round trip, correct for any pair
- *                         of surjective layouts; the terminal rung.
+ *                         of surjective layouts, windowed like rung 4
+ *                         when the tile does not fit; the terminal
+ *                         rung.
  *
  * Rungs 4-6 form a fallback ladder: planning is a total function over
  * valid inputs. A rung that cannot be built (degenerate basis, failed

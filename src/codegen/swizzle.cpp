@@ -493,6 +493,16 @@ planPaddedShared(const LinearLayout &a, const LinearLayout &b,
     }
 }
 
+int64_t
+ctaWindowElems(int elemBytes, const sim::GpuSpec &spec, int64_t minElems)
+{
+    int64_t window = 1;
+    while (window * 2 * elemBytes <= spec.sharedMemPerCta)
+        window *= 2;
+    const bool fits = sim::SharedMemory::fits(spec, elemBytes, window);
+    return fits && window >= minElems ? window : 0;
+}
+
 Result<SwizzledShared>
 planScalarShared(const LinearLayout &a, const LinearLayout &b,
                  int elemBytes, const sim::GpuSpec &spec)
@@ -524,16 +534,13 @@ planScalarShared(const LinearLayout &a, const LinearLayout &b,
         // two that fits and let the executors run multiple passes.
         const int64_t numElems = a.getTotalOutDimSize();
         if (!sim::SharedMemory::fits(spec, elemBytes, numElems)) {
-            int64_t window = 1;
-            while (window * 2 * elemBytes <= spec.sharedMemPerCta)
-                window *= 2;
-            if (!sim::SharedMemory::fits(spec, elemBytes, window)) {
+            out.windowElems = ctaWindowElems(elemBytes, spec);
+            if (out.windowElems == 0) {
                 return makeDiag(DiagCode::ScalarUnavailable,
                                 "plan.scalar",
                                 "CTA shared budget cannot hold even a "
                                 "one-element window");
             }
-            out.windowElems = window;
         }
         return out;
     } catch (const std::exception &e) {

@@ -58,7 +58,8 @@ struct SwizzledShared
     int64_t padElems = 0;
 
     /**
-     * Multi-pass window (the scalar rung's answer to the CTA budget):
+     * Multi-pass window (the answer of the swizzled and scalar rungs to
+     * a tensor bigger than the CTA budget, sized by ctaWindowElems):
      * when > 0, the executors allocate only windowElems storage cells
      * and run ceil(storage / windowElems) store+load passes, masking
      * lanes whose offsets fall outside the current window
@@ -113,6 +114,15 @@ struct SwizzledShared
         return window > 0 ? (storage + window - 1) / window : 1;
     }
 };
+
+/**
+ * The multi-pass window for storage that does not fit one CTA: the
+ * largest power-of-two element count whose bytes fit
+ * spec.sharedMemPerCta, or 0 when that is below `minElems` (a swizzle
+ * passes its vecElems(), so one vectorized access always fits).
+ */
+int64_t ctaWindowElems(int elemBytes, const sim::GpuSpec &spec,
+                       int64_t minElems = 1);
 
 /**
  * Run the optimal-swizzle algorithm for conversion A -> B with elements

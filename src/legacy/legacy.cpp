@@ -199,11 +199,16 @@ paddedConversionCost(const LinearLayout &src, const LinearLayout &dst,
         std::max(1, regsOf(srcAligned) / cost.storeVecElems);
     double loadInsts =
         std::max(1, regsOf(dstAligned) / cost.loadVecElems);
+    // A tile bigger than one CTA's budget runs in repeated passes, as
+    // legacy Triton's repeated tiles do; each pays its own round trip.
+    cost.passes = std::max<int64_t>(
+        1, (cost.sharedBytes + spec.sharedMemPerCta - 1) /
+               spec.sharedMemPerCta);
     cost.cycles = storeInsts * double(cost.storeWavefronts) *
                       spec.sharedWavefrontCycles +
                   loadInsts * double(cost.loadWavefronts) *
                       spec.sharedWavefrontCycles +
-                  spec.sharedRoundTripCycles;
+                  double(cost.passes) * spec.sharedRoundTripCycles;
     return cost;
 }
 

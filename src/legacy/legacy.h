@@ -93,6 +93,9 @@ struct PaddedConversionCost
     int storeVecElems = 1;
     int loadVecElems = 1;
     int64_t sharedBytes = 0; ///< footprint including padding
+    /** ceil(sharedBytes / sharedMemPerCta) repeated passes, one round
+     *  trip each. */
+    int64_t passes = 1;
     double cycles = 0.0;     ///< modeled conversion cost
 };
 

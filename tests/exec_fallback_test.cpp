@@ -4,8 +4,9 @@
  * the exec.* failpoint sites, must push the planner one rung down the
  * ladder and leave a demoted plan that still round-trips bit-exactly
  * under the oracle, at a modeled cost no lower than the plan it
- * replaced. Also covers the CTA-budget gate (an oversized tensor demotes
- * to a windowed scalar plan instead of raising UserError), the padding
+ * replaced. Also covers the CTA budget (an oversized tensor keeps a
+ * windowed rung-4 swizzle, or demotes to a windowed scalar plan, instead
+ * of raising UserError), the padding
  * search regression pins, the engine-level execFallbacks /
  * execFailures accounting, and the engine, service and oracle agreeing
  * on one demotion.
@@ -375,40 +376,62 @@ TEST(ExecFallback, GatherExecSitesFailOnceThenRecover)
 // CTA budget (satellite: oversized tensors demote, not abort)
 // ----------------------------------------------------------------------
 
-// 256 x 256 x f32 = 256 KiB exceeds the GH200 CTA budget (228 KiB), so
-// every flat shared candidate is gated by DiagCode::CtaBudgetExceeded
-// and the planner must land on the windowed scalar rung — still a total
-// function, still bit-exact under the oracle.
+// 256 x 256 x f32 = 256 KiB exceeds the GH200 CTA budget (228 KiB).
+// Rung 4 keeps its vectorized swizzle and runs it in windowed passes,
+// cheaper than the windowed scalar round trip of the same pair. With
+// rung 4 knocked out, the padded candidate is gated by
+// DiagCode::CtaBudgetExceeded and the planner lands on the windowed
+// scalar rung. Both plans fit the budget, still bit-exact under the
+// oracle, with their totals and (every lane fits its window) Lemma
+// 9.4's per-access counts audited.
 TEST(ExecFallback, OversizedTensorDemotesToWindowedScalar)
 {
     auto spec = sim::GpuSpec::gh200();
     auto src = blocked({1, 4}, {8, 4}, {2, 2}, {1, 0}, {256, 256});
     auto dst = blocked({4, 1}, {4, 8}, {2, 2}, {0, 1}, {256, 256});
     const int elemBytes = 4;
+    const int64_t numElems = src.getTotalOutDimSize();
 
     auto plan = codegen::tryPlanConversion(src, dst, elemBytes, spec);
     ASSERT_TRUE(plan.ok()) << plan.diag().toString();
-    EXPECT_EQ(plan->kind, ConversionKind::SharedScalar);
+    EXPECT_EQ(plan->kind, ConversionKind::SharedMemory);
     ASSERT_TRUE(plan->shared.has_value());
-    EXPECT_TRUE(plan->shared->windowed());
-    EXPECT_LE(plan->shared->allocElems(src.getTotalOutDimSize()) *
-                  elemBytes,
-              static_cast<int64_t>(spec.sharedMemPerCta));
-    EXPECT_GE(plan->shared->passesFor(src.getTotalOutDimSize()), 2);
+    EXPECT_GT(plan->shared->vecElems(), 1);
 
-    bool sawBudgetDiag = false;
-    for (const auto &n : plan->diagnostics.notes)
-        sawBudgetDiag |= n.code == DiagCode::CtaBudgetExceeded;
-    EXPECT_TRUE(sawBudgetDiag) << plan->diagnostics.toString();
+    auto scalar = [&] {
+        failpoint::ScopedSet knockout(
+            codegen::demotionSitesFor(ConversionKind::SharedMemory));
+        return codegen::tryPlanConversion(src, dst, elemBytes, spec);
+    }();
+    ASSERT_TRUE(scalar.ok()) << scalar.diag().toString();
+    EXPECT_EQ(scalar->kind, ConversionKind::SharedScalar);
+    ASSERT_TRUE(scalar->shared.has_value());
+    EXPECT_LT(plan->estimateCycles(src, elemBytes, spec),
+              scalar->estimateCycles(src, elemBytes, spec));
 
-    // The multi-pass execution must still route every element and keep
-    // its wavefront totals honest (Lemma 9.4's per-access audit is
-    // unavailable for windowed plans; the totals audit covers them).
-    auto report = check::checkPlan(*plan, src, dst, elemBytes, spec);
-    EXPECT_TRUE(report.ok()) << report.toString();
-    EXPECT_FALSE(report.audited);
-    EXPECT_TRUE(report.totalsAudited);
-    EXPECT_FALSE(report.totalsDiverge());
+    // Rung 4's candidates are knocked out, so the one budget note is
+    // the padded rung's.
+    int budgetNotes = 0;
+    for (const auto &n : scalar->diagnostics.notes)
+        budgetNotes += n.code == DiagCode::CtaBudgetExceeded;
+    EXPECT_EQ(budgetNotes, 1) << scalar->diagnostics.toString();
+
+    for (const auto *p : {&*plan, &*scalar}) {
+        const std::string label = codegen::toString(p->kind);
+        EXPECT_TRUE(p->shared->windowed()) << label;
+        EXPECT_LE(p->shared->allocElems(numElems) * elemBytes,
+                  static_cast<int64_t>(spec.sharedMemPerCta))
+            << label;
+        EXPECT_GE(p->shared->passesFor(numElems), 2) << label;
+
+        // The multi-pass execution must still route every element and
+        // keep its wavefront totals and per-access counts honest.
+        auto report = check::checkPlan(*p, src, dst, elemBytes, spec);
+        EXPECT_TRUE(report.ok()) << label << ": " << report.toString();
+        EXPECT_TRUE(report.audited) << label;
+        EXPECT_TRUE(report.totalsAudited) << label;
+        EXPECT_FALSE(report.totalsDiverge()) << label;
+    }
 }
 
 // ----------------------------------------------------------------------

@@ -140,6 +140,37 @@ TEST(LegacyPadding, TransposeConversionHasConflictsOrNarrowVectors)
               padded.storeWavefronts + padded.loadWavefronts);
 }
 
+TEST(LegacyPadding, TileBeyondTheCtaBudgetPaysARoundTripPerPass)
+{
+    // 256 x (256 + 4 pad) x f32 = 260 KiB against MI250's 64 KiB: five
+    // repeated tiles, so four round trips beyond the first. The same
+    // tile under an unlimited budget differs by exactly those four.
+    auto spec = sim::GpuSpec::mi250();
+    Shape shape = {256, 256};
+    BlockedEncoding row, col;
+    row.sizePerThread = {1, 4};
+    row.threadsPerWarp = {8, 8};
+    row.warpsPerCta = {2, 2};
+    row.order = {1, 0};
+    col.sizePerThread = {4, 1};
+    col.threadsPerWarp = {8, 8};
+    col.warpsPerCta = {2, 2};
+    col.order = {0, 1};
+    auto src = row.toLinearLayout(shape);
+    auto dst = col.toLinearLayout(shape);
+
+    auto cost = paddedConversionCost(src, dst, shape, 4, spec);
+    EXPECT_EQ(cost.sharedBytes, int64_t(256) * 260 * 4);
+    EXPECT_EQ(cost.passes, 5);
+
+    auto roomy = spec;
+    roomy.sharedMemPerCta = 1 << 30;
+    auto whole = paddedConversionCost(src, dst, shape, 4, roomy);
+    EXPECT_EQ(whole.passes, 1);
+    EXPECT_DOUBLE_EQ(cost.cycles - whole.cycles,
+                     4 * spec.sharedRoundTripCycles);
+}
+
 TEST(LegacyTable5, CountsMatchThePaper)
 {
     using ir::DType;

@@ -248,14 +248,25 @@ lanesFit(const codegen::SwizzledShared &swz, const LinearLayout &dist)
 
 
 /** 256 x 256 x f32 = 256 KiB exceeds GH200's 228 KiB CTA budget, so
- *  the pair plans to a windowed scalar round trip (two passes) whose
- *  lanes all fit one window. */
+ *  the pair plans to a windowed, vectorized rung-4 swizzle (two passes)
+ *  whose lanes all fit one window. */
 codegen::ConversionPlan
 oversizedWindowedPlan(LinearLayout &src, LinearLayout &dst)
 {
     src = blocked({1, 4}, {8, 4}, {2, 2}, {1, 0}, {256, 256});
     dst = blocked({4, 1}, {4, 8}, {2, 2}, {0, 1}, {256, 256});
     return codegen::planConversion(src, dst, 4, sim::GpuSpec::gh200());
+}
+
+/** The same pair with rung 4 knocked out: the padded rung cannot fit
+ *  either, so it plans to a windowed scalar round trip (two passes)
+ *  whose lanes all fit one window. */
+codegen::ConversionPlan
+oversizedWindowedScalarPlan(LinearLayout &src, LinearLayout &dst)
+{
+    oversizedWindowedPlan(src, dst);
+    return planUnder(src, dst, 4, sim::GpuSpec::gh200(),
+                     codegen::demotionSitesFor(ConversionKind::SharedMemory));
 }
 
 /** The scalar plan of a 32 x 32 x f32 transpose: src and dst set, plan
@@ -285,27 +296,63 @@ straddlingWindowedPlan(LinearLayout &src, LinearLayout &dst)
     return plan;
 }
 
+/** One multi-pass fixture: its plan, layouts, the rung that planned
+ *  it, and whether its lanes straddle a window. */
+struct WindowedFixture
+{
+    std::string label;
+    codegen::ConversionPlan plan;
+    LinearLayout src, dst;
+    ConversionKind kind;
+    bool straddle;
+};
+
+/** The windowed rung-4 swizzle, the windowed scalar round trip and the
+ *  hand-built straddling plan, all f32 on GH200. */
+std::vector<WindowedFixture>
+windowedFixtures()
+{
+    std::vector<WindowedFixture> out;
+    auto add = [&out](std::string label,
+                      codegen::ConversionPlan (*make)(LinearLayout &,
+                                                      LinearLayout &),
+                      ConversionKind kind, bool straddle) {
+        WindowedFixture f{std::move(label), {}, {}, {}, kind, straddle};
+        f.plan = make(f.src, f.dst);
+        out.push_back(std::move(f));
+    };
+    add("rung 4, lanes in window", oversizedWindowedPlan,
+        ConversionKind::SharedMemory, false);
+    add("scalar, lanes in window", oversizedWindowedScalarPlan,
+        ConversionKind::SharedScalar, false);
+    add("scalar, lanes straddle", straddlingWindowedPlan,
+        ConversionKind::SharedScalar, true);
+    return out;
+}
+
 // Windowed plans partition the offset space into shared-memory-sized
-// windows; lanes outside the current window are kInactiveLane. The
-// oversized fixture forces a windowed scalar plan, so the masking path
-// is live in the reference enumeration.
+// windows; lanes outside the current window are kInactiveLane. Each
+// fixture is windowed, so the masking path is live in the reference
+// enumeration.
 TEST(WavefrontEquiv, WindowedPlanMatchesReference)
 {
     const auto spec = sim::GpuSpec::gh200();
     const int elemBytes = 4;
-    LinearLayout src, dst;
-    const auto plan = oversizedWindowedPlan(src, dst);
-    ASSERT_TRUE(plan.shared.has_value());
-    ASSERT_TRUE(plan.shared->windowed())
-        << "fixture no longer forces a windowed plan";
-    EXPECT_EQ(codegen::enumerateWavefronts(*plan.shared, src, elemBytes,
-                                           spec),
-              codegen::enumerateWavefronts_reference(*plan.shared, src,
-                                                     elemBytes, spec));
-    EXPECT_EQ(codegen::enumerateWavefronts(*plan.shared, dst, elemBytes,
-                                           spec),
-              codegen::enumerateWavefronts_reference(*plan.shared, dst,
-                                                     elemBytes, spec));
+    for (const auto &f : windowedFixtures()) {
+        ASSERT_TRUE(f.plan.shared.has_value()) << f.label;
+        ASSERT_TRUE(f.plan.shared->windowed())
+            << f.label << ": fixture no longer forces a windowed plan";
+        EXPECT_EQ(codegen::enumerateWavefronts(*f.plan.shared, f.src,
+                                               elemBytes, spec),
+                  codegen::enumerateWavefronts_reference(
+                      *f.plan.shared, f.src, elemBytes, spec))
+            << f.label;
+        EXPECT_EQ(codegen::enumerateWavefronts(*f.plan.shared, f.dst,
+                                               elemBytes, spec),
+                  codegen::enumerateWavefronts_reference(
+                      *f.plan.shared, f.dst, elemBytes, spec))
+            << f.label;
+    }
 }
 
 /** What the one-access shortcut would price `dist` at: the wavefronts
@@ -416,20 +463,20 @@ TEST(WavefrontEquiv, OneAccessShortcutMatchesReference)
 // and issues it on a per-pass sim::SharedMemory, every dst register
 // holding its own element (so executeSharedConversion and the smoke
 // run pass, price audit included), and one masked lane per (access,
-// lane, pass) that is not the lane's own pass.
+// lane, pass) that is not the lane's own pass. The vectorized rung-4
+// fixture moves vecElems() > 1 elements per lane.
 TEST(WavefrontEquiv, MultiPassRoundTripMatchesExecutorAndMasksTheRest)
 {
     const auto spec = sim::GpuSpec::gh200();
     const int elemBytes = 4;
     auto &masked = metrics::counter("exec.shared.lanes_masked");
-    for (const bool straddle : {false, true}) {
-        const std::string label =
-            straddle ? "lanes straddle" : "lanes in window";
-        LinearLayout src, dst;
-        const codegen::ConversionPlan plan =
-            straddle ? straddlingWindowedPlan(src, dst)
-                     : oversizedWindowedPlan(src, dst);
-        ASSERT_EQ(plan.kind, ConversionKind::SharedScalar) << label;
+    for (const auto &fixture : windowedFixtures()) {
+        const std::string &label = fixture.label;
+        const bool straddle = fixture.straddle;
+        const LinearLayout &src = fixture.src;
+        const LinearLayout &dst = fixture.dst;
+        const codegen::ConversionPlan &plan = fixture.plan;
+        ASSERT_EQ(plan.kind, fixture.kind) << label;
         const auto &swz = *plan.shared;
         const int64_t numElems = src.getTotalOutDimSize();
         const int64_t passes = swz.passesFor(numElems);

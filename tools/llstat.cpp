@@ -36,8 +36,11 @@
  *
  *   --validate-bench-json DIR  check every BENCH_*.json in DIR against
  *                              the benchmark report schema (name, reps,
- *                              wall_ms.median/p90, metrics object);
- *                              fails if DIR holds none.
+ *                              wall_ms.median/p90, metrics object, and
+ *                              an optional results object of finite
+ *                              numbers whose geomean.<platform> pairs
+ *                              with cases.<platform>); fails if DIR
+ *                              holds none.
  *
  * The --check-spans contract is what the llstat_corpus_spans ctest
  * entry enforces: the span taxonomy documented in DESIGN.md is load
@@ -45,6 +48,7 @@
  */
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -363,6 +367,38 @@ validateBenchReport(const std::string &path, const jsonlite::Value &v,
         if (!val.isNumber()) {
             why = "metric \"" + key + "\" is not a number";
             return false;
+        }
+    }
+    // "results" (optional) carries a bench's headline table values:
+    // finite numbers, where every geomean.<platform> pairs with an
+    // integral cases.<platform> >= 1 and is > 0.
+    if (const auto *results = v.find("results")) {
+        if (!results->isObject() || results->members.empty()) {
+            why = "\"results\" is not a non-empty object";
+            return false;
+        }
+        for (const auto &[key, val] : results->members) {
+            if (!val.isNumber() || !std::isfinite(val.number)) {
+                why = "result \"" + key + "\" is not a finite number";
+                return false;
+            }
+            std::string platform;
+            if (key.rfind("geomean.", 0) == 0)
+                platform = key.substr(8);
+            else if (key.rfind("cases.", 0) == 0)
+                platform = key.substr(6);
+            else
+                continue;
+            const auto *geo = results->find("geomean." + platform);
+            const auto *cases = results->find("cases." + platform);
+            if (!geo || !cases || !geo->isNumber() ||
+                !cases->isNumber() || geo->number <= 0.0 ||
+                cases->number < 1.0 ||
+                cases->number != std::floor(cases->number)) {
+                why = "result \"" + key + "\" lacks a geomean > 0 paired "
+                      "with an integral case count >= 1";
+                return false;
+            }
         }
     }
     if (name->str == "service") {
