@@ -432,12 +432,10 @@ LayoutEngine::synthesizeAssignment(const ir::Function &f,
     trace::Span span("synth.run", "synth");
     if (span.active())
         span.arg("function", f.name());
-    synth::SynthOptions so = options_.synthOptions;
-    so.planCache = options_.planCache;
     synth::SynthResult sr;
     try {
-        sr = synth::synthesizeAnchors(f, options_.spec,
-                                      options_.numWarps, so);
+        sr = synth::synthesizeAnchors(f, options_.spec, options_.numWarps,
+                                      options_.synthOptions);
     } catch (const std::exception &e) {
         // Synthesis is an optimization, never a failure mode: anything
         // it cannot handle falls back to the default assignment.
@@ -520,9 +518,6 @@ LayoutEngine::synthesizeAssignment(const ir::Function &f,
         return {};
     }
     stats.synthAssignmentsEvaluated = evaluated;
-    stats.synthDefaultCycles = defaultEval.cycles;
-    stats.synthChosenCycles =
-        bestRank < 0 ? defaultEval.cycles : best.cycles;
     if (span.active()) {
         span.arg("evaluated", evaluated);
         span.arg("exhaustive", sr.exhaustive ? 1 : 0);

@@ -65,9 +65,10 @@ struct EngineOptions
      *  construction. Off (the default) keeps the engine bit-identical
      *  to the propagation-only path. */
     bool synthesizeLayouts = false;
-    /** Search knobs for synthesizeLayouts. The planCache field is
-     *  overwritten with EngineOptions::planCache at run time so edge
-     *  pricing shares the engine's cache. */
+    /** Search knobs for synthesizeLayouts. The search prices edges
+     *  from their plans alone and never touches planCache: only the
+     *  conversions the adopted assignment ships are served (and
+     *  smoke-run) through it by planConversions. */
     synth::SynthOptions synthOptions;
 };
 
@@ -121,10 +122,6 @@ struct EngineStats
     int synthAssignmentsEvaluated = 0;
     /** 1 when the run adopted a non-default assignment. */
     int synthChoseSynthesized = 0;
-    /** True-cost-model cycles of the default and of the adopted
-     *  assignment for this run (equal unless synthChoseSynthesized). */
-    double synthDefaultCycles = 0.0;
-    double synthChosenCycles = 0.0;
     /** Human-readable notes from every fallback or failure, in op
      *  order. */
     std::vector<std::string> planDiagnostics;

@@ -362,8 +362,6 @@ accumulateStats(engine::EngineStats &into,
     into.synthConvertsEliminated += from.synthConvertsEliminated;
     into.synthAssignmentsEvaluated += from.synthAssignmentsEvaluated;
     into.synthChoseSynthesized += from.synthChoseSynthesized;
-    into.synthDefaultCycles += from.synthDefaultCycles;
-    into.synthChosenCycles += from.synthChosenCycles;
     into.planDiagnostics.insert(into.planDiagnostics.end(),
                                 from.planDiagnostics.begin(),
                                 from.planDiagnostics.end());

@@ -1,11 +1,10 @@
 #include "synth/synthesize.h"
 
 #include <algorithm>
-#include <map>
-#include <string>
+#include <cmath>
+#include <limits>
 
 #include "codegen/conversion.h"
-#include "service/conversion_service.h"
 #include "support/trace.h"
 
 namespace ll {
@@ -15,31 +14,48 @@ namespace {
 
 using ir::OpKind;
 
+/** An entry of a term's price table: NaN until the search first asks
+ *  for it. */
+template <typename Price>
+double
+priced(double &entry, Price &&price)
+{
+    if (std::isnan(entry))
+        entry = price();
+    return entry;
+}
+
 /** A load or store whose traffic depends on anchor `anchorIdx`'s
- *  candidate (the carried layout prices the access). */
+ *  candidate (the carried layout prices the access); priced per
+ *  candidate. */
 struct MemRef
 {
     int anchorIdx;
     int elemBits;
+    std::vector<double> price;
 };
 
 /** A conversion edge between an anchor-carried value and a fixed
- *  layout (MMA operand target, dot-result sibling, ...). */
+ *  layout (MMA operand target, dot-result sibling, ...); priced per
+ *  candidate of the anchor. */
 struct FixedEdge
 {
     int anchorIdx;
     LinearLayout other;
     bool anchorIsSrc;
     int elemBytes;
+    std::vector<double> price;
 };
 
 /** A conversion edge between two anchor-carried values: the `from`
- *  anchor's candidate is converted into the `to` anchor's. */
+ *  anchor's candidate is converted into the `to` anchor's. Priced per
+ *  candidate pair, at [ci * n_to + cj]. */
 struct PairEdge
 {
     int fromIdx;
     int toIdx;
     int elemBytes;
+    std::vector<double> price;
 };
 
 struct CostTerms
@@ -50,73 +66,47 @@ struct CostTerms
 };
 
 /**
- * Plan-cache-backed conversion pricing, memoized per search. A pair
- * that proves to be a no-op costs zero; an unplannable pair is charged
- * a scalar shared round trip exactly like engine::estimateKernelCost
- * prices convert:unplanned ops.
+ * Price one conversion from its plan alone: a pair that proves to be a
+ * no-op costs zero, a planned one its estimateCycles, and an
+ * unplannable one a scalar shared round trip, exactly like
+ * engine::estimateKernelCost prices convert:unplanned ops. Nothing is
+ * smoke-executed or cached: engine.run verifies what the adopted
+ * assignment ships.
  */
-class ConversionPricer
+double
+conversionCycles(const LinearLayout &src, const LinearLayout &dst,
+                 int elemBytes, const sim::GpuSpec &spec)
 {
-  public:
-    ConversionPricer(const sim::GpuSpec &spec, service::PlanCache *cache)
-        : spec_(spec), cache_(cache)
-    {
+    const double unplannable = unplannableConversionCycles(src, spec);
+    try {
+        LinearLayout d = dst.transposeOuts(src.getOutDimNames());
+        if (codegen::conversionIsNoOp(src, d))
+            return 0.0;
+        auto plan = codegen::tryPlanConversion(src, d, elemBytes, spec);
+        if (plan.ok())
+            return plan->estimateCycles(src, elemBytes, spec);
+    } catch (const std::exception &) {
+        // Incomparable layout spaces price like an unplannable
+        // conversion below.
     }
-
-    double
-    cycles(const LinearLayout &src, const LinearLayout &dst,
-           int elemBytes)
-    {
-        const std::string key = src.toString() + "|" + dst.toString() +
-                                "|" + std::to_string(elemBytes);
-        auto it = memo_.find(key);
-        if (it != memo_.end())
-            return it->second;
-        double cost = price(src, dst, elemBytes);
-        memo_.emplace(key, cost);
-        return cost;
-    }
-
-  private:
-    double
-    price(const LinearLayout &src, const LinearLayout &dst,
-          int elemBytes)
-    {
-        const double unplannable = unplannableConversionCycles(src, spec_);
-        try {
-            LinearLayout d = dst.transposeOuts(src.getOutDimNames());
-            if (codegen::conversionIsNoOp(src, d))
-                return 0.0;
-            if (cache_ != nullptr) {
-                auto outcome = service::serveConversion(
-                    cache_, src, d, elemBytes, spec_);
-                if (outcome.planned())
-                    return outcome.plan->estimateCycles(src, elemBytes,
-                                                        spec_);
-                return unplannable;
-            }
-            auto plan = codegen::tryPlanConversion(src, d, elemBytes,
-                                                   spec_);
-            if (plan.ok())
-                return plan->estimateCycles(src, elemBytes, spec_);
-        } catch (const std::exception &) {
-            // Incomparable layout spaces price like an unplannable
-            // conversion below.
-        }
-        return unplannable;
-    }
-
-    const sim::GpuSpec &spec_;
-    service::PlanCache *cache_;
-    std::map<std::string, double> memo_;
-};
+    return unplannable;
+}
 
 CostTerms
 collectCostTerms(const ir::Function &f, const PropagationMap &prop,
                  const std::vector<int> &anchorIdx,
+                 const std::vector<std::vector<LayoutCandidate>> &cands,
                  const sim::GpuSpec &spec, int numWarps)
 {
     CostTerms terms;
+    // A price table of `choices` entries, none priced yet.
+    auto unpriced = [](size_t choices) {
+        return std::vector<double>(
+            choices, std::numeric_limits<double>::quiet_NaN());
+    };
+    auto choices = [&](int idx) {
+        return cands[static_cast<size_t>(idx)].size();
+    };
     auto idxOf = [&](int valueId) -> int {
         const int a = prop.carrier[static_cast<size_t>(valueId)];
         return a < 0 ? -1 : anchorIdx[static_cast<size_t>(a)];
@@ -136,7 +126,8 @@ collectCostTerms(const ir::Function &f, const PropagationMap &prop,
             const int idx = idxOf(v);
             if (idx >= 0)
                 terms.memRefs.push_back(
-                    {idx, bitWidth(f.value(v).type.dtype)});
+                    {idx, bitWidth(f.value(v).type.dtype),
+                     unpriced(choices(idx))});
             break;
           }
           case OpKind::Dot: {
@@ -158,7 +149,8 @@ collectCostTerms(const ir::Function &f, const PropagationMap &prop,
                          dotOperandLayout(f.value(v).type, tacc, s,
                                           bits, spec, numWarps),
                          /*anchorIsSrc=*/true,
-                         byteWidth(f.value(v).type.dtype)});
+                         byteWidth(f.value(v).type.dtype),
+                         unpriced(choices(idx))});
                 } catch (const std::exception &) {
                     // No MMA operand layout for this shape: the edge
                     // is the same for every candidate, drop it.
@@ -182,17 +174,19 @@ collectCostTerms(const ir::Function &f, const PropagationMap &prop,
                     prop.fixed[static_cast<size_t>(v)];
                 const int bytes = byteWidth(f.value(v).type.dtype);
                 if (vIdx >= 0 && leadIdx >= 0 && vIdx != leadIdx)
-                    terms.pairEdges.push_back({vIdx, leadIdx, bytes});
+                    terms.pairEdges.push_back(
+                        {vIdx, leadIdx, bytes,
+                         unpriced(choices(vIdx) * choices(leadIdx))});
                 else if (vIdx >= 0 && leadIdx < 0 &&
                          leadFixed.has_value())
                     terms.fixedEdges.push_back(
-                        {vIdx, *leadFixed, /*anchorIsSrc=*/true,
-                         bytes});
+                        {vIdx, *leadFixed, /*anchorIsSrc=*/true, bytes,
+                         unpriced(choices(vIdx))});
                 else if (vIdx < 0 && leadIdx >= 0 &&
                          vFixed.has_value())
                     terms.fixedEdges.push_back(
-                        {leadIdx, *vFixed, /*anchorIsSrc=*/false,
-                         bytes});
+                        {leadIdx, *vFixed, /*anchorIsSrc=*/false, bytes,
+                         unpriced(choices(leadIdx))});
             }
             break;
           }
@@ -201,6 +195,34 @@ collectCostTerms(const ir::Function &f, const PropagationMap &prop,
         }
     }
     return terms;
+}
+
+/** True for the all-defaults (prefix of an) assignment. */
+bool
+isAllDefaults(const SynthAssignment &s)
+{
+    return std::all_of(s.choice.begin(), s.choice.end(),
+                       [](int c) { return c == 0; });
+}
+
+/**
+ * Cut the sorted `states` to the best `keep` (at least one), then
+ * re-append the all-defaults state if it fell out: the never-worse
+ * invariant keeps it in the beam at every level and among the
+ * finalists.
+ */
+void
+keepBest(std::vector<SynthAssignment> &states, int keep)
+{
+    const size_t k = static_cast<size_t>(std::max(1, keep));
+    if (states.size() <= k)
+        return;
+    const auto cut = states.begin() + static_cast<std::ptrdiff_t>(k);
+    auto def = std::find_if(states.begin(), states.end(), isAllDefaults);
+    const bool fellOut = def >= cut && def != states.end();
+    if (fellOut)
+        std::iter_swap(cut, def);
+    states.resize(fellOut ? k + 1 : k);
 }
 
 } // namespace
@@ -227,44 +249,55 @@ synthesizeAnchors(const ir::Function &f, const sim::GpuSpec &spec,
             anchorCandidates(f, result.anchors[i], prop, spec, numWarps,
                              opt.maxPerAnchor));
 
-    CostTerms terms =
-        collectCostTerms(f, prop, anchorIdx, spec, numWarps);
-    ConversionPricer pricer(spec, opt.planCache);
+    CostTerms terms = collectCostTerms(f, prop, anchorIdx,
+                                       result.candidates, spec, numWarps);
 
     // Guide cost of a partial assignment: terms whose every anchor is
     // already decided. Monotone in the prefix length, so beam pruning
     // on it is meaningful.
     auto partialCost = [&](const std::vector<int> &choice) {
         const int assigned = static_cast<int>(choice.size());
+        auto choiceOf = [&](int idx) {
+            return static_cast<size_t>(choice[static_cast<size_t>(idx)]);
+        };
         auto layoutOf = [&](int idx) -> const LinearLayout & {
-            return result
-                .candidates[static_cast<size_t>(idx)]
-                          [static_cast<size_t>(
-                               choice[static_cast<size_t>(idx)])]
+            return result.candidates[static_cast<size_t>(idx)][choiceOf(idx)]
                 .layout;
         };
         double cost = 0.0;
-        for (const MemRef &m : terms.memRefs) {
+        for (MemRef &m : terms.memRefs) {
             if (m.anchorIdx >= assigned)
                 continue;
-            cost += static_cast<double>(globalMemorySectors(
-                        layoutOf(m.anchorIdx), m.elemBits, spec)) *
-                    spec.globalSectorCycles;
+            cost += priced(m.price[choiceOf(m.anchorIdx)], [&] {
+                return static_cast<double>(globalMemorySectors(
+                           layoutOf(m.anchorIdx), m.elemBits, spec)) *
+                       spec.globalSectorCycles;
+            });
         }
-        for (const FixedEdge &e : terms.fixedEdges) {
+        for (FixedEdge &e : terms.fixedEdges) {
             if (e.anchorIdx >= assigned)
                 continue;
-            cost += e.anchorIsSrc
-                        ? pricer.cycles(layoutOf(e.anchorIdx), e.other,
-                                        e.elemBytes)
-                        : pricer.cycles(e.other, layoutOf(e.anchorIdx),
-                                        e.elemBytes);
+            cost += priced(e.price[choiceOf(e.anchorIdx)], [&] {
+                const LinearLayout &l = layoutOf(e.anchorIdx);
+                return e.anchorIsSrc
+                           ? conversionCycles(l, e.other, e.elemBytes,
+                                              spec)
+                           : conversionCycles(e.other, l, e.elemBytes,
+                                              spec);
+            });
         }
-        for (const PairEdge &e : terms.pairEdges) {
+        for (PairEdge &e : terms.pairEdges) {
             if (e.fromIdx >= assigned || e.toIdx >= assigned)
                 continue;
-            cost += pricer.cycles(layoutOf(e.fromIdx),
-                                  layoutOf(e.toIdx), e.elemBytes);
+            const size_t nTo =
+                result.candidates[static_cast<size_t>(e.toIdx)].size();
+            cost += priced(
+                e.price[choiceOf(e.fromIdx) * nTo + choiceOf(e.toIdx)],
+                [&] {
+                    return conversionCycles(layoutOf(e.fromIdx),
+                                            layoutOf(e.toIdx),
+                                            e.elemBytes, spec);
+                });
         }
         return cost;
     };
@@ -286,7 +319,6 @@ synthesizeAnchors(const ir::Function &f, const sim::GpuSpec &spec,
 
     std::vector<SynthAssignment> frontier;
     frontier.push_back({std::vector<int>{}, 0.0});
-    const int beamWidth = std::max(1, opt.beamWidth);
     for (int level = 0; level < n; ++level) {
         std::vector<SynthAssignment> next;
         const int numCands = static_cast<int>(
@@ -302,55 +334,15 @@ synthesizeAnchors(const ir::Function &f, const sim::GpuSpec &spec,
             }
         }
         std::sort(next.begin(), next.end(), better);
-        if (!result.exhaustive &&
-            static_cast<int>(next.size()) > beamWidth) {
-            // Prune to the beam — but the all-defaults prefix never
-            // falls out (the never-worse invariant).
-            const std::vector<int> defaults(
-                static_cast<size_t>(level + 1), 0);
-            bool defaultSurvives = false;
-            for (int i = 0; i < beamWidth; ++i)
-                defaultSurvives |= next[static_cast<size_t>(i)].choice ==
-                                   defaults;
-            SynthAssignment defaultState;
-            if (!defaultSurvives) {
-                for (const SynthAssignment &s : next)
-                    if (s.choice == defaults) {
-                        defaultState = s;
-                        break;
-                    }
-            }
-            next.resize(static_cast<size_t>(beamWidth));
-            if (!defaultSurvives)
-                next.push_back(std::move(defaultState));
-        }
+        if (!result.exhaustive)
+            keepBest(next, opt.beamWidth);
         frontier = std::move(next);
     }
-
-    const int keep = std::max(1, opt.maxRankedAssignments);
-    if (static_cast<int>(frontier.size()) > keep) {
-        const std::vector<int> defaults(static_cast<size_t>(n), 0);
-        bool defaultSurvives = false;
-        for (int i = 0; i < keep; ++i)
-            defaultSurvives |=
-                frontier[static_cast<size_t>(i)].choice == defaults;
-        SynthAssignment defaultState;
-        if (!defaultSurvives) {
-            for (const SynthAssignment &s : frontier)
-                if (s.choice == defaults) {
-                    defaultState = s;
-                    break;
-                }
-        }
-        frontier.resize(static_cast<size_t>(keep));
-        if (!defaultSurvives)
-            frontier.push_back(std::move(defaultState));
-    }
+    keepBest(frontier, opt.maxRankedAssignments);
     result.ranked = std::move(frontier);
 
-    const std::vector<int> defaults(static_cast<size_t>(n), 0);
     for (size_t i = 0; i < result.ranked.size(); ++i)
-        if (result.ranked[i].choice == defaults)
+        if (isAllDefaults(result.ranked[i]))
             result.defaultRank = static_cast<int>(i);
     llAssert(result.defaultRank >= 0,
              "the default assignment must survive the beam");

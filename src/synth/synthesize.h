@@ -11,9 +11,12 @@
  *     — the same term engine::estimateKernelCost charges;
  *   - edges: every place assignForward would insert a ConvertLayout
  *     between two anchor-carried values (or between an anchor-carried
- *     value and a fixed MMA/dot layout) costs the plan-cache-backed
- *     conversion estimate between the two candidate layouts — zero
- *     when the pair proves to be a no-op over F_2.
+ *     value and a fixed MMA/dot layout) costs the estimateCycles of
+ *     the plan between the two candidate layouts — zero when the pair
+ *     proves to be a no-op over F_2, a scalar shared round trip when
+ *     no rung plans it. Edges are priced from their plans alone:
+ *     nothing is smoke-executed or cached, and each term keeps its own
+ *     price table per candidate choice, filled on first use.
  *
  * Minimization is a beam search over anchors in op order with
  * deterministic tie-breaking (cost first, then the lexicographically
@@ -58,9 +61,9 @@ struct SynthOptions
     /** Finalists returned for true-pipeline repricing by the engine
      *  (the default assignment is always among them). */
     int maxRankedAssignments = 4;
-    /** Shared plan cache for edge pricing (borrowed; nullptr plans
-     *  directly). Overwritten with EngineOptions::planCache when the
-     *  engine drives the search. */
+    /** Unused: edge pricing plans directly and never touches a plan
+     *  cache. Still declared only because a benchmark driver assigns
+     *  it; due for deletion. */
     service::PlanCache *planCache = nullptr;
 };
 
@@ -91,8 +94,8 @@ struct SynthResult
     int statesExpanded = 0;
 };
 
-/** Run the search. Deterministic for a given (f, spec, numWarps, opt)
- *  regardless of plan-cache state or thread interleaving. */
+/** Run the search. Deterministic for a given (f, spec, numWarps, opt):
+ *  it reads no shared state. */
 SynthResult synthesizeAnchors(const ir::Function &f,
                               const sim::GpuSpec &spec, int numWarps,
                               const SynthOptions &opt);

@@ -17,9 +17,13 @@
  *     identical assignments and identical conversion plans (the tsan
  *     target);
  *   - every conversion a synthesized run leaves behind still passes the
- *     end-to-end tagged-buffer oracle, demotion loop included.
+ *     end-to-end tagged-buffer oracle, demotion loop included;
+ *   - the search prices edges from their plans alone: it smoke-runs
+ *     nothing and never touches a plan cache, so the first shared round
+ *     trip of a synthesized run is one of the conversions it ships.
  */
 
+#include <iostream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -33,6 +37,8 @@
 #include "engine/layout_engine.h"
 #include "kernels.h"
 #include "service/plan_cache.h"
+#include "support/failpoint.h"
+#include "support/metrics.h"
 #include "synth/candidates.h"
 #include "synth/synthesize.h"
 #include "triton/encodings.h"
@@ -150,6 +156,43 @@ TEST(SynthSearch, DefaultAssignmentAlwaysRanked)
                 EXPECT_EQ(c, 0);
         }
     }
+}
+
+// The search is plan-only: pricing the fig9 suite on GH200 smoke-runs
+// no shared round trip and neither reads nor fills the plan cache it
+// is handed. A kernel counts as compared when its search planned at
+// least one shared-memory conversion, the kind a smoke run executes.
+TEST(SynthSearch, PricesEdgesFromPlansAlone)
+{
+    const auto spec = sim::GpuSpec::gh200();
+    service::PlanCache cache;
+    synth::SynthOptions opt;
+    opt.planCache = &cache;
+    auto &registry = metrics::Registry::instance();
+    int compared = 0;
+    for (const auto &k : kernels::allKernels()) {
+        for (int32_t size : k.sizes) {
+            ir::Function f = k.build(size);
+            const auto before = registry.counterSnapshot();
+            synth::synthesizeAnchors(f, spec, 4, opt);
+            const auto delta = registry.counterDelta(before);
+            for (const auto &[name, moved] : delta) {
+                if (name == "exec.shared.runs" ||
+                    name.rfind("service.plan_cache.", 0) == 0) {
+                    EXPECT_EQ(moved, 0)
+                        << name << " moved while searching " << k.name
+                        << "(" << size << ")";
+                }
+            }
+            EXPECT_EQ(cache.size(), 0) << k.name << "(" << size << ")";
+            auto shared = delta.find("plan.kind.shared-memory");
+            if (shared != delta.end() && shared->second > 0)
+                ++compared;
+        }
+    }
+    std::cout << "searches that planned a shared conversion: "
+              << compared << "\n";
+    EXPECT_GT(compared, 0) << "no search planned a shared conversion";
 }
 
 TEST(SynthSearch, ExhaustiveSmallGraphIsSortedByCost)
@@ -287,6 +330,44 @@ TEST(SynthEngine, DeterministicAcrossThreads)
         for (int t = 1; t < 8; ++t)
             EXPECT_EQ(digests[0], digests[t]) << "thread " << t;
     }
+}
+
+// A one-shot exec fault must reach a conversion the run ships. The
+// search smoke-runs nothing, so on every fig9 GH200 kernel that ships a
+// convert:shared-memory op the fault is consumed by planConversions'
+// smoke run and demotes exactly one shipped conversion.
+TEST(SynthEngine, OneShotExecFaultReachesShippedConversion)
+{
+    const auto spec = sim::GpuSpec::gh200();
+    int kernelsChecked = 0;
+    for (const auto &k : kernels::allKernels()) {
+        const int32_t size = k.sizes[0];
+        ir::Function healthy = k.build(size);
+        engine::LayoutEngine(optionsFor(spec, true)).run(healthy);
+        bool shipsShared = false;
+        for (int i = 0; i < healthy.numOps(); ++i)
+            shipsShared |= !healthy.op(i).erased &&
+                           healthy.op(i).tag == "convert:shared-memory";
+        if (!shipsShared)
+            continue;
+
+        service::PlanCache cache;
+        ir::Function f = k.build(size);
+        engine::EngineStats stats;
+        {
+            failpoint::Scoped fault("exec.shared.file-size", 1);
+            stats = engine::LayoutEngine(optionsFor(spec, true, &cache))
+                        .run(f);
+        }
+        EXPECT_EQ(stats.execFallbacks, 1)
+            << k.name << "(" << size << "): the fault did not reach a "
+            << "shipped conversion";
+        ++kernelsChecked;
+    }
+    std::cout << "kernels shipping a shared conversion: "
+              << kernelsChecked << "\n";
+    EXPECT_GT(kernelsChecked, 0)
+        << "no fig9 kernel ships a convert:shared-memory op";
 }
 
 // Every conversion a synthesized run leaves behind must still pass the
