@@ -38,16 +38,6 @@ struct Result
     int cases = 0;
 };
 
-bool
-kernelRunsOn(const kernels::KernelSpec &k, const sim::GpuSpec &spec)
-{
-    if (k.needsTma && !spec.hasTma)
-        return false;
-    if (k.needsLargeShared && spec.sharedMemPerCta < 128 * 1024)
-        return false;
-    return true;
-}
-
 /**
  * LL_FIG9_KERNELS: comma-separated kernel-name subset for the table
  * and plan-cache passes. Empty/unset runs the full suite; a subset
@@ -101,7 +91,7 @@ printTable(bench::Results &results)
         std::printf("%-20s", k.name.c_str());
         for (size_t p = 0; p < 3; ++p) {
             const auto &spec = specs[p];
-            if (!kernelRunsOn(k, spec)) {
+            if (!kernels::runsOn(k, spec)) {
                 std::printf(" %14s", "n/a");
                 continue;
             }
@@ -229,7 +219,7 @@ printSynthComparison()
         // search.
         service::PlanCache cache;
         for (const auto &k : kernels::allKernels()) {
-            if (!kernelSelected(k) || !kernelRunsOn(k, spec))
+            if (!kernelSelected(k) || !kernels::runsOn(k, spec))
                 continue;
             int kOffElim = 0, kOnElim = 0;
             double kOffCycles = 0.0, kOnCycles = 0.0;

@@ -272,5 +272,43 @@ allKernels()
     return specs;
 }
 
+std::vector<std::pair<ir::DType, ir::DType>>
+mixedPrecisionPairs()
+{
+    using ir::DType;
+    return {
+        {DType::I16, DType::F16}, {DType::I16, DType::F32},
+        {DType::I16, DType::F64}, {DType::I16, DType::F8},
+        {DType::I32, DType::F16}, {DType::I32, DType::F64},
+        {DType::I32, DType::F8},  {DType::I64, DType::F16},
+        {DType::I64, DType::F32}, {DType::I64, DType::F8},
+        {DType::I8, DType::F16},  {DType::I8, DType::F32},
+        {DType::I8, DType::F64},  {DType::I8, DType::F8},
+    };
+}
+
+const std::vector<std::array<int32_t, 3>> &
+mixedPrecisionShapes()
+{
+    static const std::vector<std::array<int32_t, 3>> shapes = {
+        {16, 16, 32},   {32, 32, 32},  {16, 8, 32},   {64, 64, 64},
+        {32, 16, 128},  {8, 8, 32},    {128, 128, 64}, {16, 16, 64},
+        {64, 32, 32},   {32, 64, 64},  {16, 32, 32},  {64, 16, 64},
+    };
+    return shapes;
+}
+
+ir::Function
+mixedPrecisionDot(ir::DType a, ir::DType b,
+                  const std::array<int32_t, 3> &shape)
+{
+    ir::Function f("dot");
+    int va = f.load({a, {shape[0], shape[2]}});
+    int vb = f.load({b, {shape[2], shape[1]}});
+    int acc = f.dot(va, vb, ir::DType::F32);
+    f.store(acc);
+    return f;
+}
+
 } // namespace kernels
 } // namespace ll

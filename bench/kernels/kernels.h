@@ -15,11 +15,14 @@
 #ifndef LL_BENCH_KERNELS_H
 #define LL_BENCH_KERNELS_H
 
+#include <array>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ir/function.h"
+#include "sim/gpu_spec.h"
 
 namespace ll {
 namespace kernels {
@@ -53,6 +56,30 @@ ir::Function cumsum(int32_t size);
 
 /** The full Figure 9 suite. */
 std::vector<KernelSpec> allKernels();
+
+/** Whether Figure 9 runs kernel `k` on `spec`: TMA kernels need TMA,
+ *  large-shared kernels at least 128 KiB of shared memory per CTA. */
+inline bool
+runsOn(const KernelSpec &k, const sim::GpuSpec &spec)
+{
+    if (k.needsTma && !spec.hasTma)
+        return false;
+    if (k.needsLargeShared && spec.sharedMemPerCta < 128 * 1024)
+        return false;
+    return true;
+}
+
+/** Table 5's dtype pairs (operand a, operand b), in table order. */
+std::vector<std::pair<ir::DType, ir::DType>> mixedPrecisionPairs();
+
+/** The {M, N, K} dot shapes Table 5's cases cycle through: case i of a
+ *  pair uses shape i modulo their count. */
+const std::vector<std::array<int32_t, 3>> &mixedPrecisionShapes();
+
+/** One Table 5 case: load a (M x K) of dtype `a` and b (K x N) of
+ *  dtype `b`, dot them into F32, store the result. */
+ir::Function mixedPrecisionDot(ir::DType a, ir::DType b,
+                               const std::array<int32_t, 3> &shape);
 
 } // namespace kernels
 } // namespace ll

@@ -19,6 +19,7 @@
 #include "codegen/conversion.h"
 #include "codegen/shared_exec.h"
 #include "engine/layout_engine.h"
+#include "kernels.h"
 #include "legacy/legacy.h"
 
 namespace {
@@ -26,23 +27,13 @@ namespace {
 using namespace ll;
 using ir::DType;
 
-const std::vector<std::array<int32_t, 3>> kBaseShapes = {
-    {16, 16, 32},   {32, 32, 32},  {16, 8, 32},   {64, 64, 64},
-    {32, 16, 128},  {8, 8, 32},    {128, 128, 64}, {16, 16, 64},
-    {64, 32, 32},   {32, 64, 64},  {16, 32, 32},  {64, 16, 64},
-};
-
 /** Run one dot case end to end under Triton-Linear; returns pass. */
 bool
 runLinearCase(DType a, DType b, const std::array<int32_t, 3> &shape,
               const sim::GpuSpec &spec)
 {
     try {
-        ir::Function f("dot");
-        int va = f.load({a, {shape[0], shape[2]}});
-        int vb = f.load({b, {shape[2], shape[1]}});
-        int acc = f.dot(va, vb, DType::F32);
-        f.store(acc);
+        ir::Function f = kernels::mixedPrecisionDot(a, b, shape);
         engine::LayoutEngine eng({spec, 4});
         eng.run(f);
 
@@ -70,8 +61,12 @@ runLinearCase(DType a, DType b, const std::array<int32_t, 3> &shape,
     }
 }
 
+/**
+ * Print the table and record its overall pass rates in `results`:
+ * linear_pass_pct, legacy_pass_pct and the case count (cases).
+ */
 void
-printTable()
+printTable(bench::Results &results)
 {
     auto spec = sim::GpuSpec::gh200();
     bench::printHeader(
@@ -80,22 +75,13 @@ printTable()
     std::printf("%-12s %12s %14s\n", "Data Type", "Triton",
                 "Triton-Linear");
 
-    const std::pair<DType, DType> pairs[] = {
-        {DType::I16, DType::F16}, {DType::I16, DType::F32},
-        {DType::I16, DType::F64}, {DType::I16, DType::F8},
-        {DType::I32, DType::F16}, {DType::I32, DType::F64},
-        {DType::I32, DType::F8},  {DType::I64, DType::F16},
-        {DType::I64, DType::F32}, {DType::I64, DType::F8},
-        {DType::I8, DType::F16},  {DType::I8, DType::F32},
-        {DType::I8, DType::F64},  {DType::I8, DType::F8},
-    };
+    const auto &shapes = kernels::mixedPrecisionShapes();
     int linTotal = 0, linPass = 0, legTotal = 0, legPass = 0;
-    for (auto [a, b] : pairs) {
+    for (auto [a, b] : kernels::mixedPrecisionPairs()) {
         auto [lp, lt] = legacy::legacyDotPassCounts(a, b);
         int passed = 0;
         for (int i = 0; i < lt; ++i) {
-            auto shape = kBaseShapes[static_cast<size_t>(i) %
-                                     kBaseShapes.size()];
+            auto shape = shapes[static_cast<size_t>(i) % shapes.size()];
             if (runLinearCase(a, b, shape, spec))
                 ++passed;
         }
@@ -107,9 +93,14 @@ printTable()
         legTotal += lt;
         legPass += lp;
     }
+    const double legacyPct = 100.0 * legPass / legTotal;
+    const double linearPct = 100.0 * linPass / linTotal;
     std::printf("overall: legacy %.1f%%, linear %.1f%% of %d cases\n",
-                100.0 * legPass / legTotal, 100.0 * linPass / linTotal,
-                linTotal);
+                legacyPct, linearPct, linTotal);
+    results.clear();
+    results.emplace_back("linear_pass_pct", linearPct);
+    results.emplace_back("legacy_pass_pct", legacyPct);
+    results.emplace_back("cases", linTotal);
 }
 
 void
@@ -117,11 +108,8 @@ BM_MixedPrecisionLayoutEngine(benchmark::State &state)
 {
     auto spec = sim::GpuSpec::gh200();
     for (auto _ : state) {
-        ir::Function f("dot");
-        int va = f.load({DType::I8, {64, 64}});
-        int vb = f.load({DType::F8, {64, 64}});
-        int acc = f.dot(va, vb, DType::F32);
-        f.store(acc);
+        ir::Function f =
+            kernels::mixedPrecisionDot(DType::I8, DType::F8, {64, 64, 64});
         engine::LayoutEngine eng({spec, 4});
         auto stats = eng.run(f);
         benchmark::DoNotOptimize(stats);
@@ -135,7 +123,10 @@ BENCHMARK(BM_MixedPrecisionLayoutEngine);
 int
 main(int argc, char **argv)
 {
-    ll::bench::emitBenchJson("tab5_mixed_precision", [] { printTable(); });
+    ll::bench::Results results;
+    ll::bench::emitBenchJson(
+        "tab5_mixed_precision", [&results] { printTable(results); },
+        results);
     benchmark::Initialize(&argc, argv);
     benchmark::RunSpecifiedBenchmarks();
     return 0;

@@ -3,6 +3,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "check/verify.h"
 #include "support/diagnostics.h"
 
 namespace ll {
@@ -242,8 +243,8 @@ checkCuteCaseWithDemotion(const CuteCase &c)
     }
     cute::CutePlan plan = std::move(*decomposed);
     if (plan.needsCorePlan()) {
-        auto verified = codegen::planAndVerify(
-            plan.coreSrc, plan.coreDst, c.request.elemBytes, spec);
+        auto verified = verifyPlan(plan.coreSrc, plan.coreDst,
+                                   c.request.elemBytes, spec);
         out.notes = std::move(verified.notes);
         if (!verified.plan.ok()) {
             out.survived = false;

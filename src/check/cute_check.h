@@ -130,7 +130,7 @@ struct CuteDemotionReport
 
 /**
  * Decompose the case, run the core's distributed conversion through
- * codegen::planAndVerify (plan, smoke-execute, demote until a rung
+ * check::verifyPlan (plan, smoke-execute, demote until a rung
  * survives), then run the full admission oracle on the surviving plan.
  * Cases with no core plan (single-element box) skip straight to the
  * oracle.

@@ -5,6 +5,7 @@
 #include <utility>
 #include <vector>
 
+#include "check/verify.h"
 #include "codegen/shared_exec.h"
 #include "codegen/swizzle.h"
 #include "f2/subspace.h"
@@ -337,7 +338,7 @@ checkCaseWithDemotion(const ConversionCase &c)
 {
     auto spec = c.spec();
     failpoint::ScopedSet guard(c.failpoints);
-    auto verified = codegen::planAndVerify(c.src, c.dst, c.elemBytes, spec);
+    auto verified = verifyPlan(c.src, c.dst, c.elemBytes, spec);
     llUserCheck(verified.plan.ok(), "planConversion failed: " +
                                         verified.plan.diag().toString());
     DemotionReport out;

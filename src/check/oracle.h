@@ -155,16 +155,15 @@ struct DemotionReport
     /** The full oracle verdict on the finally-executed plan. */
     OracleReport report;
     /** Execution failures, demotions and re-plan failures on the way
-     *  (codegen::VerifiedPlan::notes). */
+     *  (check::VerifiedPlan::notes). */
     std::vector<std::string> notes;
 };
 
 /**
- * Run one conversion case through codegen::planAndVerify — the same
- * plan -> smoke -> demote routine the engine and the service use —
- * under the case's failpoint set, then audit the surviving plan with
- * the full oracle. This is how the exec-fallback tests prove a demoted
- * re-plan still round-trips bit-exactly. Planning failures raise
+ * Run one conversion case through check::verifyPlan (plan, smoke-run,
+ * demote) under the case's failpoint set, then audit the surviving plan
+ * with the full oracle. This is how the exec-fallback tests prove a
+ * demoted re-plan still round-trips bit-exactly. Planning failures raise
  * UserError, like checkConversionCase.
  */
 DemotionReport checkCaseWithDemotion(const ConversionCase &c);

@@ -291,8 +291,8 @@ demotionSitesFor(ConversionKind kind)
 {
     // Cumulative knockout sets: disabling every rung at or above `kind`
     // forces the re-plan strictly below it. The shared executors serve
-    // rungs 4-6 alike, so the engine cannot tell from an ExecDiagnostic
-    // which shared rung misbehaved — it demotes the one the plan names.
+    // rungs 4-6 alike, so an ExecDiagnostic cannot tell which shared
+    // rung misbehaved — demotion steps below the one the plan names.
     switch (kind) {
       case ConversionKind::NoOp:
         return {"plan.noop"};
@@ -442,8 +442,8 @@ tryPlanConversionImpl(const LinearLayout &src, const LinearLayout &dst,
         return true;
     };
 
-    // plan.kind.<kind> counts every accepted rung, the re-plans of a
-    // demotion (tryReplanBelow) included, so it pairs with the
+    // plan.kind.<kind> counts every accepted rung, the re-plans of
+    // tryPlanConversionBelow included, so it pairs with the
     // plan.rung.<rung>.evaluated counters as the ladder's accept count.
     auto countKind = [](ConversionKind kind) {
         metrics::counter("plan.kind." + toString(kind)).inc();
@@ -787,12 +787,12 @@ planConversion(const LinearLayout &src, const LinearLayout &dst,
 }
 
 Result<ConversionPlan>
-tryReplanBelow(ConversionKind failed, const LinearLayout &src,
-               const LinearLayout &dst, int elemBytes,
-               const sim::GpuSpec &spec)
+tryPlanConversionBelow(ConversionKind kind, const LinearLayout &src,
+                       const LinearLayout &dst, int elemBytes,
+                       const sim::GpuSpec &spec)
 {
     int startRung;
-    switch (failed) {
+    switch (kind) {
       case ConversionKind::NoOp:
         startRung = kRungRegisterPermute;
         break;
@@ -811,87 +811,9 @@ tryReplanBelow(ConversionKind failed, const LinearLayout &src,
       case ConversionKind::SharedScalar:
       default:
         return makeDiag(DiagCode::PlannerInternalError, "plan.replan",
-                        "the terminal scalar rung failed in execution; "
-                        "nothing below it to demote to");
+                        "nothing below the terminal scalar rung");
     }
-    trace::Span span("plan.replan", "plan");
-    static auto &replans = metrics::counter("plan.replans");
-    replans.inc();
-    auto result =
-        tryPlanConversionImpl(src, dst, elemBytes, spec, startRung);
-    if (span.active()) {
-        span.arg("below", toString(failed));
-        span.arg("outcome",
-                 result.ok() ? toString(result->kind) : "unplanned");
-    }
-    return result;
-}
-
-namespace {
-/** Run one planner entry point, turning an exception into a
- *  PlannerInternalError diagnostic attributed to `stage`. */
-template <typename PlanFn>
-Result<ConversionPlan>
-planGuarded(const char *stage, PlanFn &&plan)
-{
-    try {
-        return plan();
-    } catch (const std::exception &e) {
-        return makeDiag(DiagCode::PlannerInternalError, stage,
-                        std::string("planner threw: ") + e.what());
-    }
-}
-} // namespace
-
-VerifiedPlan
-planAndVerify(const LinearLayout &src, const LinearLayout &dst,
-              int elemBytes, const sim::GpuSpec &spec)
-{
-    VerifiedPlan out(planGuarded("plan.verify", [&] {
-        return tryPlanConversion(src, dst, elemBytes, spec);
-    }));
-    if (!out.plan.ok())
-        return out;
-    out.initialKind = out.plan->kind;
-    while (true) {
-        trace::Span iter("convert.demotion-iter", "plan");
-        const std::string kind = toString(out.plan->kind);
-        if (iter.active())
-            iter.arg("kind", kind);
-        auto fail = smokeExecutePlan(*out.plan, src, dst, elemBytes, spec);
-        if (!fail.has_value()) {
-            iter.arg("outcome", "smoke-ok");
-            return out;
-        }
-        out.notes.push_back("convert:" + kind +
-                            " execution failed: " + fail->toString());
-        if (out.plan->kind == ConversionKind::SharedScalar) {
-            // Nothing below the terminal rung to demote to.
-            out.execFailed = true;
-            iter.arg("outcome", "terminal-failure");
-            return out;
-        }
-        auto replanned = planGuarded("plan.replan", [&] {
-            return tryReplanBelow(out.plan->kind, src, dst, elemBytes,
-                                  spec);
-        });
-        if (!replanned.ok()) {
-            out.notes.push_back("demoted re-plan failed: " +
-                                replanned.diag().toString());
-            out.execFailed = true;
-            iter.arg("outcome", "replan-failure");
-            return out;
-        }
-        ++out.demotions;
-        out.plan = std::move(replanned);
-        const std::string toKind = toString(out.plan->kind);
-        if (iter.active()) {
-            iter.arg("outcome", "demoted");
-            iter.arg("to_kind", toKind);
-        }
-        out.notes.push_back("demoted to convert:" + toKind +
-                            " after execution failure");
-    }
+    return tryPlanConversionImpl(src, dst, elemBytes, spec, startRung);
 }
 
 double
@@ -917,7 +839,7 @@ ConversionPlan::estimateCycles(const LinearLayout &src, int elemBytes,
       case ConversionKind::SharedPadded:
       case ConversionKind::SharedScalar: {
         // Every shared rung is priced by its whole-pass wavefront
-        // totals — the counts the smoke run audits (CostMismatch) —
+        // totals — the counts smokeExecutePlan audits (CostMismatch) —
         // serialized per warp, plus one round-trip barrier per pass (a
         // windowed plan pays it once per window). ldmatrix/stmatrix
         // replace a side's plain accesses only when the tile pricing

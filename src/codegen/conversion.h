@@ -129,22 +129,19 @@ ConversionPlan planConversion(const LinearLayout &src,
                               const sim::GpuSpec &spec);
 
 /**
- * Re-plan after an execution failure of a plan of kind `failed`: resume
- * the fallback ladder at the rung strictly below it, without evaluating
- * (or even opening spans for) the rungs at or above. This is what the
- * engine's execution-triggered demotion uses; it is equivalent to
- * re-running tryPlanConversion under the demotionSitesFor(failed)
- * knockout set, minus the wasted rung evaluations and the
- * FailpointInjected notes that knockout would leave in the plan's
- * diagnostics. Returns a Diagnostic when `failed` is the terminal
- * SharedScalar rung (nowhere left to demote to) or when every remaining
- * rung also fails.
+ * tryPlanConversion with the fallback ladder resumed strictly below the
+ * rung of `kind`: the rungs at or above it are neither evaluated nor
+ * noted (no spans, no FailpointInjected notes), so the result equals
+ * planning under the demotionSitesFor(kind) knockout minus those
+ * notes. Opens no "plan.conversion" span. Returns a Diagnostic when
+ * `kind` is the terminal SharedScalar rung or every remaining rung
+ * fails. check::verifyPlan demotes through it.
  */
-Result<ConversionPlan> tryReplanBelow(ConversionKind failed,
-                                      const LinearLayout &src,
-                                      const LinearLayout &dst,
-                                      int elemBytes,
-                                      const sim::GpuSpec &spec);
+Result<ConversionPlan> tryPlanConversionBelow(ConversionKind kind,
+                                              const LinearLayout &src,
+                                              const LinearLayout &dst,
+                                              int elemBytes,
+                                              const sim::GpuSpec &spec);
 
 /**
  * Every failpoint site the planner consults, in ladder order, minus the
@@ -158,9 +155,9 @@ std::vector<std::string> plannerFailpointSites();
  * Every failpoint site the Result-returning executors consult
  * (exec.shuffle.*, exec.gather.*, exec.shared.*). These guard the
  * execution-time error paths rather than planning rungs; activating one
- * with a limit of 1 fails exactly one execution attempt, so a demoted
- * re-plan's smoke execution succeeds. Used by llfuzz
- * --failpoint-coverage and the exec-fallback tests.
+ * with a limit of 1 fails exactly one execution attempt, so the smoke
+ * execution of check::verifyPlan's demoted re-plan succeeds. Used by
+ * llfuzz --failpoint-coverage and the exec-fallback tests.
  */
 std::vector<std::string> executionFailpointSites();
 
@@ -168,7 +165,7 @@ std::vector<std::string> executionFailpointSites();
  * The planner-failpoint knockout set that forces a re-plan strictly
  * below `kind` on the fallback ladder (every rung at or above it is
  * disabled). Empty for SharedScalar: the terminal rung has nowhere to
- * demote to, so an execution failure there is an engine failure.
+ * demote to, so an execution failure there is a verification failure.
  */
 std::vector<std::string> demotionSitesFor(ConversionKind kind);
 
@@ -183,55 +180,14 @@ std::vector<std::string> demotionSitesFor(ConversionKind kind);
  * the plan's storeWavefrontsTotal/loadWavefrontsTotal (a CostMismatch at
  * stage "exec.shared.cost"). NoOp and RegisterPermute have no executor
  * and trivially pass. Returns the first failure, or nullopt when
- * execution succeeded. The full audit — Lemma 9.4, every kind's data —
- * stays the oracle's job (src/check).
+ * execution succeeded. Off the compile path: check::verifyPlan
+ * smoke-runs and demotes with it, and the full audit — Lemma 9.4,
+ * every kind's data — stays the oracle's job (check::checkPlan).
  */
 std::optional<ExecDiagnostic>
 smokeExecutePlan(const ConversionPlan &plan, const LinearLayout &src,
                  const LinearLayout &dst, int elemBytes,
                  const sim::GpuSpec &spec);
-
-/** What planAndVerify made of one conversion. */
-struct VerifiedPlan
-{
-    explicit VerifiedPlan(Result<ConversionPlan> planned)
-        : plan(std::move(planned))
-    {
-    }
-
-    /** The plan whose smoke execution passed or, when `execFailed`,
-     *  the last plan whose execution failed (kept for diagnosis). A
-     *  Diagnostic only when the initial planning failed. */
-    Result<ConversionPlan> plan;
-    /** The rung the planner picked before any execution failure. */
-    ConversionKind initialKind = ConversionKind::NoOp;
-    /** Execution-triggered demotion steps taken. */
-    int demotions = 0;
-    /** No rung survived execution: the terminal rung failed, or a
-     *  demoted re-plan could not be built. */
-    bool execFailed = false;
-    /** One line per execution failure, demotion and failed re-plan, in
-     *  the order they happened. */
-    std::vector<std::string> notes;
-
-    bool verified() const { return plan.ok() && !execFailed; }
-};
-
-/**
- * The one plan -> smoke -> demote routine every conversion goes
- * through (the layout engine via the service, the service itself, the
- * check oracles and llstat). Plans with tryPlanConversion (a planner
- * exception becomes a PlannerInternalError diagnostic), smoke-executes
- * the plan, and on an ExecDiagnostic resumes the ladder strictly below
- * the failing rung with tryReplanBelow until a rung survives. The
- * resume point moves strictly toward the terminal scalar rung, so the
- * loop terminates. Never throws on planner or executor trouble.
- *
- * Span: "convert.demotion-iter" per smoke execution, with "kind" and an
- * "outcome" of smoke-ok | demoted | terminal-failure | replan-failure.
- */
-VerifiedPlan planAndVerify(const LinearLayout &src, const LinearLayout &dst,
-                           int elemBytes, const sim::GpuSpec &spec);
 
 /**
  * Deterministic, exhaustive rendering of a plan: kind, the shuffle

@@ -49,7 +49,7 @@ struct KernelCost
  * it, so `spec` must be the spec of that run and the op's endpoint
  * layouts must be the ones it planned (see ir::Op::plan). An op tagged
  * ir::kUnplannedConvertTag is priced as an unplannable conversion; any
- * other op without a plan is planned here, without a smoke run.
+ * other op without a plan is planned here.
  */
 KernelCost estimateKernelCost(const ir::Function &f,
                               const sim::GpuSpec &spec, int numWarps = 4);

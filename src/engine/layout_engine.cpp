@@ -81,9 +81,7 @@ LayoutEngine::planCuteConversion(const cute::CuteLayout &src,
                                                 options_.spec);
     if (outcome.planned())
         return std::move(*outcome.plan);
-    return makeDiag(outcome.execFailed ? DiagCode::ExecutionFailed
-                                       : DiagCode::InvalidInput,
-                    "engine.cute", outcome.error);
+    return makeDiag(DiagCode::InvalidInput, "engine.cute", outcome.error);
 }
 
 void
@@ -339,10 +337,11 @@ void
 LayoutEngine::planConversions(ir::Function &f, EngineStats &stats)
 {
     trace::Span phase("engine.plan-conversions", "engine");
-    // Every op goes through service::serveConversion. Without a shared
-    // cache the run keeps its own, over a private interner, so a
-    // conversion repeated within the run is planned and smoke-executed
-    // once; the cache's failpoint/deadline insert policy still applies.
+    // Every op goes through service::serveConversion, which ships the
+    // plan tryPlanConversion returns. Without a shared cache the run
+    // keeps its own, over a private interner, as a pure plan memo: a
+    // conversion repeated within the run is planned once. The cache's
+    // failpoint/deadline insert policy still applies.
     const bool sharedCache = options_.planCache != nullptr;
     service::PlanCache *cache = options_.planCache;
     std::optional<service::LayoutInterner> runInterner;
@@ -387,16 +386,6 @@ LayoutEngine::planConversions(ir::Function &f, EngineStats &stats)
                                              ? "negative-hit"
                                              : "hit");
         }
-        for (const auto &note : outcome.notes)
-            stats.planDiagnostics.push_back(opName + ": " + note);
-        stats.execFallbacks += outcome.demotions;
-
-        if (outcome.execFailed) {
-            o.tag = ir::kUnplannedConvertTag;
-            ++stats.execFailures;
-            opSpan.arg("outcome", "exec-failure");
-            continue;
-        }
         if (!outcome.plan) {
             o.tag = ir::kUnplannedConvertTag;
             ++stats.planFailures;
@@ -412,10 +401,7 @@ LayoutEngine::planConversions(ir::Function &f, EngineStats &stats)
         o.plan = outcome.plan;
         o.tag = "convert:" + codegen::toString(plan.kind);
         ++stats.convertsPlanned;
-        if (opSpan.active()) {
-            opSpan.arg("outcome", o.tag);
-            opSpan.arg("demotions", outcome.demotions);
-        }
+        opSpan.arg("outcome", o.tag);
         if (!plan.diagnostics.empty()) {
             ++stats.planFallbacks;
             stats.planDiagnostics.push_back(opName + " (" + o.tag +
@@ -463,10 +449,9 @@ LayoutEngine::synthesizeAssignment(const ir::Function &f,
 
     // Reprice the finalists with the true pipeline: a trial
     // assignment + cleanup on a copy is exactly what the real run
-    // produces, and the cost model plans the copy's conversions the way
-    // planConversions would (they differ only if a smoke failure
-    // demotes a plan), so the cost comparison below is exact, not a
-    // guide estimate — the never-worse guarantee rests on it.
+    // produces, and the cost model plans the copy's conversions exactly
+    // as planConversions does, so the cost comparison below is exact,
+    // not a guide estimate — the never-worse guarantee rests on it.
     struct Eval
     {
         double cycles = 0.0;
@@ -576,8 +561,6 @@ LayoutEngine::run(ir::Function &f)
     mirror("engine.plan_fallbacks", stats.planFallbacks);
     mirror("engine.plan_failures", stats.planFailures);
     mirror("engine.transfer_fallbacks", stats.transferFallbacks);
-    mirror("engine.exec_failures", stats.execFailures);
-    mirror("engine.exec_fallbacks", stats.execFallbacks);
     mirror("engine.plan_cache_hits", stats.planCacheHits);
     mirror("engine.plan_cache_negative_hits",
            stats.planCacheNegativeHits);
@@ -596,7 +579,6 @@ LayoutEngine::run(ir::Function &f)
     if (span.active()) {
         span.arg("converts_planned", stats.convertsPlanned);
         span.arg("converts_eliminated", stats.convertsEliminated);
-        span.arg("exec_fallbacks", stats.execFallbacks);
     }
     return stats;
 }

@@ -47,15 +47,15 @@ struct EngineOptions
     sim::GpuSpec spec = sim::GpuSpec::gh200();
     int numWarps = 4;
     /** Shared, sharded plan cache (borrowed, not owned; nullptr gives
-     *  each run a private cache of its own, so a conversion repeated
-     *  within one run is still planned and smoke-executed once). Every
-     *  op is served by service::serveConversion: a hit serves the
-     *  memoized plan — or a memoized InvalidInput rejection — without
-     *  planning or smoke-executing anything. Only shared-cache traffic
-     *  is counted in EngineStats::planCacheHits / planCacheNegativeHits
-     *  / planCacheMisses. Plans that survived demotion, were shaped by
-     *  failpoints, or were planned while any failpoint was active are
-     *  never inserted. */
+     *  each run a private plan memo of its own, so a conversion
+     *  repeated within one run is still planned once). Every op is
+     *  served by service::serveConversion, which ships the plan
+     *  codegen::tryPlanConversion returns and executes nothing: a hit
+     *  serves the memoized plan — or a memoized InvalidInput
+     *  rejection — without planning. Only shared-cache traffic is
+     *  counted in EngineStats::planCacheHits / planCacheNegativeHits /
+     *  planCacheMisses. Plans shaped by failpoints or a deadline, or
+     *  planned while any failpoint was active, are never inserted. */
     service::PlanCache *planCache = nullptr;
     /** Run the whole-kernel anchor-assignment search (src/synth) before
      *  propagation and adopt its winning assignment when the true cost
@@ -67,8 +67,8 @@ struct EngineOptions
     bool synthesizeLayouts = false;
     /** Search knobs for synthesizeLayouts. The search prices edges
      *  from their plans alone and never touches planCache: only the
-     *  conversions the adopted assignment ships are served (and
-     *  smoke-run) through it by planConversions. */
+     *  conversions the adopted assignment ships are served through it
+     *  by planConversions. */
     synth::SynthOptions synthOptions;
 };
 
@@ -89,16 +89,8 @@ struct EngineStats
     /** Shape-transfer functions that threw (or were failpointed via
      *  "engine.transfer") and fell back to the anchor layout. */
     int transferFallbacks = 0;
-    /** Conversions whose smoke execution failed and were successfully
-     *  re-planned one rung further down the ladder (counted once per
-     *  demotion step, so one op can contribute several). */
-    int execFallbacks = 0;
-    /** Conversions whose execution failed with no rung left to demote
-     *  to (or whose demoted re-plan failed); the op is tagged
-     *  "convert:unplanned" and the engine carries on. */
-    int execFailures = 0;
     /** Conversions served whole from the shared plan cache
-     *  (EngineOptions::planCache): no planning, no smoke execution.
+     *  (EngineOptions::planCache): no planning.
      *  Mirrored as "engine.plan_cache_hits";
      *  the cache's own counters live under "service.plan_cache.*". */
     int planCacheHits = 0;
@@ -166,7 +158,7 @@ class LayoutEngine
      * Accept a cute (shape,stride) relayout — including non-pow2
      * logical shapes the F2 entry points reject — with this engine's
      * spec and warp configuration. The pow2 core always goes through
-     * service::serveCuteConversion — smoke-verified and demoted like any
+     * service::serveCuteConversion — shipped as planned, like any
      * conversion — sharing interned layouts and cached ladder plans with
      * ordinary conversions when EngineOptions::planCache is configured;
      * malformed requests fail with DiagCode::InvalidInput, and nothing
@@ -196,9 +188,8 @@ class LayoutEngine
 
     /** Serve every surviving ConvertLayout through
      *  service::serveConversion and tag it "convert:<kind>". A plan that
-     *  cannot be built, or that no rung of which survives execution,
-     *  downgrades the op to "convert:unplanned" and is recorded in the
-     *  stats; this pass never throws. */
+     *  cannot be built downgrades the op to "convert:unplanned" and is
+     *  recorded in the stats; this pass never throws. */
     void planConversions(ir::Function &f, EngineStats &stats);
 
     /** Convert operand `slot` of op `opIdx` to `want` unless it is

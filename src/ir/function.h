@@ -83,7 +83,7 @@ struct Op
 };
 
 /** Tag of a ConvertLayout op the layout engine tried and could not
- *  plan, or whose every rung failed its smoke run. */
+ *  plan. */
 inline constexpr const char *kUnplannedConvertTag = "convert:unplanned";
 
 class Function

@@ -121,14 +121,12 @@ executeAttempt(const CompileRequest &req, const ExecContext &ctx,
             ir::Function f = req.build();
             engine::LayoutEngine eng{ctx.engineOptions};
             resp.stats = eng.run(f);
-            resp.ok = resp.stats.planFailures == 0 &&
-                      resp.stats.execFailures == 0;
+            resp.ok = resp.stats.planFailures == 0;
             resp.outcome = resp.ok ? RequestOutcome::Planned
                                    : RequestOutcome::Failed;
             if (!resp.ok)
                 resp.error = "engine downgraded " +
-                             std::to_string(resp.stats.planFailures +
-                                            resp.stats.execFailures) +
+                             std::to_string(resp.stats.planFailures) +
                              " conversion(s) to convert:unplanned";
         } else if (req.conversion) {
             const ConversionRequest &c = *req.conversion;
@@ -138,8 +136,6 @@ executeAttempt(const CompileRequest &req, const ExecContext &ctx,
             const ConversionOutcome &outcome = flight.outcome;
             resp.coalesced = flight.role == FlightRole::Follower;
             resp.error = outcome.error;
-            resp.stats.execFallbacks = outcome.demotions;
-            resp.stats.planDiagnostics = outcome.notes;
             if (flight.role == FlightRole::TimedOut) {
                 resp.ok = false;
                 resp.outcome = RequestOutcome::DeadlineExceeded;
@@ -160,15 +156,12 @@ executeAttempt(const CompileRequest &req, const ExecContext &ctx,
                 } else {
                     if (ctx.cache != nullptr)
                         resp.stats.planCacheMisses = 1;
-                    if (outcome.execFailed)
-                        resp.stats.execFailures = 1;
-                    else if (outcome.plan)
+                    if (outcome.plan)
                         resp.stats.convertsPlanned = 1;
                     else
                         resp.stats.planFailures = 1;
                     resp.freshPlan = flight.role == FlightRole::Leader &&
-                                     outcome.plan != nullptr &&
-                                     !outcome.execFailed;
+                                     outcome.plan != nullptr;
                 }
             }
         } else {
@@ -354,8 +347,6 @@ accumulateStats(engine::EngineStats &into,
     into.planFallbacks += from.planFallbacks;
     into.planFailures += from.planFailures;
     into.transferFallbacks += from.transferFallbacks;
-    into.execFallbacks += from.execFallbacks;
-    into.execFailures += from.execFailures;
     into.planCacheHits += from.planCacheHits;
     into.planCacheNegativeHits += from.planCacheNegativeHits;
     into.planCacheMisses += from.planCacheMisses;

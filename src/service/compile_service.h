@@ -83,7 +83,7 @@ enum class RequestOutcome
     Planned,          ///< served a correct plan (cached, coalesced or fresh)
     Shed,             ///< refused by admission control before any work
     DeadlineExceeded, ///< deadline passed in queue / waiting on a flight
-    Failed,           ///< planning or smoke execution failed (diagnosed)
+    Failed,           ///< planning failed (diagnosed)
 };
 
 std::string toString(RequestOutcome outcome);

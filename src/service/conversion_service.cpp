@@ -47,34 +47,28 @@ planAndPublish(PlanCache *cache, const PlanKey *key,
     trace::Span span("service.conversion.plan", "service");
     ConversionOutcome out;
 
-    auto verified = codegen::planAndVerify(src, dst, elemBytes, spec);
-    if (!verified.plan.ok()) {
-        out.error = verified.plan.diag().toString();
+    auto planned = [&]() -> Result<codegen::ConversionPlan> {
+        try {
+            return codegen::tryPlanConversion(src, dst, elemBytes, spec);
+        } catch (const std::exception &e) {
+            return makeDiag(DiagCode::PlannerInternalError,
+                            "service.conversion",
+                            std::string("planner threw: ") + e.what());
+        }
+    }();
+    if (!planned.ok()) {
+        out.error = planned.diag().toString();
         if (key)
-            cache->insertRejection(*key, verified.plan.diag());
+            cache->insertRejection(*key, planned.diag());
         span.arg("outcome", "plan-failed");
         return out;
     }
 
     out.plan = std::make_shared<const codegen::ConversionPlan>(
-        std::move(*verified.plan));
-    out.demotions = verified.demotions;
-    out.notes = std::move(verified.notes);
-    if (verified.execFailed) {
-        out.execFailed = true;
-        out.error = out.notes.back();
-        span.arg("outcome", "exec-failed");
-        return out;
-    }
-
-    // Only undemoted plans are published: a demoted plan encodes this
-    // request's execution failures, not the pure planning function of
-    // the key. The cache applies its own failpoint policy on top.
-    if (key && out.demotions == 0)
+        std::move(*planned));
+    if (key)
         cache->insert(*key, out.plan);
     span.arg("outcome", "planned");
-    if (out.demotions > 0)
-        span.arg("demotions", out.demotions);
     return out;
 }
 

@@ -4,14 +4,15 @@
  *
  * serveConversion() is what every conversion goes through, whether it
  * arrives as a service request or as a ConvertLayout op in the layout
- * engine: consult the plan cache, and on a miss run
- * codegen::planAndVerify (plan, smoke-execute, demote until a rung
- * survives) before publishing an undemoted plan for every later
- * requester. The engine passes its EngineOptions::planCache, or a
- * per-run cache of its own when none is configured.
+ * engine: consult the plan cache, and on a miss plan with
+ * codegen::tryPlanConversion and publish the plan for every later
+ * requester. Nothing here executes a plan: the lowerings are correct
+ * by construction, and check::verifyPlan smoke-runs them in the
+ * oracle and the tests. The engine passes its EngineOptions::planCache,
+ * or a per-run plan memo of its own when none is configured.
  *
  * Span: "service.conversion" (cat "service") with an "outcome" arg of
- * cache-hit | cached-rejection | planned | plan-failed | exec-failed.
+ * cache-hit | cached-rejection | planned | plan-failed.
  */
 
 #ifndef LL_SERVICE_CONVERSION_SERVICE_H
@@ -19,7 +20,6 @@
 
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "codegen/conversion.h"
 #include "service/plan_cache.h"
@@ -34,20 +34,10 @@ struct ConversionOutcome
     bool fromCache = false;
     /** The failure was served from a memoized InvalidInput entry. */
     bool cachedRejection = false;
-    /** Planning succeeded but no rung survived its smoke execution
-     *  (the last failed plan is still returned for diagnosis; it was not
-     *  cached). */
-    bool execFailed = false;
-    /** Execution-triggered demotions taken before the plan survived. A
-     *  demoted plan is returned but never published to the cache. */
-    int demotions = 0;
-    /** codegen::VerifiedPlan::notes of a fresh plan: execution
-     *  failures, demotions and failed re-plans, in order. */
-    std::vector<std::string> notes;
-    /** Planner / executor failure rendering; empty on success. */
+    /** Planner failure rendering; empty on success. */
     std::string error;
 
-    bool planned() const { return plan != nullptr && !execFailed; }
+    bool planned() const { return plan != nullptr; }
 };
 
 /** The outcome a cache hit serves: the shared plan or the memoized
@@ -65,9 +55,11 @@ ConversionOutcome serveConversion(PlanCache *cache,
                                   const sim::GpuSpec &spec);
 
 /**
- * The post-lookup half of serveConversion: planAndVerify, then publish
- * an undemoted plan (or a rejection) to `cache` under `key` (both may be
- * null — the --no-cache path). The caller has already taken the cache
+ * The post-lookup half of serveConversion: tryPlanConversion (a planner
+ * exception becomes a PlannerInternalError diagnostic), then publish
+ * the plan (or a rejection) to `cache` under `key` (both may be null —
+ * the --no-cache path); the cache's failpoint and deadline policy
+ * decides whether it is kept. The caller has already taken the cache
  * miss; this never performs (or counts) a lookup. The singleflight
  * leader calls this after its
  * stat-free peek() double-check so each request records exactly one

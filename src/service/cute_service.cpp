@@ -44,7 +44,6 @@ serveCuteConversion(PlanCache *cache,
                                 req.elemBytes, spec);
     out.coreFromCache = core.fromCache;
     out.cachedRejection = core.cachedRejection;
-    out.execFailed = core.execFailed;
     if (!core.plan) {
         out.error = core.error;
         span.arg("outcome", "core-plan-failed");
@@ -52,12 +51,6 @@ serveCuteConversion(PlanCache *cache,
     }
     plan.corePlan = *core.plan;
     plan.hasCorePlan = true;
-    if (core.execFailed) {
-        out.error = core.error;
-        out.plan = std::move(plan);
-        span.arg("outcome", "core-exec-failed");
-        return out;
-    }
     out.plan = std::move(plan);
     span.arg("outcome", out.decomposed ? "decomposed" : "bridged");
     return out;

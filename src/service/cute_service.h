@@ -10,7 +10,9 @@
  * entry point routes the core through serveConversion(), so bridged
  * layouts share the interner and the sharded plan cache with every
  * ordinary F2 request — two different non-pow2 logical shapes whose
- * floor-pow2 cores coincide hit the same cached plan.
+ * floor-pow2 cores coincide hit the same cached plan. Like every
+ * conversion, the core ships as planned; its smoke run and demotion
+ * belong to check::checkCuteCaseWithDemotion.
  *
  * Where serveConversion rejects malformed requests with InvalidInput,
  * this entry distinguishes malformed (InvalidInput, memoizable) from
@@ -44,12 +46,10 @@ struct CuteConversionOutcome
     bool coreFromCache = false;
     /** The core failure was served from a memoized rejection. */
     bool cachedRejection = false;
-    /** Core planning succeeded but no rung survived its smoke run. */
-    bool execFailed = false;
     /** Failure rendering; empty on success. */
     std::string error;
 
-    bool planned() const { return plan.has_value() && !execFailed; }
+    bool planned() const { return plan.has_value(); }
 };
 
 /**

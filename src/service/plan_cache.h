@@ -14,7 +14,7 @@
  * Policy, centralized here so every caller (the layout engine, the
  * conversion replay path, the batch driver) shares it:
  *
- *  - Positive entries are plans that were smoke-executed successfully.
+ *  - Positive entries are plans as tryPlanConversion returned them.
  *    insert() *refuses* (a) while any failpoint is active — globally or
  *    on the calling thread's overlay — and (b) plans whose diagnostics
  *    carry a FailpointInjected note (a drained limit-N activation is no
@@ -162,7 +162,7 @@ class PlanCache
     std::optional<CachedPlan> peek(const PlanKey &key) const;
 
     /**
-     * Store a successfully smoke-executed plan. Returns false (and
+     * Store a successfully planned plan. Returns false (and
      * stores nothing) when the failpoint policy refuses — see the file
      * comment. Overwrites any negative entry under the same key.
      */

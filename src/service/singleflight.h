@@ -3,7 +3,7 @@
  * Per-cache-key singleflight latch for the compilation service.
  *
  * N threads missing the same cold PlanKey concurrently would each run
- * the full plan+smoke pipeline and race to insert the same immutable
+ * the full planning pipeline and race to insert the same immutable
  * plan — on a shuffled cold stream at 8 threads that is ~1.5x the ideal
  * miss count of wasted planner work. Singleflight coalesces them: the
  * first thread to open a flight for a key becomes the *leader* and runs
@@ -112,7 +112,7 @@ class Singleflight
  * then — on a miss — a singleflight on the key. The leader re-checks
  * the cache with a stat-free peek() (a racing flight may have published
  * between the miss and the flight opening) before running the
- * plan+smoke+publish pipeline; followers receive the leader's outcome
+ * plan+publish pipeline; followers receive the leader's outcome
  * without touching the cache. With a null `cache` or `flights` the call
  * degrades to plain serveConversion.
  */

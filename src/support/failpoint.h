@@ -21,10 +21,8 @@
  *
  * A second, *thread-local* activation overlay exists for callers that
  * must disable sites for their own call stack without perturbing other
- * threads: the engine's execution-triggered demotion re-plans under a
- * knockout set, and under the compile service's thread pool a global
- * activation would leak that knockout into every concurrently planning
- * request. Thread-local activations fire for the owning thread only,
+ * threads: under the compile service's thread pool a global knockout
+ * would leak into every concurrently planning request. Thread-local activations fire for the owning thread only,
  * are unlimited while scoped, and never touch the global shot budget.
  *
  * Environment syntax: LL_FAILPOINTS="site-a,site-b:3" activates site-a

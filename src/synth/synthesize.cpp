@@ -70,8 +70,7 @@ struct CostTerms
  * no-op costs zero, a planned one its estimateCycles, and an
  * unplannable one a scalar shared round trip, exactly like
  * engine::estimateKernelCost prices convert:unplanned ops. Nothing is
- * smoke-executed or cached: engine.run verifies what the adopted
- * assignment ships.
+ * smoke-executed or cached.
  */
 double
 conversionCycles(const LinearLayout &src, const LinearLayout &dst,

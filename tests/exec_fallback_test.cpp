@@ -1,15 +1,15 @@
 /**
  * @file
- * Execution-triggered demotion: every executor failure path, forced via
- * the exec.* failpoint sites, must push the planner one rung down the
- * ladder and leave a demoted plan that still round-trips bit-exactly
- * under the oracle, at a modeled cost no lower than the plan it
- * replaced. Also covers the CTA budget (an oversized tensor keeps a
- * windowed rung-4 swizzle, or demotes to a windowed scalar plan, instead
- * of raising UserError), the padding
- * search regression pins, the engine-level execFallbacks /
- * execFailures accounting, and the engine, service and oracle agreeing
- * on one demotion.
+ * Execution-triggered demotion in check::verifyPlan: every executor
+ * failure path, forced via the exec.* failpoint sites, must push the
+ * planner one rung down the ladder and leave a demoted plan that still
+ * round-trips bit-exactly under the oracle, at a modeled cost no lower
+ * than the plan it replaced. Also covers the CTA budget (an oversized
+ * tensor keeps a windowed rung-4 swizzle, or demotes to a windowed
+ * scalar plan, instead of raising UserError), the padding search
+ * regression pins, and the split between the compile path and the
+ * check path: the engine and the service ship the planned plan and
+ * execute nothing, so an executor fault reaches only verifyPlan.
  */
 
 #include <gtest/gtest.h>
@@ -23,6 +23,7 @@
 #include "check/case_io.h"
 #include "check/generators.h"
 #include "check/oracle.h"
+#include "check/verify.h"
 #include "codegen/conversion.h"
 #include "codegen/gather.h"
 #include "codegen/shared_exec.h"
@@ -128,7 +129,7 @@ TEST(ExecFallback, SitePoolIsCompleteAndDisjointFromPlannerSites)
 }
 
 // Cumulative knockout sets: each demotion step disables strictly more
-// rungs, so planAndVerify's demotion loop must terminate; the terminal
+// rungs, so verifyPlan's demotion loop must terminate; the terminal
 // scalar rung has nowhere left to go.
 TEST(ExecFallback, DemotionSitesGrowStrictlyDownTheLadder)
 {
@@ -304,7 +305,7 @@ TEST(ExecFallback, DemotedPlanCountsItsShippedKind)
 
     failpoint::activate("exec.shared.file-size", 1);
     auto verified =
-        codegen::planAndVerify(c->src, c->dst, c->elemBytes, c->spec());
+        check::verifyPlan(c->src, c->dst, c->elemBytes, c->spec());
     failpoint::deactivate("exec.shared.file-size");
     ASSERT_TRUE(verified.plan.ok());
     ASSERT_EQ(verified.demotions, 1);
@@ -483,7 +484,7 @@ TEST(ExecFallback, PaddingSearchPinsChosenPairOnCorpusCases)
 }
 
 // ----------------------------------------------------------------------
-// Engine-level accounting
+// The compile path ships the planned plan; the check path verifies it
 // ----------------------------------------------------------------------
 
 ir::Function
@@ -497,112 +498,163 @@ gemmFunction()
     return f;
 }
 
-// One transient execution failure (a single forced shot) must cost the
-// engine exactly one demotion — counted in execFallbacks — while every
-// conversion still gets a concrete plan tag and run() never throws.
-TEST(ExecFallback, EngineDemotesOnceOnTransientExecutionFailure)
+/** Every live ConvertLayout of an engine-annotated function as a
+ *  conversion case, keyed by op index. */
+std::vector<std::pair<int, ConversionCase>>
+shippedConversions(const ir::Function &f)
 {
-    // The gemm fixture plans shared-memory conversions when healthy, so
-    // the shared executor's first guard is the deterministic target.
-    failpoint::activate("exec.shared.file-size", 1);
-    auto f = gemmFunction();
-    engine::LayoutEngine eng({sim::GpuSpec::gh200(), 4});
-    engine::EngineStats stats;
-    EXPECT_NO_THROW(stats = eng.run(f));
-    failpoint::deactivate("exec.shared.file-size");
-
-    EXPECT_EQ(stats.execFallbacks, 1);
-    EXPECT_EQ(stats.execFailures, 0);
-    EXPECT_GE(stats.convertsPlanned, 1);
-    bool sawDemoted = false;
+    std::vector<std::pair<int, ConversionCase>> out;
     for (int i = 0; i < f.numOps(); ++i) {
-        const auto &tag = f.op(i).tag;
-        EXPECT_EQ(tag.find("convert:unplanned"), std::string::npos)
-            << tag;
-        auto pos = tag.find("convert:");
-        if (pos == std::string::npos)
+        const auto &o = f.op(i);
+        if (o.erased || o.kind != ir::OpKind::ConvertLayout)
             continue;
-        auto kind = codegen::parseConversionKind(tag.substr(pos + 8));
-        ASSERT_TRUE(kind.has_value()) << tag;
-        sawDemoted |= *kind == ConversionKind::SharedPadded ||
-                      *kind == ConversionKind::SharedScalar;
+        const auto &have = *f.value(o.operands[0]).layout;
+        const auto &want = *f.value(o.results[0]).layout;
+        ConversionCase c;
+        c.src = have;
+        c.dst = want.transposeOuts(have.getOutDimNames());
+        c.elemBytes = ir::byteWidth(f.value(o.results[0]).type.dtype);
+        out.emplace_back(i, std::move(c));
     }
-    EXPECT_TRUE(sawDemoted)
-        << "no conversion tag records the demoted rung";
+    return out;
+}
+
+/** The first shipped conversion of the healthy gemm, pinned to the
+ *  shared-memory rung a shared executor fault can demote. */
+std::pair<int, ConversionCase>
+firstSharedGemmConversion()
+{
+    auto healthy = gemmFunction();
+    engine::LayoutEngine({sim::GpuSpec::gh200(), 4}).run(healthy);
+    auto shipped = shippedConversions(healthy);
+    EXPECT_FALSE(shipped.empty());
+    if (shipped.empty())
+        return {-1, {}};
+    EXPECT_EQ(healthy.op(shipped.front().first).tag,
+              "convert:shared-memory")
+        << "fixture no longer plans its first conversion to shared";
+    return shipped.front();
+}
+
+// The engine executes nothing, so a one-shot executor fault armed
+// across a compile stays armed: every conversion ships its healthy plan.
+// The fault surfaces where plans are verified — check::verifyPlan on
+// the shipped shared conversion takes the shot and demotes it once.
+TEST(ExecFallback, TransientExecFaultDemotesInVerifyPlanNotTheEngine)
+{
+    const auto spec = sim::GpuSpec::gh200();
+    const std::string site = "exec.shared.file-size";
+    auto healthy = gemmFunction();
+    engine::LayoutEngine({spec, 4}).run(healthy);
+
+    failpoint::Scoped fault(site, 1);
+    const int64_t hitsBefore = failpoint::hitCount(site);
+    auto f = gemmFunction();
+    engine::EngineStats stats;
+    EXPECT_NO_THROW(stats = engine::LayoutEngine({spec, 4}).run(f));
+    EXPECT_EQ(failpoint::hitCount(site), hitsBefore)
+        << "the engine executed a shared plan";
+    EXPECT_EQ(stats.planFailures, 0);
+    EXPECT_GE(stats.convertsPlanned, 1);
+    ASSERT_EQ(f.numOps(), healthy.numOps());
+    for (int i = 0; i < f.numOps(); ++i) {
+        EXPECT_EQ(f.op(i).tag, healthy.op(i).tag) << "op " << i;
+        if (f.op(i).plan) {
+            EXPECT_EQ(codegen::describePlan(*f.op(i).plan),
+                      codegen::describePlan(*healthy.op(i).plan))
+                << "op " << i;
+        }
+    }
+
+    auto [opIdx, c] = firstSharedGemmConversion();
+    ASSERT_GE(opIdx, 0);
+    auto verified = check::verifyPlan(c.src, c.dst, c.elemBytes, spec);
+    EXPECT_GT(failpoint::hitCount(site), hitsBefore);
+    ASSERT_TRUE(verified.verified());
+    EXPECT_EQ(verified.initialKind, ConversionKind::SharedMemory);
+    EXPECT_EQ(verified.demotions, 1);
+    EXPECT_GT(rung(verified.plan->kind), rung(ConversionKind::SharedMemory));
 }
 
 // A persistent executor outage (every shared execution failing,
-// including the terminal scalar rung's) must exhaust the ladder: the
-// conversion is downgraded to convert:unplanned, execFailures counts
-// it, and the engine still completes.
+// including the terminal scalar rung's) leaves the engine untouched —
+// it never executes a plan — while verifyPlan exhausts the ladder on
+// every shipped shared conversion and reports a terminal failure.
 TEST(ExecFallback, EngineSurvivesPersistentExecutionFailure)
 {
+    const auto spec = sim::GpuSpec::gh200();
     failpoint::ScopedSet guard({"exec.shared.file-size"});
     auto f = gemmFunction();
-    engine::LayoutEngine eng({sim::GpuSpec::gh200(), 4});
     engine::EngineStats stats;
-    EXPECT_NO_THROW(stats = eng.run(f));
+    EXPECT_NO_THROW(stats = engine::LayoutEngine({spec, 4}).run(f));
+    EXPECT_EQ(stats.planFailures, 0);
 
-    EXPECT_GE(stats.execFailures, 1);
-    EXPECT_GE(stats.execFallbacks, 1); // demotions tried on the way down
-    EXPECT_FALSE(stats.planDiagnostics.empty());
-    bool sawUnplanned = false;
-    for (int i = 0; i < f.numOps(); ++i) {
-        if (f.op(i).tag.find("convert:unplanned") != std::string::npos)
-            sawUnplanned = true;
+    int terminal = 0;
+    for (const auto &[opIdx, c] : shippedConversions(f)) {
+        const auto &o = f.op(opIdx);
+        EXPECT_NE(o.tag, ir::kUnplannedConvertTag) << "op " << opIdx;
+        ASSERT_NE(o.plan, nullptr) << "op " << opIdx;
+        if (!o.plan->shared.has_value())
+            continue;
+        auto verified = check::verifyPlan(c.src, c.dst, c.elemBytes, spec);
+        ASSERT_TRUE(verified.plan.ok()) << "op " << opIdx;
+        EXPECT_TRUE(verified.execFailed) << "op " << opIdx;
+        EXPECT_GE(verified.demotions, 1) << "op " << opIdx;
+        EXPECT_EQ(verified.plan->kind, ConversionKind::SharedScalar);
+        EXPECT_FALSE(verified.notes.empty()) << "op " << opIdx;
+        ++terminal;
     }
-    EXPECT_TRUE(sawUnplanned);
+    EXPECT_GE(terminal, 1) << "the gemm ships no shared conversion";
 }
 
-// The engine, the service and the check oracle share one demotion
-// routine (codegen::planAndVerify), so a single forced shared-memory
-// allocation failure must end every one of them on the same rung after
-// the same single demotion — and the demoted plan is never published
-// to a plan cache.
-TEST(ExecFallback, EngineServiceAndOracleDemoteAlike)
+// The engine and the service ship the same plan, tryPlanConversion's,
+// whether or not an executor fault is armed; the service publishes it
+// once no failpoint is active. check::verifyPlan and the demotion-aware
+// oracle share one demotion routine, so a single forced allocation
+// failure ends both on the same rung after one demotion, and the
+// engine's modeled kernel price does not move.
+TEST(ExecFallback, EngineAndServiceShipWhatVerifyPlanVerifies)
 {
     const auto spec = sim::GpuSpec::gh200();
     const std::string site = "exec.shared.alloc";
-
-    // The first surviving conversion of the healthy gemm takes the
-    // failpoint's one shot; pin it to a demotable shared rung.
+    auto [opIdx, c] = firstSharedGemmConversion();
+    ASSERT_GE(opIdx, 0);
     auto healthy = gemmFunction();
     engine::LayoutEngine({spec, 4}).run(healthy);
-    int opIdx = -1;
-    for (int i = 0; i < healthy.numOps() && opIdx < 0; ++i) {
-        const auto &o = healthy.op(i);
-        if (!o.erased && o.kind == ir::OpKind::ConvertLayout)
-            opIdx = i;
-    }
-    ASSERT_GE(opIdx, 0);
-    ASSERT_EQ(healthy.op(opIdx).tag, "convert:shared-memory")
-        << "fixture no longer plans its first conversion to shared";
-    const auto &have = *healthy.value(healthy.op(opIdx).operands[0]).layout;
-    const auto &want = *healthy.value(healthy.op(opIdx).results[0]).layout;
-    ConversionCase c;
-    c.src = have;
-    c.dst = want.transposeOuts(have.getOutDimNames());
-    c.elemBytes = ir::byteWidth(
-        healthy.value(healthy.op(opIdx).results[0]).type.dtype);
-
-    failpoint::activate(site, 1);
-    auto f = gemmFunction();
-    auto stats = engine::LayoutEngine({spec, 4}).run(f);
-    failpoint::deactivate(site);
-    ASSERT_EQ(stats.execFallbacks, 1);
-    EXPECT_EQ(stats.execFailures, 0);
-    const std::string engineTag = f.op(opIdx).tag;
+    const auto planned =
+        codegen::tryPlanConversion(c.src, c.dst, c.elemBytes, spec);
+    ASSERT_TRUE(planned.ok());
 
     service::PlanCache cache;
-    failpoint::activate(site, 1);
+    auto f = gemmFunction();
+    {
+        failpoint::Scoped fault(site, 1);
+        engine::LayoutEngine({spec, 4}).run(f);
+        auto served = service::serveConversion(&cache, c.src, c.dst,
+                                               c.elemBytes, spec);
+        ASSERT_TRUE(served.planned()) << served.error;
+        EXPECT_EQ(codegen::describePlan(*served.plan),
+                  codegen::describePlan(*planned));
+        EXPECT_EQ(cache.size(), 0)
+            << "a plan was published while a failpoint was armed";
+    }
+    ASSERT_NE(f.op(opIdx).plan, nullptr);
+    EXPECT_EQ(codegen::describePlan(*f.op(opIdx).plan),
+              codegen::describePlan(*planned));
+    EXPECT_DOUBLE_EQ(engine::estimateKernelCost(f, spec, 4).cycles,
+                     engine::estimateKernelCost(healthy, spec, 4).cycles);
+
     auto served =
         service::serveConversion(&cache, c.src, c.dst, c.elemBytes, spec);
-    failpoint::deactivate(site);
     ASSERT_TRUE(served.planned()) << served.error;
-    EXPECT_EQ(served.demotions, 1);
-    EXPECT_EQ("convert:" + toString(served.plan->kind), engineTag);
-    EXPECT_EQ(cache.size(), 0) << "a demoted plan was published";
-    EXPECT_EQ(cache.stats().inserts, 0);
+    EXPECT_EQ(cache.size(), 1) << "the planned plan was not published";
+    EXPECT_EQ(cache.stats().inserts, 1);
+
+    failpoint::activate(site, 1);
+    auto verified = check::verifyPlan(c.src, c.dst, c.elemBytes, spec);
+    failpoint::deactivate(site);
+    ASSERT_TRUE(verified.verified());
+    EXPECT_EQ(verified.demotions, 1);
 
     failpoint::activate(site, 1);
     DemotionReport dr = check::checkCaseWithDemotion(c);
@@ -610,42 +662,27 @@ TEST(ExecFallback, EngineServiceAndOracleDemoteAlike)
     ASSERT_TRUE(dr.survived);
     EXPECT_EQ(dr.demotions, 1);
     EXPECT_EQ(dr.initialKind, ConversionKind::SharedMemory);
-    EXPECT_EQ("convert:" + toString(dr.finalKind), engineTag);
+    EXPECT_EQ(dr.finalKind, verified.plan->kind);
     EXPECT_TRUE(dr.report.ok()) << dr.report.toString();
-
-    // The cost model prices the demoted plan the tag names, not the
-    // shared-memory plan that failed its smoke run: the kernel's price
-    // moves by exactly the difference between the two plans.
-    const auto &demoted = f.op(opIdx).plan;
-    const auto &original = healthy.op(opIdx).plan;
-    ASSERT_NE(demoted, nullptr);
-    ASSERT_NE(original, nullptr);
-    EXPECT_EQ("convert:" + toString(demoted->kind), engineTag);
-    const double delta =
-        demoted->estimateCycles(c.src, c.elemBytes, spec) -
-        original->estimateCycles(c.src, c.elemBytes, spec);
-    EXPECT_GT(delta, 0.0) << "demotion did not change the plan's price";
-    EXPECT_DOUBLE_EQ(engine::estimateKernelCost(f, spec, 4).cycles -
-                         engine::estimateKernelCost(healthy, spec, 4).cycles,
-                     delta);
 }
 
-// When every rung of a conversion fails its smoke run, the engine tags
-// the op unplanned and attaches no plan. The cost model must price it as
-// an unplannable conversion, not re-plan it and price the shared plan
-// the engine rejected: the kernel's price moves by exactly the
-// difference on each rejected op.
+// When no rung of a conversion can be planned, the engine tags the op
+// unplanned and attaches no plan. The cost model must price it as an
+// unplannable conversion, not re-plan it: the kernel's price moves by
+// exactly the difference on each rejected op.
 TEST(ExecFallback, CostModelPricesARejectedConversionAsUnplannable)
 {
     const auto spec = sim::GpuSpec::gh200();
     auto healthy = gemmFunction();
     engine::LayoutEngine({spec, 4}).run(healthy);
 
+    auto outage = codegen::plannerFailpointSites();
+    outage.push_back("plan.scalar");
     auto f = gemmFunction();
     {
-        failpoint::ScopedSet guard({"exec.shared.file-size"});
+        failpoint::ScopedSet guard(outage);
         auto stats = engine::LayoutEngine({spec, 4}).run(f);
-        ASSERT_GE(stats.execFailures, 1);
+        ASSERT_GE(stats.planFailures, 1);
     }
     ASSERT_EQ(f.numOps(), healthy.numOps());
 
@@ -665,7 +702,6 @@ TEST(ExecFallback, CostModelPricesARejectedConversionAsUnplannable)
         ++rejected;
         EXPECT_EQ(o.plan, nullptr);
         ASSERT_NE(h.plan, nullptr);
-        EXPECT_TRUE(h.plan->shared.has_value()) << h.tag;
         const int elemBytes =
             ir::byteWidth(f.value(o.operands[0]).type.dtype);
         delta += synth::unplannableConversionCycles(src, spec) -
@@ -682,8 +718,8 @@ TEST(ExecFallback, CostModelPricesARejectedConversionAsUnplannable)
 // An aliased swizzle executes cleanly (every offset is in range) but
 // loses data: two elements share one cell, so some register loads
 // poison or the other element. executeSharedConversion compares what
-// each dst register received and reports it, so the smoke run demotes
-// the plan instead of passing it.
+// each dst register received and reports it, so the smoke run fails
+// the plan (and verifyPlan would demote it) instead of passing it.
 TEST(ExecFallback, SmokeRejectsAnAliasedSwizzle)
 {
     const auto spec = sim::GpuSpec::gh200();
@@ -747,8 +783,8 @@ TEST(ExecFallback, SmokeRejectsAMispricedPlanAndDemotes)
         EXPECT_EQ(fail->code, ExecError::CostMismatch) << fail->toString();
         EXPECT_EQ(fail->stage, "exec.shared.cost");
 
-        auto demoted = codegen::tryReplanBelow(mispriced.kind, c.src, c.dst,
-                                               c.elemBytes, spec);
+        auto demoted = codegen::tryPlanConversionBelow(
+            mispriced.kind, c.src, c.dst, c.elemBytes, spec);
         ASSERT_TRUE(demoted.ok()) << demoted.diag().toString();
         EXPECT_GT(rung(demoted->kind), rung(mispriced.kind));
         EXPECT_FALSE(codegen::smokeExecutePlan(*demoted, c.src, c.dst,
@@ -758,16 +794,33 @@ TEST(ExecFallback, SmokeRejectsAMispricedPlanAndDemotes)
     }
 }
 
-// A healthy engine takes no demotions and reports zero execution
-// failures — the new accounting stays silent on the happy path.
+// A healthy engine executes nothing — no exec.* counter moves during
+// its run, and it reports no execution fallbacks because it takes none
+// — and every plan it ships passes check::verifyPlan undemoted, ending
+// on the very plan the engine attached.
 TEST(ExecFallback, HealthyEngineReportsNoExecFallbacks)
 {
+    const auto spec = sim::GpuSpec::gh200();
     auto f = gemmFunction();
-    engine::LayoutEngine eng({sim::GpuSpec::gh200(), 4});
-    auto stats = eng.run(f);
-    EXPECT_EQ(stats.execFallbacks, 0);
-    EXPECT_EQ(stats.execFailures, 0);
+    auto stats = engine::LayoutEngine({spec, 4}).run(f);
     EXPECT_GE(stats.convertsPlanned, 1);
+    for (const auto &[name, moved] : stats.metrics)
+        EXPECT_NE(name.rfind("exec.", 0), 0u)
+            << name << " moved by " << moved << " during the run";
+
+    int verified = 0;
+    for (const auto &[opIdx, c] : shippedConversions(f)) {
+        const auto &shipped = f.op(opIdx).plan;
+        ASSERT_NE(shipped, nullptr) << "op " << opIdx;
+        auto v = check::verifyPlan(c.src, c.dst, c.elemBytes, spec);
+        ASSERT_TRUE(v.verified()) << "op " << opIdx;
+        EXPECT_EQ(v.demotions, 0) << "op " << opIdx;
+        EXPECT_EQ(codegen::describePlan(*v.plan),
+                  codegen::describePlan(*shipped))
+            << "op " << opIdx;
+        ++verified;
+    }
+    EXPECT_GE(verified, 1);
 }
 
 } // namespace

@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <iostream>
 #include <string>
 #include <vector>
 
@@ -23,6 +24,7 @@
 #include "engine/layout_engine.h"
 #include "ir/function.h"
 #include "support/failpoint.h"
+#include "triton/encodings.h"
 
 namespace ll {
 namespace {
@@ -179,16 +181,44 @@ TEST(Fallback, CyclesAreMonotonicDownTheLadder)
     }
 }
 
+/** An MMA v2 accumulator stored to a row-vectorized blocked layout
+ *  (f16, GH200): the corpus plans no stmatrix, and this pair plans
+ *  rung-4 shared memory with stmatrix. */
+ConversionCase
+stmatrixCase()
+{
+    triton::MmaEncoding mma;
+    mma.version = 2;
+    mma.warpsPerCta = {4, 1};
+    triton::BlockedEncoding blocked;
+    blocked.sizePerThread = {1, 8};
+    blocked.threadsPerWarp = {1, 32};
+    blocked.warpsPerCta = {4, 1};
+    blocked.order = {1, 0};
+    ConversionCase c;
+    c.src = mma.toLinearLayout({64, 64});
+    c.dst = blocked.toLinearLayout({64, 64});
+    c.elemBytes = 2;
+    c.summary = "mma v2 -> blocked stmatrix fixture";
+    return c;
+}
+
 // ldmatrix and stmatrix are optimizations of the shared rung, not
 // structural parts of it: dropping either must leave a working (and
-// still optimally swizzled) shared plan.
+// still optimally swizzled) shared plan. Each half must probe at least
+// one plan, so neither can pass by comparing nothing.
 TEST(Fallback, MatrixInstructionsAreIndependentlyDroppable)
 {
-    for (const auto &e : corpus()) {
+    std::vector<CorpusEntry> cases = corpus();
+    cases.push_back({"stmatrixCase()", stmatrixCase()});
+    int ldmatrixProbes = 0;
+    int stmatrixProbes = 0;
+    for (const auto &e : cases) {
         auto baseline = planWith(e.c, forceShared());
         if (baseline.kind != ConversionKind::SharedMemory)
             continue;
         if (baseline.usesLdmatrix) {
+            ++ldmatrixProbes;
             auto sites = forceShared();
             sites.push_back("plan.ldmatrix");
             auto plan = planWith(e.c, sites);
@@ -202,6 +232,7 @@ TEST(Fallback, MatrixInstructionsAreIndependentlyDroppable)
                                      << report.toString();
         }
         if (baseline.usesStmatrix) {
+            ++stmatrixProbes;
             auto sites = forceShared();
             sites.push_back("plan.stmatrix");
             auto plan = planWith(e.c, sites);
@@ -215,6 +246,10 @@ TEST(Fallback, MatrixInstructionsAreIndependentlyDroppable)
                                      << report.toString();
         }
     }
+    std::cout << "ldmatrix probes: " << ldmatrixProbes
+              << ", stmatrix probes: " << stmatrixProbes << "\n";
+    ASSERT_GT(ldmatrixProbes, 0) << "no case plans ldmatrix";
+    ASSERT_GT(stmatrixProbes, 0) << "no case plans stmatrix";
 }
 
 // No single failpoint site may leave the planner without a plan: the

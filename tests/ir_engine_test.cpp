@@ -402,7 +402,7 @@ TEST(Engine, RunCachePlansEachDistinctConversionOnce)
 
     Function f1 = build();
     auto stats = LayoutEngine({spec, 4}).run(f1);
-    EXPECT_EQ(stats.execFailures, 0);
+    EXPECT_EQ(stats.planFailures, 0);
     EXPECT_EQ(stats.planCacheHits + stats.planCacheMisses, 0)
         << "the run's own cache is not the shared plan cache";
     std::set<std::string> distinct;
@@ -429,10 +429,10 @@ TEST(Engine, RunCachePlansEachDistinctConversionOnce)
         auto hit = cache.peek(cache.key(ops2[k].src, ops2[k].dst,
                                         ops2[k].elemBytes, spec));
         ASSERT_TRUE(hit.has_value() && hit->plan) << "op " << ops2[k].op;
-        auto fresh = codegen::planAndVerify(ops1[k].src, ops1[k].dst,
-                                            ops1[k].elemBytes, spec);
-        ASSERT_TRUE(fresh.verified()) << "op " << ops1[k].op;
-        EXPECT_EQ(codegen::describePlan(*fresh.plan),
+        auto fresh = codegen::tryPlanConversion(ops1[k].src, ops1[k].dst,
+                                                ops1[k].elemBytes, spec);
+        ASSERT_TRUE(fresh.ok()) << "op " << ops1[k].op;
+        EXPECT_EQ(codegen::describePlan(*fresh),
                   codegen::describePlan(*hit->plan))
             << "op " << ops1[k].op;
     }

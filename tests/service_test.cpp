@@ -575,7 +575,7 @@ TEST_F(ServiceTest, BatchDriverAggregatesExactlyThePerResponseStats)
     EXPECT_EQ(report.totals.planCacheHits, sum.planCacheHits);
     EXPECT_EQ(report.totals.planCacheMisses, sum.planCacheMisses);
     EXPECT_EQ(report.totals.planFailures, sum.planFailures);
-    EXPECT_EQ(report.totals.execFailures, sum.execFailures);
+    EXPECT_EQ(report.totals.planFallbacks, sum.planFallbacks);
     EXPECT_EQ(report.totals.planDiagnostics.size(),
               sum.planDiagnostics.size());
 

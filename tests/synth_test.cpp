@@ -19,8 +19,9 @@
  *   - every conversion a synthesized run leaves behind still passes the
  *     end-to-end tagged-buffer oracle, demotion loop included;
  *   - the search prices edges from their plans alone: it smoke-runs
- *     nothing and never touches a plan cache, so the first shared round
- *     trip of a synthesized run is one of the conversions it ships.
+ *     nothing and never touches a plan cache, and neither does the
+ *     engine execute a plan, so the first shared round trip after a
+ *     synthesized run is check::verifyPlan's on a conversion it ships.
  */
 
 #include <iostream>
@@ -32,6 +33,7 @@
 
 #include "check/generators.h"
 #include "check/oracle.h"
+#include "check/verify.h"
 #include "codegen/conversion.h"
 #include "engine/cost_model.h"
 #include "engine/layout_engine.h"
@@ -332,36 +334,43 @@ TEST(SynthEngine, DeterministicAcrossThreads)
     }
 }
 
-// A one-shot exec fault must reach a conversion the run ships. The
-// search smoke-runs nothing, so on every fig9 GH200 kernel that ships a
-// convert:shared-memory op the fault is consumed by planConversions'
-// smoke run and demotes exactly one shipped conversion.
+// A one-shot exec fault must reach a conversion the run ships. Neither
+// the search nor the engine executes a plan, so on every fig9 GH200
+// kernel that ships a convert:shared-memory op the shot survives the
+// synthesized compile untouched, and check::verifyPlan on that shipped
+// conversion consumes it and demotes exactly once.
 TEST(SynthEngine, OneShotExecFaultReachesShippedConversion)
 {
     const auto spec = sim::GpuSpec::gh200();
+    const std::string site = "exec.shared.file-size";
     int kernelsChecked = 0;
     for (const auto &k : kernels::allKernels()) {
         const int32_t size = k.sizes[0];
-        ir::Function healthy = k.build(size);
-        engine::LayoutEngine(optionsFor(spec, true)).run(healthy);
-        bool shipsShared = false;
-        for (int i = 0; i < healthy.numOps(); ++i)
-            shipsShared |= !healthy.op(i).erased &&
-                           healthy.op(i).tag == "convert:shared-memory";
-        if (!shipsShared)
-            continue;
-
         service::PlanCache cache;
         ir::Function f = k.build(size);
-        engine::EngineStats stats;
-        {
-            failpoint::Scoped fault("exec.shared.file-size", 1);
-            stats = engine::LayoutEngine(optionsFor(spec, true, &cache))
-                        .run(f);
-        }
-        EXPECT_EQ(stats.execFallbacks, 1)
+        failpoint::Scoped fault(site, 1);
+        const int64_t hits = failpoint::hitCount(site);
+        engine::LayoutEngine(optionsFor(spec, true, &cache)).run(f);
+        EXPECT_EQ(failpoint::hitCount(site), hits)
+            << k.name << "(" << size << "): the compile executed a plan";
+        int opIdx = -1;
+        for (int i = 0; i < f.numOps() && opIdx < 0; ++i)
+            if (!f.op(i).erased &&
+                f.op(i).tag == "convert:shared-memory")
+                opIdx = i;
+        if (opIdx < 0)
+            continue;
+
+        const ir::Op &o = f.op(opIdx);
+        const auto &src = *f.value(o.operands[0]).layout;
+        const auto &dst = *f.value(o.results[0]).layout;
+        auto verified = check::verifyPlan(
+            src, dst.transposeOuts(src.getOutDimNames()),
+            ir::byteWidth(f.value(o.results[0]).type.dtype), spec);
+        EXPECT_EQ(verified.demotions, 1)
             << k.name << "(" << size << "): the fault did not reach a "
             << "shipped conversion";
+        EXPECT_TRUE(verified.verified()) << k.name << "(" << size << ")";
         ++kernelsChecked;
     }
     std::cout << "kernels shipping a shared conversion: "

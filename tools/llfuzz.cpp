@@ -35,7 +35,7 @@
  * with probability inversely proportional to its hit count, forces it
  * (planner sites for a whole random case, execution sites one-shot
  * against a deterministic probe whose plan reaches that executor), and
- * demands the engine-style demotion survives with a bit-exact oracle
+ * demands check::verifyPlan's demotion survives with a bit-exact oracle
  * verdict. The run fails unless every pooled site was hit at least once
  * within the --iters budget.
  *
@@ -43,8 +43,8 @@
  * site one-shot (to trigger a demotion) plus one planner site held
  * active (so the demoted re-plan may fail its next rung too, or —
  * when the pair knocks out the terminal scalar rung — fail planning
- * outright, the demote-then-plan-fail path the engine downgrades
- * through). Unlike --failpoint-coverage, the planner pool here
+ * outright, the demote-then-plan-fail terminal of check::verifyPlan).
+ * Unlike --failpoint-coverage, the planner pool here
  * includes "plan.scalar". The run demands no exception ever escapes,
  * every surviving demotion is oracle-clean, and that the budget
  * reached at least one demotion and at least one demote-then-plan-fail
@@ -634,8 +634,8 @@ runFailpointCoverage(const Options &opt)
  * narrows where each demoted re-plan may land. The pool deliberately
  * includes "plan.scalar" — pairing it with a two-shot shared executor
  * fault walks SharedMemory -> SharedPadded -> (re-plan, terminal rung
- * knocked out) -> plan failure, the demote-then-plan-fail path the
- * engine downgrades to convert:unplanned. A deterministic probe of
+ * knocked out) -> plan failure, check::verifyPlan's
+ * demote-then-plan-fail terminal. A deterministic probe of
  * exactly that pair runs after the random sweep so the terminal path
  * is exercised on every run regardless of what the sweep drew.
  */
@@ -690,9 +690,8 @@ runFailpointPairs(const Options &opt)
         }
         demotions += dr.demotions;
         if (!dr.survived) {
-            // The engine-survival outcome: the op would be tagged
-            // convert:unplanned and the engine carries on. Reaching it
-            // here must not corrupt anything, so just count it.
+            // verifyPlan's terminal outcome: no rung survived. Reaching
+            // it here must not corrupt anything, so just count it.
             ++terminals;
             return true;
         }
@@ -1017,7 +1016,7 @@ randomSynthGraph(uint32_t seed, int opBudget)
  * Per graph the layout engine runs synth-off and synth-on; both runs
  * must complete, every surviving ConvertLayout in each annotated
  * function must oracle-verify end to end (checkCaseWithDemotion, the
- * same audit the engine's exec-fallback tests use), and the
+ * same audit the exec-fallback tests use), and the
  * synthesized run's modeled cost must not exceed the default's.
  */
 int

@@ -6,9 +6,8 @@
  * Three workloads, combinable in one invocation:
  *
  *   --corpus DIR   replay every corpus case file in DIR (the fuzzer's
- *                  text format) through codegen::planAndVerify, the
- *                  plan -> smoke -> demote routine the engine runs per
- *                  ConvertLayout op;
+ *                  text format) through check::verifyPlan: plan,
+ *                  smoke-execute, demote on an executor failure;
  *   --case FILE    replay one corpus case file;
  *   --kernels      run the Figure 9 kernel suite through LayoutEngine
  *                  (first size knob of each kernel), the full
@@ -58,6 +57,7 @@
 #include <vector>
 
 #include "check/case_io.h"
+#include "check/verify.h"
 #include "codegen/conversion.h"
 #include "engine/layout_engine.h"
 #include "kernels.h"
@@ -180,11 +180,11 @@ struct ReplayTally
 };
 
 /**
- * Replay one conversion case the way the engine treats one
- * ConvertLayout op: codegen::planAndVerify plans, smoke-executes and
- * demotes. With span checking on, the window of trace events this case
- * appended must contain a "plan.conversion" span whose args carry the
- * initially selected rung ("kind") and the modeled cost ("cycles").
+ * Replay one conversion case through check::verifyPlan: plan,
+ * smoke-execute, demote on an executor failure. With span checking on,
+ * the window of trace events this case appended must contain a
+ * "plan.conversion" span whose args carry the initially selected rung
+ * ("kind") and the modeled cost ("cycles").
  */
 void
 replayCase(const check::ConversionCase &c, const std::string &label,
@@ -192,8 +192,7 @@ replayCase(const check::ConversionCase &c, const std::string &label,
 {
     ++tally.cases;
     const size_t before = trace::eventCount();
-    auto verified = codegen::planAndVerify(c.src, c.dst, c.elemBytes,
-                                           c.spec());
+    auto verified = check::verifyPlan(c.src, c.dst, c.elemBytes, c.spec());
     if (!verified.plan.ok()) {
         ++tally.planFailed;
         std::cerr << "llstat: planning failed on " << label << ": "
@@ -291,7 +290,6 @@ runKernels(const Options &opt, ReplayTally &tally)
         auto stats = eng.run(f);
         tally.planned += stats.convertsPlanned;
         tally.planFailed += stats.planFailures;
-        tally.execFailed += stats.execFailures;
 
         if (!opt.checkSpans)
             continue;
