@@ -9,9 +9,15 @@
 # Table 5: Triton-Linear passes every one of the 784 mixed-precision
 # cases, and the replayed legacy pass rate is the paper's 46.7%.
 # Table 6: welford needs no layout conversion.
+# Table 3: every one of the 10 rows' legacy and linear instruction
+# widths is the paper's, bit for bit.
+# Table 4: linear layouts pass every case of all 7 families, and the
+# largest shared-store saving is the paper's 76%.
 #
 # Script arguments (via -D):
 #   FIG9     path to the fig9_real_kernels binary
+#   TAB3     path to the tab3_contiguity binary
+#   TAB4     path to the tab4_broadcast binary
 #   TAB5     path to the tab5_mixed_precision binary
 #   TAB6     path to the tab6_op_distribution binary
 #   LLSTAT   path to the llstat binary
@@ -44,6 +50,8 @@ endfunction()
 run_bench("${FIG9}" fig9_real_kernels fig9)
 run_bench("${TAB5}" tab5_mixed_precision tab5)
 run_bench("${TAB6}" tab6_op_distribution tab6)
+run_bench("${TAB3}" tab3_contiguity tab3)
+run_bench("${TAB4}" tab4_broadcast tab4)
 execute_process(COMMAND "${LLSTAT}" --validate-bench-json "${OUT_DIR}"
                 RESULT_VARIABLE rc OUTPUT_QUIET)
 if(NOT rc EQUAL 0)
@@ -96,6 +104,34 @@ claim(tab5 "784 cases" ${tab5_cases} EQUAL 784)
 
 result(tab6 converts.welford welford_converts)
 claim(tab6 "welford has no conversion" ${welford_converts} EQUAL 0)
+
+# Table 3 rows, k = 1, 2, 4, 8, 16 for each element width.
+set(tab3_ks 1 2 4 8 16)
+set(tab3_legacy_f8 32 16 32 64 128)
+set(tab3_linear_f8 32 128 128 128 128)
+set(tab3_legacy_f16 64 32 64 128 128)
+set(tab3_linear_f16 64 128 128 128 128)
+foreach(bits 8 16)
+    foreach(i RANGE 4)
+        list(GET tab3_ks ${i} k)
+        foreach(side legacy linear)
+            list(GET tab3_${side}_f${bits} ${i} want)
+            result(tab3 ${side}_bits.f${bits}.k${k} got)
+            claim(tab3 "[512,${k}] x f${bits} ${side} bits" ${got}
+                  EQUAL ${want})
+        endforeach()
+    endforeach()
+endforeach()
+
+foreach(family blocked mma mma_input sliced_blocked sliced_mma
+               sliced_mma_input custom)
+    result(tab4 total.${family} cases)
+    result(tab4 linear_pass.${family} passed)
+    claim(tab4 "linear passes every ${family} case" ${passed} EQUAL
+          ${cases})
+endforeach()
+result(tab4 max_store_saving_pct saving)
+claim(tab4 "largest store saving is 76%" ${saving} EQUAL 76)
 
 message(STATUS "repro claims: compared ${compared} result value(s) in "
                "${predicates} predicate(s)")

@@ -33,9 +33,14 @@ kernelEncoding(int32_t k, int elemBytes)
     return enc;
 }
 
+/**
+ * Print the table and record each row's instruction widths in `results`
+ * as legacy_bits.f<bits>.k<k> and linear_bits.f<bits>.k<k>.
+ */
 void
-printTable()
+printTable(bench::Results &results)
 {
+    results.clear();
     bench::printHeader(
         "Table 3: load/store instructions and bitwidths, legacy Triton "
         "vs Triton-Linear");
@@ -59,6 +64,12 @@ printTable()
                         linearInst.toString().c_str(),
                         legacyInst.totalBits(), linearInst.totalBits(),
                         gain);
+            const std::string row = ".f" + std::to_string(elemBits) +
+                                    ".k" + std::to_string(k);
+            results.emplace_back("legacy_bits" + row,
+                                 legacyInst.totalBits());
+            results.emplace_back("linear_bits" + row,
+                                 linearInst.totalBits());
         }
     }
 
@@ -113,7 +124,9 @@ BENCHMARK(BM_ContiguityAnalysis)->Arg(1)->Arg(4)->Arg(16);
 int
 main(int argc, char **argv)
 {
-    ll::bench::emitBenchJson("tab3_contiguity", [] { printTable(); });
+    ll::bench::Results results;
+    ll::bench::emitBenchJson(
+        "tab3_contiguity", [&results] { printTable(results); }, results);
     benchmark::Initialize(&argc, argv);
     benchmark::RunSpecifiedBenchmarks();
     return 0;

@@ -13,6 +13,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <cmath>
 #include <functional>
 
 #include "bench_util.h"
@@ -128,14 +130,24 @@ customVariant(int v, const triton::Shape &shape)
 struct Row
 {
     LayoutKind kind;
+    const char *key; ///< the family's name in `results`
     int variants;
     bool sliced;
     std::function<LinearLayout(int, const triton::Shape &)> make;
 };
 
+/**
+ * Print the table and record in `results`, per family, the cases run
+ * (total.<family>) and those the linear layout passed
+ * (linear_pass.<family>), plus the largest store saving over the
+ * legacy-supported families as the table rounds it
+ * (max_store_saving_pct).
+ */
 void
-printTable()
+printTable(bench::Results &results)
 {
+    results.clear();
+    double maxSaving = 0.0;
     auto spec = sim::GpuSpec::gh200();
     bench::printHeader(
         "Table 4: reduction support and #shared-memory store "
@@ -144,13 +156,15 @@ printTable()
                 "T-Linear", "legacy #st", "linear #st");
 
     const Row rows[] = {
-        {LayoutKind::Blocked, 4, false, blockedVariant},
-        {LayoutKind::Mma, 4, false, mmaVariant},
-        {LayoutKind::MmaInput, 2, false, mmaInputVariant},
-        {LayoutKind::SlicedBlocked, 4, true, blockedVariant},
-        {LayoutKind::SlicedMma, 2, true, mmaVariant},
-        {LayoutKind::SlicedMmaInput, 2, true, mmaInputVariant},
-        {LayoutKind::Custom, 2, false, customVariant},
+        {LayoutKind::Blocked, "blocked", 4, false, blockedVariant},
+        {LayoutKind::Mma, "mma", 4, false, mmaVariant},
+        {LayoutKind::MmaInput, "mma_input", 2, false, mmaInputVariant},
+        {LayoutKind::SlicedBlocked, "sliced_blocked", 4, true,
+         blockedVariant},
+        {LayoutKind::SlicedMma, "sliced_mma", 2, true, mmaVariant},
+        {LayoutKind::SlicedMmaInput, "sliced_mma_input", 2, true,
+         mmaInputVariant},
+        {LayoutKind::Custom, "custom", 2, false, customVariant},
     };
     for (const Row &row : rows) {
         int total = 0, linearPass = 0, legacyPass = 0;
@@ -199,8 +213,13 @@ printTable()
                     total, linearPass, total, legacyStoreBuf,
                     static_cast<long long>(linearStores),
                     -cut);
+        results.emplace_back(std::string("total.") + row.key, total);
+        results.emplace_back(std::string("linear_pass.") + row.key,
+                             linearPass);
+        maxSaving = std::max(maxSaving, cut);
     }
     std::printf("(negative %% = stores saved by duplicate detection)\n");
+    results.emplace_back("max_store_saving_pct", std::round(maxSaving));
 }
 
 void
@@ -220,7 +239,9 @@ BENCHMARK(BM_ReduceTransfer);
 int
 main(int argc, char **argv)
 {
-    ll::bench::emitBenchJson("tab4_broadcast", [] { printTable(); });
+    ll::bench::Results results;
+    ll::bench::emitBenchJson(
+        "tab4_broadcast", [&results] { printTable(results); }, results);
     benchmark::Initialize(&argc, argv);
     benchmark::RunSpecifiedBenchmarks();
     return 0;

@@ -5,6 +5,7 @@
 #include <utility>
 #include <vector>
 
+#include "check/layout_reference.h"
 #include "check/verify.h"
 #include "codegen/shared_exec.h"
 #include "codegen/swizzle.h"
@@ -79,10 +80,10 @@ OracleReport::toString() const
             os << " TOTALS-DIVERGENCE";
     }
     const auto &n = f2Compared;
-    if (n.matrix + n.subspace + n.applyFlat + n.wavefront > 0) {
+    if (n.matrix + n.subspace + n.applyFlat + n.wavefront + n.layout > 0) {
         os << " f2(matrix " << n.matrix << ", subspace " << n.subspace
            << ", applyFlat " << n.applyFlat << ", wavefront "
-           << n.wavefront << ")";
+           << n.wavefront << ", layout " << n.layout << ")";
         if (f2Divergences > 0)
             os << " F2-DIVERGENCE";
     }
@@ -464,10 +465,10 @@ diffF2(const ConversionCase &c)
 
     for (const LinearLayout *layout : {&c.src, &c.dst}) {
         const std::string side = layout == &c.src ? "src" : "dst";
-        const auto size = static_cast<uint64_t>(layout->getTotalInDimSize());
-        for (uint64_t i = 0; i < size; ++i) {
-            const bool equal =
-                layout->applyFlat(i) == layout->applyFlat_reference(i);
+        const std::vector<uint64_t> images =
+            reference::applyFlatAll(*layout);
+        for (uint64_t i = 0; i < images.size(); ++i) {
+            const bool equal = layout->applyFlat(i) == images[i];
             if (!equal)
                 where = side + " layout, flat index " + std::to_string(i);
             same(n.applyFlat, equal, "LinearLayout::applyFlat");
@@ -504,6 +505,15 @@ diffF2(const ConversionCase &c)
             }
         }
     }
+
+    // The layout algebra on the case's own layouts.
+    std::vector<LinearLayout> layouts = {c.src, c.dst};
+    if (swz)
+        layouts.push_back(swz->memLayout);
+    where = "case layouts";
+    diffLayoutOps(layouts, [&](bool equal, const char *what) {
+        same(n.layout, equal, what);
+    });
     return report;
 }
 

@@ -72,6 +72,7 @@ struct OracleReport
         int64_t subspace = 0;  ///< EchelonBasis and the span functions
         int64_t applyFlat = 0; ///< LinearLayout::applyFlat
         int64_t wavefront = 0; ///< enumerateWavefronts, countWavefronts
+        int64_t layout = 0;    ///< LinearLayout algebra (diffLayoutOps)
 
         F2Comparisons &
         operator+=(const F2Comparisons &o)
@@ -80,6 +81,7 @@ struct OracleReport
             subspace += o.subspace;
             applyFlat += o.applyFlat;
             wavefront += o.wavefront;
+            layout += o.layout;
             return *this;
         }
     } f2Compared;
@@ -175,9 +177,11 @@ DemotionReport checkCaseWithDemotion(const ConversionCase &c);
  * matrices of src, dst, their conversion map and the shared plan's
  * memLayout (apply, transpose, multiply, rank, kernelBasis, solve,
  * rightInverse), EchelonBasis and the span functions on those
- * matrices' columns, applyFlat on every flat index of src and dst, and
+ * matrices' columns, applyFlat on every flat index of src and dst,
  * for shared plans enumerateWavefronts and countWavefronts on both
- * sides. Counts land in f2Compared; the first divergence in detail.
+ * sides, and the LinearLayout algebra against its nested-vector twins
+ * (check::diffLayoutOps) on src, dst and the shared plan's memLayout.
+ * Counts land in f2Compared; the first divergence in detail.
  */
 OracleReport diffF2(const ConversionCase &c);
 

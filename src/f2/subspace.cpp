@@ -60,15 +60,28 @@ EchelonBasis::insert(uint64_t v)
     }
     table_[lb] = v;
     pivotMask_ |= uint64_t(1) << lb;
+    return true;
+}
+
+int
+EchelonBasis::dimension() const
+{
+    return popcount(pivotMask_);
+}
+
+std::vector<uint64_t>
+EchelonBasis::vectors() const
+{
     // Descending pivot order equals the reference's descending value sort:
     // with distinct leading bits, the leading bit dominates the comparison.
-    basis_.clear();
+    std::vector<uint64_t> basis;
+    basis.reserve(static_cast<size_t>(dimension()));
     for (uint64_t m = pivotMask_; m != 0;) {
         int p = leadingBit(m);
         m ^= uint64_t(1) << p;
-        basis_.push_back(table_[p]);
+        basis.push_back(table_[p]);
     }
-    return true;
+    return basis;
 }
 
 // ---------------------------------------------------------------------------

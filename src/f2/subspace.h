@@ -54,15 +54,15 @@ class EchelonBasis
     /** Reduce v modulo the span; returns 0 iff contains(v). */
     uint64_t reduce(uint64_t v) const;
 
-    int dimension() const { return static_cast<int>(basis_.size()); }
+    int dimension() const;
 
-    /** The reduced basis vectors, in decreasing leading-bit order. */
-    const std::vector<uint64_t> &vectors() const { return basis_; }
+    /** The reduced basis vectors, in decreasing leading-bit order, read
+     *  off the pivot table on each call. */
+    std::vector<uint64_t> vectors() const;
 
   private:
     uint64_t table_[64] = {0}; // table_[p] = basis vector with leading bit p
     uint64_t pivotMask_ = 0;   // bit p set iff table_[p] is occupied
-    std::vector<uint64_t> basis_; // table entries, descending pivot order
 };
 
 /**

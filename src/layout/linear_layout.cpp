@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <sstream>
 
-#include "f2/subspace.h"
 #include "support/bits.h"
 #include "support/string_utils.h"
 
@@ -11,26 +10,254 @@ namespace ll {
 
 namespace {
 
-/** Check that a dim-name list is a permutation of another. */
+const std::string &
+nameOf(const std::string &name)
+{
+    return name;
+}
+
+const std::string &
+nameOf(const LinearLayout::DimSize &dim)
+{
+    return dim.first;
+}
+
+/**
+ * Check that a dim-name list is a permutation of another: every name
+ * occurs equally often in both. Lists hold a handful of dims, so the
+ * quadratic count beats sorting copies.
+ */
+template <typename A, typename B>
 bool
-isPermutationOf(const std::vector<std::string> &a,
-                const std::vector<std::string> &b)
+isPermutationOf(const std::vector<A> &a, const std::vector<B> &b)
 {
     if (a.size() != b.size())
         return false;
-    auto sa = a, sb = b;
-    std::sort(sa.begin(), sa.end());
-    std::sort(sb.begin(), sb.end());
-    return sa == sb;
+    for (const auto &x : a) {
+        const std::string &name = nameOf(x);
+        auto named = [&](const auto &y) { return nameOf(y) == name; };
+        if (std::count_if(a.begin(), a.end(), named) !=
+            std::count_if(b.begin(), b.end(), named))
+            return false;
+    }
+    return true;
+}
+
+/** True iff `order` lists the dims' names in their current order. */
+bool
+isCurrentOrder(const std::vector<std::string> &order,
+               const std::vector<LinearLayout::DimSize> &dims)
+{
+    for (size_t k = 0; k < order.size(); ++k) {
+        if (order[k] != dims[k].first)
+            return false;
+    }
+    return true;
+}
+
+int
+log2Size(int32_t size)
+{
+    return log2Exact(static_cast<uint64_t>(size));
+}
+
+uint64_t
+lowMask(int width)
+{
+    return (uint64_t(1) << width) - 1;
+}
+
+/** A `width`-bit field at bit `from` of a column, moved to bit `to`. */
+struct BitField
+{
+    int from;
+    int width;
+    int to;
+};
+
+/**
+ * The field moves that carry a column from one output-bit arrangement to
+ * another; bits outside every field are dropped. When every field stays
+ * put the move is one mask.
+ */
+class FieldMap
+{
+  public:
+    void
+    add(int from, int width, int to)
+    {
+        if (width == 0)
+            return;
+        llAssert(count_ < 64, "more than 64 bit fields");
+        fields_[count_++] = {from, width, to};
+        kept_ |= lowMask(width) << from;
+        identity_ = identity_ && from == to;
+    }
+
+    uint64_t
+    operator()(uint64_t c) const
+    {
+        if (identity_)
+            return c & kept_;
+        uint64_t out = 0;
+        for (int i = 0; i < count_; ++i) {
+            const BitField &f = fields_[i];
+            out |= ((c >> f.from) & lowMask(f.width)) << f.to;
+        }
+        return out;
+    }
+
+  private:
+    // A field is at least one bit wide, so 64 hold any output space.
+    BitField fields_[64] = {};
+    int count_ = 0;
+    uint64_t kept_ = 0;
+    bool identity_ = true;
+};
+
+/**
+ * Pivot table keyed by leading bit. insert() reduces a vector by the
+ * pivots and stores the remainder if it is nonzero, so the number of
+ * successful inserts is the rank of everything inserted. No back
+ * reduction: only independence is asked of it.
+ */
+class PivotTable
+{
+  public:
+    bool
+    insert(uint64_t v)
+    {
+        while (v != 0) {
+            const int lb = leadingBit(v);
+            if (!getBit(occupied_, lb)) {
+                table_[lb] = v;
+                occupied_ |= uint64_t(1) << lb;
+                return true;
+            }
+            v ^= table_[lb];
+        }
+        return false;
+    }
+
+  private:
+    uint64_t table_[64] = {};
+    uint64_t occupied_ = 0;
+};
+
+/** Bit offset of each output dim in the flattened output index. */
+std::vector<int>
+outOffsets(const std::vector<LinearLayout::DimSize> &outDims)
+{
+    std::vector<int> offsets;
+    offsets.reserve(outDims.size());
+    int offset = 0;
+    for (const auto &[name, size] : outDims) {
+        (void)name;
+        offsets.push_back(offset);
+        offset += log2Size(size);
+    }
+    return offsets;
 }
 
 } // namespace
 
 LinearLayout::LinearLayout(BasesT bases, std::vector<DimSize> outDims,
                            bool requireSurjective)
-    : bases_(std::move(bases)), outDims_(std::move(outDims))
+    : outDims_(std::move(outDims))
 {
-    validate(requireSurjective);
+    checkOutDims();
+    for (const auto &[inDim, vecs] : bases) {
+        for (const auto &basis : vecs) {
+            llUserCheck(basis.size() == outDims_.size(),
+                        "basis for " << inDim << " has "
+                                     << basis.size() << " coords, expected "
+                                     << outDims_.size());
+            for (size_t j = 0; j < basis.size(); ++j) {
+                llUserCheck(basis[j] >= 0 && basis[j] < outDims_[j].second,
+                            "basis coordinate " << basis[j]
+                                << " out of range for dim "
+                                << outDims_[j].first << " of size "
+                                << outDims_[j].second);
+            }
+        }
+    }
+    inDims_.reserve(bases.size());
+    for (const auto &[inDim, vecs] : bases) {
+        inDims_.emplace_back(inDim, static_cast<int32_t>(vecs.size()));
+        for (const auto &basis : vecs) {
+            uint64_t flat = 0;
+            int shift = 0;
+            for (size_t j = 0; j < outDims_.size(); ++j) {
+                // A size-1 dim may sit at bit 64; its coordinate is 0.
+                if (basis[j] != 0)
+                    flat |= static_cast<uint64_t>(basis[j]) << shift;
+                shift += log2Size(outDims_[j].second);
+            }
+            cols_.push_back(flat);
+        }
+    }
+    decideSurjective(requireSurjective);
+}
+
+LinearLayout
+LinearLayout::fromColumns(std::vector<DimSize> inDims,
+                          std::vector<DimSize> outDims,
+                          std::vector<uint64_t> cols, bool requireSurjective)
+{
+    LinearLayout l;
+    l.inDims_ = std::move(inDims);
+    l.outDims_ = std::move(outDims);
+    l.cols_ = std::move(cols);
+    l.checkOutDims();
+    l.decideSurjective(requireSurjective);
+    return l;
+}
+
+void
+LinearLayout::checkOutDims() const
+{
+    for (const auto &[name, size] : outDims_) {
+        llUserCheck(isPowerOf2(static_cast<uint64_t>(size)),
+                    "output dim "
+                        << name << " size " << size
+                        << " is not a power of two (LinearLayout is "
+                           "F2-only; non-pow2 extents are expressible "
+                           "as cute::CuteLayout and admitted via the "
+                           "cute bridge)");
+    }
+    llAssert(getTotalOutDimSizeLog2() <= 64, "output space exceeds 64 bits");
+}
+
+void
+LinearLayout::decideSurjective(bool requireSurjective)
+{
+    // Surjectivity: the columns must span the output space. Rank by
+    // pivot table, stopping as soon as the span is full.
+    const int outBits = getTotalOutDimSizeLog2();
+    for (uint64_t c : cols_)
+        llAssert(outBits == 64 || (c >> outBits) == 0,
+                 "column " << c << " outside the output space");
+    int rank = 0;
+    if (static_cast<int>(cols_.size()) >= outBits && outBits > 0) {
+        PivotTable pivots;
+        for (uint64_t c : cols_) {
+            if (pivots.insert(c) && ++rank == outBits)
+                break;
+        }
+    }
+    surjective_ = rank == outBits;
+    llUserCheck(!requireSurjective || surjective_,
+                "layout is not surjective onto its output space");
+}
+
+void
+LinearLayout::checkDistinctInDims() const
+{
+    for (size_t d = 0; d < inDims_.size(); ++d) {
+        for (size_t e = 0; e < d; ++e)
+            llAssert(inDims_[e].first != inDims_[d].first,
+                     "duplicate input dim " << inDims_[d].first);
+    }
 }
 
 LinearLayout
@@ -58,62 +285,18 @@ LinearLayout::makeWithInferredOutDims(BasesT bases,
                         /*requireSurjective=*/false);
 }
 
-void
-LinearLayout::validate(bool requireSurjective)
-{
-    for (const auto &[name, size] : outDims_) {
-        llUserCheck(isPowerOf2(static_cast<uint64_t>(size)),
-                    "output dim "
-                        << name << " size " << size
-                        << " is not a power of two (LinearLayout is "
-                           "F2-only; non-pow2 extents are expressible "
-                           "as cute::CuteLayout and admitted via the "
-                           "cute bridge)");
-    }
-    for (const auto &[inDim, vecs] : bases_) {
-        for (const auto &basis : vecs) {
-            llUserCheck(basis.size() == outDims_.size(),
-                        "basis for " << inDim << " has "
-                                     << basis.size() << " coords, expected "
-                                     << outDims_.size());
-            for (size_t j = 0; j < basis.size(); ++j) {
-                llUserCheck(basis[j] >= 0 && basis[j] < outDims_[j].second,
-                            "basis coordinate " << basis[j]
-                                << " out of range for dim "
-                                << outDims_[j].first << " of size "
-                                << outDims_[j].second);
-            }
-        }
-    }
-
-    // Surjectivity: the flattened columns must span the output space.
-    // The same columns, in input-bit order, become the applyFlat cache.
-    std::vector<uint64_t> cols;
-    for (const auto &[inDim, vecs] : bases_) {
-        (void)vecs;
-        auto flat = flattenedBases(inDim);
-        cols.insert(cols.end(), flat.begin(), flat.end());
-    }
-    surjective_ =
-        f2::rankOfVectors(cols) == getTotalOutDimSizeLog2();
-    llUserCheck(!requireSurjective || surjective_,
-                "layout is not surjective onto its output space");
-    flatCache_ = std::move(cols);
-}
-
 LinearLayout
 LinearLayout::identity1D(int32_t size, const std::string &inDim,
                          const std::string &outDim)
 {
     llUserCheck(isPowerOf2(static_cast<uint64_t>(size)),
                 "identity1D size must be a power of two");
-    BasesT bases;
-    std::vector<std::vector<int32_t>> vecs;
-    for (int32_t i = 1; i < size; i *= 2)
-        vecs.push_back({i});
-    bases.insert(inDim, std::move(vecs));
-    return LinearLayout(std::move(bases),
-                        std::vector<DimSize>{{outDim, size}}, true);
+    const int k = log2Size(size);
+    std::vector<uint64_t> cols(static_cast<size_t>(k));
+    for (int i = 0; i < k; ++i)
+        cols[i] = uint64_t(1) << i;
+    return fromColumns({{inDim, k}}, {{outDim, size}}, std::move(cols),
+                       true);
 }
 
 LinearLayout
@@ -122,23 +305,47 @@ LinearLayout::zeros1D(int32_t size, const std::string &inDim,
 {
     llUserCheck(isPowerOf2(static_cast<uint64_t>(size)),
                 "zeros1D size must be a power of two");
-    BasesT bases;
-    std::vector<std::vector<int32_t>> vecs(
-        static_cast<size_t>(log2Exact(static_cast<uint64_t>(size))),
-        std::vector<int32_t>{0});
-    bases.insert(inDim, std::move(vecs));
-    return LinearLayout(std::move(bases), {{outDim, outDimSize}},
-                        /*requireSurjective=*/false);
+    const int k = log2Size(size);
+    return fromColumns({{inDim, k}}, {{outDim, outDimSize}},
+                       std::vector<uint64_t>(static_cast<size_t>(k), 0),
+                       /*requireSurjective=*/false);
 }
 
 // ---------------------------------------------------------------------
 // Shape queries
 // ---------------------------------------------------------------------
 
+int
+LinearLayout::findInDim(const std::string &dim) const
+{
+    for (size_t d = 0; d < inDims_.size(); ++d) {
+        if (inDims_[d].first == dim)
+            return static_cast<int>(d);
+    }
+    return -1;
+}
+
+int
+LinearLayout::inDimIndex(const std::string &dim) const
+{
+    const int d = findInDim(dim);
+    llAssert(d >= 0, "no input dim named " << dim);
+    return d;
+}
+
+int32_t
+LinearLayout::inDimBegin(int index) const
+{
+    int32_t begin = 0;
+    for (int d = 0; d < index; ++d)
+        begin += inDims_[d].second;
+    return begin;
+}
+
 bool
 LinearLayout::hasInDim(const std::string &dim) const
 {
-    return bases_.contains(dim);
+    return findInDim(dim) >= 0;
 }
 
 bool
@@ -150,6 +357,18 @@ LinearLayout::hasOutDim(const std::string &dim) const
             return true;
     }
     return false;
+}
+
+std::vector<std::string>
+LinearLayout::getInDimNames() const
+{
+    std::vector<std::string> names;
+    names.reserve(inDims_.size());
+    for (const auto &[name, log2] : inDims_) {
+        (void)log2;
+        names.push_back(name);
+    }
+    return names;
 }
 
 std::vector<std::string>
@@ -167,7 +386,7 @@ LinearLayout::getOutDimNames() const
 int32_t
 LinearLayout::getInDimSizeLog2(const std::string &dim) const
 {
-    return static_cast<int32_t>(bases_.at(dim).size());
+    return inDims_[inDimIndex(dim)].second;
 }
 
 int32_t
@@ -189,8 +408,7 @@ LinearLayout::outDimIndex(const std::string &dim) const
 int32_t
 LinearLayout::getOutDimSizeLog2(const std::string &dim) const
 {
-    return log2Exact(
-        static_cast<uint64_t>(outDims_[outDimIndex(dim)].second));
+    return log2Size(outDims_[outDimIndex(dim)].second);
 }
 
 int32_t
@@ -202,12 +420,7 @@ LinearLayout::getOutDimSize(const std::string &dim) const
 int32_t
 LinearLayout::getTotalInDimSizeLog2() const
 {
-    int32_t total = 0;
-    for (const auto &[dim, vecs] : bases_) {
-        (void)dim;
-        total += static_cast<int32_t>(vecs.size());
-    }
-    return total;
+    return static_cast<int32_t>(cols_.size());
 }
 
 int32_t
@@ -222,7 +435,7 @@ LinearLayout::getTotalOutDimSizeLog2() const
     int32_t total = 0;
     for (const auto &[name, size] : outDims_) {
         (void)name;
-        total += log2Exact(static_cast<uint64_t>(size));
+        total += log2Size(size);
     }
     return total;
 }
@@ -236,13 +449,10 @@ LinearLayout::getTotalOutDimSize() const
 int32_t
 LinearLayout::getInDimOffset(const std::string &dim) const
 {
-    int32_t offset = 0;
-    for (const auto &[name, vecs] : bases_) {
-        if (name == dim)
-            return offset;
-        offset += static_cast<int32_t>(vecs.size());
-    }
-    llPanic("no input dim named " << dim);
+    const int d = findInDim(dim);
+    if (d < 0)
+        llPanic("no input dim named " << dim);
+    return inDimBegin(d);
 }
 
 int32_t
@@ -252,43 +462,70 @@ LinearLayout::getOutDimOffset(const std::string &dim) const
     for (const auto &[name, size] : outDims_) {
         if (name == dim)
             return offset;
-        offset += log2Exact(static_cast<uint64_t>(size));
+        offset += log2Size(size);
     }
     llPanic("no output dim named " << dim);
 }
 
-const std::vector<int32_t> &
+LinearLayout::BasesT
+LinearLayout::getBases() const
+{
+    BasesT bases;
+    size_t col = 0;
+    for (const auto &[name, log2] : inDims_) {
+        std::vector<std::vector<int32_t>> vecs;
+        vecs.reserve(static_cast<size_t>(log2));
+        for (int32_t i = 0; i < log2; ++i, ++col)
+            vecs.push_back(unflattenOutsCoords(cols_[col]));
+        bases.insert(name, std::move(vecs));
+    }
+    return bases;
+}
+
+std::vector<int32_t>
+LinearLayout::unflattenOutsCoords(uint64_t flat) const
+{
+    std::vector<int32_t> coords;
+    coords.reserve(outDims_.size());
+    for (const auto &[name, size] : outDims_) {
+        (void)name;
+        coords.push_back(
+            static_cast<int32_t>(flat & (static_cast<uint64_t>(size) - 1)));
+        flat >>= log2Size(size);
+    }
+    return coords;
+}
+
+std::vector<int32_t>
 LinearLayout::getBasis(const std::string &inDim, int32_t pos) const
 {
-    const auto &vecs = bases_.at(inDim);
-    llAssert(pos >= 0 && pos < static_cast<int32_t>(vecs.size()),
+    const int d = inDimIndex(inDim);
+    llAssert(pos >= 0 && pos < inDims_[d].second,
              "basis index out of range");
-    return vecs[pos];
+    return unflattenOutsCoords(cols_[inDimBegin(d) + pos]);
 }
 
 int32_t
 LinearLayout::getBasis(const std::string &inDim, int32_t pos,
                        const std::string &outDim) const
 {
-    return getBasis(inDim, pos)[outDimIndex(outDim)];
+    const int d = inDimIndex(inDim);
+    llAssert(pos >= 0 && pos < inDims_[d].second,
+             "basis index out of range");
+    const int32_t j = outDimIndex(outDim);
+    const uint64_t mask = static_cast<uint64_t>(outDims_[j].second) - 1;
+    if (mask == 0) // a size-1 dim, possibly at bit 64
+        return 0;
+    return static_cast<int32_t>(
+        (cols_[inDimBegin(d) + pos] >> getOutDimOffset(outDim)) & mask);
 }
 
 std::vector<uint64_t>
 LinearLayout::flattenedBases(const std::string &inDim) const
 {
-    std::vector<uint64_t> out;
-    const auto &vecs = bases_.at(inDim);
-    out.reserve(vecs.size());
-    for (const auto &basis : vecs) {
-        uint64_t flat = 0;
-        int shift = 0;
-        for (size_t j = 0; j < outDims_.size(); ++j) {
-            flat |= static_cast<uint64_t>(basis[j]) << shift;
-            shift += log2Exact(static_cast<uint64_t>(outDims_[j].second));
-        }
-        out.push_back(flat);
-    }
-    return out;
+    const int d = inDimIndex(inDim);
+    const auto begin = cols_.begin() + inDimBegin(d);
+    return std::vector<uint64_t>(begin, begin + inDims_[d].second);
 }
 
 uint64_t
@@ -304,8 +541,9 @@ LinearLayout::flattenOuts(const std::vector<DimSize> &coords) const
         llAssert(coords[j].second >= 0 &&
                      coords[j].second < outDims_[j].second,
                  "flattenOuts: coordinate out of range");
-        flat |= static_cast<uint64_t>(coords[j].second) << shift;
-        shift += log2Exact(static_cast<uint64_t>(outDims_[j].second));
+        if (coords[j].second != 0)
+            flat |= static_cast<uint64_t>(coords[j].second) << shift;
+        shift += log2Size(outDims_[j].second);
     }
     return flat;
 }
@@ -314,11 +552,12 @@ std::vector<LinearLayout::DimSize>
 LinearLayout::unflattenOuts(uint64_t flat) const
 {
     std::vector<DimSize> coords;
+    coords.reserve(outDims_.size());
     for (const auto &[name, size] : outDims_) {
         coords.emplace_back(
             name, static_cast<int32_t>(
                       flat & (static_cast<uint64_t>(size) - 1)));
-        flat >>= log2Exact(static_cast<uint64_t>(size));
+        flat >>= log2Size(size);
     }
     llAssert(flat == 0, "unflattenOuts: index out of range");
     return coords;
@@ -331,62 +570,40 @@ LinearLayout::unflattenOuts(uint64_t flat) const
 std::vector<LinearLayout::DimSize>
 LinearLayout::apply(const std::vector<DimSize> &ins) const
 {
-    llUserCheck(ins.size() == bases_.size(),
-                "apply: expected " << bases_.size() << " input coords, got "
-                                   << ins.size());
-    std::vector<int32_t> acc(outDims_.size(), 0);
+    llUserCheck(ins.size() == inDims_.size(),
+                "apply: expected " << inDims_.size()
+                                   << " input coords, got " << ins.size());
+    uint64_t acc = 0;
     for (const auto &[dim, coord] : ins) {
-        const auto &vecs = bases_.at(dim);
-        llUserCheck(coord >= 0 &&
-                        coord < (int32_t(1) << vecs.size()),
+        const int d = inDimIndex(dim);
+        const int32_t k = inDims_[d].second;
+        llUserCheck(coord >= 0 && coord < (int32_t(1) << k),
                     "apply: coordinate " << coord << " out of range for "
                                          << dim);
-        for (size_t i = 0; i < vecs.size(); ++i) {
-            if (getBit(static_cast<uint64_t>(coord), static_cast<int>(i))) {
-                for (size_t j = 0; j < acc.size(); ++j)
-                    acc[j] ^= vecs[i][j];
-            }
-        }
+        const int32_t begin = inDimBegin(d);
+        for (int32_t i = 0; i < k; ++i)
+            acc ^= cols_[begin + i] &
+                   (uint64_t(0) - getBit(static_cast<uint64_t>(coord), i));
     }
-    std::vector<DimSize> out;
-    out.reserve(outDims_.size());
-    for (size_t j = 0; j < outDims_.size(); ++j)
-        out.emplace_back(outDims_[j].first, acc[j]);
-    return out;
+    return unflattenOuts(acc);
 }
 
 uint64_t
 LinearLayout::applyFlat(uint64_t in) const
 {
-    const int pos = static_cast<int>(flatCache_.size());
-    llAssert((in >> pos) == 0, "applyFlat: index out of range");
+    const int pos = static_cast<int>(cols_.size());
+    llAssert(pos >= 64 || (in >> pos) == 0,
+             "applyFlat: index out of range");
     uint64_t acc = 0;
     for (int i = 0; i < pos; ++i)
-        acc ^= flatCache_[i] & (uint64_t(0) - ((in >> i) & 1));
-    return acc;
-}
-
-uint64_t
-LinearLayout::applyFlat_reference(uint64_t in) const
-{
-    uint64_t acc = 0;
-    int pos = 0;
-    for (const auto &[dim, vecs] : bases_) {
-        (void)dim;
-        auto flat = flattenedBases(dim);
-        for (size_t i = 0; i < vecs.size(); ++i, ++pos) {
-            if (getBit(in, pos))
-                acc ^= flat[i];
-        }
-    }
-    llAssert((in >> pos) == 0, "applyFlat: index out of range");
+        acc ^= cols_[i] & (uint64_t(0) - ((in >> i) & 1));
     return acc;
 }
 
 LinearLayout
 LinearLayout::compose(const LinearLayout &outer) const
 {
-    llUserCheck(isPermutationOf(getOutDimNames(), outer.getInDimNames()),
+    llUserCheck(isPermutationOf(outDims_, outer.inDims_),
                 "compose: output dims of inner must match input dims of "
                 "outer");
     for (const auto &[name, size] : outDims_) {
@@ -396,48 +613,41 @@ LinearLayout::compose(const LinearLayout &outer) const
                         << outer.getInDimSize(name));
     }
 
-    BasesT newBases;
-    for (const auto &[inDim, vecs] : bases_) {
-        std::vector<std::vector<int32_t>> newVecs;
-        newVecs.reserve(vecs.size());
-        for (const auto &basis : vecs) {
-            std::vector<DimSize> coords;
-            for (size_t j = 0; j < outDims_.size(); ++j)
-                coords.emplace_back(outDims_[j].first, basis[j]);
-            // outer.apply wants its own in-dim order.
-            std::vector<DimSize> ordered;
-            for (const auto &name : outer.getInDimNames()) {
-                for (const auto &c : coords) {
-                    if (c.first == name)
-                        ordered.push_back(c);
-                }
-            }
-            auto image = outer.apply(ordered);
-            std::vector<int32_t> newBasis;
-            newBasis.reserve(image.size());
-            for (const auto &[od, v] : image) {
-                (void)od;
-                newBasis.push_back(v);
-            }
-            newVecs.push_back(std::move(newBasis));
-        }
-        newBases.insert(inDim, std::move(newVecs));
+    // Each column is a flat index over our out dims; move each out dim's
+    // bit field to where outer flattens that input dim, then apply outer.
+    FieldMap toOuterIn;
+    int from = 0;
+    for (const auto &[name, size] : outDims_) {
+        const int width = log2Size(size);
+        toOuterIn.add(from, width, outer.getInDimOffset(name));
+        from += width;
     }
-    return LinearLayout(std::move(newBases), outer.getOutDims(),
-                        /*requireSurjective=*/false);
+    std::vector<uint64_t> cols;
+    cols.reserve(cols_.size());
+    for (uint64_t c : cols_)
+        cols.push_back(outer.applyFlat(toOuterIn(c)));
+    return fromColumns(inDims_, outer.outDims_, std::move(cols),
+                       /*requireSurjective=*/false);
 }
 
 LinearLayout
 LinearLayout::operator*(const LinearLayout &other) const
 {
-    // Result dimension orders: ours first, then other's new dims.
-    std::vector<std::string> inNames = getInDimNames();
-    for (const auto &name : other.getInDimNames()) {
+    // Result dimension orders: ours first, then other's new dims. Shared
+    // in dims concatenate columns (ours low); shared out dims
+    // concatenate bit ranges (ours low), so their sizes multiply.
+    std::vector<DimSize> newInDims = inDims_;
+    for (const auto &[name, log2] : other.inDims_) {
         if (!hasInDim(name))
-            inNames.push_back(name);
+            newInDims.emplace_back(name, 0);
+    }
+    for (auto &[name, log2] : newInDims) {
+        const int d = other.findInDim(name);
+        if (d >= 0)
+            log2 += other.inDims_[d].second;
     }
     std::vector<DimSize> newOutDims = outDims_;
-    for (const auto &[name, size] : other.getOutDims()) {
+    for (const auto &[name, size] : other.outDims_) {
         bool found = false;
         for (auto &[n, s] : newOutDims) {
             if (n == name) {
@@ -448,42 +658,50 @@ LinearLayout::operator*(const LinearLayout &other) const
         if (!found)
             newOutDims.emplace_back(name, size);
     }
-
-    auto outIndexIn = [&](const std::string &name) {
-        for (size_t j = 0; j < newOutDims.size(); ++j)
-            if (newOutDims[j].first == name)
-                return j;
+    auto newOffset = [&](const std::string &name) {
+        int offset = 0;
+        for (const auto &[n, s] : newOutDims) {
+            if (n == name)
+                return offset;
+            offset += log2Size(s);
+        }
         llPanic("missing out dim " << name);
     };
 
-    BasesT newBases;
-    for (const auto &inName : inNames) {
-        std::vector<std::vector<int32_t>> vecs;
-        if (hasInDim(inName)) {
-            for (const auto &basis : bases_.at(inName)) {
-                std::vector<int32_t> nb(newOutDims.size(), 0);
-                for (size_t j = 0; j < outDims_.size(); ++j)
-                    nb[outIndexIn(outDims_[j].first)] = basis[j];
-                vecs.push_back(std::move(nb));
-            }
-        }
-        if (other.hasInDim(inName)) {
-            const auto &otherOuts = other.getOutDims();
-            for (const auto &basis : other.bases_.at(inName)) {
-                std::vector<int32_t> nb(newOutDims.size(), 0);
-                for (size_t j = 0; j < otherOuts.size(); ++j) {
-                    const std::string &od = otherOuts[j].first;
-                    int32_t shift =
-                        hasOutDim(od) ? getOutDimSizeLog2(od) : 0;
-                    nb[outIndexIn(od)] = basis[j] << shift;
-                }
-                vecs.push_back(std::move(nb));
-            }
-        }
-        newBases.insert(inName, std::move(vecs));
+    FieldMap ours, theirs;
+    int from = 0;
+    for (const auto &[name, size] : outDims_) {
+        const int width = log2Size(size);
+        ours.add(from, width, newOffset(name));
+        from += width;
     }
-    return LinearLayout(std::move(newBases), std::move(newOutDims),
-                        /*requireSurjective=*/false);
+    from = 0;
+    for (const auto &[name, size] : other.outDims_) {
+        const int width = log2Size(size);
+        const int above = hasOutDim(name) ? getOutDimSizeLog2(name) : 0;
+        theirs.add(from, width, newOffset(name) + above);
+        from += width;
+    }
+
+    std::vector<uint64_t> cols;
+    cols.reserve(cols_.size() + other.cols_.size());
+    for (const auto &[name, log2] : newInDims) {
+        (void)log2;
+        const int d = findInDim(name);
+        if (d >= 0) {
+            const int32_t begin = inDimBegin(d);
+            for (int32_t i = 0; i < inDims_[d].second; ++i)
+                cols.push_back(ours(cols_[begin + i]));
+        }
+        const int e = other.findInDim(name);
+        if (e >= 0) {
+            const int32_t begin = other.inDimBegin(e);
+            for (int32_t i = 0; i < other.inDims_[e].second; ++i)
+                cols.push_back(theirs(other.cols_[begin + i]));
+        }
+    }
+    return fromColumns(std::move(newInDims), std::move(newOutDims),
+                       std::move(cols), /*requireSurjective=*/false);
 }
 
 LinearLayout
@@ -498,20 +716,20 @@ LinearLayout::pseudoinvert() const
 {
     llUserCheck(isSurjective(),
                 "pseudoinvert: layout must be surjective");
-    f2::F2Matrix m = toF2Matrix();
-    f2::F2Matrix inv = m.rightInverse();
+    f2::F2Matrix inv = toF2Matrix().rightInverse();
 
-    std::vector<DimSize> newIns = outDims_;
     std::vector<DimSize> newOuts;
-    for (const auto &[dim, vecs] : bases_)
-        newOuts.emplace_back(dim, int32_t(1) << vecs.size());
-    return fromF2Matrix(inv, newIns, newOuts, /*requireSurjective=*/false);
+    newOuts.reserve(inDims_.size());
+    for (const auto &[dim, log2] : inDims_)
+        newOuts.emplace_back(dim, int32_t(1) << log2);
+    return fromF2Matrix(inv, outDims_, newOuts,
+                        /*requireSurjective=*/false);
 }
 
 LinearLayout
 LinearLayout::invertAndCompose(const LinearLayout &outer) const
 {
-    llUserCheck(isPermutationOf(getOutDimNames(), outer.getOutDimNames()),
+    llUserCheck(isPermutationOf(outDims_, outer.outDims_),
                 "invertAndCompose: output spaces must match");
     LinearLayout alignedOuter = outer.transposeOuts(getOutDimNames());
     for (const auto &[name, size] : outDims_) {
@@ -521,16 +739,16 @@ LinearLayout::invertAndCompose(const LinearLayout &outer) const
     llUserCheck(alignedOuter.isSurjective(),
                 "invertAndCompose: target layout must be surjective");
 
-    f2::F2Matrix matA = toF2Matrix();
-    f2::F2Matrix matB = alignedOuter.toF2Matrix();
-    f2::F2Matrix conv = matB.rightInverse().multiply(matA);
-
+    f2::F2Matrix conv =
+        alignedOuter.toF2Matrix().rightInverse().multiply(toF2Matrix());
     std::vector<DimSize> newIns;
-    for (const auto &[dim, vecs] : bases_)
-        newIns.emplace_back(dim, int32_t(1) << vecs.size());
+    newIns.reserve(inDims_.size());
+    for (const auto &[dim, log2] : inDims_)
+        newIns.emplace_back(dim, int32_t(1) << log2);
     std::vector<DimSize> newOuts;
-    for (const auto &[dim, vecs] : alignedOuter.bases_)
-        newOuts.emplace_back(dim, int32_t(1) << vecs.size());
+    newOuts.reserve(alignedOuter.inDims_.size());
+    for (const auto &[dim, log2] : alignedOuter.inDims_)
+        newOuts.emplace_back(dim, int32_t(1) << log2);
     return fromF2Matrix(conv, newIns, newOuts,
                         /*requireSurjective=*/false);
 }
@@ -539,68 +757,74 @@ std::optional<LinearLayout>
 LinearLayout::divideLeft(const LinearLayout &divisor) const
 {
     // Every dim of the divisor must exist here with no larger size.
-    for (const auto &name : divisor.getInDimNames()) {
-        if (!hasInDim(name) ||
-            divisor.getInDimSizeLog2(name) > getInDimSizeLog2(name)) {
+    for (const auto &[name, log2] : divisor.inDims_) {
+        if (!hasInDim(name) || log2 > getInDimSizeLog2(name))
             return std::nullopt;
-        }
     }
-    for (const auto &name : divisor.getOutDimNames()) {
-        if (!hasOutDim(name) ||
-            divisor.getOutDimSizeLog2(name) > getOutDimSizeLog2(name)) {
+    for (const auto &[name, size] : divisor.outDims_) {
+        if (!hasOutDim(name) || size > getOutDimSize(name))
             return std::nullopt;
-        }
     }
 
     // The divisor occupies the low input bits of its in dims and the low
-    // output bits of its out dims; check the leading bases match.
-    for (const auto &name : divisor.getInDimNames()) {
-        int32_t dLog = divisor.getInDimSizeLog2(name);
-        for (int32_t i = 0; i < dLog; ++i) {
-            for (size_t j = 0; j < outDims_.size(); ++j) {
-                const std::string &od = outDims_[j].first;
-                int32_t val = getBasis(name, i)[j];
-                if (divisor.hasOutDim(od)) {
-                    if (val != divisor.getBasis(name, i, od))
-                        return std::nullopt;
-                } else if (val != 0) {
-                    return std::nullopt;
-                }
-            }
+    // output bits of its out dims. Per out dim of ours: where its field
+    // sits, and how many low bits of it the divisor owns.
+    const std::vector<int> offsets = outOffsets(outDims_);
+    FieldMap toDivisor;      // our column -> divisor's flat output
+    uint64_t divisorBits = 0; // our output bits the divisor owns
+    FieldMap toQuotient;     // our column -> quotient's flat output
+    std::vector<DimSize> qOuts;
+    qOuts.reserve(outDims_.size());
+    int qOffset = 0;
+    for (size_t j = 0; j < outDims_.size(); ++j) {
+        const auto &[name, size] = outDims_[j];
+        const int width = log2Size(size);
+        const int low = divisor.hasOutDim(name)
+                            ? divisor.getOutDimSizeLog2(name)
+                            : 0;
+        if (low > 0) {
+            toDivisor.add(offsets[j], low, divisor.getOutDimOffset(name));
+            divisorBits |= lowMask(low) << offsets[j];
+        }
+        toQuotient.add(offsets[j] + low, width - low, qOffset);
+        qOffset += width - low;
+        qOuts.emplace_back(name, size >> low);
+    }
+
+    // The leading columns of each divisor in dim must equal the
+    // divisor's columns, with nothing outside the divisor's bits.
+    for (size_t e = 0; e < divisor.inDims_.size(); ++e) {
+        const int32_t dBegin = divisor.inDimBegin(static_cast<int>(e));
+        const int32_t begin = inDimBegin(inDimIndex(divisor.inDims_[e].first));
+        for (int32_t i = 0; i < divisor.inDims_[e].second; ++i) {
+            const uint64_t c = cols_[begin + i];
+            if ((c & ~divisorBits) != 0 ||
+                toDivisor(c) != divisor.cols_[dBegin + i])
+                return std::nullopt;
         }
     }
 
-    // Remaining bases must avoid the divisor's low output bits; shift
+    // Remaining columns must avoid the divisor's low output bits; shift
     // them down to form the quotient.
-    BasesT qBases;
-    for (const auto &[name, vecs] : bases_) {
-        int32_t skip =
-            divisor.hasInDim(name) ? divisor.getInDimSizeLog2(name) : 0;
-        std::vector<std::vector<int32_t>> qVecs;
-        for (size_t i = skip; i < vecs.size(); ++i) {
-            std::vector<int32_t> qb(outDims_.size(), 0);
-            for (size_t j = 0; j < outDims_.size(); ++j) {
-                const std::string &od = outDims_[j].first;
-                int32_t val = vecs[i][j];
-                int32_t shift = divisor.hasOutDim(od)
-                                    ? divisor.getOutDimSizeLog2(od)
-                                    : 0;
-                if ((val & ((int32_t(1) << shift) - 1)) != 0)
-                    return std::nullopt;
-                qb[j] = val >> shift;
-            }
-            qVecs.push_back(std::move(qb));
+    std::vector<DimSize> qIns;
+    qIns.reserve(inDims_.size());
+    std::vector<uint64_t> qCols;
+    int32_t begin = 0;
+    for (const auto &[name, log2] : inDims_) {
+        const int e = divisor.findInDim(name);
+        const int32_t skip = e >= 0 ? divisor.inDims_[e].second : 0;
+        for (int32_t i = skip; i < log2; ++i) {
+            const uint64_t c = cols_[begin + i];
+            if ((c & divisorBits) != 0)
+                return std::nullopt;
+            qCols.push_back(toQuotient(c));
         }
-        qBases.insert(name, std::move(qVecs));
+        qIns.emplace_back(name, log2 - skip);
+        begin += log2;
     }
-    std::vector<DimSize> qOuts;
-    for (const auto &[name, size] : outDims_) {
-        int32_t shift =
-            divisor.hasOutDim(name) ? divisor.getOutDimSizeLog2(name) : 0;
-        qOuts.emplace_back(name, size >> shift);
-    }
-    LinearLayout quotient(std::move(qBases), std::move(qOuts),
-                          /*requireSurjective=*/false);
+    LinearLayout quotient =
+        fromColumns(std::move(qIns), std::move(qOuts), std::move(qCols),
+                    /*requireSurjective=*/false);
 
     // Final safety net: the factorization must reproduce this layout.
     LinearLayout product = divisor * quotient;
@@ -619,27 +843,34 @@ LinearLayout
 LinearLayout::sublayout(const std::vector<std::string> &inDims,
                         const std::vector<std::string> &outDims) const
 {
-    std::vector<int32_t> outIdx;
+    const std::vector<int> offsets = outOffsets(outDims_);
+    FieldMap project;
     std::vector<DimSize> newOuts;
+    newOuts.reserve(outDims.size());
+    int to = 0;
     for (const auto &od : outDims) {
-        outIdx.push_back(outDimIndex(od));
-        newOuts.emplace_back(od, getOutDimSize(od));
+        const int32_t j = outDimIndex(od);
+        const int width = log2Size(outDims_[j].second);
+        project.add(offsets[j], width, to);
+        to += width;
+        newOuts.emplace_back(od, outDims_[j].second);
     }
-    BasesT newBases;
+    std::vector<DimSize> newIns;
+    newIns.reserve(inDims.size());
+    std::vector<uint64_t> cols;
     for (const auto &id : inDims) {
         llUserCheck(hasInDim(id), "sublayout: no input dim " << id);
-        std::vector<std::vector<int32_t>> vecs;
-        for (const auto &basis : bases_.at(id)) {
-            std::vector<int32_t> nb;
-            nb.reserve(outIdx.size());
-            for (int32_t j : outIdx)
-                nb.push_back(basis[j]);
-            vecs.push_back(std::move(nb));
-        }
-        newBases.insert(id, std::move(vecs));
+        const int d = inDimIndex(id);
+        const int32_t begin = inDimBegin(d);
+        for (int32_t i = 0; i < inDims_[d].second; ++i)
+            cols.push_back(project(cols_[begin + i]));
+        newIns.push_back(inDims_[d]);
     }
-    return LinearLayout(std::move(newBases), std::move(newOuts),
-                        /*requireSurjective=*/false);
+    LinearLayout l = fromColumns(std::move(newIns), std::move(newOuts),
+                                 std::move(cols),
+                                 /*requireSurjective=*/false);
+    l.checkDistinctInDims();
+    return l;
 }
 
 bool
@@ -652,40 +883,47 @@ LinearLayout::sublayoutIsZero(const std::vector<std::string> &inDims,
 LinearLayout
 LinearLayout::transposeIns(const std::vector<std::string> &order) const
 {
-    llUserCheck(isPermutationOf(order, getInDimNames()),
+    llUserCheck(isPermutationOf(order, inDims_),
                 "transposeIns: not a permutation of input dims");
-    BasesT newBases;
-    for (const auto &name : order)
-        newBases.insert(name, bases_.at(name));
-    return LinearLayout(std::move(newBases), outDims_,
-                        /*requireSurjective=*/false);
+    if (isCurrentOrder(order, inDims_))
+        return *this;
+    // Reordering columns leaves the rank alone.
+    LinearLayout l;
+    l.outDims_ = outDims_;
+    l.surjective_ = surjective_;
+    l.inDims_.reserve(order.size());
+    l.cols_.reserve(cols_.size());
+    for (const auto &name : order) {
+        const int d = inDimIndex(name);
+        const auto begin = cols_.begin() + inDimBegin(d);
+        l.inDims_.push_back(inDims_[d]);
+        l.cols_.insert(l.cols_.end(), begin, begin + inDims_[d].second);
+    }
+    return l;
 }
 
 LinearLayout
 LinearLayout::transposeOuts(const std::vector<std::string> &order) const
 {
-    llUserCheck(isPermutationOf(order, getOutDimNames()),
+    llUserCheck(isPermutationOf(order, outDims_),
                 "transposeOuts: not a permutation of output dims");
-    std::vector<int32_t> idx;
-    std::vector<DimSize> newOuts;
-    for (const auto &name : order) {
-        idx.push_back(outDimIndex(name));
-        newOuts.emplace_back(name, getOutDimSize(name));
+    // Permuting output bits leaves the rank alone.
+    LinearLayout l = *this;
+    if (isCurrentOrder(order, outDims_))
+        return l;
+    const std::vector<int> offsets = outOffsets(outDims_);
+    FieldMap permute;
+    int to = 0;
+    for (size_t k = 0; k < order.size(); ++k) {
+        const int32_t j = outDimIndex(order[k]);
+        const int width = log2Size(outDims_[j].second);
+        permute.add(offsets[j], width, to);
+        to += width;
+        l.outDims_[k] = outDims_[j];
     }
-    BasesT newBases;
-    for (const auto &[name, vecs] : bases_) {
-        std::vector<std::vector<int32_t>> newVecs;
-        for (const auto &basis : vecs) {
-            std::vector<int32_t> nb;
-            nb.reserve(idx.size());
-            for (int32_t j : idx)
-                nb.push_back(basis[j]);
-            newVecs.push_back(std::move(nb));
-        }
-        newBases.insert(name, std::move(newVecs));
-    }
-    return LinearLayout(std::move(newBases), std::move(newOuts),
-                        /*requireSurjective=*/false);
+    for (uint64_t &c : l.cols_)
+        c = permute(c);
+    return l;
 }
 
 LinearLayout
@@ -694,28 +932,19 @@ LinearLayout::reshapeIns(const std::vector<DimSize> &newDims) const
     int32_t newTotal = 0;
     for (const auto &[name, size] : newDims) {
         (void)name;
-        newTotal += log2Exact(static_cast<uint64_t>(size));
+        newTotal += log2Size(size);
     }
     llUserCheck(newTotal == getTotalInDimSizeLog2(),
                 "reshapeIns: total size mismatch");
 
-    // Concatenate all bases in input order, then re-split.
-    std::vector<std::vector<int32_t>> all;
-    for (const auto &[name, vecs] : bases_) {
-        (void)name;
-        all.insert(all.end(), vecs.begin(), vecs.end());
-    }
-    BasesT newBases;
-    size_t pos = 0;
-    for (const auto &[name, size] : newDims) {
-        int32_t k = log2Exact(static_cast<uint64_t>(size));
-        std::vector<std::vector<int32_t>> vecs(
-            all.begin() + pos, all.begin() + pos + k);
-        pos += k;
-        newBases.insert(name, std::move(vecs));
-    }
-    return LinearLayout(std::move(newBases), outDims_,
-                        /*requireSurjective=*/false);
+    // The columns stay in input order; only the split into dims changes.
+    LinearLayout l = *this;
+    l.inDims_.clear();
+    l.inDims_.reserve(newDims.size());
+    for (const auto &[name, size] : newDims)
+        l.inDims_.emplace_back(name, log2Size(size));
+    l.checkDistinctInDims();
+    return l;
 }
 
 LinearLayout
@@ -724,30 +953,15 @@ LinearLayout::reshapeOuts(const std::vector<DimSize> &newDims) const
     int32_t newTotal = 0;
     for (const auto &[name, size] : newDims) {
         (void)name;
-        newTotal += log2Exact(static_cast<uint64_t>(size));
+        newTotal += log2Size(size);
     }
     llUserCheck(newTotal == getTotalOutDimSizeLog2(),
                 "reshapeOuts: total size mismatch");
 
-    BasesT newBases;
-    for (const auto &[name, vecs] : bases_) {
-        (void)vecs;
-        auto flat = flattenedBases(name);
-        std::vector<std::vector<int32_t>> newVecs;
-        for (uint64_t f : flat) {
-            std::vector<int32_t> nb;
-            for (const auto &[nd, size] : newDims) {
-                (void)nd;
-                nb.push_back(static_cast<int32_t>(
-                    f & (static_cast<uint64_t>(size) - 1)));
-                f >>= log2Exact(static_cast<uint64_t>(size));
-            }
-            newVecs.push_back(std::move(nb));
-        }
-        newBases.insert(name, std::move(newVecs));
-    }
-    return LinearLayout(std::move(newBases), newDims,
-                        /*requireSurjective=*/false);
+    // The flattened output index is unchanged; only its split into dims.
+    LinearLayout l = *this;
+    l.outDims_ = newDims;
+    return l;
 }
 
 LinearLayout
@@ -766,47 +980,43 @@ LinearLayout
 LinearLayout::renameInDim(const std::string &from,
                           const std::string &to) const
 {
-    BasesT newBases;
-    for (const auto &[name, vecs] : bases_)
-        newBases.insert(name == from ? to : name, vecs);
-    return LinearLayout(std::move(newBases), outDims_,
-                        /*requireSurjective=*/false);
+    LinearLayout l = *this;
+    for (auto &[name, log2] : l.inDims_) {
+        (void)log2;
+        if (name == from)
+            name = to;
+    }
+    l.checkDistinctInDims();
+    return l;
 }
 
 LinearLayout
 LinearLayout::renameOutDim(const std::string &from,
                            const std::string &to) const
 {
-    std::vector<DimSize> newOuts = outDims_;
-    for (auto &[name, size] : newOuts) {
+    LinearLayout l = *this;
+    for (auto &[name, size] : l.outDims_) {
         (void)size;
         if (name == from)
             name = to;
     }
-    return LinearLayout(bases_, std::move(newOuts),
-                        /*requireSurjective=*/false);
+    return l;
 }
 
 LinearLayout
 LinearLayout::removeZeroBasesAlongDim(const std::string &inDim) const
 {
-    BasesT newBases;
-    for (const auto &[name, vecs] : bases_) {
-        if (name != inDim) {
-            newBases.insert(name, vecs);
-            continue;
-        }
-        std::vector<std::vector<int32_t>> kept;
-        for (const auto &basis : vecs) {
-            bool allZero = std::all_of(basis.begin(), basis.end(),
-                                       [](int32_t v) { return v == 0; });
-            if (!allZero)
-                kept.push_back(basis);
-        }
-        newBases.insert(name, std::move(kept));
-    }
-    return LinearLayout(std::move(newBases), outDims_,
-                        /*requireSurjective=*/false);
+    const int d = findInDim(inDim);
+    if (d < 0)
+        return *this;
+    // Zero columns add nothing to the rank.
+    LinearLayout l = *this;
+    const auto begin = l.cols_.begin() + inDimBegin(d);
+    const auto end = begin + inDims_[d].second;
+    const auto kept = std::remove(begin, end, uint64_t(0));
+    l.inDims_[d].second -= static_cast<int32_t>(end - kept);
+    l.cols_.erase(kept, end);
+    return l;
 }
 
 // ---------------------------------------------------------------------
@@ -816,35 +1026,33 @@ LinearLayout::removeZeroBasesAlongDim(const std::string &inDim) const
 bool
 LinearLayout::isInjective() const
 {
-    return toF2Matrix().rank() == getTotalInDimSizeLog2();
+    if (static_cast<int32_t>(cols_.size()) > getTotalOutDimSizeLog2())
+        return false;
+    PivotTable pivots;
+    for (uint64_t c : cols_) {
+        if (!pivots.insert(c))
+            return false;
+    }
+    return true;
 }
 
 bool
 LinearLayout::isZero() const
 {
-    for (const auto &[name, vecs] : bases_) {
-        (void)name;
-        for (const auto &basis : vecs) {
-            for (int32_t v : basis) {
-                if (v != 0)
-                    return false;
-            }
-        }
-    }
-    return true;
+    return std::all_of(cols_.begin(), cols_.end(),
+                       [](uint64_t c) { return c == 0; });
 }
 
 OrderedMap<std::string, int32_t>
 LinearLayout::getFreeVariableMasks() const
 {
     OrderedMap<std::string, int32_t> masks;
-    f2::EchelonBasis ech;
-    for (const auto &[name, vecs] : bases_) {
-        (void)vecs;
+    PivotTable pivots;
+    size_t col = 0;
+    for (const auto &[name, log2] : inDims_) {
         int32_t mask = 0;
-        auto flat = flattenedBases(name);
-        for (size_t i = 0; i < flat.size(); ++i) {
-            if (!ech.insert(flat[i]))
+        for (int32_t i = 0; i < log2; ++i, ++col) {
+            if (!pivots.insert(cols_[col]))
                 mask |= int32_t(1) << i;
         }
         masks.insert(name, mask);
@@ -855,36 +1063,26 @@ LinearLayout::getFreeVariableMasks() const
 int32_t
 LinearLayout::getNumConsecutiveInOut() const
 {
-    if (bases_.empty() || outDims_.empty())
+    if (inDims_.empty() || outDims_.empty())
         return 1;
-    const std::string firstIn = bases_.begin()->first;
-    auto firstFlat = flattenedBases(firstIn);
 
     // Contiguity may span output dimensions (the Table 3 cases): what
     // matters is consecutiveness of the *flattened* output index, which
     // is the memory index when the tensor is stored with the same
     // minor-to-major dim order.
+    const int firstLog2 = inDims_.front().second;
     int k = 0;
-    while (k < static_cast<int>(firstFlat.size()) &&
-           firstFlat[k] == (uint64_t(1) << k)) {
+    while (k < firstLog2 && cols_[k] == (uint64_t(1) << k))
         ++k;
-    }
 
     // No other input bit may land inside the low-k-bit window, or the
     // "consecutive" elements would be interleaved with other resources.
+    // The first k columns are the window's own prefix.
     auto overlaps = [&](int kk) {
-        uint64_t maskLow = (uint64_t(1) << kk) - 1;
-        int dimIdx = 0;
-        for (const auto &[name, vecs] : bases_) {
-            (void)vecs;
-            auto flat = flattenedBases(name);
-            for (size_t i = 0; i < flat.size(); ++i) {
-                bool isPrefix = (dimIdx == 0) &&
-                                (static_cast<int>(i) < kk);
-                if (!isPrefix && (flat[i] & maskLow) != 0)
-                    return true;
-            }
-            ++dimIdx;
+        const uint64_t maskLow = lowMask(kk);
+        for (size_t i = kk; i < cols_.size(); ++i) {
+            if ((cols_[i] & maskLow) != 0)
+                return true;
         }
         return false;
     };
@@ -896,14 +1094,7 @@ LinearLayout::getNumConsecutiveInOut() const
 f2::F2Matrix
 LinearLayout::toF2Matrix() const
 {
-    f2::F2Matrix m(getTotalOutDimSizeLog2(), getTotalInDimSizeLog2());
-    int col = 0;
-    for (const auto &[name, vecs] : bases_) {
-        (void)vecs;
-        for (uint64_t f : flattenedBases(name))
-            m.setCol(col++, f);
-    }
-    return m;
+    return f2::F2Matrix(getTotalOutDimSizeLog2(), cols_);
 }
 
 LinearLayout
@@ -912,51 +1103,38 @@ LinearLayout::fromF2Matrix(const f2::F2Matrix &m,
                            const std::vector<DimSize> &outDims,
                            bool requireSurjective)
 {
+    std::vector<DimSize> inLog2s;
+    inLog2s.reserve(inDims.size());
     int32_t inTotal = 0;
     for (const auto &[name, size] : inDims) {
-        (void)name;
-        inTotal += log2Exact(static_cast<uint64_t>(size));
+        inLog2s.emplace_back(name, log2Size(size));
+        inTotal += inLog2s.back().second;
     }
     int32_t outTotal = 0;
     for (const auto &[name, size] : outDims) {
         (void)name;
-        outTotal += log2Exact(static_cast<uint64_t>(size));
+        outTotal += log2Size(size);
     }
     llAssert(m.numCols() == inTotal && m.numRows() == outTotal,
              "fromF2Matrix: shape mismatch");
-
-    BasesT bases;
-    int col = 0;
-    for (const auto &[name, size] : inDims) {
-        int32_t k = log2Exact(static_cast<uint64_t>(size));
-        std::vector<std::vector<int32_t>> vecs;
-        for (int32_t i = 0; i < k; ++i, ++col) {
-            uint64_t flat = m.getCol(col);
-            std::vector<int32_t> basis;
-            for (const auto &[od, osize] : outDims) {
-                (void)od;
-                basis.push_back(static_cast<int32_t>(
-                    flat & (static_cast<uint64_t>(osize) - 1)));
-                flat >>= log2Exact(static_cast<uint64_t>(osize));
-            }
-            vecs.push_back(std::move(basis));
-        }
-        bases.insert(name, std::move(vecs));
-    }
-    return LinearLayout(std::move(bases), outDims, requireSurjective);
+    LinearLayout l = fromColumns(std::move(inLog2s), outDims, m.columns(),
+                                 requireSurjective);
+    l.checkDistinctInDims();
+    return l;
 }
 
 bool
 LinearLayout::operator==(const LinearLayout &other) const
 {
-    return bases_ == other.bases_ && outDims_ == other.outDims_;
+    return inDims_ == other.inDims_ && outDims_ == other.outDims_ &&
+           cols_ == other.cols_;
 }
 
 uint64_t
 LinearLayout::structuralHash() const
 {
-    // FNV-1a over everything operator== compares: input dim names in
-    // order, their basis coordinates, and the named/sized output dims.
+    // FNV-1a over everything operator== compares: input dim names and
+    // sizes in order, every column, and the named/sized output dims.
     // Layouts that compare equal hash equal; the interner relies on it.
     uint64_t h = 1469598103934665603ull;
     auto mix = [&h](uint64_t v) {
@@ -973,14 +1151,12 @@ LinearLayout::structuralHash() const
         h ^= 0xff; // terminator so "ab","c" != "a","bc"
         h *= 1099511628211ull;
     };
-    for (const auto &[inDim, vecs] : bases_) {
+    for (const auto &[inDim, log2] : inDims_) {
         mixString(inDim);
-        mix(vecs.size());
-        for (const auto &basis : vecs) {
-            for (int32_t coord : basis)
-                mix(static_cast<uint64_t>(static_cast<uint32_t>(coord)));
-        }
+        mix(static_cast<uint64_t>(log2));
     }
+    for (uint64_t c : cols_)
+        mix(c);
     for (const auto &[outDim, size] : outDims_) {
         mixString(outDim);
         mix(static_cast<uint64_t>(static_cast<uint32_t>(size)));
@@ -991,20 +1167,31 @@ LinearLayout::structuralHash() const
 bool
 LinearLayout::equalsIgnoringOutSizes(const LinearLayout &other) const
 {
-    return bases_ == other.bases_ &&
-           getOutDimNames() == other.getOutDimNames();
+    if (inDims_ != other.inDims_ ||
+        getOutDimNames() != other.getOutDimNames())
+        return false;
+    if (outDims_ == other.outDims_)
+        return cols_ == other.cols_;
+    // Same coordinates per out dim, each read at its own offset.
+    for (size_t i = 0; i < cols_.size(); ++i) {
+        if (unflattenOutsCoords(cols_[i]) !=
+            other.unflattenOutsCoords(other.cols_[i]))
+            return false;
+    }
+    return true;
 }
 
 std::string
 LinearLayout::toString() const
 {
     std::ostringstream oss;
-    for (const auto &[name, vecs] : bases_) {
-        for (size_t i = 0; i < vecs.size(); ++i) {
+    size_t col = 0;
+    for (const auto &[name, log2] : inDims_) {
+        for (int32_t i = 0; i < log2; ++i, ++col) {
             oss << " - " << name << "=" << (1 << i) << " -> ("
-                << join(vecs[i], ", ") << ")\n";
+                << join(unflattenOutsCoords(cols_[col]), ", ") << ")\n";
         }
-        if (vecs.empty())
+        if (log2 == 0)
             oss << " - " << name << " is a size-1 dim\n";
     }
     oss << "where out dims are: [";

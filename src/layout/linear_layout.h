@@ -15,6 +15,12 @@
  * dimension is the fastest-moving axis of the flattened output space,
  * matching the convention in Section 4.1 of the paper.
  *
+ * Storage is the F2 matrix itself: one uint64_t column per input bit,
+ * holding that basis vector's image as a flattened output index (first
+ * output dimension in the low bits). Every operation is word arithmetic
+ * on those columns; the nested per-coordinate form (BasesT) is only the
+ * constructor's input format and getBases()' decoded output.
+ *
  * The class provides the algebra of Section 4.2 — composition, the
  * product (direct sum), right inverses computed as F2 least squares, and
  * left division — plus the shape-operation support (transpose / reshape /
@@ -88,10 +94,10 @@ class LinearLayout
     bool hasInDim(const std::string &dim) const;
     bool hasOutDim(const std::string &dim) const;
 
-    int getNumInDims() const { return static_cast<int>(bases_.size()); }
+    int getNumInDims() const { return static_cast<int>(inDims_.size()); }
     int getNumOutDims() const { return static_cast<int>(outDims_.size()); }
 
-    std::vector<std::string> getInDimNames() const { return bases_.keys(); }
+    std::vector<std::string> getInDimNames() const;
     std::vector<std::string> getOutDimNames() const;
 
     int32_t getInDimSizeLog2(const std::string &dim) const;
@@ -113,11 +119,12 @@ class LinearLayout
     /** Position of an output dim in the flattened output bit layout. */
     int32_t getOutDimOffset(const std::string &dim) const;
 
-    const BasesT &getBases() const { return bases_; }
+    /** The basis vectors decoded to per-out-dim coordinates. */
+    BasesT getBases() const;
 
     /** Image of basis vector 2^pos of inDim, one coord per out dim. */
-    const std::vector<int32_t> &getBasis(const std::string &inDim,
-                                         int32_t pos) const;
+    std::vector<int32_t> getBasis(const std::string &inDim,
+                                  int32_t pos) const;
 
     /** Image coordinate in outDim of basis vector 2^pos of inDim. */
     int32_t getBasis(const std::string &inDim, int32_t pos,
@@ -149,16 +156,10 @@ class LinearLayout
 
     /**
      * Apply to a flattened input index, returning a flattened output.
-     * Word-parallel: folds the cached flattened basis columns (built once
-     * in validate()) with branchless mask-selects, no per-call allocation.
+     * Word-parallel: folds the columns with branchless mask-selects, no
+     * per-call allocation.
      */
     uint64_t applyFlat(uint64_t in) const;
-
-    /**
-     * The original applyFlat — re-flattens the bases on every call —
-     * kept as the differential oracle for the fast path.
-     */
-    uint64_t applyFlat_reference(uint64_t in) const;
 
     /**
      * Composition outer . this (Definition 4.2): apply this first, then
@@ -304,16 +305,36 @@ class LinearLayout
     std::string toString() const;
 
   private:
-    void validate(bool requireSurjective);
+    /**
+     * A layout over new columns: checks the output sizes and decides
+     * surjectivity. inDims holds (name, log2 size). Operations that only
+     * relabel or reorder copy *this instead, keeping its rank.
+     */
+    static LinearLayout fromColumns(std::vector<DimSize> inDims,
+                                    std::vector<DimSize> outDims,
+                                    std::vector<uint64_t> cols,
+                                    bool requireSurjective);
+    void checkOutDims() const;
+    void decideSurjective(bool requireSurjective);
+    void checkDistinctInDims() const;
+    /** One column decoded to a coordinate per out dim. */
+    std::vector<int32_t> unflattenOutsCoords(uint64_t flat) const;
     int32_t outDimIndex(const std::string &dim) const;
+    int findInDim(const std::string &dim) const; ///< -1 when absent
+    int inDimIndex(const std::string &dim) const;
+    int32_t inDimBegin(int index) const;
 
-    BasesT bases_;
+    // Invariants, fixed at construction: inDims_ holds (name, log2 size)
+    // with distinct names, and cols_ has one column per input bit in
+    // input order (the sum of those log2 sizes). outDims_ holds (name,
+    // size), every size a power of two and at most 64 bits in total;
+    // every column lies below the total output size. surjective_ is the
+    // rank test of cols_, taken once. Nothing is mutated afterwards, so
+    // interner-shared layouts are read by many threads without locks.
+    std::vector<DimSize> inDims_;
     std::vector<DimSize> outDims_;
+    std::vector<uint64_t> cols_;
     bool surjective_ = true;
-    // Flattened basis column per input bit, in input-bit order. Derived
-    // from bases_/outDims_ in validate(); never mutated afterwards, so
-    // interner-shared layouts can applyFlat concurrently without locks.
-    std::vector<uint64_t> flatCache_;
 };
 
 std::ostream &operator<<(std::ostream &os, const LinearLayout &layout);

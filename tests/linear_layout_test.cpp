@@ -11,6 +11,8 @@
 #include <random>
 
 #include "check/generators.h"
+#include "check/layout_reference.h"
+#include "check/oracle.h"
 #include "layout/dims.h"
 #include "layout/linear_layout.h"
 
@@ -116,6 +118,8 @@ TEST(LinearLayout, PaperLayoutAIsBijective)
 TEST(LinearLayout, ApplyFlatMatchesApply)
 {
     auto a = paperLayoutA();
+    const auto reference = check::reference::applyFlatAll(a);
+    ASSERT_EQ(reference.size(), 256u);
     for (uint64_t v = 0; v < 256; ++v) {
         auto outFlat = a.applyFlat(v);
         int32_t reg = static_cast<int32_t>(v & 3);
@@ -127,7 +131,7 @@ TEST(LinearLayout, ApplyFlatMatchesApply)
         uint64_t expect = static_cast<uint64_t>(out[0].second) |
                           (static_cast<uint64_t>(out[1].second) << 4);
         EXPECT_EQ(outFlat, expect);
-        EXPECT_EQ(outFlat, a.applyFlat_reference(v));
+        EXPECT_EQ(outFlat, reference[v]);
     }
     // The scalar reference on degenerate shapes: 0 input bits, a single
     // basis vector, and the widest of 200 generated layouts.
@@ -144,9 +148,56 @@ TEST(LinearLayout, ApplyFlatMatchesApply)
     for (const LinearLayout &l :
          {LinearLayout::empty(), LinearLayout::identity1D(1, dims::kReg, "x"),
           LinearLayout::identity1D(2, dims::kReg, "x"), widest}) {
-        for (uint64_t v = 0; v < uint64_t(l.getTotalInDimSize()); ++v)
-            EXPECT_EQ(l.applyFlat(v), l.applyFlat_reference(v)) << v;
+        const auto images = check::reference::applyFlatAll(l);
+        ASSERT_EQ(images.size(), uint64_t(l.getTotalInDimSize()));
+        for (uint64_t v = 0; v < images.size(); ++v)
+            EXPECT_EQ(l.applyFlat(v), images[v]) << v;
     }
+}
+
+// Every column-storage operation against its nested-vector reference:
+// through check::diffF2's layout family on generated conversion cases
+// (src, dst and the shared plan's memLayout), and directly on the
+// degenerate shapes the generators never draw — 0 input bits, one basis
+// vector, a zero map, a single 64-bit-wide output space split over
+// several dims — and the widest generated layout.
+TEST(LinearLayout, ColumnOpsMatchReference)
+{
+    std::mt19937 rng(12);
+    int64_t compared = 0;
+    LinearLayout widest = LinearLayout::empty();
+    for (int i = 0; i < 60; ++i) {
+        auto c = check::randomConversionCase(rng);
+        const auto report = check::diffF2(c);
+        EXPECT_EQ(report.f2Divergences, 0) << c.summary << ": "
+                                           << report.detail;
+        compared += report.f2Compared.layout;
+        for (const LinearLayout *l : {&c.src, &c.dst}) {
+            if (l->getTotalInDimSizeLog2() > widest.getTotalInDimSizeLog2())
+                widest = *l;
+        }
+    }
+    EXPECT_GT(compared, 0);
+
+    LinearLayout::BasesT wide;
+    wide.insert(dims::kReg, {{1, 0, 0}, {0, 1 << 20, 0}, {3, 5, 7}});
+    wide.insert(dims::kLane, {{0, 0, 1 << 29}});
+    std::vector<LinearLayout> layouts = {
+        LinearLayout::empty(),
+        LinearLayout::identity1D(1, dims::kReg, "x"),
+        LinearLayout::identity1D(2, dims::kReg, "x"),
+        LinearLayout::zeros1D(8, dims::kLane, "x", 4),
+        LinearLayout(std::move(wide),
+                     {{"a", 1 << 4}, {"b", 1 << 30}, {"c", 1 << 30}},
+                     /*requireSurjective=*/false),
+        widest,
+    };
+    int64_t direct = 0;
+    check::diffLayoutOps(layouts, [&](bool equal, const char *what) {
+        ++direct;
+        EXPECT_TRUE(equal) << what;
+    });
+    EXPECT_GT(direct, 0);
 }
 
 TEST(LinearLayout, ProductConcatenatesSharedDims)

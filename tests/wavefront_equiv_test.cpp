@@ -6,9 +6,10 @@
  *
  * Three contracts:
  *  - check::diffF2 finds every fast/reference pair equal (F2Matrix
- *    ops, the subspace layer, applyFlat, enumerateWavefronts and
- *    countWavefronts) on every corpus case under every knockout, and
- *    compares something in every family.
+ *    ops, the subspace layer, applyFlat, enumerateWavefronts,
+ *    countWavefronts and the LinearLayout algebra) on every corpus
+ *    case under every knockout, and compares something in every
+ *    family.
  *  - enumerateWavefronts agrees with its reference on each path: the
  *    one-access shortcut (unwindowed, and windowed with every lane in
  *    its window) and the full sweep (lanes straddling a window,
@@ -165,6 +166,7 @@ TEST(WavefrontEquiv, EnumerateMatchesReferenceOnCorpusPlans)
     EXPECT_GT(total.subspace, 0);
     EXPECT_GT(total.applyFlat, 0);
     EXPECT_GT(total.wavefront, 0) << "no corpus case reached a shared rung";
+    EXPECT_GT(total.layout, 0);
 }
 
 // The shared executor against two independent references, at every
