@@ -66,11 +66,13 @@ runCase(int32_t m, int32_t n, const sim::GpuSpec &spec)
     return c;
 }
 
-/** Print the figure; false when a verified tile failed or none was
- *  compared. */
+/** Print the figure and record each printed speedup in `results`
+ *  (`speedup.m<M>.n<N>`, plus the `tiles` count); false when a verified
+ *  tile failed or none was compared. */
 bool
-printTable()
+printTable(bench::Results &results)
 {
+    results.clear();
     auto spec = sim::GpuSpec::gh200();
     bench::printHeader(
         "Figure 2: f8 transpose, optimal swizzle vs padding heuristic "
@@ -90,9 +92,13 @@ printTable()
             }
             auto c = runCase(m, n, spec);
             std::printf("%8.2f", c.speedup);
+            results.emplace_back("speedup.m" + std::to_string(m) + ".n" +
+                                     std::to_string(n),
+                                 c.speedup);
         }
         std::printf("\n");
     }
+    results.emplace_back("tiles", static_cast<double>(results.size()));
 
     // Verify conversion correctness on a sample of tiles.
     int verified = 0, compared = 0;
@@ -145,8 +151,10 @@ int
 main(int argc, char **argv)
 {
     bool pass = true;
-    ll::bench::emitBenchJson("fig2_transpose_swizzle",
-                             [&] { pass = printTable() && pass; });
+    ll::bench::Results results;
+    ll::bench::emitBenchJson(
+        "fig2_transpose_swizzle",
+        [&] { pass = printTable(results) && pass; }, results);
     benchmark::Initialize(&argc, argv);
     benchmark::RunSpecifiedBenchmarks();
     return pass ? 0 : 1;

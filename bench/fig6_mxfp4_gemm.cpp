@@ -86,9 +86,12 @@ tileCost(DType other, int32_t kTotal, bool linear,
     return c;
 }
 
+/** Print the figure and record each speedup in `results`
+ *  (`speedup.<series>.<size>`). */
 void
-printTable()
+printTable(bench::Results &results)
 {
+    results.clear();
     auto spec = sim::GpuSpec::gh200();
     bench::printHeader(
         "Figure 6: MXFP4 matmul speedups from data shuffling "
@@ -104,9 +107,12 @@ printTable()
         for (int32_t size : {1024, 2048, 4096, 8192}) {
             Cost lin = tileCost(dt, size, true, spec);
             Cost leg = tileCost(dt, size, false, spec);
+            const double speedup = leg.total() / lin.total();
             std::printf("%-10s %10d %12.0f %12.0f %8.2fx\n", name, size,
-                        lin.total(), leg.total(),
-                        leg.total() / lin.total());
+                        lin.total(), leg.total(), speedup);
+            results.emplace_back(
+                std::string("speedup.") + name + "." + std::to_string(size),
+                speedup);
         }
     }
     std::printf("(f16 series adds the wgmma fix on top of wider mxfp4 "
@@ -138,7 +144,9 @@ BENCHMARK(BM_Mxfp4CostModel)->Arg(2048)->Arg(8192);
 int
 main(int argc, char **argv)
 {
-    ll::bench::emitBenchJson("fig6_mxfp4_gemm", [] { printTable(); });
+    ll::bench::Results results;
+    ll::bench::emitBenchJson(
+        "fig6_mxfp4_gemm", [&results] { printTable(results); }, results);
     benchmark::Initialize(&argc, argv);
     benchmark::RunSpecifiedBenchmarks();
     return 0;

@@ -214,9 +214,8 @@ printSynthComparison()
     int kernelsWorse = 0;
     for (const auto &spec : specs) {
         // One shared cache per platform across both passes: plans are
-        // pure functions of (src, dst, bytes, spec), and sharing also
-        // exercises the plan-cache-backed edge pricing inside the
-        // search.
+        // pure functions of (src, dst, bytes, spec). Only shipped
+        // conversions reach it; the search and the trials do not.
         service::PlanCache cache;
         for (const auto &k : kernels::allKernels()) {
             if (!kernelSelected(k) || !kernels::runsOn(k, spec))

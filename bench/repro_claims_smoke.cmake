@@ -13,8 +13,15 @@
 # widths is the paper's, bit for bit.
 # Table 4: linear layouts pass every case of all 7 families, and the
 # largest shared-store saving is the paper's 76%.
+# Figure 2: every tile that fits one CTA is in the report, every
+# swizzle speedup over padding is >= 2x, each row grows with N, each
+# column grows with M up to M=256, and the 512-row dips below the
+# 256-row.
+# Figure 6: the mxfp4 x f16 series is the fastest at every size.
 #
 # Script arguments (via -D):
+#   FIG2     path to the fig2_transpose_swizzle binary
+#   FIG6     path to the fig6_mxfp4_gemm binary
 #   FIG9     path to the fig9_real_kernels binary
 #   TAB3     path to the tab3_contiguity binary
 #   TAB4     path to the tab4_broadcast binary
@@ -52,6 +59,8 @@ run_bench("${TAB5}" tab5_mixed_precision tab5)
 run_bench("${TAB6}" tab6_op_distribution tab6)
 run_bench("${TAB3}" tab3_contiguity tab3)
 run_bench("${TAB4}" tab4_broadcast tab4)
+run_bench("${FIG2}" fig2_transpose_swizzle fig2)
+run_bench("${FIG6}" fig6_mxfp4_gemm fig6)
 execute_process(COMMAND "${LLSTAT}" --validate-bench-json "${OUT_DIR}"
                 RESULT_VARIABLE rc OUTPUT_QUIET)
 if(NOT rc EQUAL 0)
@@ -132,6 +141,69 @@ foreach(family blocked mma mma_input sliced_blocked sliced_mma
 endforeach()
 result(tab4 max_store_saving_pct saving)
 claim(tab4 "largest store saving is 76%" ${saving} EQUAL 76)
+
+# Figure 2's grid. A tile over one CTA's shared memory is printed as
+# "-" and has no result; the cells found must number results.tiles.
+set(fig2_sizes 32 64 128 256 512)
+set(fig2_found 0)
+foreach(m ${fig2_sizes})
+    foreach(n ${fig2_sizes})
+        string(JSON fig2_m${m}_n${n} ERROR_VARIABLE err GET "${fig2}"
+               results "speedup.m${m}.n${n}")
+        if(err)
+            unset(fig2_m${m}_n${n})
+        else()
+            math(EXPR fig2_found "${fig2_found} + 1")
+            math(EXPR compared "${compared} + 1")
+        endif()
+    endforeach()
+endforeach()
+result(fig2 tiles fig2_tiles)
+claim(fig2 "every tile that fits one CTA is reported" ${fig2_found}
+      EQUAL ${fig2_tiles})
+foreach(m ${fig2_sizes})
+    set(prev "")
+    foreach(n ${fig2_sizes})
+        if(NOT DEFINED fig2_m${m}_n${n})
+            continue()
+        endif()
+        set(s ${fig2_m${m}_n${n}})
+        claim(fig2 "${m}x${n} speedup >= 2x" ${s} GREATER_EQUAL 2.0)
+        if(NOT prev STREQUAL "")
+            claim(fig2 "${m}x${n} row grows with N" ${s} GREATER_EQUAL
+                  ${prev})
+        endif()
+        set(prev ${s})
+    endforeach()
+endforeach()
+foreach(n ${fig2_sizes})
+    set(prev "")
+    foreach(m 32 64 128 256)
+        if(NOT DEFINED fig2_m${m}_n${n})
+            continue()
+        endif()
+        set(s ${fig2_m${m}_n${n}})
+        if(NOT prev STREQUAL "")
+            claim(fig2 "${m}x${n} column grows with M" ${s} GREATER_EQUAL
+                  ${prev})
+        endif()
+        set(prev ${s})
+    endforeach()
+    if(DEFINED fig2_m512_n${n})
+        claim(fig2 "512x${n} dips below 256x${n}" ${fig2_m512_n${n}} LESS
+              ${fig2_m256_n${n}})
+    endif()
+endforeach()
+
+foreach(size 1024 2048 4096 8192)
+    result(fig6 speedup.mxfp4xf16.${size} f16)
+    result(fig6 speedup.mxfp4xbf16.${size} bf16)
+    result(fig6 speedup.mxfp4xf8.${size} f8)
+    claim(fig6 "mxfp4xf16 above mxfp4xbf16 at ${size}" ${f16} GREATER
+          ${bf16})
+    claim(fig6 "mxfp4xf16 above mxfp4xf8 at ${size}" ${f16} GREATER
+          ${f8})
+endforeach()
 
 message(STATUS "repro claims: compared ${compared} result value(s) in "
                "${predicates} predicate(s)")

@@ -1,6 +1,5 @@
 #include "engine/cost_model.h"
 
-#include <optional>
 #include <sstream>
 
 #include "codegen/conversion.h"
@@ -22,16 +21,6 @@ int
 regCount(const LinearLayout &l)
 {
     return l.hasInDim(kReg) ? l.getInDimSize(kReg) : 1;
-}
-
-/** Global traffic of one load/store of a tensor in `layout`. The
- *  replay lives in synth::globalMemorySectors so the synthesis node
- *  cost and this estimate are one function, not two copies. */
-int64_t
-globalSectorsFor(const LinearLayout &layout, int elemBits,
-                 const sim::GpuSpec &spec)
-{
-    return synth::globalMemorySectors(layout, elemBits, spec);
 }
 
 } // namespace
@@ -66,7 +55,8 @@ estimateKernelCost(const ir::Function &f, const sim::GpuSpec &spec,
             const auto &val = f.value(v);
             if (!val.layout)
                 break;
-            int64_t sectors = globalSectorsFor(
+            // The same replay synthesis's node terms charge.
+            int64_t sectors = synth::globalMemorySectors(
                 *val.layout, bitWidth(val.type.dtype), spec);
             cost.globalSectors += sectors;
             cost.cycles += static_cast<double>(sectors) *
@@ -79,22 +69,12 @@ estimateKernelCost(const ir::Function &f, const sim::GpuSpec &spec,
             if (!src.layout || !dst.layout)
                 break;
             ++cost.converts;
-            int elemBytes = byteWidth(src.type.dtype);
-            // Price the plan the engine verified and attached; only ops
-            // it never tried (synthesis's trial copies, hand-built IR)
-            // are planned here. An op it rejected stays unplanned.
+            // Price the plan the engine shipped and attached. An op
+            // without one (rejected, or never planned) gets priced like
+            // a scalar shared round trip rather than sinking the whole
+            // estimate.
             const codegen::ConversionPlan *plan = o.plan.get();
-            std::optional<codegen::ConversionPlan> fresh;
-            if (plan == nullptr && o.tag != ir::kUnplannedConvertTag) {
-                auto planned = codegen::tryPlanConversion(
-                    *src.layout, *dst.layout, elemBytes, spec);
-                if (planned)
-                    plan = &fresh.emplace(std::move(*planned));
-            }
             if (plan == nullptr) {
-                // An unplannable or rejected conversion gets priced like
-                // a scalar shared round trip rather than sinking the
-                // whole estimate.
                 ++cost.sharedConversions;
                 ++cost.localLoads;
                 ++cost.localStores;
@@ -120,8 +100,8 @@ estimateKernelCost(const ir::Function &f, const sim::GpuSpec &spec,
                 ++cost.localStores;
                 break;
             }
-            cost.cycles +=
-                plan->estimateCycles(*src.layout, elemBytes, spec);
+            cost.cycles += plan->estimateCycles(
+                *src.layout, byteWidth(src.type.dtype), spec);
             break;
           }
           case ir::OpKind::Dot: {

@@ -44,12 +44,13 @@ struct KernelCost
 };
 
 /**
- * Price an engine-annotated function on the given GPU model. A
- * ConvertLayout op is priced from the plan LayoutEngine::run attached to
- * it, so `spec` must be the spec of that run and the op's endpoint
- * layouts must be the ones it planned (see ir::Op::plan). An op tagged
- * ir::kUnplannedConvertTag is priced as an unplannable conversion; any
- * other op without a plan is planned here.
+ * Price an engine-annotated function on the given GPU model. Pure
+ * pricing: nothing is planned here. A ConvertLayout op is priced from
+ * the plan LayoutEngine attached to it, so `spec` must be the spec of
+ * that run and the op's endpoint layouts must be the ones it planned
+ * (see ir::Op::plan). An op without a plan — one the engine rejected
+ * (ir::kUnplannedConvertTag) or never planned — is priced as an
+ * unplannable conversion (synth::unplannableConversionCycles).
  */
 KernelCost estimateKernelCost(const ir::Function &f,
                               const sim::GpuSpec &spec, int numWarps = 4);

@@ -334,29 +334,23 @@ LayoutEngine::cleanup(ir::Function &f, EngineStats &stats)
 }
 
 void
-LayoutEngine::planConversions(ir::Function &f, EngineStats &stats)
+LayoutEngine::planConversions(ir::Function &f, EngineStats &stats,
+                              service::PlanCache &cache)
 {
     trace::Span phase("engine.plan-conversions", "engine");
     // Every op goes through service::serveConversion, which ships the
-    // plan tryPlanConversion returns. Without a shared cache the run
-    // keeps its own, over a private interner, as a pure plan memo: a
-    // conversion repeated within the run is planned once. The cache's
-    // failpoint/deadline insert policy still applies.
-    const bool sharedCache = options_.planCache != nullptr;
-    service::PlanCache *cache = options_.planCache;
-    std::optional<service::LayoutInterner> runInterner;
-    std::optional<service::PlanCache> runCache;
-    if (!sharedCache) {
-        service::PlanCache::Config config;
-        config.interner = &runInterner.emplace();
-        cache = &runCache.emplace(config);
-    }
+    // plan tryPlanConversion returns. Only traffic on the shared cache
+    // is counted; the run's own memo is not that cache.
+    const bool sharedCache = &cache == options_.planCache;
     for (int i = 0; i < f.numOps(); ++i) {
         ir::Op &o = f.op(i);
         if (o.erased || o.kind != OpKind::ConvertLayout)
             continue;
         trace::Span opSpan("convert.op", "engine");
         opSpan.arg("op", i);
+        // A plan left by a trial or an earlier run must not outlive a
+        // failure here.
+        o.plan.reset();
         const std::string opName = "op " + std::to_string(i);
         const auto &have = f.value(o.operands[0]).layout;
         const auto &want = f.value(o.results[0]).layout;
@@ -373,7 +367,7 @@ LayoutEngine::planConversions(ir::Function &f, EngineStats &stats)
         LinearLayout dst = want->transposeOuts(have->getOutDimNames());
 
         const auto outcome = service::serveConversion(
-            cache, *have, dst, elemBytes, options_.spec);
+            &cache, *have, dst, elemBytes, options_.spec);
         if (sharedCache) {
             if (!outcome.fromCache)
                 ++stats.planCacheMisses;
@@ -411,8 +405,9 @@ LayoutEngine::planConversions(ir::Function &f, EngineStats &stats)
     }
 }
 
-std::map<int, LinearLayout>
+std::optional<LayoutEngine::Trial>
 LayoutEngine::synthesizeAssignment(const ir::Function &f,
+                                   service::PlanCache &memo,
                                    EngineStats &stats)
 {
     trace::Span span("synth.run", "synth");
@@ -430,68 +425,57 @@ LayoutEngine::synthesizeAssignment(const ir::Function &f,
                         "assignment: ") +
             e.what());
         metrics::counter("synth.search_failures").inc();
-        return {};
+        return std::nullopt;
     }
     if (sr.anchors.empty() || sr.ranked.empty())
-        return {};
+        return std::nullopt;
 
-    auto overridesFor = [&](const synth::SynthAssignment &a) {
-        std::map<int, LinearLayout> m;
+    // Trial the finalists with the true pipeline: assignment, cleanup
+    // and planning on a copy are exactly what the run ships, so the
+    // winning trial is the run's result and the comparison below prices
+    // what ships — the never-worse guarantee rests on it. The trials
+    // plan through the run's memo: a conversion they share is planned
+    // once.
+    auto evaluate = [&](const synth::SynthAssignment &a) {
+        trace::Span evalSpan("synth.evaluate", "synth");
+        std::map<int, LinearLayout> overrides;
         for (size_t i = 0; i < sr.anchors.size(); ++i) {
             if (a.choice[i] == 0)
                 continue; // index 0 is the default anchor
-            m.emplace(sr.anchors[i],
-                      sr.candidates[i][static_cast<size_t>(a.choice[i])]
-                          .layout);
+            overrides.emplace(
+                sr.anchors[i],
+                sr.candidates[i][static_cast<size_t>(a.choice[i])].layout);
         }
-        return m;
-    };
-
-    // Reprice the finalists with the true pipeline: a trial
-    // assignment + cleanup on a copy is exactly what the real run
-    // produces, and the cost model plans the copy's conversions exactly
-    // as planConversions does, so the cost comparison below is exact,
-    // not a guide estimate — the never-worse guarantee rests on it.
-    struct Eval
-    {
-        double cycles = 0.0;
-        int surviving = 0;
-    };
-    auto evaluate = [&](const synth::SynthAssignment &a) -> Eval {
-        trace::Span evalSpan("synth.evaluate", "synth");
-        ir::Function copy = f;
-        EngineStats trial;
-        auto overrides = overridesFor(a);
-        assignForward(copy, trial,
+        Trial t{f, {}};
+        assignForward(t.f, t.stats,
                       overrides.empty() ? nullptr : &overrides);
-        cleanup(copy, trial);
-        auto cost = estimateKernelCost(copy, options_.spec,
-                                       options_.numWarps);
+        cleanup(t.f, t.stats);
+        EngineStats planned; // the shipped pass recounts planning
+        planConversions(t.f, planned, memo);
+        auto cost =
+            estimateKernelCost(t.f, options_.spec, options_.numWarps);
         if (evalSpan.active()) {
             evalSpan.arg("cycles", static_cast<int>(cost.cycles));
             evalSpan.arg("converts", cost.converts);
         }
-        return {cost.cycles,
-                trial.convertsInserted - trial.convertsEliminated};
+        t.cycles = cost.cycles;
+        return t;
     };
 
-    Eval best;
-    int bestRank = -1; // -1 = the default assignment
-    Eval defaultEval;
-    int evaluated = 0;
+    std::optional<Trial> best;
+    int defaultSurviving = 0;
+    bool choseSynthesized = false;
     try {
-        defaultEval = evaluate(sr.ranked[static_cast<size_t>(
-            sr.defaultRank)]);
-        ++evaluated;
-        best = defaultEval;
+        best = evaluate(sr.ranked[static_cast<size_t>(sr.defaultRank)]);
+        defaultSurviving =
+            best->stats.convertsInserted - best->stats.convertsEliminated;
         for (size_t r = 0; r < sr.ranked.size(); ++r) {
             if (static_cast<int>(r) == sr.defaultRank)
                 continue;
-            Eval e = evaluate(sr.ranked[r]);
-            ++evaluated;
-            if (e.cycles < best.cycles) { // strict: ties keep the default
-                best = e;
-                bestRank = static_cast<int>(r);
+            Trial t = evaluate(sr.ranked[r]);
+            if (t.cycles < best->cycles) { // strict: ties keep the default
+                best = std::move(t);
+                choseSynthesized = true;
             }
         }
     } catch (const std::exception &e) {
@@ -500,20 +484,23 @@ LayoutEngine::synthesizeAssignment(const ir::Function &f,
                         "assignment: ") +
             e.what());
         metrics::counter("synth.search_failures").inc();
-        return {};
+        return std::nullopt;
     }
-    stats.synthAssignmentsEvaluated = evaluated;
+    const int evaluated = static_cast<int>(sr.ranked.size());
     if (span.active()) {
         span.arg("evaluated", evaluated);
         span.arg("exhaustive", sr.exhaustive ? 1 : 0);
-        span.arg("chose", bestRank < 0 ? "default" : "synthesized");
+        span.arg("chose", choseSynthesized ? "synthesized" : "default");
     }
-    if (bestRank < 0)
-        return {};
-    stats.synthChoseSynthesized = 1;
-    stats.synthConvertsEliminated =
-        std::max(0, defaultEval.surviving - best.surviving);
-    return overridesFor(sr.ranked[static_cast<size_t>(bestRank)]);
+    EngineStats &won = best->stats;
+    won.synthAssignmentsEvaluated = evaluated;
+    if (choseSynthesized) {
+        won.synthChoseSynthesized = 1;
+        won.synthConvertsEliminated = std::max(
+            0, defaultSurviving -
+                   (won.convertsInserted - won.convertsEliminated));
+    }
+    return best;
 }
 
 EngineStats
@@ -525,28 +512,38 @@ LayoutEngine::run(ir::Function &f)
     const auto before = metrics::Registry::instance().counterSnapshot();
 
     EngineStats stats;
-    // Plans and rejections recorded by an earlier run describe the old
-    // layouts; neither synthesis's trial copies nor this run may price
-    // them.
-    for (int i = 0; i < f.numOps(); ++i) {
-        ir::Op &o = f.op(i);
-        o.plan.reset();
-        if (o.kind == OpKind::ConvertLayout &&
-            o.tag == ir::kUnplannedConvertTag)
-            o.tag.clear();
+    // The run's plan memo, over a private interner: a conversion
+    // repeated within the run (or across synthesis trials) is planned
+    // once. A run that ships through the shared cache and trials
+    // nothing needs none.
+    std::optional<service::LayoutInterner> memoInterner;
+    std::optional<service::PlanCache> memo;
+    if (options_.planCache == nullptr || options_.synthesizeLayouts) {
+        service::PlanCache::Config config;
+        config.interner = &memoInterner.emplace();
+        memo.emplace(config);
     }
-    std::map<int, LinearLayout> anchorOverrides;
+    std::optional<Trial> winner;
     if (options_.synthesizeLayouts)
-        anchorOverrides = synthesizeAssignment(f, stats);
-    assignForward(f, stats,
-                  anchorOverrides.empty() ? nullptr : &anchorOverrides);
-    cleanup(f, stats);
+        winner = synthesizeAssignment(f, *memo, stats);
+    if (winner) {
+        f = std::move(winner->f);
+        stats = std::move(winner->stats);
+    } else {
+        assignForward(f, stats);
+        cleanup(f, stats);
+    }
     // Conversions the synthesized assignment avoided count as
     // eliminated too: the headline counter keeps meaning "conversions
     // the default path would have kept that this run does not", with
     // the synth share still visible via synth.converts_eliminated.
     stats.convertsEliminated += stats.synthConvertsEliminated;
-    planConversions(f, stats);
+    // Ship through the shared cache when there is one, so it receives
+    // only the plans that ship; otherwise through the memo, where every
+    // conversion a winning trial planned hits.
+    planConversions(f, stats,
+                    options_.planCache != nullptr ? *options_.planCache
+                                                  : *memo);
     f.verify();
 
     // Mirror the struct counters into the registry (the struct fields

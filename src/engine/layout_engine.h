@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -46,9 +47,9 @@ struct EngineOptions
 
     sim::GpuSpec spec = sim::GpuSpec::gh200();
     int numWarps = 4;
-    /** Shared, sharded plan cache (borrowed, not owned; nullptr gives
-     *  each run a private plan memo of its own, so a conversion
-     *  repeated within one run is still planned once). Every op is
+    /** Shared, sharded plan cache (borrowed, not owned; nullptr ships
+     *  through the run's private plan memo, so a conversion repeated
+     *  within one run is still planned once). Every op is
      *  served by service::serveConversion, which ships the plan
      *  codegen::tryPlanConversion returns and executes nothing: a hit
      *  serves the memoized plan — or a memoized InvalidInput
@@ -57,18 +58,18 @@ struct EngineOptions
      *  planCacheMisses. Plans shaped by failpoints or a deadline, or
      *  planned while any failpoint was active, are never inserted. */
     service::PlanCache *planCache = nullptr;
-    /** Run the whole-kernel anchor-assignment search (src/synth) before
-     *  propagation and adopt its winning assignment when the true cost
-     *  model prices it strictly below the default. Never worse: the
-     *  default assignment is always evaluated too and wins ties, so a
-     *  synthesized run's kernel cost is <= the synth-off run's by
-     *  construction. Off (the default) keeps the engine bit-identical
-     *  to the propagation-only path. */
+    /** Run the whole-kernel anchor-assignment search (src/synth),
+     *  trial its finalists through the true pipeline, and adopt the
+     *  trial the cost model prices strictly below the default as the
+     *  run's result. Never worse: the default assignment is always
+     *  trialed too and wins ties, so a synthesized run's kernel cost is
+     *  <= the synth-off run's by construction. Off (the default) keeps
+     *  the engine bit-identical to the propagation-only path. */
     bool synthesizeLayouts = false;
-    /** Search knobs for synthesizeLayouts. The search prices edges
-     *  from their plans alone and never touches planCache: only the
-     *  conversions the adopted assignment ships are served through it
-     *  by planConversions. */
+    /** Search knobs for synthesizeLayouts. Neither the search nor the
+     *  trials touch planCache (the trials plan through the run's
+     *  memo): only the conversions the adopted trial ships are served
+     *  through it by planConversions. */
     synth::SynthOptions synthOptions;
 };
 
@@ -108,9 +109,10 @@ struct EngineStats
      *  --validate-bench-json checks it sums). Zero when synthesis is
      *  off or chose the default. */
     int synthConvertsEliminated = 0;
-    /** Complete assignments repriced with the true pipeline (trial
-     *  assignForward + cleanup + estimateKernelCost), including the
-     *  default. Zero when synthesis is off. */
+    /** Complete assignments trialed with the true pipeline
+     *  (assignForward + cleanup + planConversions, priced by
+     *  estimateKernelCost), including the default. Zero when synthesis
+     *  is off. */
     int synthAssignmentsEvaluated = 0;
     /** 1 when the run adopted a non-default assignment. */
     int synthChoseSynthesized = 0;
@@ -168,6 +170,26 @@ class LayoutEngine
                                               const cute::CuteLayout &dst,
                                               int elemBytes) const;
 
+    /** A copy of the function after assignForward, cleanup and
+     *  planConversions, the stats its assign and cleanup made, and the
+     *  estimateKernelCost cycles of its attached plans. */
+    struct Trial
+    {
+        ir::Function f;
+        EngineStats stats;
+        double cycles = 0.0;
+    };
+
+    /** Run the synth search, trial its finalists (and the default) —
+     *  assignForward + cleanup + planConversions through `memo`, priced
+     *  by estimateKernelCost — and return the winning trial, with the
+     *  synth* stats fields filled. nullopt when the kernel has no
+     *  anchor or the search or a trial throws (the diagnostic goes into
+     *  `stats`). run() adopts the winner as its result. */
+    std::optional<Trial> synthesizeAssignment(const ir::Function &f,
+                                              service::PlanCache &memo,
+                                              EngineStats &stats);
+
   private:
     /** Anchor assignment + forward propagation. `anchorOverrides` maps
      *  anchor value ids (Load/Constant results) to synthesized layouts;
@@ -178,19 +200,13 @@ class LayoutEngine
                        = nullptr);
     void cleanup(ir::Function &f, EngineStats &stats);
 
-    /** Run the synth search, reprice its finalists (and the default)
-     *  with trial assignForward + cleanup + estimateKernelCost, and
-     *  return the winning anchor overrides — empty when the default
-     *  wins or anything in the search throws. Fills the synth* stats
-     *  fields. */
-    std::map<int, LinearLayout> synthesizeAssignment(const ir::Function &f,
-                                                     EngineStats &stats);
-
     /** Serve every surviving ConvertLayout through
-     *  service::serveConversion and tag it "convert:<kind>". A plan that
-     *  cannot be built downgrades the op to "convert:unplanned" and is
-     *  recorded in the stats; this pass never throws. */
-    void planConversions(ir::Function &f, EngineStats &stats);
+     *  service::serveConversion against `cache` and tag it
+     *  "convert:<kind>". A plan that cannot be built downgrades the op
+     *  to "convert:unplanned" and is recorded in the stats; this pass
+     *  never throws. */
+    void planConversions(ir::Function &f, EngineStats &stats,
+                         service::PlanCache &cache);
 
     /** Convert operand `slot` of op `opIdx` to `want` unless it is
      *  already there (modulo broadcast). */

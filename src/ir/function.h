@@ -73,12 +73,13 @@ struct Op
     std::vector<int32_t> order; ///< Trans permutation
     std::string tag;            ///< free-form label ("add", "exp", ...)
     bool erased = false;        ///< dead ops are tombstoned, not removed
-    /** ConvertLayout only: the verified plan the layout engine chose for
-     *  this op's endpoint layouts and GPU model, which the cost model
-     *  prices instead of re-planning. Null until the engine plans the
-     *  op, or when no plan survived (the op is then tagged
-     *  kUnplannedConvertTag). Whoever edits an endpoint layout outside
-     *  the engine must reset it; LayoutEngine::run resets it first. */
+    /** ConvertLayout only: the plan the layout engine shipped for this
+     *  op's endpoint layouts and GPU model, which the cost model prices
+     *  (check::verifyPlan verifies shipped plans off the compile path).
+     *  Null until the engine plans the op, or when no plan survived (the
+     *  op is then tagged kUnplannedConvertTag). Whoever edits an
+     *  endpoint layout outside the engine must reset it; the engine
+     *  resets it before serving the op. */
     std::shared_ptr<const codegen::ConversionPlan> plan;
 };
 

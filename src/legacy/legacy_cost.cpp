@@ -51,12 +51,6 @@ legacyGlobalSectors(const LinearLayout &layout, int elemBits,
     return sectorsPerInst * instsPerThread * warpCount(layout);
 }
 
-triton::Shape
-shapeOf(const ir::TensorType &type)
-{
-    return type.shape;
-}
-
 } // namespace
 
 int
@@ -116,7 +110,7 @@ estimateLegacyKernelCost(const ir::Function &f, const sim::GpuSpec &spec,
             int elemBytes = byteWidth(src.type.dtype);
             if (src.type.rank() == 2) {
                 auto padded = paddedConversionCost(
-                    *src.layout, *dst.layout, shapeOf(src.type),
+                    *src.layout, *dst.layout, src.type.shape,
                     elemBytes, spec);
                 cost.cycles += padded.cycles;
             } else {

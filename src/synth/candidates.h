@@ -77,7 +77,7 @@ int64_t globalMemorySectors(const LinearLayout &layout, int elemBits,
  * Modeled cycles of a conversion out of `src` that cannot be planned: a
  * scalar shared round trip, one store and one load wavefront per
  * register. The one price engine::estimateKernelCost charges a
- * convert:unplanned op and the synthesis edge pricing charges an
+ * conversion without a plan and the synthesis edge pricing charges an
  * unplannable pair.
  */
 double unplannableConversionCycles(const LinearLayout &src,

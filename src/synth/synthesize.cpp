@@ -69,7 +69,7 @@ struct CostTerms
  * Price one conversion from its plan alone: a pair that proves to be a
  * no-op costs zero, a planned one its estimateCycles, and an
  * unplannable one a scalar shared round trip, exactly like
- * engine::estimateKernelCost prices convert:unplanned ops. Nothing is
+ * engine::estimateKernelCost prices conversions without a plan. Nothing is
  * smoke-executed or cached.
  */
 double

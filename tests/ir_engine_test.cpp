@@ -19,6 +19,7 @@
 #include "layout/dims.h"
 #include "service/plan_cache.h"
 #include "support/metrics.h"
+#include "synth/candidates.h"
 #include "triton/encodings.h"
 
 namespace ll {
@@ -438,9 +439,10 @@ TEST(Engine, RunCachePlansEachDistinctConversionOnce)
     }
 }
 
-// The engine attaches every verified plan to its op, so pricing a
-// compiled kernel plans nothing, and prices each conversion exactly as
-// re-planning it from the endpoint layouts would.
+// The engine attaches every shipped plan to its op, so pricing a
+// compiled kernel plans nothing. The cost model is pure pricing: a
+// conversion stripped of its plan is priced as unplannable, not
+// re-planned, and still plans nothing.
 TEST(CostModel, PricesAttachedPlansWithoutPlanning)
 {
     const auto &planned = metrics::counter("plan.planned");
@@ -455,25 +457,37 @@ TEST(CostModel, PricesAttachedPlansWithoutPlanning)
                 Function f = k.build(size);
                 LayoutEngine({spec, 4}).run(f);
                 Function stripped = f;
+                double strippedDelta = 0.0;
                 for (int i = 0; i < stripped.numOps(); ++i) {
                     const auto &o = f.op(i);
-                    if (!o.erased && o.kind == OpKind::ConvertLayout &&
-                        o.tag != "convert:unplanned") {
-                        EXPECT_NE(o.plan, nullptr) << what << " op " << i;
-                    }
                     stripped.op(i).plan.reset();
+                    if (o.erased || o.kind != OpKind::ConvertLayout ||
+                        o.tag == "convert:unplanned")
+                        continue;
+                    ASSERT_NE(o.plan, nullptr) << what << " op " << i;
+                    const auto &src = *f.value(o.operands[0]).layout;
+                    strippedDelta +=
+                        synth::unplannableConversionCycles(src, spec) -
+                        o.plan->estimateCycles(
+                            src,
+                            ir::byteWidth(f.value(o.operands[0]).type.dtype),
+                            spec);
                 }
 
                 const int64_t plannedBefore = planned.value();
                 const int64_t attemptsBefore = attempts.value();
                 const KernelCost cost = estimateKernelCost(f, spec, 4);
+                const KernelCost unplanned =
+                    estimateKernelCost(stripped, spec, 4);
                 EXPECT_EQ(planned.value(), plannedBefore) << what;
                 EXPECT_EQ(attempts.value(), attemptsBefore) << what;
 
-                const KernelCost replanned =
-                    estimateKernelCost(stripped, spec, 4);
-                EXPECT_EQ(cost.cycles, replanned.cycles) << what;
-                EXPECT_EQ(cost.toString(), replanned.toString()) << what;
+                EXPECT_EQ(unplanned.converts, cost.converts) << what;
+                EXPECT_EQ(unplanned.sharedConversions, unplanned.converts)
+                    << what;
+                EXPECT_NEAR(unplanned.cycles - cost.cycles, strippedDelta,
+                            1e-9 * cost.cycles)
+                    << what;
                 converts += cost.converts;
             }
         }

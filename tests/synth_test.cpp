@@ -18,6 +18,8 @@
  *     target);
  *   - every conversion a synthesized run leaves behind still passes the
  *     end-to-end tagged-buffer oracle, demotion loop included;
+ *   - a synthesized run ships its winning trial and plans each distinct
+ *     conversion its trials convert once;
  *   - the search prices edges from their plans alone: it smoke-runs
  *     nothing and never touches a plan cache, and neither does the
  *     engine execute a plan, so the first shared round trip after a
@@ -309,6 +311,81 @@ runDigest(ir::Function f, const sim::GpuSpec &spec,
         digest += "\n";
     }
     return digest;
+}
+
+// Everything a compile shipped: every value layout, then the tag and
+// attached plan digest of every surviving conversion.
+std::string
+shippedDigest(const ir::Function &f)
+{
+    std::string digest;
+    for (int v = 0; v < f.numValues(); ++v) {
+        if (f.value(v).layout)
+            digest += f.value(v).layout->toString();
+        digest += "\n";
+    }
+    for (int i = 0; i < f.numOps(); ++i) {
+        const ir::Op &o = f.op(i);
+        if (o.erased || o.kind != ir::OpKind::ConvertLayout)
+            continue;
+        digest += std::to_string(i) + " " + o.tag + ": " +
+                  (o.plan ? codegen::describePlan(*o.plan) : "no plan") +
+                  "\n";
+    }
+    return digest;
+}
+
+// A synthesized compile ships its winning trial. The trials plan
+// through the run's memo and the shipped pass is served from it, so
+// with no shared cache a run plans at most what its search plans plus
+// each distinct (src, dst, elemBytes) pair its trials convert, once.
+// The distinct pairs are counted as the entries of a memo the test
+// hands to the same trials; the search's count comes from a separate
+// synthesizeAnchors call. Re-running assign, cleanup and planning
+// after the trials (or planning inside the cost model) replans the
+// winner's conversions and breaks the bound on every kernel whose
+// winner keeps a conversion.
+TEST(SynthEngine, ShipsTheWinningTrialPlanningEachPairOnce)
+{
+    const auto spec = sim::GpuSpec::gh200();
+    const auto &planned = metrics::counter("plan.planned");
+    const auto options = optionsFor(spec, true);
+    int kernelsChecked = 0;
+    for (const auto &k : kernels::allKernels()) {
+        if (!kernels::runsOn(k, spec))
+            continue;
+        for (int32_t size : k.sizes) {
+            const std::string what =
+                k.name + "(" + std::to_string(size) + ")";
+            int64_t before = planned.value();
+            synth::synthesizeAnchors(k.build(size), spec, options.numWarps,
+                                     options.synthOptions);
+            const int64_t searchPlanned = planned.value() - before;
+
+            service::LayoutInterner interner;
+            service::PlanCache::Config config;
+            config.interner = &interner;
+            service::PlanCache memo(config);
+            engine::EngineStats trialStats;
+            auto winner = engine::LayoutEngine(options).synthesizeAssignment(
+                k.build(size), memo, trialStats);
+            ASSERT_TRUE(winner.has_value()) << what;
+            if (winner->f.countOps(ir::OpKind::ConvertLayout) == 0)
+                continue;
+
+            ir::Function f = k.build(size);
+            before = planned.value();
+            engine::LayoutEngine(options).run(f);
+            EXPECT_LE(planned.value() - before, searchPlanned + memo.size())
+                << what;
+            EXPECT_EQ(shippedDigest(f), shippedDigest(winner->f)) << what;
+            ++kernelsChecked;
+        }
+    }
+    std::cout << "kernels whose winning trial keeps a conversion: "
+              << kernelsChecked << "\n";
+    EXPECT_GT(kernelsChecked, 0)
+        << "no fig9 kernel's winning trial keeps a conversion";
 }
 
 // Eight engines race on the same shared plan cache; the chosen
