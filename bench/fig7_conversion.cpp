@@ -72,9 +72,14 @@ verifyPlan(const ConvCase &c, const codegen::WarpShufflePlan &plan)
     return true;
 }
 
+/** Print the figure and record its headline values in `results`: the
+ *  speedup of every case (`speedup.<rows>x<cols>.<dtype>`), the case
+ *  count (`cases`) and how many cases lowered to a warp-shuffle plan
+ *  that verified on the simulator (`verified_shuffles`). */
 void
-printTable()
+printTable(bench::Results &results)
 {
+    results.clear();
     auto spec = sim::GpuSpec::gh200();
     bench::printHeader(
         "Figure 7: layout conversion, warp shuffles vs legacy shared "
@@ -84,6 +89,8 @@ printTable()
                 "check");
     const std::pair<int, const char *> dtypes[] = {
         {1, "f8"}, {2, "f16"}, {4, "f32"}};
+    int cases = 0;
+    int verifiedShuffles = 0;
     for (int32_t rows : {16, 32, 64, 128}) {
         for (int32_t cols : {64, 128, 256}) {
             for (auto [elemBytes, name] : dtypes) {
@@ -94,18 +101,28 @@ printTable()
                     plan.estimateCycles(c.src, elemBytes, spec);
                 auto padded = legacy::paddedConversionCost(
                     c.src, c.dst, c.shape, elemBytes, spec);
+                const bool shuffle =
+                    plan.kind == codegen::ConversionKind::WarpShuffle;
                 bool ok = true;
-                if (plan.kind == codegen::ConversionKind::WarpShuffle)
+                if (shuffle)
                     ok = verifyPlan(c, *plan.shuffle);
+                const double speedup = padded.cycles / linearCycles;
                 std::printf("[%4d,%4d]   %8s %18s %12.0f %12.0f %8.2fx"
                             " %6s\n",
                             rows, cols, name,
                             toString(plan.kind).c_str(), linearCycles,
-                            padded.cycles, padded.cycles / linearCycles,
-                            ok ? "PASS" : "FAIL");
+                            padded.cycles, speedup, ok ? "PASS" : "FAIL");
+                ++cases;
+                verifiedShuffles += shuffle && ok;
+                results.emplace_back("speedup." + std::to_string(rows) +
+                                         "x" + std::to_string(cols) + "." +
+                                         name,
+                                     speedup);
             }
         }
     }
+    results.emplace_back("cases", cases);
+    results.emplace_back("verified_shuffles", verifiedShuffles);
 }
 
 void
@@ -140,7 +157,9 @@ BENCHMARK(BM_ShufflePlanAndExecute)
 int
 main(int argc, char **argv)
 {
-    ll::bench::emitBenchJson("fig7_conversion", [] { printTable(); });
+    ll::bench::Results results;
+    ll::bench::emitBenchJson(
+        "fig7_conversion", [&results] { printTable(results); }, results);
     benchmark::Initialize(&argc, argv);
     benchmark::RunSpecifiedBenchmarks();
     return 0;

@@ -71,9 +71,12 @@ verifyGather(const LinearLayout &layout, const codegen::GatherPlan &plan)
     return true;
 }
 
+/** Print the figure and record each row's speedup in `results`
+ *  (`speedup.<rows>x<k>`). */
 void
-printTable()
+printTable(bench::Results &results)
 {
+    results.clear();
     auto spec = sim::GpuSpec::gh200();
     bench::printHeader(
         "Figure 8: gather via warp shuffles vs shared memory "
@@ -99,10 +102,13 @@ printTable()
         double sharedCycles = 200.0 +
                               6.0 * regs * spec.sharedWavefrontCycles;
         bool ok = verifyGather(layout, *plan);
+        const double speedup = sharedCycles / std::max(shuffleCycles, 1.0);
         std::printf("[%4d,%4d]   %8d %12.0f %12.0f %8.2fx %6s\n", rows,
-                    k, plan->rounds, shuffleCycles, sharedCycles,
-                    sharedCycles / std::max(shuffleCycles, 1.0),
+                    k, plan->rounds, shuffleCycles, sharedCycles, speedup,
                     ok ? "PASS" : "FAIL");
+        results.emplace_back("speedup." + std::to_string(rows) + "x" +
+                                 std::to_string(k),
+                             speedup);
     }
     std::printf("(speedup declines once shuffle rounds dominate — the "
                 "paper's crossover)\n");
@@ -137,7 +143,9 @@ BENCHMARK(BM_GatherExecute)->Arg(4)->Arg(32)->Arg(128);
 int
 main(int argc, char **argv)
 {
-    ll::bench::emitBenchJson("fig8_gather", [] { printTable(); });
+    ll::bench::Results results;
+    ll::bench::emitBenchJson(
+        "fig8_gather", [&results] { printTable(results); }, results);
     benchmark::Initialize(&argc, argv);
     benchmark::RunSpecifiedBenchmarks();
     return 0;

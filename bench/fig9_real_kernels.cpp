@@ -214,8 +214,9 @@ printSynthComparison()
     int kernelsWorse = 0;
     for (const auto &spec : specs) {
         // One shared cache per platform across both passes: plans are
-        // pure functions of (src, dst, bytes, spec). Only shipped
-        // conversions reach it; the search and the trials do not.
+        // pure functions of (src, dst, bytes, spec). Each compile's
+        // synthesis search, trials and shipped pass all plan through
+        // it, so a pair is planned once per platform.
         service::PlanCache cache;
         for (const auto &k : kernels::allKernels()) {
             if (!kernelSelected(k) || !kernels::runsOn(k, spec))

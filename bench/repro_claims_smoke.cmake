@@ -18,10 +18,20 @@
 # column grows with M up to M=256, and the 512-row dips below the
 # 256-row.
 # Figure 6: the mxfp4 x f16 series is the fastest at every size.
+# Figure 7: all 36 cases lower to a warp-shuffle plan that verifies,
+# and the f16 speedup is >= the f32 speedup at every shape.
+# Figure 8: the peak speedup is >= 10x, speedups do not increase down
+# the rows, some row falls below 1.0x, and every row from the first one
+# below 1.0x stays below it.
+#
+# The fig7 and fig8 groups each print how many values they compared
+# and fail on 0.
 #
 # Script arguments (via -D):
 #   FIG2     path to the fig2_transpose_swizzle binary
 #   FIG6     path to the fig6_mxfp4_gemm binary
+#   FIG7     path to the fig7_conversion binary
+#   FIG8     path to the fig8_gather binary
 #   FIG9     path to the fig9_real_kernels binary
 #   TAB3     path to the tab3_contiguity binary
 #   TAB4     path to the tab4_broadcast binary
@@ -61,6 +71,8 @@ run_bench("${TAB3}" tab3_contiguity tab3)
 run_bench("${TAB4}" tab4_broadcast tab4)
 run_bench("${FIG2}" fig2_transpose_swizzle fig2)
 run_bench("${FIG6}" fig6_mxfp4_gemm fig6)
+run_bench("${FIG7}" fig7_conversion fig7)
+run_bench("${FIG8}" fig8_gather fig8)
 execute_process(COMMAND "${LLSTAT}" --validate-bench-json "${OUT_DIR}"
                 RESULT_VARIABLE rc OUTPUT_QUIET)
 if(NOT rc EQUAL 0)
@@ -204,6 +216,63 @@ foreach(size 1024 2048 4096 8192)
     claim(fig6 "mxfp4xf16 above mxfp4xf8 at ${size}" ${f16} GREATER
           ${f8})
 endforeach()
+
+# group_compared(<figure> <start>): print how many values the
+# <figure> predicates compared since `compared` was <start>; none is a
+# failure.
+macro(group_compared figure start)
+    math(EXPR group_n "${compared} - ${start}")
+    message(STATUS "${figure}: compared ${group_n} result value(s)")
+    if(group_n EQUAL 0)
+        list(APPEND failures "${figure}: compared no result value")
+    endif()
+endmacro()
+
+set(fig7_start ${compared})
+result(fig7 cases fig7_cases)
+result(fig7 verified_shuffles fig7_verified)
+claim(fig7 "36 cases" ${fig7_cases} EQUAL 36)
+claim(fig7 "every case is a verified warp shuffle" ${fig7_verified} EQUAL
+      ${fig7_cases})
+foreach(rows 16 32 64 128)
+    foreach(cols 64 128 256)
+        result(fig7 speedup.${rows}x${cols}.f16 f16)
+        result(fig7 speedup.${rows}x${cols}.f32 f32)
+        claim(fig7 "[${rows},${cols}] f16 speedup >= f32" ${f16}
+              GREATER_EQUAL ${f32})
+    endforeach()
+endforeach()
+group_compared(fig7 ${fig7_start})
+
+set(fig8_start ${compared})
+set(peak 0)
+set(prev "")
+set(crossed "")
+foreach(k 2 4 8 16 32 64 128)
+    math(EXPR rows "1024 / ${k}")
+    result(fig8 speedup.${rows}x${k} s)
+    if(s GREATER peak)
+        set(peak ${s})
+    endif()
+    if(NOT prev STREQUAL "")
+        claim(fig8 "[${rows},${k}] speedup <= the row above" ${s}
+              LESS_EQUAL ${prev})
+    endif()
+    if(crossed)
+        claim(fig8 "[${rows},${k}] stays below 1.0x after [${crossed}]"
+              ${s} LESS 1.0)
+    elseif(s LESS 1.0)
+        set(crossed "${rows},${k}")
+    endif()
+    set(prev ${s})
+endforeach()
+claim(fig8 "peak speedup >= 10x" ${peak} GREATER_EQUAL 10)
+if(crossed)
+    message(STATUS "fig8: first row below 1.0x: [${crossed}]")
+else()
+    list(APPEND failures "fig8: no row falls below 1.0x")
+endif()
+group_compared(fig8 ${fig8_start})
 
 message(STATUS "repro claims: compared ${compared} result value(s) in "
                "${predicates} predicate(s)")

@@ -10,7 +10,6 @@
 #include "engine/shape_transfer.h"
 #include "layout/dims.h"
 #include "service/conversion_service.h"
-#include "service/cute_service.h"
 #include "support/failpoint.h"
 #include "support/metrics.h"
 #include "support/trace.h"
@@ -65,23 +64,6 @@ LayoutEngine::dotOperandLayout(const ir::TensorType &operandType,
     return synth::dotOperandLayout(operandType, accType, opIdx,
                                    operandBits, options_.spec,
                                    options_.numWarps);
-}
-
-Result<cute::CutePlan>
-LayoutEngine::planCuteConversion(const cute::CuteLayout &src,
-                                 const cute::CuteLayout &dst,
-                                 int elemBytes) const
-{
-    cute::CuteConversionRequest req;
-    req.src = src;
-    req.dst = dst;
-    req.elemBytes = elemBytes;
-    req.numWarps = options_.numWarps;
-    auto outcome = service::serveCuteConversion(options_.planCache, req,
-                                                options_.spec);
-    if (outcome.planned())
-        return std::move(*outcome.plan);
-    return makeDiag(DiagCode::InvalidInput, "engine.cute", outcome.error);
 }
 
 void
@@ -169,13 +151,13 @@ LayoutEngine::assignForward(ir::Function &f, EngineStats &stats,
             const auto ta = f.value(o.operands[0]).type;
             const auto tb = f.value(o.operands[1]).type;
             const auto tacc = f.value(o.results[0]).type;
-            int bits = std::max(bitWidth(ta.dtype), bitWidth(tb.dtype));
-            if (bits > 32) {
-                // No tensor-core path: FMA dot on blocked layouts.
+            const ir::DotWidth width = ir::dotWidth(f, o);
+            if (width.fma) {
                 f.op(i).tag = o.tag.empty() ? "fma" : o.tag + "/fma";
                 f.value(o.results[0]).layout = anchorForMemory(tacc);
                 break;
             }
+            const int bits = width.operandBits;
             ensureOperand(f, i, 0,
                           dotOperandLayout(ta, tacc, 0, bits), stats);
             ensureOperand(f, i, 1,
@@ -340,7 +322,7 @@ LayoutEngine::planConversions(ir::Function &f, EngineStats &stats,
     trace::Span phase("engine.plan-conversions", "engine");
     // Every op goes through service::serveConversion, which ships the
     // plan tryPlanConversion returns. Only traffic on the shared cache
-    // is counted; the run's own memo is not that cache.
+    // is counted; a private memo is not that cache.
     const bool sharedCache = &cache == options_.planCache;
     for (int i = 0; i < f.numOps(); ++i) {
         ir::Op &o = f.op(i);
@@ -407,16 +389,18 @@ LayoutEngine::planConversions(ir::Function &f, EngineStats &stats,
 
 std::optional<LayoutEngine::Trial>
 LayoutEngine::synthesizeAssignment(const ir::Function &f,
-                                   service::PlanCache &memo,
+                                   service::PlanCache &cache,
                                    EngineStats &stats)
 {
     trace::Span span("synth.run", "synth");
     if (span.active())
         span.arg("function", f.name());
+    synth::SynthOptions searchOptions = options_.synthOptions;
+    searchOptions.planCache = &cache;
     synth::SynthResult sr;
     try {
         sr = synth::synthesizeAnchors(f, options_.spec, options_.numWarps,
-                                      options_.synthOptions);
+                                      searchOptions);
     } catch (const std::exception &e) {
         // Synthesis is an optimization, never a failure mode: anything
         // it cannot handle falls back to the default assignment.
@@ -433,9 +417,9 @@ LayoutEngine::synthesizeAssignment(const ir::Function &f,
     // Trial the finalists with the true pipeline: assignment, cleanup
     // and planning on a copy are exactly what the run ships, so the
     // winning trial is the run's result and the comparison below prices
-    // what ships — the never-worse guarantee rests on it. The trials
-    // plan through the run's memo: a conversion they share is planned
-    // once.
+    // what ships — the never-worse guarantee rests on it. The search
+    // and the trials plan through the run's cache: a conversion they
+    // share is planned once.
     auto evaluate = [&](const synth::SynthAssignment &a) {
         trace::Span evalSpan("synth.evaluate", "synth");
         std::map<int, LinearLayout> overrides;
@@ -451,7 +435,7 @@ LayoutEngine::synthesizeAssignment(const ir::Function &f,
                       overrides.empty() ? nullptr : &overrides);
         cleanup(t.f, t.stats);
         EngineStats planned; // the shipped pass recounts planning
-        planConversions(t.f, planned, memo);
+        planConversions(t.f, planned, cache);
         auto cost =
             estimateKernelCost(t.f, options_.spec, options_.numWarps);
         if (evalSpan.active()) {
@@ -512,20 +496,21 @@ LayoutEngine::run(ir::Function &f)
     const auto before = metrics::Registry::instance().counterSnapshot();
 
     EngineStats stats;
-    // The run's plan memo, over a private interner: a conversion
-    // repeated within the run (or across synthesis trials) is planned
-    // once. A run that ships through the shared cache and trials
-    // nothing needs none.
+    // The run's one plan cache: the shared cache when there is one,
+    // otherwise a memo over a private interner. The synthesis search,
+    // its trials and the shipped pass all plan through it, so each
+    // distinct conversion the run prices is planned once.
     std::optional<service::LayoutInterner> memoInterner;
     std::optional<service::PlanCache> memo;
-    if (options_.planCache == nullptr || options_.synthesizeLayouts) {
+    service::PlanCache *cache = options_.planCache;
+    if (cache == nullptr) {
         service::PlanCache::Config config;
         config.interner = &memoInterner.emplace();
-        memo.emplace(config);
+        cache = &memo.emplace(config);
     }
     std::optional<Trial> winner;
     if (options_.synthesizeLayouts)
-        winner = synthesizeAssignment(f, *memo, stats);
+        winner = synthesizeAssignment(f, *cache, stats);
     if (winner) {
         f = std::move(winner->f);
         stats = std::move(winner->stats);
@@ -538,12 +523,8 @@ LayoutEngine::run(ir::Function &f)
     // the default path would have kept that this run does not", with
     // the synth share still visible via synth.converts_eliminated.
     stats.convertsEliminated += stats.synthConvertsEliminated;
-    // Ship through the shared cache when there is one, so it receives
-    // only the plans that ship; otherwise through the memo, where every
-    // conversion a winning trial planned hits.
-    planConversions(f, stats,
-                    options_.planCache != nullptr ? *options_.planCache
-                                                  : *memo);
+    // Every conversion an adopted trial planned hits.
+    planConversions(f, stats, *cache);
     f.verify();
 
     // Mirror the struct counters into the registry (the struct fields

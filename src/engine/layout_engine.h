@@ -22,7 +22,6 @@
 #include <string>
 #include <vector>
 
-#include "cute/admit.h"
 #include "ir/function.h"
 #include "sim/gpu_spec.h"
 #include "synth/synthesize.h"
@@ -47,16 +46,20 @@ struct EngineOptions
 
     sim::GpuSpec spec = sim::GpuSpec::gh200();
     int numWarps = 4;
-    /** Shared, sharded plan cache (borrowed, not owned; nullptr ships
-     *  through the run's private plan memo, so a conversion repeated
-     *  within one run is still planned once). Every op is
-     *  served by service::serveConversion, which ships the plan
+    /** Shared, sharded plan cache (borrowed, not owned; nullptr gives
+     *  the run a private plan memo instead). It is the run's one plan
+     *  cache: the synthesis search, its trials and the shipped pass all
+     *  plan through it, so each distinct conversion a compile prices is
+     *  planned once, and a shared cache also receives the plans of
+     *  trials that do not ship. Every conversion is served by
+     *  service::serveConversion, which ships the plan
      *  codegen::tryPlanConversion returns and executes nothing: a hit
      *  serves the memoized plan — or a memoized InvalidInput
-     *  rejection — without planning. Only shared-cache traffic is
-     *  counted in EngineStats::planCacheHits / planCacheNegativeHits /
-     *  planCacheMisses. Plans shaped by failpoints or a deadline, or
-     *  planned while any failpoint was active, are never inserted. */
+     *  rejection — without planning. Only the shipped pass's
+     *  shared-cache traffic is counted in EngineStats::planCacheHits /
+     *  planCacheNegativeHits / planCacheMisses. Plans shaped by
+     *  failpoints or a deadline, or planned while any failpoint was
+     *  active, are never inserted. */
     service::PlanCache *planCache = nullptr;
     /** Run the whole-kernel anchor-assignment search (src/synth),
      *  trial its finalists through the true pipeline, and adopt the
@@ -66,10 +69,8 @@ struct EngineOptions
      *  <= the synth-off run's by construction. Off (the default) keeps
      *  the engine bit-identical to the propagation-only path. */
     bool synthesizeLayouts = false;
-    /** Search knobs for synthesizeLayouts. Neither the search nor the
-     *  trials touch planCache (the trials plan through the run's
-     *  memo): only the conversions the adopted trial ships are served
-     *  through it by planConversions. */
+    /** Search knobs for synthesizeLayouts. Their planCache is
+     *  ignored: the search plans through the run's plan cache. */
     synth::SynthOptions synthOptions;
 };
 
@@ -156,20 +157,6 @@ class LayoutEngine
                                   const ir::TensorType &accType,
                                   int opIdx, int operandBits) const;
 
-    /**
-     * Accept a cute (shape,stride) relayout — including non-pow2
-     * logical shapes the F2 entry points reject — with this engine's
-     * spec and warp configuration. The pow2 core always goes through
-     * service::serveCuteConversion — shipped as planned, like any
-     * conversion — sharing interned layouts and cached ladder plans with
-     * ordinary conversions when EngineOptions::planCache is configured;
-     * malformed requests fail with DiagCode::InvalidInput, and nothing
-     * here answers InvalidInput merely for being non-pow2.
-     */
-    Result<cute::CutePlan> planCuteConversion(const cute::CuteLayout &src,
-                                              const cute::CuteLayout &dst,
-                                              int elemBytes) const;
-
     /** A copy of the function after assignForward, cleanup and
      *  planConversions, the stats its assign and cleanup made, and the
      *  estimateKernelCost cycles of its attached plans. */
@@ -180,14 +167,15 @@ class LayoutEngine
         double cycles = 0.0;
     };
 
-    /** Run the synth search, trial its finalists (and the default) —
-     *  assignForward + cleanup + planConversions through `memo`, priced
-     *  by estimateKernelCost — and return the winning trial, with the
-     *  synth* stats fields filled. nullopt when the kernel has no
-     *  anchor or the search or a trial throws (the diagnostic goes into
-     *  `stats`). run() adopts the winner as its result. */
+    /** Run the synth search through `cache`, trial its finalists (and
+     *  the default) — assignForward + cleanup + planConversions through
+     *  `cache`, priced by estimateKernelCost — and return the winning
+     *  trial, with the synth* stats fields filled. nullopt when the
+     *  kernel has no anchor or the search or a trial throws (the
+     *  diagnostic goes into `stats`). run() adopts the winner as its
+     *  result. */
     std::optional<Trial> synthesizeAssignment(const ir::Function &f,
-                                              service::PlanCache &memo,
+                                              service::PlanCache &cache,
                                               EngineStats &stats);
 
   private:

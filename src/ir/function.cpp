@@ -168,6 +168,15 @@ Function::elementwise(const std::vector<int> &ins, DType outDtype,
     return v;
 }
 
+DotWidth
+dotWidth(const Function &f, const Op &dot)
+{
+    const int bits =
+        std::max(bitWidth(f.value(dot.operands[0]).type.dtype),
+                 bitWidth(f.value(dot.operands[1]).type.dtype));
+    return {bits, bits > 32};
+}
+
 int
 Function::dot(int a, int b, DType accDtype)
 {

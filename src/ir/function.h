@@ -144,6 +144,19 @@ class Function
     std::vector<Op> ops_;
 };
 
+/** How a Dot op multiplies: its operand width (the wider operand's
+ *  element bits) and whether it is an FMA dot — operands wider than
+ *  32 bits have no tensor-core path, so the dot keeps blocked layouts
+ *  and runs on the ALUs (the layout engine tags it "fma"). */
+struct DotWidth
+{
+    int operandBits = 0;
+    bool fma = false;
+};
+
+/** The DotWidth of `dot`, a Dot op of `f`. */
+DotWidth dotWidth(const Function &f, const Op &dot);
+
 } // namespace ir
 } // namespace ll
 

@@ -126,7 +126,7 @@ estimateLegacyKernelCost(const ir::Function &f, const sim::GpuSpec &spec,
             const auto &tacc = f.value(o.results[0]).type;
             double macs = double(tacc.shape[0]) * tacc.shape[1] *
                           ta.shape[1];
-            bool fma = o.tag.find("fma") != std::string::npos;
+            const bool fma = ir::dotWidth(f, o).fma;
             double throughput =
                 fma ? double(numWarps) * spec.warpSize *
                           spec.aluOpsPerLanePerCycle

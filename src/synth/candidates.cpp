@@ -203,15 +203,13 @@ propagationMap(const ir::Function &f, const sim::GpuSpec &spec,
             inherit(o.results[0], o.operands[0]);
             break;
           case OpKind::Dot: {
-            const auto &ta = f.value(o.operands[0]).type;
-            const auto &tb = f.value(o.operands[1]).type;
             const auto &tacc = f.value(o.results[0]).type;
-            int bits = std::max(bitWidth(ta.dtype), bitWidth(tb.dtype));
+            const ir::DotWidth width = ir::dotWidth(f, o);
             try {
                 map.fixed[static_cast<size_t>(o.results[0])] =
-                    bits > 32
-                        ? defaultMemoryAnchor(tacc, spec, numWarps)
-                        : dotResultLayout(tacc, bits, spec, numWarps);
+                    width.fma ? defaultMemoryAnchor(tacc, spec, numWarps)
+                              : dotResultLayout(tacc, width.operandBits,
+                                                spec, numWarps);
             } catch (const std::exception &) {
                 // An unconstructible MMA layout simply leaves the
                 // result unpinned; the engine's own path will face the
@@ -288,11 +286,9 @@ anchorCandidates(const ir::Function &f, int anchor,
         if (o.erased)
             continue;
         if (o.kind == OpKind::Dot) {
-            const auto &ta = f.value(o.operands[0]).type;
-            const auto &tb = f.value(o.operands[1]).type;
             const auto &tacc = f.value(o.results[0]).type;
-            int bits = std::max(bitWidth(ta.dtype), bitWidth(tb.dtype));
-            if (bits > 32)
+            const ir::DotWidth width = ir::dotWidth(f, o);
+            if (width.fma)
                 continue; // FMA dots want the default blocked anchor
             for (int s = 0; s < 2; ++s) {
                 if (carrierOf(o.operands[s]) != anchor ||
@@ -300,8 +296,8 @@ anchorCandidates(const ir::Function &f, int anchor,
                     continue;
                 add("dot-operand:" + std::to_string(s), [&] {
                     return dotOperandLayout(f.value(o.operands[s]).type,
-                                            tacc, s, bits, spec,
-                                            numWarps);
+                                            tacc, s, width.operandBits,
+                                            spec, numWarps);
                 });
             }
             continue;

@@ -4,7 +4,7 @@
 #include <cmath>
 #include <limits>
 
-#include "codegen/conversion.h"
+#include "service/conversion_service.h"
 #include "support/trace.h"
 
 namespace ll {
@@ -66,29 +66,28 @@ struct CostTerms
 };
 
 /**
- * Price one conversion from its plan alone: a pair that proves to be a
- * no-op costs zero, a planned one its estimateCycles, and an
- * unplannable one a scalar shared round trip, exactly like
- * engine::estimateKernelCost prices conversions without a plan. Nothing is
- * smoke-executed or cached.
+ * Price one conversion from its plan alone, served through `cache`
+ * (nullptr plans it fresh): a planned pair costs its estimateCycles —
+ * zero for a no-op — and an unplannable one a scalar shared round
+ * trip, exactly like engine::estimateKernelCost prices conversions
+ * with and without a plan. Nothing is smoke-executed.
  */
 double
 conversionCycles(const LinearLayout &src, const LinearLayout &dst,
-                 int elemBytes, const sim::GpuSpec &spec)
+                 int elemBytes, const sim::GpuSpec &spec,
+                 service::PlanCache *cache)
 {
-    const double unplannable = unplannableConversionCycles(src, spec);
     try {
-        LinearLayout d = dst.transposeOuts(src.getOutDimNames());
-        if (codegen::conversionIsNoOp(src, d))
-            return 0.0;
-        auto plan = codegen::tryPlanConversion(src, d, elemBytes, spec);
-        if (plan.ok())
-            return plan->estimateCycles(src, elemBytes, spec);
+        const auto outcome = service::serveConversion(
+            cache, src, dst.transposeOuts(src.getOutDimNames()),
+            elemBytes, spec);
+        if (outcome.plan)
+            return outcome.plan->estimateCycles(src, elemBytes, spec);
     } catch (const std::exception &) {
         // Incomparable layout spaces price like an unplannable
         // conversion below.
     }
-    return unplannable;
+    return unplannableConversionCycles(src, spec);
 }
 
 CostTerms
@@ -130,12 +129,9 @@ collectCostTerms(const ir::Function &f, const PropagationMap &prop,
             break;
           }
           case OpKind::Dot: {
-            const auto &ta = f.value(o.operands[0]).type;
-            const auto &tb = f.value(o.operands[1]).type;
             const auto &tacc = f.value(o.results[0]).type;
-            const int bits =
-                std::max(bitWidth(ta.dtype), bitWidth(tb.dtype));
-            if (bits > 32)
+            const ir::DotWidth width = ir::dotWidth(f, o);
+            if (width.fma)
                 break; // FMA dots keep blocked operands: no MMA edge
             for (int s = 0; s < 2; ++s) {
                 const int v = o.operands[s];
@@ -146,7 +142,8 @@ collectCostTerms(const ir::Function &f, const PropagationMap &prop,
                     terms.fixedEdges.push_back(
                         {idx,
                          dotOperandLayout(f.value(v).type, tacc, s,
-                                          bits, spec, numWarps),
+                                          width.operandBits, spec,
+                                          numWarps),
                          /*anchorIsSrc=*/true,
                          byteWidth(f.value(v).type.dtype),
                          unpriced(choices(idx))});
@@ -280,9 +277,9 @@ synthesizeAnchors(const ir::Function &f, const sim::GpuSpec &spec,
                 const LinearLayout &l = layoutOf(e.anchorIdx);
                 return e.anchorIsSrc
                            ? conversionCycles(l, e.other, e.elemBytes,
-                                              spec)
+                                              spec, opt.planCache)
                            : conversionCycles(e.other, l, e.elemBytes,
-                                              spec);
+                                              spec, opt.planCache);
             });
         }
         for (PairEdge &e : terms.pairEdges) {
@@ -294,8 +291,8 @@ synthesizeAnchors(const ir::Function &f, const sim::GpuSpec &spec,
                 e.price[choiceOf(e.fromIdx) * nTo + choiceOf(e.toIdx)],
                 [&] {
                     return conversionCycles(layoutOf(e.fromIdx),
-                                            layoutOf(e.toIdx),
-                                            e.elemBytes, spec);
+                                            layoutOf(e.toIdx), e.elemBytes,
+                                            spec, opt.planCache);
                 });
         }
         return cost;

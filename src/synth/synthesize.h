@@ -13,10 +13,11 @@
  *     between two anchor-carried values (or between an anchor-carried
  *     value and a fixed MMA/dot layout) costs the estimateCycles of
  *     the plan between the two candidate layouts — zero when the pair
- *     proves to be a no-op over F_2, a scalar shared round trip when
- *     no rung plans it. Edges are priced from their plans alone:
- *     nothing is smoke-executed or cached, and each term keeps its own
- *     price table per candidate choice, filled on first use.
+ *     plans as a no-op over F_2, a scalar shared round trip when no
+ *     rung plans it. Edges are priced from their plans alone: nothing
+ *     is smoke-executed, every plan is served through
+ *     SynthOptions::planCache, and each term keeps its own price table
+ *     per candidate choice, filled on first use.
  *
  * Minimization is a beam search over anchors in op order with
  * deterministic tie-breaking (cost first, then the lexicographically
@@ -28,8 +29,10 @@
  * never-worse guarantee — see DESIGN.md §17).
  *
  * The guide costs here are estimates; LayoutEngine re-prices the
- * finalists by actually running assignment + cleanup + the true cost
- * model, and only deviates from the default on a strict win.
+ * finalists by actually running assignment + cleanup + planning + the
+ * true cost model, and only deviates from the default on a strict win.
+ * It hands the search its run's plan cache, so the trials and the
+ * shipped pass are served the plans the search already made.
  */
 
 #ifndef LL_SYNTH_SYNTHESIZE_H
@@ -61,9 +64,9 @@ struct SynthOptions
     /** Finalists returned for true-pipeline repricing by the engine
      *  (the default assignment is always among them). */
     int maxRankedAssignments = 4;
-    /** Unused: edge pricing plans directly and never touches a plan
-     *  cache. Still declared only because a benchmark driver assigns
-     *  it; due for deletion. */
+    /** The cache every edge is planned through
+     *  (service::serveConversion; borrowed). nullptr plans each edge
+     *  fresh. LayoutEngine sets it to its run's plan cache. */
     service::PlanCache *planCache = nullptr;
 };
 
@@ -95,7 +98,7 @@ struct SynthResult
 };
 
 /** Run the search. Deterministic for a given (f, spec, numWarps, opt):
- *  it reads no shared state. */
+ *  a plan served from opt.planCache is the plan planning would make. */
 SynthResult synthesizeAnchors(const ir::Function &f,
                               const sim::GpuSpec &spec, int numWarps,
                               const SynthOptions &opt);

@@ -35,7 +35,6 @@
 #include "codegen/conversion.h"
 #include "cute/admit.h"
 #include "cute/bridge.h"
-#include "engine/layout_engine.h"
 #include "service/cute_service.h"
 #include "service/plan_cache.h"
 
@@ -458,36 +457,39 @@ TEST(CuteAdmissionTest, ServiceHandlesScalarOnlyAndMalformed)
     EXPECT_FALSE(out.error.empty());
 }
 
+// The entry point a compile uses for a cute relayout is
+// service::serveCuteConversion, with the compile's plan cache or none:
+// both admit a non-pow2 request and reject a malformed one as
+// InvalidInput.
 TEST(CuteAdmissionTest, EngineEntryPointAdmitsNonPow2)
 {
-    engine::EngineOptions opts;
-    service::PlanCache cache;
-    opts.planCache = &cache;
-    engine::LayoutEngine eng(opts);
-
-    CuteLayout src = CuteLayout::parse("(12,100):(100,1)");
-    CuteLayout dst = CuteLayout::parse("(12,100):(1,12)");
-    Result<CutePlan> plan = eng.planCuteConversion(src, dst, 1);
-    ASSERT_TRUE(plan.ok()) << plan.diag().message;
-    EXPECT_GT(plan->remainderElems, 0);
-
+    const sim::GpuSpec spec = sim::GpuSpec::gh200();
     CuteConversionRequest req;
-    req.src = src;
-    req.dst = dst;
+    req.src = CuteLayout::parse("(12,100):(100,1)");
+    req.dst = CuteLayout::parse("(12,100):(1,12)");
     req.elemBytes = 1;
-    check::CuteOracleReport report =
-        check::checkCutePlan(*plan, req, opts.spec);
-    EXPECT_TRUE(report.ok()) << report.toString();
+    CuteConversionRequest bad = req;
+    bad.dst = CuteLayout::parse("(7,100):(100,1)");
 
-    // Without a cache the engine plans fresh and still succeeds.
-    engine::LayoutEngine bare((engine::EngineOptions()));
-    Result<CutePlan> fresh = bare.planCuteConversion(src, dst, 1);
-    ASSERT_TRUE(fresh.ok()) << fresh.diag().message;
-    // Malformed input is still InvalidInput at the engine boundary.
-    Result<CutePlan> badPlan = bare.planCuteConversion(
-        src, CuteLayout::parse("(7,100):(100,1)"), 1);
-    ASSERT_FALSE(badPlan.ok());
-    EXPECT_EQ(badPlan.diag().code, DiagCode::InvalidInput);
+    service::PlanCache cache;
+    for (service::PlanCache *c :
+         {&cache, static_cast<service::PlanCache *>(nullptr)}) {
+        SCOPED_TRACE(c != nullptr ? "with a cache" : "without a cache");
+        service::CuteConversionOutcome out =
+            service::serveCuteConversion(c, req, spec);
+        ASSERT_TRUE(out.planned()) << out.error;
+        EXPECT_GT(out.plan->remainderElems, 0);
+        check::CuteOracleReport report =
+            check::checkCutePlan(*out.plan, req, spec);
+        EXPECT_TRUE(report.ok()) << report.toString();
+
+        service::CuteConversionOutcome rejected =
+            service::serveCuteConversion(c, bad, spec);
+        ASSERT_FALSE(rejected.planned());
+        EXPECT_NE(rejected.error.find(ll::toString(DiagCode::InvalidInput)),
+                  std::string::npos)
+            << rejected.error;
+    }
 }
 
 TEST(CuteAdmissionTest, RandomCasesSustainTheOracle)

@@ -18,15 +18,20 @@
  *     target);
  *   - every conversion a synthesized run leaves behind still passes the
  *     end-to-end tagged-buffer oracle, demotion loop included;
- *   - a synthesized run ships its winning trial and plans each distinct
- *     conversion its trials convert once;
+ *   - a synthesized run ships its winning trial, and its search, its
+ *     trials and its shipped pass plan through one cache, so a compile
+ *     plans each distinct conversion once, with or without a shared
+ *     cache, and a second compile on a warm shared cache plans nothing;
  *   - the search prices edges from their plans alone: it smoke-runs
- *     nothing and never touches a plan cache, and neither does the
- *     engine execute a plan, so the first shared round trip after a
- *     synthesized run is check::verifyPlan's on a conversion it ships.
+ *     nothing and publishes every plan to the cache it is handed, and
+ *     neither does the engine execute a plan, so the first shared
+ *     round trip after a synthesized run is check::verifyPlan's on a
+ *     conversion it ships.
  */
 
+#include <cstdint>
 #include <iostream>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -162,10 +167,20 @@ TEST(SynthSearch, DefaultAssignmentAlwaysRanked)
     }
 }
 
-// The search is plan-only: pricing the fig9 suite on GH200 smoke-runs
-// no shared round trip and neither reads nor fills the plan cache it
-// is handed. A kernel counts as compared when its search planned at
-// least one shared-memory conversion, the kind a smoke run executes.
+/** How far counter `name` moved in a registry delta. */
+int64_t
+moved(const std::map<std::string, int64_t> &delta, const std::string &name)
+{
+    auto it = delta.find(name);
+    return it == delta.end() ? 0 : it->second;
+}
+
+// The search is plan-only and plans through the cache it is handed:
+// pricing the fig9 suite on GH200 smoke-runs no shared round trip,
+// inserts every plan it makes into the cache, and a second search over
+// that cache plans nothing. A kernel counts as compared when its first
+// search planned at least one shared-memory conversion, the kind a
+// smoke run executes.
 TEST(SynthSearch, PricesEdgesFromPlansAlone)
 {
     const auto spec = sim::GpuSpec::gh200();
@@ -176,22 +191,24 @@ TEST(SynthSearch, PricesEdgesFromPlansAlone)
     int compared = 0;
     for (const auto &k : kernels::allKernels()) {
         for (int32_t size : k.sizes) {
+            const std::string what =
+                k.name + "(" + std::to_string(size) + ")";
             ir::Function f = k.build(size);
-            const auto before = registry.counterSnapshot();
+            auto before = registry.counterSnapshot();
             synth::synthesizeAnchors(f, spec, 4, opt);
             const auto delta = registry.counterDelta(before);
-            for (const auto &[name, moved] : delta) {
-                if (name == "exec.shared.runs" ||
-                    name.rfind("service.plan_cache.", 0) == 0) {
-                    EXPECT_EQ(moved, 0)
-                        << name << " moved while searching " << k.name
-                        << "(" << size << ")";
-                }
-            }
-            EXPECT_EQ(cache.size(), 0) << k.name << "(" << size << ")";
-            auto shared = delta.find("plan.kind.shared-memory");
-            if (shared != delta.end() && shared->second > 0)
+            EXPECT_EQ(moved(delta, "exec.shared.runs"), 0) << what;
+            EXPECT_EQ(moved(delta, "service.plan_cache.inserts"),
+                      moved(delta, "plan.planned"))
+                << what << ": the search planned outside its cache";
+            if (moved(delta, "plan.kind.shared-memory") > 0)
                 ++compared;
+
+            before = registry.counterSnapshot();
+            synth::synthesizeAnchors(f, spec, 4, opt);
+            EXPECT_EQ(moved(registry.counterDelta(before), "plan.planned"),
+                      0)
+                << what << ": a second search over the cache planned";
         }
     }
     std::cout << "searches that planned a shared conversion: "
@@ -335,16 +352,15 @@ shippedDigest(const ir::Function &f)
     return digest;
 }
 
-// A synthesized compile ships its winning trial. The trials plan
-// through the run's memo and the shipped pass is served from it, so
-// with no shared cache a run plans at most what its search plans plus
-// each distinct (src, dst, elemBytes) pair its trials convert, once.
-// The distinct pairs are counted as the entries of a memo the test
-// hands to the same trials; the search's count comes from a separate
-// synthesizeAnchors call. Re-running assign, cleanup and planning
-// after the trials (or planning inside the cost model) replans the
-// winner's conversions and breaks the bound on every kernel whose
-// winner keeps a conversion.
+// A synthesized compile ships its winning trial. The search and the
+// trials plan through the run's memo and the shipped pass is served
+// from it, so with no shared cache a run plans each distinct
+// (src, dst, elemBytes) pair its search prices or its trials convert
+// once. The distinct pairs are counted as the entries of a memo the
+// test hands to the same search and trials. Re-running assign, cleanup
+// and planning after the trials (or planning inside the cost model)
+// replans the winner's conversions and breaks the bound on every
+// kernel whose winner keeps a conversion.
 TEST(SynthEngine, ShipsTheWinningTrialPlanningEachPairOnce)
 {
     const auto spec = sim::GpuSpec::gh200();
@@ -357,11 +373,6 @@ TEST(SynthEngine, ShipsTheWinningTrialPlanningEachPairOnce)
         for (int32_t size : k.sizes) {
             const std::string what =
                 k.name + "(" + std::to_string(size) + ")";
-            int64_t before = planned.value();
-            synth::synthesizeAnchors(k.build(size), spec, options.numWarps,
-                                     options.synthOptions);
-            const int64_t searchPlanned = planned.value() - before;
-
             service::LayoutInterner interner;
             service::PlanCache::Config config;
             config.interner = &interner;
@@ -374,10 +385,9 @@ TEST(SynthEngine, ShipsTheWinningTrialPlanningEachPairOnce)
                 continue;
 
             ir::Function f = k.build(size);
-            before = planned.value();
+            const int64_t before = planned.value();
             engine::LayoutEngine(options).run(f);
-            EXPECT_LE(planned.value() - before, searchPlanned + memo.size())
-                << what;
+            EXPECT_LE(planned.value() - before, memo.size()) << what;
             EXPECT_EQ(shippedDigest(f), shippedDigest(winner->f)) << what;
             ++kernelsChecked;
         }
@@ -386,6 +396,53 @@ TEST(SynthEngine, ShipsTheWinningTrialPlanningEachPairOnce)
               << kernelsChecked << "\n";
     EXPECT_GT(kernelsChecked, 0)
         << "no fig9 kernel's winning trial keeps a conversion";
+}
+
+// One plan cache per compile: the synthesis search, its trials and the
+// shipped pass all plan through the run's cache — the shared cache
+// when one is set, a private memo otherwise — so a compile plans each
+// distinct conversion once either way, and a second compile on the
+// now warm shared cache plans nothing. All three compiles ship the
+// same layouts and plans.
+TEST(SynthEngine, PlansEachPairOncePerCompile)
+{
+    const auto spec = sim::GpuSpec::gh200();
+    const auto &planned = metrics::counter("plan.planned");
+    int cases = 0;
+    int64_t totalPlans = 0;
+    for (const auto &k : kernels::allKernels()) {
+        if (!kernels::runsOn(k, spec))
+            continue;
+        for (int32_t size : k.sizes) {
+            const std::string what =
+                k.name + "(" + std::to_string(size) + ")";
+            // Compile through `cache` (nullptr: the run's private memo);
+            // returns the shipped digest and counts the plans made.
+            auto compile = [&](service::PlanCache *cache, int64_t &plans) {
+                ir::Function f = k.build(size);
+                const int64_t before = planned.value();
+                engine::LayoutEngine(optionsFor(spec, true, cache)).run(f);
+                plans = planned.value() - before;
+                return shippedDigest(f);
+            };
+            service::PlanCache shared;
+            int64_t privatePlans = 0, coldPlans = 0, warmPlans = 0;
+            const std::string privateDigest = compile(nullptr, privatePlans);
+            const std::string coldDigest = compile(&shared, coldPlans);
+            const std::string warmDigest = compile(&shared, warmPlans);
+            EXPECT_EQ(coldPlans, privatePlans)
+                << what << ": a fresh shared cache planned a pair twice";
+            EXPECT_EQ(warmPlans, 0)
+                << what << ": a compile on a warm cache planned";
+            EXPECT_EQ(coldDigest, privateDigest) << what;
+            EXPECT_EQ(warmDigest, privateDigest) << what;
+            totalPlans += privatePlans;
+            ++cases;
+        }
+    }
+    std::cout << "compiles checked: " << cases << ", plans made with no "
+              << "shared cache: " << totalPlans << "\n";
+    EXPECT_GT(totalPlans, 0) << "no compile planned a conversion";
 }
 
 // Eight engines race on the same shared plan cache; the chosen
