@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "f2/subspace.h"
+#include "layout/dims.h"
 #include "support/bits.h"
 #include "support/string_utils.h"
 
@@ -476,6 +477,245 @@ toString(const LinearLayout &l)
     }
     oss << "]\n";
     return oss.str();
+}
+
+// ----------------------------------------------------------------------
+// Legacy encodings as product chains
+// ----------------------------------------------------------------------
+
+namespace {
+
+using dims::kLane;
+using dims::kReg;
+using dims::kWarp;
+using triton::Shape;
+
+/** An empty layout that pins the canonical in-dim order reg/lane/warp
+ *  and registers output dim `firstOut`, so products append bits into a
+ *  predictable flattened ordering. */
+LinearLayout
+distributedSeed(const std::string &firstOut)
+{
+    return LinearLayout::identity1D(1, kReg, firstOut) *
+           LinearLayout::identity1D(1, kLane, firstOut) *
+           LinearLayout::identity1D(1, kWarp, firstOut);
+}
+
+/**
+ * Append `count` copies of resource `res` along logical dim d: identity
+ * while the tensor still has room (tracked in `remaining`), broadcast
+ * (zero bases) beyond it.
+ */
+void
+appendResource(LinearLayout &layout, Shape &remaining, int32_t count,
+               const std::string &res, int d)
+{
+    llUserCheck(isPowerOf2(static_cast<uint64_t>(count)),
+                "resource count must be a power of two");
+    int32_t use = std::min(count, remaining[d]);
+    if (use > 1)
+        layout = layout * LinearLayout::identity1D(use, res, dims::out(d));
+    if (count > use) {
+        layout = layout *
+                 LinearLayout::zeros1D(count / use, res, dims::out(d));
+    }
+    remaining[d] /= use;
+}
+
+/** Make sure every logical dim has an out entry (size >= 1) and reorder
+ *  outs minor-to-major per `order`. */
+LinearLayout
+canonicalizeOuts(LinearLayout layout, const Shape &shape,
+                 const std::vector<int32_t> &order)
+{
+    for (size_t d = 0; d < shape.size(); ++d) {
+        if (!layout.hasOutDim(dims::out(static_cast<int>(d)))) {
+            layout = layout * LinearLayout::identity1D(
+                                  1, kReg, dims::out(static_cast<int>(d)));
+        }
+    }
+    std::vector<std::string> outOrder;
+    for (int32_t d : order)
+        outOrder.push_back(dims::out(d));
+    return layout.transposeOuts(outOrder)
+        .transposeIns({kReg, kLane, kWarp});
+}
+
+/**
+ * Zero every basis coordinate that falls outside `shape` and shrink the
+ * output dims accordingly, by decoding and re-encoding the bases.
+ */
+LinearLayout
+clampToShape(const LinearLayout &layout, const Shape &shape)
+{
+    BasesT newBases;
+    auto outNames = layout.getOutDimNames();
+    std::vector<int32_t> limit;
+    for (const auto &name : outNames) {
+        // Out dims are named dim<k>; recover k.
+        int k = std::stoi(name.substr(3));
+        limit.push_back(shape[k]);
+    }
+    for (const auto &inDim : layout.getInDimNames()) {
+        std::vector<std::vector<int32_t>> vecs;
+        for (int32_t i = 0; i < layout.getInDimSizeLog2(inDim); ++i) {
+            std::vector<int32_t> basis = layout.getBasis(inDim, i);
+            for (size_t j = 0; j < basis.size(); ++j) {
+                if (basis[j] >= limit[j])
+                    basis[j] = 0;
+            }
+            vecs.push_back(std::move(basis));
+        }
+        newBases.insert(inDim, std::move(vecs));
+    }
+    std::vector<DimSize> newOuts;
+    for (size_t j = 0; j < outNames.size(); ++j) {
+        newOuts.emplace_back(
+            outNames[j],
+            std::min(layout.getOutDimSize(outNames[j]), limit[j]));
+    }
+    return LinearLayout(std::move(newBases), std::move(newOuts),
+                        /*requireSurjective=*/false);
+}
+
+/** The mma.m16n8 (and wgmma m64nN) accumulator tile of Appendix 9.1:
+ *  id_1^{Reg,dim1} x id_2^{Thr,dim1} x id_3^{Thr,dim0} x id_1^{Reg,dim0}. */
+LinearLayout
+mmaTile(const triton::MmaEncoding &enc)
+{
+    LinearLayout tile = distributedSeed(dims::out(1)) *
+                        LinearLayout::identity1D(2, kReg, dims::out(1)) *
+                        LinearLayout::identity1D(4, kLane, dims::out(1)) *
+                        LinearLayout::identity1D(8, kLane, dims::out(0)) *
+                        LinearLayout::identity1D(2, kReg, dims::out(0));
+    if (enc.version == 3) {
+        llUserCheck(enc.instrN >= 8 && isPowerOf2(uint64_t(enc.instrN)),
+                    "wgmma instrN must be a power of two >= 8");
+        tile = tile *
+               LinearLayout::identity1D(enc.instrN / 8, kReg, dims::out(1)) *
+               LinearLayout::identity1D(4, kWarp, dims::out(0));
+    }
+    return tile;
+}
+
+/** The CDNA mfma 32x32 accumulator tile over a 64-lane wavefront. */
+LinearLayout
+mfmaTile()
+{
+    return distributedSeed(dims::out(1)) *
+           LinearLayout::identity1D(4, kReg, dims::out(0)) *
+           LinearLayout::identity1D(32, kLane, dims::out(1)) *
+           LinearLayout::identity1D(2, kLane, dims::out(0)) *
+           LinearLayout::identity1D(4, kReg, dims::out(0));
+}
+
+/** The A / B operand tiles of Appendix 9.1 for b-bit elements. */
+LinearLayout
+dotOperandTile(const triton::DotOperandEncoding &enc)
+{
+    llUserCheck(enc.bitwidth == 8 || enc.bitwidth == 16 || enc.bitwidth == 32,
+                "unsupported dot operand bitwidth " << enc.bitwidth);
+    int32_t packed = 32 / enc.bitwidth;
+    if (enc.opIdx == 0) {
+        LinearLayout tile =
+            distributedSeed(dims::out(1)) *
+            LinearLayout::identity1D(packed, kReg, dims::out(1)) *
+            LinearLayout::identity1D(4, kLane, dims::out(1)) *
+            LinearLayout::identity1D(8, kLane, dims::out(0)) *
+            LinearLayout::identity1D(2, kReg, dims::out(0)) *
+            LinearLayout::identity1D(2, kReg, dims::out(1));
+        if (enc.parent.version == 3)
+            tile = tile * LinearLayout::identity1D(4, kWarp, dims::out(0));
+        return tile;
+    }
+    return distributedSeed(dims::out(0)) *
+           LinearLayout::identity1D(packed, kReg, dims::out(0)) *
+           LinearLayout::identity1D(4, kLane, dims::out(0)) *
+           LinearLayout::identity1D(8, kLane, dims::out(1)) *
+           LinearLayout::identity1D(2, kReg, dims::out(0));
+}
+
+/** A clamped 2D tile and the tensor extent per dim it leaves over. */
+std::pair<LinearLayout, Shape>
+clampTile(const LinearLayout &tile, const Shape &shape)
+{
+    LinearLayout layout = clampToShape(tile, shape);
+    Shape remaining = {shape[0] / layout.getOutDimSize(dims::out(0)),
+                       shape[1] / layout.getOutDimSize(dims::out(1))};
+    return {std::move(layout), std::move(remaining)};
+}
+
+} // namespace
+
+LinearLayout
+blockedLayout(const triton::BlockedEncoding &enc, const Shape &shape)
+{
+    const size_t rank = shape.size();
+    llUserCheck(enc.sizePerThread.size() == rank &&
+                    enc.threadsPerWarp.size() == rank &&
+                    enc.warpsPerCta.size() == rank &&
+                    enc.order.size() == rank,
+                "blocked encoding rank mismatch with shape rank " << rank);
+    Shape remaining = shape;
+    LinearLayout layout = distributedSeed(dims::out(enc.order[0]));
+    for (int32_t d : enc.order)
+        appendResource(layout, remaining, enc.sizePerThread[d], kReg, d);
+    for (int32_t d : enc.order)
+        appendResource(layout, remaining, enc.threadsPerWarp[d], kLane, d);
+    for (int32_t d : enc.order)
+        appendResource(layout, remaining, enc.warpsPerCta[d], kWarp, d);
+    for (int32_t d : enc.order)
+        appendResource(layout, remaining, remaining[d], kReg, d);
+    return canonicalizeOuts(std::move(layout), shape, enc.order);
+}
+
+LinearLayout
+mmaLayout(const triton::MmaEncoding &enc, const Shape &shape)
+{
+    llUserCheck(shape.size() == 2, "MMA layouts are 2D");
+    llUserCheck(enc.warpsPerCta.size() == 2, "warpsPerCta must be 2D");
+    auto [layout, remaining] = clampTile(mmaTile(enc), shape);
+    int32_t warpsDim0 = enc.version == 3 ? std::max(enc.warpsPerCta[0] / 4, 1)
+                                         : enc.warpsPerCta[0];
+    appendResource(layout, remaining, warpsDim0, kWarp, 0);
+    appendResource(layout, remaining, enc.warpsPerCta[1], kWarp, 1);
+    appendResource(layout, remaining, remaining[1], kReg, 1);
+    appendResource(layout, remaining, remaining[0], kReg, 0);
+    return canonicalizeOuts(std::move(layout), shape, {1, 0});
+}
+
+LinearLayout
+mfmaLayout(const triton::MfmaEncoding &enc, const Shape &shape)
+{
+    llUserCheck(shape.size() == 2, "MFMA layouts are 2D");
+    auto [layout, remaining] = clampTile(mfmaTile(), shape);
+    appendResource(layout, remaining, enc.warpsPerCta[0], kWarp, 0);
+    appendResource(layout, remaining, enc.warpsPerCta[1], kWarp, 1);
+    appendResource(layout, remaining, remaining[1], kReg, 1);
+    appendResource(layout, remaining, remaining[0], kReg, 0);
+    return canonicalizeOuts(std::move(layout), shape, {1, 0});
+}
+
+LinearLayout
+dotOperandLayout(const triton::DotOperandEncoding &enc, const Shape &shape)
+{
+    llUserCheck(shape.size() == 2, "dot operand layouts are 2D");
+    auto [layout, remaining] = clampTile(dotOperandTile(enc), shape);
+    const auto &wpc = enc.parent.warpsPerCta;
+    int32_t warpsDim0 =
+        enc.parent.version == 3 ? std::max(wpc[0] / 4, 1) : wpc[0];
+    if (enc.opIdx == 0) {
+        appendResource(layout, remaining, warpsDim0, kWarp, 0);
+        layout = layout * LinearLayout::zeros1D(wpc[1], kWarp, dims::out(1));
+    } else {
+        layout = layout * LinearLayout::zeros1D(warpsDim0, kWarp, dims::out(0));
+        appendResource(layout, remaining, wpc[1], kWarp, 1);
+    }
+    int inner = enc.opIdx == 0 ? 1 : 0;
+    int outer = 1 - inner;
+    appendResource(layout, remaining, remaining[inner], kReg, inner);
+    appendResource(layout, remaining, remaining[outer], kReg, outer);
+    return canonicalizeOuts(std::move(layout), shape, {1, 0});
 }
 
 } // namespace reference

@@ -9,7 +9,9 @@
  * dimension per basis vector) and rebuilds its result through the BasesT
  * constructor. No production code calls them; they exist so that
  * diffLayoutOps (and through it check::diffF2's `layout` family) can
- * hold every fast operation to an independent implementation.
+ * hold every fast operation to an independent implementation. The
+ * legacy-encoding twins below do the same for the column-built
+ * constructors of triton/encodings.h.
  */
 
 #ifndef LL_CHECK_LAYOUT_REFERENCE_H
@@ -21,6 +23,7 @@
 #include <vector>
 
 #include "layout/linear_layout.h"
+#include "triton/encodings.h"
 
 namespace ll {
 namespace check {
@@ -60,6 +63,22 @@ OrderedMap<std::string, int32_t> getFreeVariableMasks(const LinearLayout &l);
 int32_t getNumConsecutiveInOut(const LinearLayout &l);
 
 std::string toString(const LinearLayout &l);
+
+// The legacy encodings of Section 4.3 as the literal proofs of their
+// linearity: each layout is a chain of identity1D / zeros1D products,
+// clamped by re-decoding its bases and reordered by two transposes.
+// triton::*Encoding::toLinearLayout builds the same layouts straight
+// into their columns; Encodings.ColumnBuildMatchesProductChain holds
+// the two to ==, the same surjectivity and the same throw / no-throw.
+
+LinearLayout blockedLayout(const triton::BlockedEncoding &enc,
+                           const triton::Shape &shape);
+LinearLayout mmaLayout(const triton::MmaEncoding &enc,
+                       const triton::Shape &shape);
+LinearLayout mfmaLayout(const triton::MfmaEncoding &enc,
+                        const triton::Shape &shape);
+LinearLayout dotOperandLayout(const triton::DotOperandEncoding &enc,
+                              const triton::Shape &shape);
 
 } // namespace reference
 

@@ -208,6 +208,15 @@ LinearLayout::fromColumns(std::vector<DimSize> inDims,
     l.inDims_ = std::move(inDims);
     l.outDims_ = std::move(outDims);
     l.cols_ = std::move(cols);
+    size_t inBits = 0;
+    for (const auto &[name, log2] : l.inDims_) {
+        llAssert(log2 >= 0, "fromColumns: negative size of " << name);
+        inBits += static_cast<size_t>(log2);
+    }
+    llAssert(l.cols_.size() == inBits,
+             "fromColumns: " << l.cols_.size() << " columns for "
+                             << inBits << " input bits");
+    l.checkDistinctInDims();
     l.checkOutDims();
     l.decideSurjective(requireSurjective);
     return l;
@@ -866,11 +875,8 @@ LinearLayout::sublayout(const std::vector<std::string> &inDims,
             cols.push_back(project(cols_[begin + i]));
         newIns.push_back(inDims_[d]);
     }
-    LinearLayout l = fromColumns(std::move(newIns), std::move(newOuts),
-                                 std::move(cols),
-                                 /*requireSurjective=*/false);
-    l.checkDistinctInDims();
-    return l;
+    return fromColumns(std::move(newIns), std::move(newOuts),
+                       std::move(cols), /*requireSurjective=*/false);
 }
 
 bool
@@ -1117,10 +1123,8 @@ LinearLayout::fromF2Matrix(const f2::F2Matrix &m,
     }
     llAssert(m.numCols() == inTotal && m.numRows() == outTotal,
              "fromF2Matrix: shape mismatch");
-    LinearLayout l = fromColumns(std::move(inLog2s), outDims, m.columns(),
-                                 requireSurjective);
-    l.checkDistinctInDims();
-    return l;
+    return fromColumns(std::move(inLog2s), outDims, m.columns(),
+                       requireSurjective);
 }
 
 bool

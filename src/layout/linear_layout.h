@@ -304,16 +304,20 @@ class LinearLayout
 
     std::string toString() const;
 
-  private:
     /**
-     * A layout over new columns: checks the output sizes and decides
-     * surjectivity. inDims holds (name, log2 size). Operations that only
-     * relabel or reorder copy *this instead, keeping its rank.
+     * A layout straight from its columns: inDims holds (name, log2 size)
+     * with distinct names, cols one flattened image per input bit in
+     * input order (first out dim in the low bits). Checks the output
+     * sizes, the column count and the names, and decides surjectivity.
+     * This is the one factory for layouts over new columns; operations
+     * that only relabel or reorder copy *this instead, keeping its rank.
      */
     static LinearLayout fromColumns(std::vector<DimSize> inDims,
                                     std::vector<DimSize> outDims,
                                     std::vector<uint64_t> cols,
                                     bool requireSurjective);
+
+  private:
     void checkOutDims() const;
     void decideSurjective(bool requireSurjective);
     void checkDistinctInDims() const;

@@ -1,10 +1,13 @@
 #include "support/trace.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <map>
 #include <mutex>
+#include <numeric>
 #include <ostream>
 
 namespace ll {
@@ -267,6 +270,62 @@ bool flushAndClear()
     const bool flushed = eventCount() > 0 && flushToConfiguredPath();
     clear();
     return flushed;
+}
+
+std::vector<SpanStats> aggregateSpans(const std::vector<Event> &events)
+{
+    // Per thread, outer spans first: by start, then the longer of two
+    // equal starts, then the later recorded (a parent completes after
+    // its children).
+    std::vector<size_t> order(events.size());
+    std::iota(order.begin(), order.end(), size_t(0));
+    std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+        const Event &x = events[a], &y = events[b];
+        if (x.tid != y.tid)
+            return x.tid < y.tid;
+        if (x.tsUs != y.tsUs)
+            return x.tsUs < y.tsUs;
+        if (x.durUs != y.durUs)
+            return x.durUs > y.durUs;
+        return a > b;
+    });
+    auto endUs = [&](size_t i) { return events[i].tsUs + events[i].durUs; };
+
+    std::vector<double> childUs(events.size(), 0.0);
+    std::vector<size_t> open; // the enclosing spans of the current one
+    for (size_t i : order) {
+        const Event &e = events[i];
+        if (!open.empty() && events[open.back()].tid != e.tid)
+            open.clear();
+        while (!open.empty() && endUs(open.back()) <= e.tsUs)
+            open.pop_back();
+        if (!open.empty()) {
+            const size_t parent = open.back();
+            childUs[parent] += std::min(endUs(i), endUs(parent)) - e.tsUs;
+        }
+        open.push_back(i);
+    }
+
+    std::map<std::string, SpanStats> byName;
+    for (size_t i = 0; i < events.size(); ++i) {
+        SpanStats &row = byName[events[i].name];
+        ++row.count;
+        row.inclUs += events[i].durUs;
+        // Rounding in the microsecond sums may leave a hair below 0.
+        row.selfUs += std::max(0.0, events[i].durUs - childUs[i]);
+    }
+    std::vector<SpanStats> rows;
+    rows.reserve(byName.size());
+    for (auto &[name, row] : byName) {
+        row.name = name;
+        rows.push_back(std::move(row));
+    }
+    std::sort(rows.begin(), rows.end(),
+              [](const SpanStats &a, const SpanStats &b) {
+                  return a.selfUs != b.selfUs ? a.selfUs > b.selfUs
+                                              : a.name < b.name;
+              });
+    return rows;
 }
 
 } // namespace trace

@@ -142,6 +142,26 @@ void writeChromeTrace(std::ostream &os);
  *  no path is configured or the file cannot be opened. */
 bool flushToConfiguredPath();
 
+/** Count, inclusive and self time of every span of one name. */
+struct SpanStats
+{
+    std::string name;
+    int64_t count = 0;
+    double inclUs = 0.0; ///< summed durations
+    double selfUs = 0.0; ///< inclusive minus the time in direct children
+};
+
+/**
+ * Aggregate events by span name. Spans nest per thread (tid): a span's
+ * direct children are the spans of its own thread that start inside it
+ * and are not inside one of its other children, and its self time is
+ * its duration minus the part of it they cover. A span running at the
+ * same time on another thread is never a child, so no self time is
+ * negative and a row's self time never exceeds its inclusive time.
+ * Rows come largest self time first, then by name.
+ */
+std::vector<SpanStats> aggregateSpans(const std::vector<Event> &events);
+
 /**
  * Flush-and-clear for long-running multi-engine processes that want
  * per-run traces: write whatever the buffer holds to outputPath() (a

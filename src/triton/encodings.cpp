@@ -1,6 +1,7 @@
 #include "triton/encodings.h"
 
 #include <algorithm>
+#include <array>
 
 #include "support/bits.h"
 
@@ -14,95 +15,245 @@ using dims::kOffset;
 using dims::kReg;
 using dims::kWarp;
 
-/** An empty layout that pins the canonical in-dim order reg/lane/warp
- *  and registers output dim `firstOut`, so products append bits into a
- *  predictable flattened ordering. */
-LinearLayout
-distributedSeed(const std::string &firstOut)
+/** The input dims of a distributed layout, in their canonical order. */
+enum Resource { Reg, Lane, Warp, kNumResources };
+
+/**
+ * A distributed layout under construction, kept as one entry per input
+ * bit: zero, or bit k of logical dim d. Each call does what multiplying
+ * by one identity1D / zeros1D piece (Appendix 9.1) does to the bases,
+ * and build() flattens the entries into columns once, so no
+ * intermediate layout is made. The input dims are register, lane and
+ * warp in that order; every logical dim of the tensor is an output dim,
+ * of size 1 until a piece lands on it.
+ */
+class Columns
 {
-    return LinearLayout::identity1D(1, kReg, firstOut) *
-           LinearLayout::identity1D(1, kLane, firstOut) *
-           LinearLayout::identity1D(1, kWarp, firstOut);
+  public:
+    /** Nothing placed yet; `extent[d]` is how much of logical dim d
+     *  append() may still cover with identity pieces. */
+    explicit Columns(const Shape &extent)
+    {
+        dims_.reserve(extent.size());
+        for (int32_t n : extent)
+            dims_.push_back({n, 0});
+    }
+
+    /** layout * identity1D(n, res, dim d): log2(n) new bits of res
+     *  that walk the next bits of dim d. */
+    void identity(Resource res, int32_t n, int d)
+    {
+        llUserCheck(isPowerOf2(static_cast<uint64_t>(n)),
+                    "identity1D size must be a power of two");
+        const int k = log2Exact(static_cast<uint64_t>(n));
+        outBits_ += k;
+        llAssert(outBits_ <= 64, "output space exceeds 64 bits");
+        for (int i = 0; i < k; ++i)
+            push(res, {static_cast<int8_t>(d),
+                       static_cast<int8_t>(dims_[d].bits + i)});
+        dims_[d].bits += k;
+    }
+
+    /** layout * zeros1D(n, res, dim d), for any d: log2(n) new bits of
+     *  res that broadcast. */
+    void zeros(Resource res, int32_t n)
+    {
+        llUserCheck(isPowerOf2(static_cast<uint64_t>(n)),
+                    "zeros1D size must be a power of two");
+        const int k = log2Exact(static_cast<uint64_t>(n));
+        for (int i = 0; i < k; ++i)
+            push(res, {-1, 0});
+    }
+
+    /**
+     * `count` of resource res along logical dim d: identity while the
+     * tensor still has room, broadcast beyond it — the "tensor
+     * replicated to cover the tile" behaviour of legacy layouts.
+     */
+    void append(Resource res, int32_t count, int d)
+    {
+        llUserCheck(isPowerOf2(static_cast<uint64_t>(count)),
+                    "resource count must be a power of two");
+        const int32_t use = std::min(count, dims_[d].remaining);
+        if (use > 1)
+            identity(res, use, d);
+        if (count > use)
+            zeros(res, count / use);
+        dims_[d].remaining /= use;
+    }
+
+    /** What append() may still cover of logical dim d. */
+    int32_t remaining(int d) const { return dims_[d].remaining; }
+
+    /**
+     * Zero every bit that falls outside `shape` and shrink each dim to
+     * min(its size, shape[d]), which must be a power of two; append()
+     * then covers what the clamped tile leaves of the tensor. This is
+     * how an instruction tile larger than the tensor degrades into a
+     * broadcast layout (small-shape MMA support, cf. Table 5 of the
+     * paper).
+     */
+    void clamp(const Shape &shape)
+    {
+        for (size_t d = 0; d < dims_.size(); ++d) {
+            const int64_t size =
+                std::min(int64_t(1) << dims_[d].bits, int64_t(shape[d]));
+            llUserCheck(isPowerOf2(static_cast<uint64_t>(size)),
+                        "clamped size " << size << " of dim" << d
+                                        << " is not a power of two");
+            outBits_ -= dims_[d].bits;
+            dims_[d].bits = log2Exact(static_cast<uint64_t>(size));
+            outBits_ += dims_[d].bits;
+            dims_[d].remaining = static_cast<int32_t>(shape[d] / size);
+        }
+        for (int r = 0; r < kNumResources; ++r) {
+            for (int i = 0; i < counts_[r]; ++i) {
+                Entry &e = entries_[r][i];
+                if (e.dim >= 0 && (int64_t(1) << e.bit) >= shape[e.dim])
+                    e = {-1, 0};
+            }
+        }
+    }
+
+    /** The layout, out dims minor-to-major per `order` (a permutation
+     *  of the logical dims). */
+    LinearLayout build(const std::vector<int32_t> &order)
+    {
+        llAssert(order.size() == dims_.size(),
+                 "Columns::build: order rank mismatch");
+        std::vector<LinearLayout::DimSize> outs;
+        outs.reserve(order.size());
+        int offset = 0;
+        for (int32_t d : order) {
+            llAssert(dims_[d].offset < 0, "Columns::build: dim" << d
+                                              << " twice in the order");
+            dims_[d].offset = offset;
+            offset += dims_[d].bits;
+            outs.emplace_back(dims::out(d), int32_t(1) << dims_[d].bits);
+        }
+        std::vector<uint64_t> cols;
+        cols.reserve(static_cast<size_t>(counts_[Reg] + counts_[Lane] +
+                                         counts_[Warp]));
+        for (int r = 0; r < kNumResources; ++r) {
+            for (int i = 0; i < counts_[r]; ++i) {
+                const Entry &e = entries_[r][i];
+                cols.push_back(e.dim < 0 ? 0
+                                         : uint64_t(1)
+                                               << (dims_[e.dim].offset +
+                                                   e.bit));
+            }
+        }
+        return LinearLayout::fromColumns(
+            {{kReg, counts_[Reg]}, {kLane, counts_[Lane]},
+             {kWarp, counts_[Warp]}},
+            std::move(outs), std::move(cols), /*requireSurjective=*/false);
+    }
+
+  private:
+    /** Bit `bit` of logical dim `dim`; dim -1 is a zero column. Dims
+     *  and bits both stay below 64. */
+    struct Entry
+    {
+        int8_t dim;
+        int8_t bit;
+    };
+    struct Dim
+    {
+        int32_t remaining;
+        int bits;        ///< log2 of the dim's size so far
+        int offset = -1; ///< its low bit in the built layout
+    };
+
+    void push(Resource res, Entry e)
+    {
+        llUserCheck(counts_[res] < kMaxBits,
+                    "more than " << kMaxBits << " bits of one input dim");
+        entries_[res][counts_[res]++] = e;
+    }
+
+    static constexpr int kMaxBits = 64;
+    std::array<std::array<Entry, kMaxBits>, kNumResources> entries_{};
+    std::array<int32_t, kNumResources> counts_{};
+    std::vector<Dim> dims_;
+    int outBits_ = 0; ///< the bits of all dims together
+};
+
+/** The warps an MMA layout spreads over dim0: a wgmma warp group
+ *  already stacks four along M inside its tile. */
+int32_t
+mmaWarpsDim0(const MmaEncoding &mma)
+{
+    return mma.version == 3 ? std::max(mma.warpsPerCta[0] / 4, 1)
+                            : mma.warpsPerCta[0];
 }
 
 /**
- * Append `count` copies of resource `res` along logical dim d: identity
- * while the tensor still has room (tracked in `remaining`), broadcast
- * (zero bases) beyond it — the "tensor replicated to cover the tile"
- * behaviour of legacy layouts.
+ * The PTX mma.m16n8 accumulator fragment, as the product of identity
+ * pieces from Appendix 9.1:
+ *   id_1^{Reg,dim1} x id_2^{Thr,dim1} x id_3^{Thr,dim0} x id_1^{Reg,dim0}
+ * For wgmma m64nN, registers then repeat along N in steps of 8 and the
+ * four warps of the warp group stack along M.
  */
 void
-appendResource(LinearLayout &layout, Shape &remaining, int32_t count,
-               const std::string &res, int d)
+mmaTile(const MmaEncoding &mma, Columns &c)
 {
-    llUserCheck(isPowerOf2(static_cast<uint64_t>(count)),
-                "resource count must be a power of two");
-    int32_t use = std::min(count, remaining[d]);
-    if (use > 1)
-        layout = layout * LinearLayout::identity1D(use, res, dims::out(d));
-    if (count > use) {
-        layout = layout *
-                 LinearLayout::zeros1D(count / use, res, dims::out(d));
+    if (mma.version == 3)
+        llUserCheck(mma.instrN >= 8 && isPowerOf2(uint64_t(mma.instrN)),
+                    "wgmma instrN must be a power of two >= 8");
+    c.identity(Reg, 2, 1);
+    c.identity(Lane, 4, 1);
+    c.identity(Lane, 8, 0);
+    c.identity(Reg, 2, 0);
+    if (mma.version == 3) {
+        c.identity(Reg, mma.instrN / 8, 1);
+        c.identity(Warp, 4, 0);
     }
-    remaining[d] /= use;
-}
-
-/** Make sure every logical dim has an out entry (size >= 1) and reorder
- *  outs minor-to-major per `order`. */
-LinearLayout
-canonicalizeOuts(LinearLayout layout, const Shape &shape,
-                 const std::vector<int32_t> &order)
-{
-    for (size_t d = 0; d < shape.size(); ++d) {
-        if (!layout.hasOutDim(dims::out(static_cast<int>(d)))) {
-            layout = layout * LinearLayout::identity1D(
-                                  1, kReg, dims::out(static_cast<int>(d)));
-        }
-    }
-    std::vector<std::string> outOrder;
-    for (int32_t d : order)
-        outOrder.push_back(dims::out(d));
-    return layout.transposeOuts(outOrder)
-        .transposeIns({kReg, kLane, kWarp});
 }
 
 /**
- * Zero every basis coordinate that falls outside `shape` and shrink the
- * output dims accordingly. This is how an instruction tile larger than
- * the tensor degrades into a broadcast layout (small-shape MMA support,
- * cf. Table 5 of the paper).
+ * The CDNA mfma 32x32 accumulator fragment over a 64-lane wavefront:
+ * lanes 0-31 pick the column; each lane holds 4 groups of 4 consecutive
+ * rows, with lane bit 5 selecting rows 4-7 of each 8-row band.
  */
-LinearLayout
-clampToShape(const LinearLayout &layout, const Shape &shape)
+void
+mfmaTile(Columns &c)
 {
-    LinearLayout::BasesT newBases;
-    auto outNames = layout.getOutDimNames();
-    std::vector<int32_t> limit;
-    for (const auto &name : outNames) {
-        // Out dims are named dim<k>; recover k.
-        int k = std::stoi(name.substr(3));
-        limit.push_back(shape[k]);
+    c.identity(Reg, 4, 0);
+    c.identity(Lane, 32, 1);
+    c.identity(Lane, 2, 0);
+    c.identity(Reg, 4, 0);
+}
+
+/**
+ * The A (opIdx 0) or B operand fragment for b-bit elements, 32 / b of
+ * them packed per 32-bit register word. A, shape [M, K] (dim0 = M,
+ * dim1 = K), per Appendix 9.1:
+ *   id_{log2(32/b)}^{Reg,1} x id_2^{Thr,1} x id_3^{Thr,0} x
+ *   id_1^{Reg,0} x id_1^{Reg,1}
+ * B, shape [K, N] (dim0 = K, dim1 = N), is the transpose of the A tile
+ * with half the registers per thread.
+ */
+void
+dotOperandTile(const DotOperandEncoding &dot, Columns &c)
+{
+    llUserCheck(dot.bitwidth == 8 || dot.bitwidth == 16 ||
+                    dot.bitwidth == 32,
+                "unsupported dot operand bitwidth " << dot.bitwidth);
+    const int32_t packed = 32 / dot.bitwidth;
+    if (dot.opIdx == 0) {
+        c.identity(Reg, packed, 1);
+        c.identity(Lane, 4, 1);
+        c.identity(Lane, 8, 0);
+        c.identity(Reg, 2, 0);
+        c.identity(Reg, 2, 1);
+        if (dot.parent.version == 3)
+            c.identity(Warp, 4, 0);
+    } else {
+        c.identity(Reg, packed, 0);
+        c.identity(Lane, 4, 0);
+        c.identity(Lane, 8, 1);
+        c.identity(Reg, 2, 0);
     }
-    for (const auto &inDim : layout.getInDimNames()) {
-        std::vector<std::vector<int32_t>> vecs;
-        for (int32_t i = 0; i < layout.getInDimSizeLog2(inDim); ++i) {
-            std::vector<int32_t> basis = layout.getBasis(inDim, i);
-            for (size_t j = 0; j < basis.size(); ++j) {
-                if (basis[j] >= limit[j])
-                    basis[j] = 0;
-            }
-            vecs.push_back(std::move(basis));
-        }
-        newBases.insert(inDim, std::move(vecs));
-    }
-    std::vector<LinearLayout::DimSize> newOuts;
-    for (size_t j = 0; j < outNames.size(); ++j) {
-        newOuts.emplace_back(
-            outNames[j],
-            std::min(layout.getOutDimSize(outNames[j]), limit[j]));
-    }
-    return LinearLayout(std::move(newBases), std::move(newOuts),
-                        /*requireSurjective=*/false);
 }
 
 } // namespace
@@ -128,19 +279,25 @@ BlockedEncoding::toLinearLayout(const Shape &shape) const
                     threadsPerWarp.size() == rank &&
                     warpsPerCta.size() == rank && order.size() == rank,
                 "blocked encoding rank mismatch with shape rank " << rank);
+    uint64_t seen = 0;
+    for (int32_t d : order) {
+        llUserCheck(d >= 0 && static_cast<size_t>(d) < rank && d < 64 &&
+                        !getBit(seen, d),
+                    "blocked order is not a permutation of the dims");
+        seen |= uint64_t(1) << d;
+    }
 
-    Shape remaining = shape;
-    LinearLayout layout = distributedSeed(dims::out(order[0]));
+    Columns c(shape);
     for (int32_t d : order)
-        appendResource(layout, remaining, sizePerThread[d], kReg, d);
+        c.append(Reg, sizePerThread[d], d);
     for (int32_t d : order)
-        appendResource(layout, remaining, threadsPerWarp[d], kLane, d);
+        c.append(Lane, threadsPerWarp[d], d);
     for (int32_t d : order)
-        appendResource(layout, remaining, warpsPerCta[d], kWarp, d);
+        c.append(Warp, warpsPerCta[d], d);
     // Whatever the CTA tile does not cover is replicated into registers.
     for (int32_t d : order)
-        appendResource(layout, remaining, remaining[d], kReg, d);
-    return canonicalizeOuts(std::move(layout), shape, order);
+        c.append(Reg, c.remaining(d), d);
+    return c.build(order);
 }
 
 BlockedEncoding
@@ -209,25 +366,9 @@ BlockedEncoding::makeDefaultWithOrder(const Shape &shape,
 LinearLayout
 MmaEncoding::instructionTile() const
 {
-    // The PTX mma.m16n8 accumulator fragment, built as the product of
-    // identity pieces from Appendix 9.1:
-    //   id_1^{Reg,dim1} x id_2^{Thr,dim1} x id_3^{Thr,dim0} x
-    //   id_1^{Reg,dim0}
-    LinearLayout tile = distributedSeed(dims::out(1)) *
-                        LinearLayout::identity1D(2, kReg, dims::out(1)) *
-                        LinearLayout::identity1D(4, kLane, dims::out(1)) *
-                        LinearLayout::identity1D(8, kLane, dims::out(0)) *
-                        LinearLayout::identity1D(2, kReg, dims::out(0));
-    if (version == 3) {
-        // wgmma m64nN: registers repeat along N in steps of 8, and the
-        // four warps of the warp group stack along M.
-        llUserCheck(instrN >= 8 && isPowerOf2(uint64_t(instrN)),
-                    "wgmma instrN must be a power of two >= 8");
-        tile = tile *
-               LinearLayout::identity1D(instrN / 8, kReg, dims::out(1)) *
-               LinearLayout::identity1D(4, kWarp, dims::out(0));
-    }
-    return tile;
+    Columns c(Shape{1, 1});
+    mmaTile(*this, c);
+    return c.build({1, 0});
 }
 
 LinearLayout
@@ -236,20 +377,16 @@ MmaEncoding::toLinearLayout(const Shape &shape) const
     llUserCheck(shape.size() == 2, "MMA layouts are 2D");
     llUserCheck(warpsPerCta.size() == 2, "warpsPerCta must be 2D");
 
-    LinearLayout layout = clampToShape(instructionTile(), shape);
-    Shape remaining = {shape[0] / layout.getOutDimSize(dims::out(0)),
-                       shape[1] / layout.getOutDimSize(dims::out(1))};
-
-    int32_t warpsDim0 =
-        version == 3 ? std::max(warpsPerCta[0] / 4, 1) : warpsPerCta[0];
-    appendResource(layout, remaining, warpsDim0, kWarp, 0);
-    appendResource(layout, remaining, warpsPerCta[1], kWarp, 1);
-
+    Columns c(shape);
+    mmaTile(*this, c);
+    c.clamp(shape);
+    c.append(Warp, mmaWarpsDim0(*this), 0);
+    c.append(Warp, warpsPerCta[1], 1);
     // Registers replicate the warp tile across the rest of the tensor,
     // minor dim first.
-    appendResource(layout, remaining, remaining[1], kReg, 1);
-    appendResource(layout, remaining, remaining[0], kReg, 0);
-    return canonicalizeOuts(std::move(layout), shape, {1, 0});
+    c.append(Reg, c.remaining(1), 1);
+    c.append(Reg, c.remaining(0), 0);
+    return c.build({1, 0});
 }
 
 // ----------------------------------------------------------------------
@@ -259,29 +396,24 @@ MmaEncoding::toLinearLayout(const Shape &shape) const
 LinearLayout
 MfmaEncoding::instructionTile() const
 {
-    // The CDNA mfma 32x32 accumulator fragment over a 64-lane wavefront:
-    // lanes 0-31 pick the column; each lane holds 4 groups of 4
-    // consecutive rows, with lane bit 5 selecting rows 4-7 of each 8-row
-    // band.
-    return distributedSeed(dims::out(1)) *
-           LinearLayout::identity1D(4, kReg, dims::out(0)) *
-           LinearLayout::identity1D(32, kLane, dims::out(1)) *
-           LinearLayout::identity1D(2, kLane, dims::out(0)) *
-           LinearLayout::identity1D(4, kReg, dims::out(0));
+    Columns c(Shape{1, 1});
+    mfmaTile(c);
+    return c.build({1, 0});
 }
 
 LinearLayout
 MfmaEncoding::toLinearLayout(const Shape &shape) const
 {
     llUserCheck(shape.size() == 2, "MFMA layouts are 2D");
-    LinearLayout layout = clampToShape(instructionTile(), shape);
-    Shape remaining = {shape[0] / layout.getOutDimSize(dims::out(0)),
-                       shape[1] / layout.getOutDimSize(dims::out(1))};
-    appendResource(layout, remaining, warpsPerCta[0], kWarp, 0);
-    appendResource(layout, remaining, warpsPerCta[1], kWarp, 1);
-    appendResource(layout, remaining, remaining[1], kReg, 1);
-    appendResource(layout, remaining, remaining[0], kReg, 0);
-    return canonicalizeOuts(std::move(layout), shape, {1, 0});
+    llUserCheck(warpsPerCta.size() == 2, "warpsPerCta must be 2D");
+    Columns c(shape);
+    mfmaTile(c);
+    c.clamp(shape);
+    c.append(Warp, warpsPerCta[0], 0);
+    c.append(Warp, warpsPerCta[1], 1);
+    c.append(Reg, c.remaining(1), 1);
+    c.append(Reg, c.remaining(0), 0);
+    return c.build({1, 0});
 }
 
 // ----------------------------------------------------------------------
@@ -291,65 +423,38 @@ MfmaEncoding::toLinearLayout(const Shape &shape) const
 LinearLayout
 DotOperandEncoding::instructionTile() const
 {
-    llUserCheck(bitwidth == 8 || bitwidth == 16 || bitwidth == 32,
-                "unsupported dot operand bitwidth " << bitwidth);
-    int32_t packed = 32 / bitwidth; // elements per 32-bit register word
-    LinearLayout tile = LinearLayout::empty();
-    if (opIdx == 0) {
-        // A operand, shape [M, K] (dim0 = M, dim1 = K). Appendix 9.1:
-        // id_{log2(32/b)}^{Reg,1} x id_2^{Thr,1} x id_3^{Thr,0} x
-        // id_1^{Reg,0} x id_1^{Reg,1}
-        tile = distributedSeed(dims::out(1)) *
-               LinearLayout::identity1D(packed, kReg, dims::out(1)) *
-               LinearLayout::identity1D(4, kLane, dims::out(1)) *
-               LinearLayout::identity1D(8, kLane, dims::out(0)) *
-               LinearLayout::identity1D(2, kReg, dims::out(0)) *
-               LinearLayout::identity1D(2, kReg, dims::out(1));
-        if (parent.version == 3) {
-            tile = tile * LinearLayout::identity1D(4, kWarp, dims::out(0));
-        }
-    } else {
-        // B operand, shape [K, N] (dim0 = K, dim1 = N): the transpose of
-        // the A tile with half the registers per thread.
-        tile = distributedSeed(dims::out(0)) *
-               LinearLayout::identity1D(packed, kReg, dims::out(0)) *
-               LinearLayout::identity1D(4, kLane, dims::out(0)) *
-               LinearLayout::identity1D(8, kLane, dims::out(1)) *
-               LinearLayout::identity1D(2, kReg, dims::out(0));
-    }
-    return tile;
+    Columns c(Shape{1, 1});
+    dotOperandTile(*this, c);
+    return opIdx == 0 ? c.build({1, 0}) : c.build({0, 1});
 }
 
 LinearLayout
 DotOperandEncoding::toLinearLayout(const Shape &shape) const
 {
     llUserCheck(shape.size() == 2, "dot operand layouts are 2D");
-    LinearLayout layout = clampToShape(instructionTile(), shape);
-    Shape remaining = {shape[0] / layout.getOutDimSize(dims::out(0)),
-                       shape[1] / layout.getOutDimSize(dims::out(1))};
+    llUserCheck(parent.warpsPerCta.size() == 2,
+                "parent warpsPerCta must be 2D");
+    Columns c(shape);
+    dotOperandTile(*this, c);
+    c.clamp(shape);
 
     // Warps follow the parent MMA distribution on the outer dim and
     // broadcast over the inner (K) dim so every warp owns the full
     // reduction (Appendix 9.1).
-    int32_t warpsDim0 = parent.version == 3
-                            ? std::max(parent.warpsPerCta[0] / 4, 1)
-                            : parent.warpsPerCta[0];
     if (opIdx == 0) {
-        appendResource(layout, remaining, warpsDim0, kWarp, 0);
-        layout = layout * LinearLayout::zeros1D(parent.warpsPerCta[1],
-                                                kWarp, dims::out(1));
+        c.append(Warp, mmaWarpsDim0(parent), 0);
+        c.zeros(Warp, parent.warpsPerCta[1]);
     } else {
-        layout = layout * LinearLayout::zeros1D(warpsDim0, kWarp,
-                                                dims::out(0));
-        appendResource(layout, remaining, parent.warpsPerCta[1], kWarp, 1);
+        c.zeros(Warp, mmaWarpsDim0(parent));
+        c.append(Warp, parent.warpsPerCta[1], 1);
     }
 
     // Registers replicate over the remaining K and outer extents.
-    int inner = opIdx == 0 ? 1 : 0;
-    int outer = 1 - inner;
-    appendResource(layout, remaining, remaining[inner], kReg, inner);
-    appendResource(layout, remaining, remaining[outer], kReg, outer);
-    return canonicalizeOuts(std::move(layout), shape, {1, 0});
+    const int inner = opIdx == 0 ? 1 : 0;
+    const int outer = 1 - inner;
+    c.append(Reg, c.remaining(inner), inner);
+    c.append(Reg, c.remaining(outer), outer);
+    return c.build({1, 0});
 }
 
 // ----------------------------------------------------------------------

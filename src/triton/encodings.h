@@ -7,6 +7,10 @@
  * sliced, and shared (unswizzled or mma-swizzled) — is a linear layout.
  * This module gives the constructive versions of those proofs: each
  * encoding is a small parameter struct with a toLinearLayout() method.
+ * The proofs write a layout as a product of identity pieces; the
+ * constructors place those pieces straight into the layout's F2
+ * columns, one pass per layout, and check::reference keeps the literal
+ * product chains as the test oracle.
  *
  * Conventions:
  *  - A logical tensor shape is a vector of power-of-two sizes, indexed by

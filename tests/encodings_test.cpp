@@ -3,13 +3,20 @@
  * Tests for the legacy-layout constructions of Section 4.3: blocked, MMA
  * (Ampere/Hopper/AMD), dot operands, slices, and shared (swizzled)
  * layouts, including a bit-exact reconstruction of the paper's Layout A
- * and a check of the Definition 4.11 swizzle formula.
+ * and a check of the Definition 4.11 swizzle formula, and a sweep that
+ * holds the column-built constructors to their product-chain twins.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <iostream>
+#include <optional>
 #include <set>
+#include <sstream>
 
+#include "check/layout_reference.h"
 #include "layout/dims.h"
 #include "triton/encodings.h"
 
@@ -125,6 +132,21 @@ TEST(Blocked, MakeDefaultHandlesTinyShapes)
     EXPECT_TRUE(l.isSurjective());
     EXPECT_EQ(l.getInDimSize(kLane), 32);
     EXPECT_EQ(l.getInDimSize(kWarp), 4);
+}
+
+TEST(Blocked, OrderMustBeAPermutationOfTheDims)
+{
+    BlockedEncoding enc;
+    enc.sizePerThread = {1, 1};
+    enc.threadsPerWarp = {4, 8};
+    enc.warpsPerCta = {1, 1};
+    for (const std::vector<int32_t> &order :
+         {std::vector<int32_t>{0, 0}, {2, 0}, {-1, 0}}) {
+        enc.order = order;
+        EXPECT_THROW(enc.toLinearLayout({16, 16}), std::exception);
+    }
+    enc.order = {0, 1};
+    EXPECT_NO_THROW(enc.toLinearLayout({16, 16}));
 }
 
 TEST(Mma, AmpereFragmentMatchesPtx)
@@ -308,6 +330,19 @@ TEST(DotOperand, Int8TileHasWiderK)
     EXPECT_EQ(tile.getOutDimSize("dim0"), 16);
 }
 
+TEST(DotOperand, MalformedWarpsPerCtaIsRejected)
+{
+    // A warpsPerCta that is not 2D is a user error, not an
+    // out-of-bounds read.
+    MmaEncoding parent{2, {4}, 8};
+    EXPECT_THROW(parent.toLinearLayout({64, 64}), std::exception);
+    EXPECT_THROW((DotOperandEncoding{parent, 0, 16}.toLinearLayout({64, 64})),
+                 std::exception);
+    EXPECT_THROW((MfmaEncoding{{2, 2, 1}}.toLinearLayout({64, 64})),
+                 std::exception);
+    EXPECT_NO_THROW((MfmaEncoding{{2, 2}}.toLinearLayout({64, 64})));
+}
+
 TEST(Slice, RemovesADimensionAndRenumbers)
 {
     BlockedEncoding enc;
@@ -410,6 +445,177 @@ TEST(Family, MembershipChecks)
                          LinearLayout::zeros1D(4, kLane, "dim0");
     EXPECT_TRUE(isDistributedLayout(bcast));
     EXPECT_FALSE(isMemoryLayout(bcast));
+}
+
+/** Column builds against product chains: agreed, both threw, differed. */
+struct Parity
+{
+    int compared = 0;
+    int threw = 0;
+    int mismatched = 0;
+
+    /** Build the layout both ways. They must both throw, or both return
+     *  == layouts with the same surjectivity. */
+    void check(const std::function<LinearLayout()> &columns,
+               const std::function<LinearLayout()> &chain,
+               const std::function<std::string()> &describe)
+    {
+        auto attempt = [](const std::function<LinearLayout()> &build) {
+            try {
+                return std::optional<LinearLayout>(build());
+            } catch (const std::exception &) {
+                return std::optional<LinearLayout>();
+            }
+        };
+        const std::optional<LinearLayout> fast = attempt(columns);
+        const std::optional<LinearLayout> ref = attempt(chain);
+        if (!fast && !ref) {
+            ++threw;
+            return;
+        }
+        if (fast && ref && *fast == *ref &&
+            fast->isSurjective() == ref->isSurjective()) {
+            ++compared;
+            return;
+        }
+        if (++mismatched <= 5) {
+            ADD_FAILURE() << describe() << ": column build "
+                          << (fast ? fast->toString() : "threw")
+                          << "\nproduct chain "
+                          << (ref ? ref->toString() : "threw");
+        }
+    }
+};
+
+std::string
+str(const Shape &v)
+{
+    std::ostringstream os;
+    os << "[";
+    for (size_t i = 0; i < v.size(); ++i)
+        os << (i ? ", " : "") << v[i];
+    return os.str() + "]";
+}
+
+TEST(Encodings, ColumnBuildMatchesProductChain)
+{
+    // Every power of two up to 512, plus two extents that are not: the
+    // clamp and the replication must reject (or, where integer division
+    // hides them, accept) those exactly as the product chains do.
+    const Shape sizes = {1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 3, 48};
+    std::vector<Shape> shapes2;
+    std::vector<Shape> shapes;
+    for (int32_t a : sizes) {
+        shapes.push_back({a});
+        for (int32_t b : sizes) {
+            shapes2.push_back({a, b});
+            shapes.push_back({a, b});
+            for (int32_t c : sizes)
+                shapes.push_back({a, b, c});
+        }
+    }
+    const Shape counts = {1, 2, 4, 8};
+    Parity parity;
+
+    for (const Shape &shape : shapes) {
+        const int rank = static_cast<int>(shape.size());
+        std::vector<int32_t> reversed = rowMajorOrder(rank);
+        std::reverse(reversed.begin(), reversed.end());
+        for (const auto &order : {rowMajorOrder(rank), reversed}) {
+            for (int warps : counts) {
+                for (int warpSize : {32, 64}) {
+                    for (int vec : {1, 2, 4, 8, 16}) {
+                        BlockedEncoding enc =
+                            BlockedEncoding::makeDefaultWithOrder(
+                                shape, order, warps, warpSize, vec);
+                        // Also vectorize past the tensor, so registers
+                        // broadcast as well as lanes and warps.
+                        BlockedEncoding wide = enc;
+                        wide.sizePerThread[order[0]] = vec;
+                        std::vector<BlockedEncoding> encs = {enc};
+                        if (wide.sizePerThread != enc.sizePerThread)
+                            encs.push_back(wide);
+                        for (const BlockedEncoding &e : encs) {
+                            parity.check(
+                                [&] { return e.toLinearLayout(shape); },
+                                [&] {
+                                    return check::reference::blockedLayout(
+                                        e, shape);
+                                },
+                                [&] {
+                                    return "blocked " + str(shape) +
+                                           " spt " + str(e.sizePerThread) +
+                                           " tpw " + str(e.threadsPerWarp) +
+                                           " wpc " + str(e.warpsPerCta) +
+                                           " order " + str(e.order);
+                                });
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    for (const Shape &shape : shapes2) {
+        for (int32_t w0 : counts) {
+            for (int32_t w1 : counts) {
+                for (int version : {2, 3}) {
+                    for (int32_t instrN : {4, 8, 16, 32, 64, 128, 256}) {
+                        MmaEncoding mma{version, {w0, w1}, instrN};
+                        auto describe = [&] {
+                            return "mma v" + std::to_string(version) +
+                                   " " + str(shape) + " wpc " +
+                                   str(mma.warpsPerCta) + " instrN " +
+                                   std::to_string(instrN);
+                        };
+                        parity.check(
+                            [&] { return mma.toLinearLayout(shape); },
+                            [&] {
+                                return check::reference::mmaLayout(mma,
+                                                                   shape);
+                            },
+                            describe);
+                        if (instrN != 16)
+                            continue;
+                        for (int opIdx : {0, 1}) {
+                            for (int bits : {4, 8, 16, 32}) {
+                                DotOperandEncoding dot{mma, opIdx, bits};
+                                parity.check(
+                                    [&] { return dot.toLinearLayout(shape); },
+                                    [&] {
+                                        return check::reference::
+                                            dotOperandLayout(dot, shape);
+                                    },
+                                    [&] {
+                                        return "dot op" +
+                                               std::to_string(opIdx) + " b" +
+                                               std::to_string(bits) + " of " +
+                                               describe();
+                                    });
+                            }
+                        }
+                    }
+                }
+                MfmaEncoding mfma{{w0, w1}};
+                parity.check(
+                    [&] { return mfma.toLinearLayout(shape); },
+                    [&] { return check::reference::mfmaLayout(mfma, shape); },
+                    [&] {
+                        return "mfma " + str(shape) + " wpc " +
+                               str(mfma.warpsPerCta);
+                    });
+            }
+        }
+    }
+
+    EXPECT_EQ(parity.mismatched, 0);
+    // Anti-vacuity: the sweep must reach both outcomes.
+    EXPECT_GT(parity.compared, 0);
+    EXPECT_GT(parity.threw, 0);
+    RecordProperty("compared", parity.compared);
+    RecordProperty("threw", parity.threw);
+    std::cout << "ColumnBuildMatchesProductChain: " << parity.compared
+              << " equal, " << parity.threw << " rejected by both\n";
 }
 
 } // namespace

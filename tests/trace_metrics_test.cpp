@@ -235,6 +235,111 @@ TEST(Trace, FourThreadsRecordWithoutLossOrTidCollision)
     EXPECT_EQ(allTids.size(), static_cast<size_t>(kThreads));
 }
 
+const trace::SpanStats *
+findRow(const std::vector<trace::SpanStats> &rows, const char *name)
+{
+    for (const auto &r : rows) {
+        if (r.name == name)
+            return &r;
+    }
+    return nullptr;
+}
+
+trace::Event
+event(const char *name, int tid, double tsUs, double durUs)
+{
+    return trace::Event{name, "test", tsUs, durUs, tid, {}};
+}
+
+TEST(Trace, AggregateSpansNestsPerThread)
+{
+    // Thread 0: outer [0, 100) holds a [10, 40) (which holds leaf
+    // [15, 20)) and b [50, 60). Thread 1's worker [20, 180) starts
+    // inside a and outlives outer: nested across threads it would be
+    // a's child, and a's self time would be 30 - 5 - 160 < 0. Events
+    // come in completion order, children first.
+    const std::vector<trace::Event> events = {
+        event("leaf", 0, 15, 5),   event("a", 0, 10, 30),
+        event("b", 0, 50, 10),     event("outer", 0, 0, 100),
+        event("inner", 1, 30, 50), event("worker", 1, 20, 160),
+    };
+    const auto rows = trace::aggregateSpans(events);
+    ASSERT_EQ(rows.size(), 6u);
+    auto expect = [&](const char *name, double incl, double self) {
+        const auto *r = findRow(rows, name);
+        ASSERT_NE(r, nullptr) << name;
+        EXPECT_EQ(r->count, 1) << name;
+        EXPECT_DOUBLE_EQ(r->inclUs, incl) << name;
+        EXPECT_DOUBLE_EQ(r->selfUs, self) << name;
+    };
+    expect("outer", 100, 60);
+    expect("a", 30, 25);
+    expect("leaf", 5, 5);
+    expect("b", 10, 10);
+    expect("worker", 160, 110);
+    expect("inner", 50, 50);
+    // Largest self time first.
+    EXPECT_EQ(rows.front().name, "worker");
+    for (size_t i = 1; i < rows.size(); ++i)
+        EXPECT_GE(rows[i - 1].selfUs, rows[i].selfUs);
+
+    // Same-named spans sum; a span equal in extent to its parent (a
+    // coarse clock) nests inside it instead of beside it.
+    const auto twins = trace::aggregateSpans({
+        event("step", 0, 0, 10), event("step", 0, 20, 10),
+        event("child", 0, 40, 5), event("parent", 0, 40, 5),
+    });
+    const auto *step = findRow(twins, "step");
+    ASSERT_NE(step, nullptr);
+    EXPECT_EQ(step->count, 2);
+    EXPECT_DOUBLE_EQ(step->selfUs, 20);
+    EXPECT_DOUBLE_EQ(findRow(twins, "parent")->selfUs, 0);
+    EXPECT_DOUBLE_EQ(findRow(twins, "child")->selfUs, 5);
+    EXPECT_TRUE(trace::aggregateSpans({}).empty());
+}
+
+TEST(Trace, AggregateSpansOfTwoThreadsNeverGoNegative)
+{
+    // Two threads record nested spans at the same time; their spans
+    // interleave in the buffer and overlap in time.
+    ScopedTracing on;
+    constexpr int kRounds = 200;
+    auto work = [] {
+        for (int i = 0; i < kRounds; ++i) {
+            trace::Span outer("outer", "test");
+            {
+                trace::Span mid("mid", "test");
+                trace::Span inner("inner", "test");
+                (void)inner;
+                (void)mid;
+            }
+            trace::Span tail("tail", "test");
+        }
+    };
+    std::thread t1(work), t2(work);
+    t1.join();
+    t2.join();
+
+    const auto rows = trace::aggregateSpans(trace::snapshotEvents());
+    ASSERT_EQ(rows.size(), 4u);
+    for (const auto &r : rows) {
+        EXPECT_EQ(r.count, 2 * kRounds) << r.name;
+        EXPECT_GE(r.selfUs, 0.0) << r.name;
+        EXPECT_LE(r.selfUs, r.inclUs) << r.name;
+    }
+    // outer's children are mid and tail, mid's child is inner.
+    const auto *outer = findRow(rows, "outer");
+    const auto *mid = findRow(rows, "mid");
+    const auto *inner = findRow(rows, "inner");
+    const auto *tail = findRow(rows, "tail");
+    ASSERT_TRUE(outer && mid && inner && tail);
+    EXPECT_NEAR(outer->selfUs, outer->inclUs - mid->inclUs - tail->inclUs,
+                1e-6 * outer->inclUs);
+    EXPECT_NEAR(mid->selfUs, mid->inclUs - inner->inclUs,
+                1e-6 * mid->inclUs);
+    EXPECT_DOUBLE_EQ(inner->selfUs, inner->inclUs);
+}
+
 TEST(Trace, ChromeExportIsValidBalancedJson)
 {
     // The golden-file shape check: the export must parse as JSON, wrap

@@ -25,6 +25,10 @@
  *                       timeline into bounded segments;
  *   --metrics text|json metrics exposition format on stdout (default
  *                       text, Prometheus-style; "none" to suppress);
+ *   --profile           after the workloads, print count, inclusive and
+ *                       self time per span name (trace::aggregateSpans,
+ *                       spans nested per thread), largest self time
+ *                       first;
  *   --check-spans       fail (exit 1) unless every planned conversion
  *                       produced a "plan.conversion" span carrying the
  *                       selected rung and modeled cycles, and — with
@@ -48,6 +52,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -78,6 +83,7 @@ struct Options
     bool traceReset = false;
     std::string metricsFormat = "text";
     bool checkSpans = false;
+    bool profile = false;
     std::string validateBenchDir;
 };
 
@@ -87,7 +93,7 @@ usage()
     std::cerr
         << "usage: llstat [--corpus DIR] [--case FILE] [--kernels]\n"
            "              [--trace PATH] [--trace-reset]\n"
-           "              [--metrics text|json|none]\n"
+           "              [--metrics text|json|none] [--profile]\n"
            "              [--check-spans] [--validate-bench-json DIR]\n";
 }
 
@@ -136,6 +142,8 @@ parseArgs(int argc, char **argv, Options &opt)
             opt.traceReset = true;
         } else if (arg == "--check-spans") {
             opt.checkSpans = true;
+        } else if (arg == "--profile") {
+            opt.profile = true;
         } else if (arg == "--validate-bench-json") {
             const char *v = needValue("--validate-bench-json");
             if (!v)
@@ -319,6 +327,24 @@ runKernels(const Options &opt, ReplayTally &tally)
     }
     tally.spanViolations += violations;
     return 0;
+}
+
+/** The per-span-name table of everything traced so far. */
+void
+printProfile()
+{
+    const auto rows = trace::aggregateSpans(trace::snapshotEvents());
+    std::cout << "llstat: profile of " << rows.size() << " span name(s)\n";
+    char line[160];
+    std::snprintf(line, sizeof line, "%-32s %10s %12s %12s\n", "span",
+                  "count", "incl_ms", "self_ms");
+    std::cout << line;
+    for (const auto &r : rows) {
+        std::snprintf(line, sizeof line, "%-32s %10lld %12.3f %12.3f\n",
+                      r.name.c_str(), static_cast<long long>(r.count),
+                      r.inclUs / 1e3, r.selfUs / 1e3);
+        std::cout << line;
+    }
 }
 
 /** The BENCH_<name>.json schema emitted by bench::emitBenchJson. */
@@ -540,7 +566,8 @@ main(int argc, char **argv)
 
     // Span checking and explicit trace output both need the tracer on,
     // LL_TRACE or not.
-    if (opt.checkSpans || !opt.tracePath.empty() || opt.traceReset)
+    if (opt.checkSpans || opt.profile || !opt.tracePath.empty() ||
+        opt.traceReset)
         trace::setEnabled(true);
     if (!opt.tracePath.empty())
         trace::setOutputPath(opt.tracePath);
@@ -574,6 +601,8 @@ main(int argc, char **argv)
         std::cout << "llstat: span check "
                   << (tally.spanViolations ? "FAILED" : "ok") << " ("
                   << tally.spanViolations << " violation(s))\n";
+    if (opt.profile)
+        printProfile();
 
     if (opt.traceReset) {
         const size_t events = trace::eventCount();
