@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "check/layout_reference.h"
+#include "check/tiles_reference.h"
 #include "check/verify.h"
 #include "codegen/shared_exec.h"
 #include "codegen/swizzle.h"
@@ -80,10 +81,13 @@ OracleReport::toString() const
             os << " TOTALS-DIVERGENCE";
     }
     const auto &n = f2Compared;
-    if (n.matrix + n.subspace + n.applyFlat + n.wavefront + n.layout > 0) {
+    const int64_t compared = n.matrix + n.subspace + n.applyFlat +
+                             n.wavefront + n.tile + n.layout;
+    if (compared > 0) {
         os << " f2(matrix " << n.matrix << ", subspace " << n.subspace
            << ", applyFlat " << n.applyFlat << ", wavefront "
-           << n.wavefront << ", layout " << n.layout << ")";
+           << n.wavefront << ", tile " << n.tile << ", layout "
+           << n.layout << ")";
         if (f2Divergences > 0)
             os << " F2-DIVERGENCE";
     }
@@ -270,10 +274,8 @@ checkPlan(const codegen::ConversionPlan &plan, const LinearLayout &srcIn,
         // audit's own.
         const codegen::SwizzledShared &swz = *plan.shared;
         const auto lanesFit = [&](const LinearLayout &side) {
-            return codegen::WarpAccessTable(
-                       swz, side.transposeOuts(
-                                swz.memLayout.getOutDimNames()))
-                .lanesFit(swz.allocElems(src.getTotalOutDimSize()));
+            return codegen::WarpAccessTable(swz, side).lanesFit(
+                swz.allocElems(src.getTotalOutDimSize()));
         };
         if (plan.kind != codegen::ConversionKind::SharedPadded &&
             lanesFit(src) && lanesFit(dst)) {
@@ -482,14 +484,26 @@ diffF2(const ConversionCase &c)
                  codegen::enumerateWavefronts_reference(
                      *swz, *layout, c.elemBytes, spec),
              "enumerateWavefronts");
+        // The ldmatrix/stmatrix tile test on the side's columns against
+        // tile division of the composed layout, at every width the tile
+        // exists for.
+        const codegen::OffsetColumns columns(*swz, *layout);
+        const LinearLayout cvt = layout->compose(
+            swz->tensorToOffset.transposeIns(layout->getOutDimNames()));
+        for (int elemBytes : {1, 2, 4}) {
+            const bool found =
+                reference::matchesLdmatrixTile(cvt, elemBytes);
+            n.tileMatched += found ? 1 : 0;
+            same(n.tile,
+                 codegen::matchesMatrixTile(columns, elemBytes) == found,
+                 "matchesMatrixTile");
+        }
         // Every warp access of the pass, priced on both counters.
-        LinearLayout dist = canonicalIns(
-            layout->transposeOuts(swz->memLayout.getOutDimNames()));
-        codegen::WarpAccessTable table(*swz, dist);
+        codegen::WarpAccessTable table(*swz, columns);
         const int accessBytes = swz->vecElems() * c.elemBytes;
-        const auto reps = codegen::registerGroupReps(*swz, dist);
+        const auto reps = codegen::registerGroupReps(*swz, columns);
         std::vector<int64_t> offsets, addrs;
-        for (int32_t warp = 0; warp < dist.getInDimSize(kWarp); ++warp) {
+        for (int32_t warp = 0; warp < 1 << columns.warpLog; ++warp) {
             for (int32_t rep : reps) {
                 offsets.clear();
                 table.offsetsInto(rep, warp, offsets);

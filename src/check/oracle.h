@@ -72,7 +72,10 @@ struct OracleReport
         int64_t subspace = 0;  ///< EchelonBasis and the span functions
         int64_t applyFlat = 0; ///< LinearLayout::applyFlat
         int64_t wavefront = 0; ///< enumerateWavefronts, countWavefronts
+        int64_t tile = 0;      ///< matchesMatrixTile vs tile division
         int64_t layout = 0;    ///< LinearLayout algebra (diffLayoutOps)
+        /** Tile comparisons whose reference found the tile. */
+        int64_t tileMatched = 0;
 
         F2Comparisons &
         operator+=(const F2Comparisons &o)
@@ -81,7 +84,9 @@ struct OracleReport
             subspace += o.subspace;
             applyFlat += o.applyFlat;
             wavefront += o.wavefront;
+            tile += o.tile;
             layout += o.layout;
+            tileMatched += o.tileMatched;
             return *this;
         }
     } f2Compared;
@@ -178,7 +183,9 @@ DemotionReport checkCaseWithDemotion(const ConversionCase &c);
  * memLayout (apply, transpose, multiply, rank, kernelBasis, solve,
  * rightInverse), EchelonBasis and the span functions on those
  * matrices' columns, applyFlat on every flat index of src and dst,
- * for shared plans enumerateWavefronts and countWavefronts on both
+ * for shared plans enumerateWavefronts, countWavefronts and the
+ * ldmatrix/stmatrix tile test (codegen::matchesMatrixTile against
+ * reference::matchesLdmatrixTile, at 1, 2 and 4-byte elements) on both
  * sides, and the LinearLayout algebra against its nested-vector twins
  * (check::diffLayoutOps) on src, dst and the shared plan's memLayout.
  * Counts land in f2Compared; the first divergence in detail.

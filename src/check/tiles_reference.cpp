@@ -1,13 +1,13 @@
-#include "codegen/tiles.h"
+#include "check/tiles_reference.h"
 
 #include <algorithm>
 
 #include "layout/dims.h"
 #include "support/bits.h"
-#include "support/failpoint.h"
 
 namespace ll {
-namespace codegen {
+namespace check {
+namespace reference {
 
 LinearLayout
 vectorTile(int vecElems)
@@ -28,8 +28,6 @@ ldmatrixTile(int elemBytes)
 bool
 tileMatches(const LinearLayout &cvt, const LinearLayout &tile)
 {
-    if (LL_FAILPOINT("tiles.divide"))
-        return false;
     return cvt.divideLeft(tile).has_value();
 }
 
@@ -86,6 +84,18 @@ permuteRegistersForTile(const LinearLayout &cvt, int vecElems)
     return permuted;
 }
 
+bool
+matchesLdmatrixTile(const LinearLayout &cvt, int elemBytes)
+{
+    if (elemBytes > 4)
+        return false;
+    LinearLayout tile = ldmatrixTile(elemBytes);
+    if (tileMatches(cvt, tile))
+        return true;
+    auto permuted = permuteRegistersForTile(cvt, 4 / elemBytes);
+    return permuted.has_value() && tileMatches(*permuted, tile);
+}
+
 int
 maxVectorization(const LinearLayout &cvt, int maxElems)
 {
@@ -100,5 +110,6 @@ maxVectorization(const LinearLayout &cvt, int maxElems)
     return 1;
 }
 
-} // namespace codegen
+} // namespace reference
+} // namespace check
 } // namespace ll

@@ -1,24 +1,29 @@
 /**
  * @file
- * SIMD instruction tiles and tile matching (Section 5.3).
+ * SIMD instruction tiles and tile matching by left division (Section
+ * 5.3): the reference twin of codegen::matchesMatrixTile.
  *
  * Theorem 5.1: an instruction whose data movement is described by a tile
  * layout T can lower a register-to-memory map L iff the left division
  * L / T exists. This module builds the tiles for vectorized shared
- * loads/stores and for ldmatrix/stmatrix, and implements the generalized
- * vectorization fallback that permutes registers until division succeeds.
+ * loads/stores and for ldmatrix/stmatrix as layouts, and implements the
+ * generalized vectorization that permutes registers until division
+ * succeeds. The planner tests the ldmatrix/stmatrix tile on the composed
+ * offset columns instead; no production code calls these functions.
+ * check::diffF2's `tile` family holds the column test to
+ * matchesLdmatrixTile on every shared plan's sides.
  */
 
-#ifndef LL_CODEGEN_TILES_H
-#define LL_CODEGEN_TILES_H
+#ifndef LL_CHECK_TILES_REFERENCE_H
+#define LL_CHECK_TILES_REFERENCE_H
 
 #include <optional>
-#include <vector>
 
 #include "layout/linear_layout.h"
 
 namespace ll {
-namespace codegen {
+namespace check {
+namespace reference {
 
 /**
  * Tile of a vectorized shared-memory access moving vecElems consecutive
@@ -55,7 +60,15 @@ std::optional<LinearLayout> permuteRegistersForTile(const LinearLayout &cvt,
  */
 int maxVectorization(const LinearLayout &cvt, int maxElems);
 
-} // namespace codegen
+/**
+ * Can ldmatrix/stmatrix service the resource->offset map `cvt`? The
+ * ldmatrix tile divides it as is or after a register permutation;
+ * always false for elements wider than 4 bytes.
+ */
+bool matchesLdmatrixTile(const LinearLayout &cvt, int elemBytes);
+
+} // namespace reference
+} // namespace check
 } // namespace ll
 
-#endif // LL_CODEGEN_TILES_H
+#endif // LL_CHECK_TILES_REFERENCE_H

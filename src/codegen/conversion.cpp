@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "codegen/shared_exec.h"
-#include "codegen/tiles.h"
 #include "triton/encodings.h"
 #include "layout/dims.h"
 #include "sim/memory_sim.h"
@@ -16,19 +15,6 @@ namespace ll {
 namespace codegen {
 
 namespace {
-
-/** Can ldmatrix/stmatrix service this resource->offset map? */
-bool
-matchesLdmatrixTile(const LinearLayout &cvt, int elemBytes)
-{
-    if (elemBytes > 4)
-        return false;
-    LinearLayout tile = ldmatrixTile(elemBytes);
-    if (tileMatches(cvt, tile))
-        return true;
-    auto permuted = permuteRegistersForTile(cvt, 4 / elemBytes);
-    return permuted.has_value() && tileMatches(*permuted, tile);
-}
 
 /** "dimN" -> N; empty for any other spelling. */
 std::optional<int>
@@ -139,21 +125,25 @@ evaluateSharedCandidate(const ConversionPlan &base, SwizzledShared cand,
                 std::to_string(spec.sharedMemPerCta));
     }
     ConversionPlan trial = base;
-    LinearLayout toOffset =
-        cand.tensorToOffset.transposeIns(src.getOutDimNames());
-    LinearLayout storeCvt = src.compose(toOffset);
-    LinearLayout loadCvt =
-        dst.transposeOuts(src.getOutDimNames()).compose(toOffset);
+    // Each side composed once: src's columns are the store addresses,
+    // dst's the load addresses, and the tile tests and wavefront totals
+    // all read them.
+    const OffsetColumns stores(cand, src);
+    const OffsetColumns loads(cand, dst);
+    // The failpoint is evaluated (and a limited activation spent) only
+    // for element widths the tile exists for.
+    auto tileFits = [&](const OffsetColumns &side) {
+        return elemBytes <= 4 && !LL_FAILPOINT("tiles.divide") &&
+               matchesMatrixTile(side, elemBytes);
+    };
     trial.usesStmatrix = allowStmatrix && spec.hasStmatrix &&
-                         !cand.padded() &&
-                         matchesLdmatrixTile(storeCvt, elemBytes);
+                         !cand.padded() && tileFits(stores);
     trial.usesLdmatrix = allowLdmatrix && spec.hasLdmatrix &&
-                         !cand.padded() &&
-                         matchesLdmatrixTile(loadCvt, elemBytes);
+                         !cand.padded() && tileFits(loads);
     trial.storeWavefrontsTotal =
-        enumerateWavefronts(cand, src, elemBytes, spec);
+        enumerateWavefronts(cand, stores, elemBytes, spec);
     trial.loadWavefrontsTotal =
-        enumerateWavefronts(cand, dst, elemBytes, spec);
+        enumerateWavefronts(cand, loads, elemBytes, spec);
     static auto &storeWf =
         metrics::counter("plan.shared.store_wavefronts");
     static auto &loadWf = metrics::counter("plan.shared.load_wavefronts");

@@ -88,9 +88,9 @@ xorSweep(const std::vector<uint64_t> &cols)
 
 /**
  * How one side of a round trip moves its registers, flat. offsets[in]
- * is the linear shared offset of flat input `in` (the composed map
- * tensorToOffset . dist is linear, so the table is one prefix-XOR
- * sweep). reps is registerGroupReps(swz, dist), the one definition of a
+ * is the linear shared offset of flat input `in` (the side's
+ * OffsetColumns are linear, so the table is one prefix-XOR sweep).
+ * reps is registerGroupReps(swz, side), the one definition of a
  * register group; group g holds members[start[g] .. start[g + 1]), the
  * registers sharing reps[g]'s vec window, in register order. By
  * linearity two registers share a vec window in one thread iff they
@@ -100,18 +100,10 @@ xorSweep(const std::vector<uint64_t> &cols)
  */
 struct RegisterGroups
 {
-    RegisterGroups(const SwizzledShared &swz, const LinearLayout &dist)
-        : regLog(dist.getInDimSizeLog2(kReg)),
-          laneLog(dist.getInDimSizeLog2(kLane)),
-          reps(registerGroupReps(swz, dist))
+    RegisterGroups(const SwizzledShared &swz, const OffsetColumns &side)
+        : regLog(side.regLog), laneLog(side.laneLog),
+          reps(registerGroupReps(swz, side)), offsets(xorSweep(side.cols))
     {
-        std::vector<uint64_t> cols(
-            static_cast<size_t>(dist.getTotalInDimSizeLog2()));
-        for (size_t i = 0; i < cols.size(); ++i) {
-            cols[i] = swz.tensorToOffset.applyFlat(
-                dist.applyFlat(uint64_t(1) << i));
-        }
-        offsets = xorSweep(cols);
         const uint64_t keep = ~(static_cast<uint64_t>(swz.vecElems()) - 1);
         std::unordered_map<uint64_t, int32_t> groupOfWindow;
         for (size_t g = 0; g < reps.size(); ++g) {
@@ -228,15 +220,17 @@ runSharedRoundTrip(const SwizzledShared &swz, const LinearLayout &srcIn,
         static_cast<size_t>(dstAligned.getTotalInDimSize()),
         sim::SharedMemory::kPoison);
     // Built once; every pass reuses them.
-    const RegisterGroups stores(swz, src);
-    const RegisterGroups loads(swz, dstAligned);
+    const OffsetColumns srcSide(swz, src);
+    const OffsetColumns dstSide(swz, dstAligned);
+    const RegisterGroups stores(swz, srcSide);
+    const RegisterGroups loads(swz, dstSide);
     const uint64_t vecMask = static_cast<uint64_t>(vec) - 1;
     auto slot = [&](const RegisterGroups &side, size_t lane, uint64_t in) {
         return lane * vecSz + static_cast<size_t>(side.offsets[in] & vecMask);
     };
 
-    const WarpAccessTable storeTable(swz, src);
-    const WarpAccessTable loadTable(swz, dstAligned);
+    const WarpAccessTable storeTable(swz, srcSide);
+    const WarpAccessTable loadTable(swz, dstSide);
     // When a side's lanes fit one window (WarpAccessTable::lanesFit),
     // each of its accesses lies wholly in pass base >> log2(alloc) and
     // every other pass would mask all its lanes and skip it, so it is

@@ -4,7 +4,9 @@
 
 #include <algorithm>
 #include <bit>
+#include <optional>
 
+#include "codegen/shared_exec.h"
 #include "f2/subspace.h"
 #include "layout/dims.h"
 #include "support/bits.h"
@@ -367,20 +369,6 @@ wrapMemoryLayoutImpl(const LinearLayout &mem, const LinearLayout &a,
     return out;
 }
 
-/** Canonical (register, lane, warp) in-dim order with size-1 fills, so
- *  access enumeration agrees with the oracle's execution order. */
-LinearLayout
-canonicalDist(const LinearLayout &layout)
-{
-    LinearLayout out = layout;
-    for (const auto &dim : {dims::kReg, dims::kLane, dims::kWarp}) {
-        if (!out.hasInDim(dim))
-            out = out * LinearLayout::identity1D(
-                            1, dim, out.getOutDimNames().front());
-    }
-    return out.transposeIns({dims::kReg, dims::kLane, dims::kWarp});
-}
-
 /** The unswizzled linear memory layout over `a`'s output space: offset
  *  bit i is out-dim bit i in `a`'s dim order (first dim fastest). */
 LinearLayout
@@ -549,34 +537,84 @@ planScalarShared(const LinearLayout &a, const LinearLayout &b,
     }
 }
 
-std::vector<int32_t>
-registerGroupReps(const SwizzledShared &swz, const LinearLayout &dist)
+OffsetColumns::OffsetColumns(const SwizzledShared &swz,
+                             const LinearLayout &distIn)
+    : hasRegisterDim(distIn.hasInDim(dims::kReg))
 {
-    // A register's offset is the XOR of the composed columns of its set
-    // bits, so one applyFlat pair per register bit prices them all. A
+    // The columns of dist index its outputs in its own dim order;
+    // tensorToOffset reads them in the swizzle's, so realign first when
+    // the two differ. Each composed column is then one applyFlat.
+    const std::vector<std::string> order = swz.memLayout.getOutDimNames();
+    std::optional<LinearLayout> aligned;
+    if (distIn.getOutDimNames() != order)
+        aligned = distIn.transposeOuts(order);
+    const LinearLayout &dist = aligned ? *aligned : distIn;
+    cols.reserve(static_cast<size_t>(dist.getTotalInDimSizeLog2()));
+    for (const auto &[dim, log] : {std::pair{dims::kReg, &regLog},
+                                   std::pair{dims::kLane, &laneLog},
+                                   std::pair{dims::kWarp, &warpLog}}) {
+        if (!dist.hasInDim(dim))
+            continue;
+        *log = dist.getInDimSizeLog2(dim);
+        for (uint64_t c : dist.flattenedBases(dim))
+            cols.push_back(swz.tensorToOffset.applyFlat(c));
+    }
+}
+
+bool
+matchesMatrixTile(const OffsetColumns &side, int elemBytes)
+{
+    // The tile's register part is r = log2(4 / elemBytes) columns (one
+    // thread's 4 contiguous bytes) and its lane part the next two unit
+    // bits (4 threads per 16-byte row). Dividing it out leaves a
+    // quotient iff the tile's columns occur and nothing else reaches
+    // into its low bits; registers carry no order, so any register
+    // column may supply any of the r register units.
+    if (elemBytes > 4 || !side.hasRegisterDim || side.laneLog < 2)
+        return false;
+    const int r = log2Exact(static_cast<uint64_t>(4 / elemBytes));
+    const uint64_t tileBits = (uint64_t(1) << (r + 2)) - 1;
+    const uint64_t regUnits = (uint64_t(1) << r) - 1;
+    uint64_t seen = 0;
+    for (int i = 0; i < side.regLog; ++i) {
+        const uint64_t c = side.reg(i);
+        if ((c & tileBits) == 0)
+            continue;
+        if (!std::has_single_bit(c) || (c & ~regUnits) != 0 ||
+            (seen & c) != 0)
+            return false;
+        seen |= c;
+    }
+    if (seen != regUnits || side.lane(0) != regUnits + 1 ||
+        side.lane(1) != (regUnits + 1) << 1)
+        return false;
+    for (size_t i = static_cast<size_t>(side.regLog) + 2;
+         i < side.cols.size(); ++i) {
+        if ((side.cols[i] & tileBits) != 0)
+            return false;
+    }
+    return true;
+}
+
+std::vector<int32_t>
+registerGroupReps(const SwizzledShared &swz, const OffsetColumns &side)
+{
+    // A register's offset is the XOR of the columns of its set bits. A
     // flat bitmap over vec windows (offset >> vecBits) keeps the first
     // register of each window, in register order. The bitmap is per
     // thread and all zero between calls: only the words set here are
     // cleared, so a call costs O(registers) however large the tensor.
-    const int regLog = dist.hasInDim(dims::kReg)
-                           ? dist.getInDimSizeLog2(dims::kReg)
-                           : 0;
-    std::vector<uint64_t> cols(static_cast<size_t>(regLog));
-    for (size_t i = 0; i < cols.size(); ++i) {
-        cols[i] = swz.tensorToOffset.applyFlat(
-            dist.applyFlat(uint64_t(1) << i));
-    }
     const auto windows = static_cast<size_t>(
         swz.tensorToOffset.getTotalOutDimSize() >> swz.vecBits);
     thread_local std::vector<uint64_t> seen;
     if (seen.size() * 64 < windows)
         seen.resize((windows + 63) / 64, 0);
-    std::vector<uint64_t> offs(size_t(1) << regLog, 0);
+    std::vector<uint64_t> offs(size_t(1) << side.regLog, 0);
     std::vector<int32_t> reps;
     for (size_t reg = 0; reg < offs.size(); ++reg) {
         if (reg != 0) {
             offs[reg] = offs[reg & (reg - 1)] ^
-                        cols[static_cast<size_t>(std::countr_zero(reg))];
+                        side.reg(std::countr_zero(reg));
         }
         const uint64_t key = offs[reg] >> swz.vecBits;
         uint64_t &word = seen[key / 64];
@@ -591,26 +629,28 @@ registerGroupReps(const SwizzledShared &swz, const LinearLayout &dist)
     return reps;
 }
 
-int64_t
-countWarpAccesses(const SwizzledShared &swz, const LinearLayout &distIn)
+std::vector<int32_t>
+registerGroupReps(const SwizzledShared &swz, const LinearLayout &dist)
 {
-    LinearLayout dist = canonicalDist(
-        distIn.transposeOuts(swz.memLayout.getOutDimNames()));
-    const int64_t warps = dist.getInDimSize(dims::kWarp);
-    return warps *
-           static_cast<int64_t>(registerGroupReps(swz, dist).size());
+    return registerGroupReps(swz, OffsetColumns(swz, dist));
 }
 
 int64_t
-enumerateWavefronts(const SwizzledShared &swz, const LinearLayout &distIn,
+countWarpAccesses(const SwizzledShared &swz, const LinearLayout &dist)
+{
+    const OffsetColumns side(swz, dist);
+    return (int64_t(1) << side.warpLog) *
+           static_cast<int64_t>(registerGroupReps(swz, side).size());
+}
+
+int64_t
+enumerateWavefronts(const SwizzledShared &swz, const OffsetColumns &side,
                     int elemBytes, const sim::GpuSpec &spec)
 {
-    LinearLayout dist = canonicalDist(
-        distIn.transposeOuts(swz.memLayout.getOutDimNames()));
-    const int numWarps = dist.getInDimSize(dims::kWarp);
+    const int numWarps = 1 << side.warpLog;
     const int accessBytes = swz.vecElems() * elemBytes;
-    auto reps = registerGroupReps(swz, dist);
-    WarpAccessTable table(swz, dist);
+    auto reps = registerGroupReps(swz, side);
+    WarpAccessTable table(swz, side);
     // Mirror the executors' windowed multi-pass schedule so the totals
     // recorded on the plan match what the simulator will measure: each
     // pass masks lanes whose offsets fall outside the current window and
@@ -675,11 +715,19 @@ enumerateWavefronts(const SwizzledShared &swz, const LinearLayout &distIn,
 }
 
 int64_t
+enumerateWavefronts(const SwizzledShared &swz, const LinearLayout &dist,
+                    int elemBytes, const sim::GpuSpec &spec)
+{
+    return enumerateWavefronts(swz, OffsetColumns(swz, dist), elemBytes,
+                               spec);
+}
+
+int64_t
 enumerateWavefronts_reference(const SwizzledShared &swz,
                               const LinearLayout &distIn, int elemBytes,
                               const sim::GpuSpec &spec)
 {
-    LinearLayout dist = canonicalDist(
+    LinearLayout dist = canonicalIns(
         distIn.transposeOuts(swz.memLayout.getOutDimNames()));
     const int warpSize = dist.getInDimSize(dims::kLane);
     const int numWarps = dist.getInDimSize(dims::kWarp);
@@ -785,31 +833,23 @@ analyticWavefronts(const SwizzledShared &swz, const LinearLayout &distIn,
 }
 
 WarpAccessTable::WarpAccessTable(const SwizzledShared &swz,
-                                 const LinearLayout &dist)
-    : swz_(swz)
+                                 const OffsetColumns &side)
+    : swz_(swz), regLog_(side.regLog),
+      warpShift_(side.regLog + side.laneLog), cols_(side.cols)
 {
-    regLog_ = dist.getInDimSizeLog2(dims::kReg);
-    const int laneLog = dist.getInDimSizeLog2(dims::kLane);
-    const int warpLog = dist.hasInDim(dims::kWarp)
-                            ? dist.getInDimSizeLog2(dims::kWarp)
-                            : 0;
-    warpShift_ = regLog_ + laneLog;
-    const int totalBits = warpShift_ + warpLog;
-    cols_.resize(static_cast<size_t>(totalBits));
-    for (int i = 0; i < totalBits; ++i) {
-        cols_[static_cast<size_t>(i)] = swz.tensorToOffset.applyFlat(
-            dist.applyFlat(uint64_t(1) << i));
-    }
     keepMask_ = ~(static_cast<uint64_t>(swz.vecElems()) - 1);
-    laneMasked_.assign(size_t(1) << laneLog, 0);
+    laneMasked_.assign(size_t(1) << side.laneLog, 0);
     for (size_t lane = 1; lane < laneMasked_.size(); ++lane) {
-        laneMasked_[lane] =
-            laneMasked_[lane & (lane - 1)] ^
-            (cols_[static_cast<size_t>(regLog_) +
-                   static_cast<size_t>(std::countr_zero(lane))] &
-             keepMask_);
+        laneMasked_[lane] = laneMasked_[lane & (lane - 1)] ^
+                            (side.lane(std::countr_zero(lane)) & keepMask_);
         laneBits_ |= laneMasked_[lane];
     }
+}
+
+WarpAccessTable::WarpAccessTable(const SwizzledShared &swz,
+                                 const LinearLayout &dist)
+    : WarpAccessTable(swz, OffsetColumns(swz, dist))
+{
 }
 
 uint64_t

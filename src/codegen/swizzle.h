@@ -207,11 +207,54 @@ Result<int64_t> tryAnalyticWavefronts(const SwizzledShared &swz,
                                       const sim::GpuSpec &spec);
 
 /**
- * Distinct vectorized register groups of `dist` through `swz`: one
+ * One side of a shared conversion as F2 columns: the composed map
+ *     tensorToOffset . dist : register x lane x warp -> offset
+ * as one linear offset word per input bit, register bits first, then
+ * lane, then warp bits (a dim `dist` lacks has no columns). A shared
+ * candidate composes each side once; its ldmatrix/stmatrix tile test,
+ * register groups, warp access table and wavefront total all read
+ * these words. `dist` may list its dims in any order.
+ */
+struct OffsetColumns
+{
+    OffsetColumns(const SwizzledShared &swz, const LinearLayout &dist);
+
+    std::vector<uint64_t> cols;
+    int regLog = 0;
+    int laneLog = 0;
+    int warpLog = 0;
+    /** `dist` names a register dim, possibly of size 1. */
+    bool hasRegisterDim = false;
+
+    uint64_t reg(int i) const { return cols[static_cast<size_t>(i)]; }
+    uint64_t
+    lane(int i) const
+    {
+        return cols[static_cast<size_t>(regLog + i)];
+    }
+};
+
+/**
+ * Theorem 5.1 for the ldmatrix/stmatrix tile of Section 5.3 on one
+ * side's columns, registers freely permuted: with r = log2(4 /
+ * elemBytes), some register column equals 1 << i for each i < r, lane
+ * columns 0 and 1 equal 1 << r and 1 << (r + 1), and no other column
+ * touches those r + 2 low offset bits. False for elements wider than 4
+ * bytes. check::reference::matchesLdmatrixTile is the tile-division
+ * twin the differential suite compares it with.
+ */
+bool matchesMatrixTile(const OffsetColumns &side, int elemBytes);
+
+/**
+ * Distinct vectorized register groups of one side through `swz`: one
  * representative register index per vec-aligned offset window (computed
  * at lane 0, warp 0 — the grouping is lane/warp-invariant by
  * linearity). Each (warp, rep) pair is one simulated warp access.
  */
+std::vector<int32_t> registerGroupReps(const SwizzledShared &swz,
+                                       const OffsetColumns &side);
+
+/** registerGroupReps on the columns of `dist`. */
 std::vector<int32_t> registerGroupReps(const SwizzledShared &swz,
                                        const LinearLayout &dist);
 
@@ -231,6 +274,11 @@ int64_t countWarpAccesses(const SwizzledShared &swz,
  * that straddle a window price every access of every pass.
  */
 int64_t enumerateWavefronts(const SwizzledShared &swz,
+                            const OffsetColumns &side, int elemBytes,
+                            const sim::GpuSpec &spec);
+
+/** enumerateWavefronts on the columns of `dist`. */
+int64_t enumerateWavefronts(const SwizzledShared &swz,
                             const LinearLayout &dist, int elemBytes,
                             const sim::GpuSpec &spec);
 
@@ -245,23 +293,21 @@ int64_t enumerateWavefronts_reference(const SwizzledShared &swz,
                                       const sim::GpuSpec &spec);
 
 /**
- * Precomputed per-warp access addressing for one (swizzle, distributed
- * layout) pair. The map lane/reg/warp -> storage offset decomposes as
+ * Precomputed per-warp access addressing for one side of a swizzle.
+ * The map lane/reg/warp -> storage offset decomposes as
  *     off(rep | lane | warp) = C(rep) ^ C(lane) ^ C(warp)
- * over the composed columns C = tensorToOffset . dist (both maps are
- * F2-linear; the affine padOffset is applied per lane afterwards, and
- * the vec-window mask commutes with XOR). Building the table costs one
- * applyFlat per input bit; each warp access afterwards is warpSize XORs
- * — no layout objects, no per-access allocation. The differential suite
- * pins the produced offsets bit-identical to warpAccessOffsets.
- *
- * `dist` must already be canonical: in-dims (register, lane, warp) in
- * that order, outputs transposed to the swizzle's order — the form
- * enumerateWavefronts and the executors work with.
+ * over the side's OffsetColumns C = tensorToOffset . dist (both maps
+ * are F2-linear; the affine padOffset is applied per lane afterwards,
+ * and the vec-window mask commutes with XOR). Each warp access is
+ * warpSize XORs — no layout objects, no per-access allocation. The
+ * differential suite pins the produced offsets bit-identical to
+ * warpAccessOffsets.
  */
 class WarpAccessTable
 {
   public:
+    WarpAccessTable(const SwizzledShared &swz, const OffsetColumns &side);
+    /** The table of `dist`'s columns. */
     WarpAccessTable(const SwizzledShared &swz, const LinearLayout &dist);
 
     int warpSize() const { return static_cast<int>(laneMasked_.size()); }

@@ -161,23 +161,31 @@ paddedConversionCost(const LinearLayout &src, const LinearLayout &dst,
     cost.loadVecElems = rowVec(dst.transposeOuts(src.getOutDimNames()));
 
     // Padded addresses of a representative warp access on each side.
+    // Row-major (i, j) is (dim0, dim1) by name, whatever the layout's
+    // out-dim order: each is a shift-and-mask field of the flat output.
     auto addrsFor = [&](const LinearLayout &l, int vec) {
         const int regLog = l.getInDimSizeLog2(dims::kReg);
         const int warpSize = l.getInDimSize(dims::kLane);
+        struct Field
+        {
+            int shift = 0;
+            uint64_t mask = 0; // 0 leaves the coordinate at 0
+        } iField, jField;
+        int shift = 0;
+        for (const auto &[name, size] : l.getOutDims()) {
+            Field &f = name == "dim0" ? iField : jField;
+            f = {shift, static_cast<uint64_t>(size) - 1};
+            shift += log2Exact(static_cast<uint64_t>(size));
+        }
         std::vector<int64_t> addrs;
+        addrs.reserve(static_cast<size_t>(warpSize));
         for (int lane = 0; lane < warpSize; ++lane) {
-            uint64_t flat = l.applyFlat(static_cast<uint64_t>(lane)
-                                        << regLog);
-            auto coords = l.unflattenOuts(flat);
-            // coords are (fast dim, slow dim) per the layout's order;
-            // map names dim0/dim1 to row-major (i, j).
-            int64_t i = 0, j = 0;
-            for (const auto &[name, c] : coords) {
-                if (name == "dim0")
-                    i = c;
-                else
-                    j = c;
-            }
+            const uint64_t flat =
+                l.applyFlat(static_cast<uint64_t>(lane) << regLog);
+            const auto i =
+                static_cast<int64_t>((flat >> iField.shift) & iField.mask);
+            const auto j =
+                static_cast<int64_t>((flat >> jField.shift) & jField.mask);
             int64_t off = i * stride + j;
             addrs.push_back(off / vec * vec * elemBytes);
         }

@@ -242,17 +242,22 @@ GlobalMemory::countSectors(const std::vector<int64_t> &byteAddrs,
                            int accessBytes) const
 {
     (void)spec_;
+    // Distinct sectors by sort and unique on a per-thread buffer: the
+    // cost models count sectors for every global access they price, so
+    // a call allocates nothing once the buffer has grown.
     constexpr int64_t kSectorBytes = 32;
-    std::set<int64_t> sectors;
+    thread_local std::vector<int64_t> sectors;
+    sectors.clear();
     for (int64_t addr : byteAddrs) {
         if (addr == kInactiveLane)
             continue;
         int64_t first = addr / kSectorBytes;
         int64_t last = (addr + accessBytes - 1) / kSectorBytes;
         for (int64_t s = first; s <= last; ++s)
-            sectors.insert(s);
+            sectors.push_back(s);
     }
-    return static_cast<int64_t>(sectors.size());
+    std::sort(sectors.begin(), sectors.end());
+    return std::unique(sectors.begin(), sectors.end()) - sectors.begin();
 }
 
 } // namespace sim

@@ -1,14 +1,19 @@
 #include "support/trace.h"
 
 #include <algorithm>
+#include <cctype>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <istream>
+#include <iterator>
 #include <map>
 #include <mutex>
 #include <numeric>
 #include <ostream>
+
+#include "support/json_lite.h"
 
 namespace ll {
 namespace trace {
@@ -270,6 +275,83 @@ bool flushAndClear()
     const bool flushed = eventCount() > 0 && flushToConfiguredPath();
     clear();
     return flushed;
+}
+
+bool readChromeTrace(std::istream &in, std::vector<Event> &out)
+{
+    const std::string text((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+    out.clear();
+    const size_t key = text.find("\"traceEvents\"");
+    if (key == std::string::npos)
+        return false;
+    size_t pos = text.find('[', key);
+    if (pos == std::string::npos)
+        return false;
+    ++pos;
+    auto skipSpace = [&] {
+        while (pos < text.size() &&
+               std::isspace(static_cast<unsigned char>(text[pos])))
+            ++pos;
+    };
+    for (bool first = true;; first = false) {
+        skipSpace();
+        if (pos < text.size() && text[pos] == ']')
+            return true;
+        if (!first) {
+            if (pos >= text.size() || text[pos] != ',')
+                return false;
+            ++pos;
+            skipSpace();
+        }
+        if (pos >= text.size() || text[pos] != '{')
+            return false;
+        // One event object: its closing brace is the one that returns
+        // the depth to zero outside a string.
+        const size_t begin = pos;
+        int depth = 0;
+        bool inString = false;
+        for (; pos < text.size(); ++pos) {
+            const char c = text[pos];
+            if (inString) {
+                if (c == '\\')
+                    ++pos;
+                else if (c == '"')
+                    inString = false;
+            } else if (c == '"') {
+                inString = true;
+            } else if (c == '{') {
+                ++depth;
+            } else if (c == '}' && --depth == 0) {
+                break;
+            }
+        }
+        if (pos >= text.size())
+            return false;
+        ++pos;
+        const auto v = jsonlite::parse(text.substr(begin, pos - begin));
+        if (!v)
+            return false;
+        const jsonlite::Value *ph = v->find("ph");
+        if (ph == nullptr || !ph->isString())
+            return false;
+        if (ph->str != "X")
+            continue;
+        const jsonlite::Value *name = v->find("name");
+        const jsonlite::Value *cat = v->find("cat");
+        const jsonlite::Value *ts = v->find("ts");
+        const jsonlite::Value *dur = v->find("dur");
+        const jsonlite::Value *tid = v->find("tid");
+        if (name == nullptr || !name->isString() || ts == nullptr ||
+            !ts->isNumber() || dur == nullptr || !dur->isNumber() ||
+            tid == nullptr || !tid->isNumber())
+            return false;
+        out.push_back({name->str,
+                       cat != nullptr && cat->isString() ? cat->str : "",
+                       ts->number, dur->number,
+                       static_cast<int>(tid->number),
+                       {}});
+    }
 }
 
 std::vector<SpanStats> aggregateSpans(const std::vector<Event> &events)

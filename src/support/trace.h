@@ -142,6 +142,16 @@ void writeChromeTrace(std::ostream &os);
  *  no path is configured or the file cannot be opened. */
 bool flushToConfiguredPath();
 
+/**
+ * Read back a Chrome trace-event file as writeChromeTrace writes it (an
+ * LL_TRACE or `llstat --trace` file): the name, category, thread and
+ * times of every complete ("ph":"X") event, in file order; other
+ * phases are skipped and args are not read. Events are parsed one at a
+ * time, so a file at the buffer's soft cap reads in bounded memory.
+ * Returns false, leaving `out` unspecified, on a malformed file.
+ */
+bool readChromeTrace(std::istream &in, std::vector<Event> &out);
+
 /** Count, inclusive and self time of every span of one name. */
 struct SpanStats
 {

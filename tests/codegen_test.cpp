@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for the code-generation algorithms of Section 5: vectorization
- * analysis, instruction-tile division, the optimal-swizzle construction
+ * analysis, the optimal-swizzle construction
  * (checked against the bank-conflict simulator), warp-shuffle conversion
  * plans (executed and verified element-by-element), the lowering
  * selector, and the gather planner.
@@ -14,7 +14,6 @@
 #include "codegen/shared_exec.h"
 #include "codegen/shuffle.h"
 #include "codegen/swizzle.h"
-#include "codegen/tiles.h"
 #include "codegen/vectorize.h"
 #include "layout/dims.h"
 #include "support/diagnostics.h"
@@ -25,7 +24,6 @@ namespace codegen {
 namespace {
 
 using dims::kLane;
-using dims::kOffset;
 using dims::kReg;
 using dims::kWarp;
 using triton::BlockedEncoding;
@@ -72,69 +70,6 @@ TEST(Vectorize, ScalarLayoutGetsNarrowInstruction)
     auto l = blocked({1, 1}, {1, 32}, {1, 4}, {1, 0}, {1, 512});
     EXPECT_EQ(selectMemoryInstruction(l, 8).toString(), "v1.b8");
     EXPECT_EQ(selectMemoryInstruction(l, 16).toString(), "v1.b16");
-}
-
-// ----------------------------------------------------------------------
-// Tiles and division (Section 5.3)
-// ----------------------------------------------------------------------
-
-TEST(Tiles, VectorTileDividesAlignedLayout)
-{
-    // registers map identically to low offset bits.
-    auto cvt = LinearLayout::identity1D(8, kReg, kOffset) *
-               LinearLayout::identity1D(32, kLane, kOffset);
-    EXPECT_TRUE(tileMatches(cvt, vectorTile(4)));
-    EXPECT_TRUE(tileMatches(cvt, vectorTile(8)));
-}
-
-TEST(Tiles, VectorTileRejectsStridedLayout)
-{
-    // Lanes own the low offset bits: no register vectorization.
-    auto cvt = LinearLayout::identity1D(32, kLane, kOffset) *
-               LinearLayout::identity1D(8, kReg, kOffset);
-    EXPECT_FALSE(tileMatches(cvt, vectorTile(2)));
-    EXPECT_EQ(maxVectorization(cvt, 8), 1);
-}
-
-TEST(Tiles, RegisterPermutationEnablesVectorization)
-{
-    // Registers map to offset bits in reversed order; a permutation
-    // fixes it (generalized vectorization).
-    LinearLayout::BasesT bases;
-    bases.insert(kReg, {{4}, {2}, {1}});
-    bases.insert(kLane, {{8}, {16}, {32}, {64}, {128}});
-    LinearLayout cvt(std::move(bases), {{kOffset, 256}});
-    EXPECT_FALSE(tileMatches(cvt, vectorTile(8)));
-    auto permuted = permuteRegistersForTile(cvt, 8);
-    ASSERT_TRUE(permuted.has_value());
-    EXPECT_TRUE(tileMatches(*permuted, vectorTile(8)));
-    EXPECT_EQ(maxVectorization(cvt, 8), 8);
-}
-
-TEST(Tiles, LdmatrixTileShape)
-{
-    // f16: 2 register bits (4 bytes) + 2 lane bits (16-byte rows).
-    auto tile = ldmatrixTile(2);
-    EXPECT_EQ(tile.getInDimSize(kReg), 2);
-    EXPECT_EQ(tile.getInDimSize(kLane), 4);
-    EXPECT_EQ(tile.getOutDimSize(kOffset), 8);
-}
-
-TEST(Tiles, LdmatrixMatchesRowMajorSharedForMmaOperand)
-{
-    // A f16 mma A-operand fragment loading from unswizzled row-major
-    // shared memory: reg bit 0 covers contiguous k, lanes 0-1 continue
-    // the row. Construct the resource->offset map directly.
-    triton::DotOperandEncoding enc;
-    enc.parent.version = 2;
-    enc.parent.warpsPerCta = {1, 1};
-    enc.opIdx = 0;
-    enc.bitwidth = 16;
-    auto frag = enc.toLinearLayout({16, 16});
-    auto shared = triton::unswizzledSharedLayout({16, 16}, {1, 0});
-    auto cvt = frag.compose(
-        shared.invert().transposeIns(frag.getOutDimNames()));
-    EXPECT_TRUE(tileMatches(cvt, ldmatrixTile(2)));
 }
 
 // ----------------------------------------------------------------------

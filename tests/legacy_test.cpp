@@ -3,8 +3,9 @@
  * Tests for the legacy-Triton baseline model: the fastest-dim
  * vectorization heuristic (reproducing Table 3's legacy column
  * bit-exactly), the reduction support matrix and duplicate-store
- * counting (Table 4), the padding heuristic (Figure 2 baseline), and
- * the replayed Table 5 pass counts.
+ * counting (Table 4), the padding heuristic (Figure 2 baseline, its
+ * addressing independent of the out-dim order), and the replayed
+ * Table 5 pass counts.
  */
 
 #include <gtest/gtest.h>
@@ -169,6 +170,41 @@ TEST(LegacyPadding, TileBeyondTheCtaBudgetPaysARoundTripPerPass)
     EXPECT_EQ(whole.passes, 1);
     EXPECT_DOUBLE_EQ(cost.cycles - whole.cycles,
                      4 * spec.sharedRoundTripCycles);
+}
+
+// The padding heuristic addresses row-major (i, j) = (dim0, dim1) by
+// name: listing src's out dims as (dim1, dim0) moves their bit fields
+// in the flat index but not the cost. One element per thread on each
+// side keeps both accesses scalar in either order, so only the
+// addressing could tell the orders apart.
+TEST(LegacyPadding, OutDimOrderDoesNotMoveTheCost)
+{
+    auto spec = sim::GpuSpec::gh200();
+    Shape shape = {64, 32};
+    BlockedEncoding row, col;
+    row.sizePerThread = {1, 1};
+    row.threadsPerWarp = {4, 8};
+    row.warpsPerCta = {4, 1};
+    row.order = {1, 0};
+    col.sizePerThread = {1, 1};
+    col.threadsPerWarp = {8, 4};
+    col.warpsPerCta = {1, 4};
+    col.order = {0, 1};
+    auto src = row.toLinearLayout(shape).transposeOuts({"dim0", "dim1"});
+    auto dst = col.toLinearLayout(shape);
+    auto flipped = src.transposeOuts({"dim1", "dim0"});
+    for (int elemBytes : {1, 2, 4}) {
+        auto want = paddedConversionCost(src, dst, shape, elemBytes, spec);
+        auto got =
+            paddedConversionCost(flipped, dst, shape, elemBytes, spec);
+        EXPECT_EQ(got.storeVecElems, want.storeVecElems) << elemBytes;
+        EXPECT_EQ(got.loadVecElems, want.loadVecElems) << elemBytes;
+        EXPECT_EQ(got.storeWavefronts, want.storeWavefronts) << elemBytes;
+        EXPECT_EQ(got.loadWavefronts, want.loadWavefronts) << elemBytes;
+        EXPECT_EQ(got.sharedBytes, want.sharedBytes) << elemBytes;
+        EXPECT_EQ(got.passes, want.passes) << elemBytes;
+        EXPECT_DOUBLE_EQ(got.cycles, want.cycles) << elemBytes;
+    }
 }
 
 TEST(LegacyTable5, CountsMatchThePaper)

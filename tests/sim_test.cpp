@@ -3,13 +3,16 @@
  * Direct tests for the GPU counting model: bank-conflict wavefront
  * counting against hand-computed cases (broadcast, 2-way/N-way
  * conflicts, vectorized transaction splits, inactive lanes), global
- * sector coalescing, the data-carrying shared memory, and the platform
+ * sector coalescing (also against a std::set of touched sectors), the
+ * data-carrying shared memory, and the platform
  * presets of Table 2.
  */
 
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <random>
+#include <set>
 
 #include "sim/gpu_spec.h"
 #include "support/diagnostics.h"
@@ -161,6 +164,40 @@ TEST(GlobalSectors, DuplicateAddressesCoalesce)
     GlobalMemory gmem(spec);
     EXPECT_EQ(gmem.countSectors(addrs({0, 0, 0, 0}), 4), 1);
     EXPECT_EQ(gmem.countSectors(addrs({0, 30}), 4), 2); // straddles
+}
+
+// countSectors against a std::set of every touched sector, over random
+// warps of 32 and 64 lanes with inactive lanes mixed in, unaligned
+// addresses and access widths that straddle 32-byte sectors.
+TEST(GlobalSectors, CountMatchesASetOfTouchedSectors)
+{
+    GlobalMemory gmem(GpuSpec::mi250());
+    std::mt19937 rng(0x5ec7u);
+    std::uniform_int_distribution<int64_t> addr(0, int64_t(1) << 14);
+    std::uniform_int_distribution<int> idle(0, 4);
+    for (int trial = 0; trial < 200; ++trial) {
+        for (int lanes : {32, 64}) {
+            std::vector<int64_t> a;
+            for (int l = 0; l < lanes; ++l)
+                a.push_back(idle(rng) == 0 ? kInactiveLane : addr(rng));
+            for (int accessBytes : {1, 4, 12, 16, 33, 64}) {
+                std::set<int64_t> sectors;
+                for (int64_t x : a) {
+                    if (x == kInactiveLane)
+                        continue;
+                    for (int64_t s = x / 32;
+                         s <= (x + accessBytes - 1) / 32; ++s)
+                        sectors.insert(s);
+                }
+                EXPECT_EQ(gmem.countSectors(a, accessBytes),
+                          static_cast<int64_t>(sectors.size()))
+                    << "trial " << trial << ", " << lanes << " lanes, "
+                    << accessBytes << " bytes";
+            }
+        }
+    }
+    EXPECT_EQ(gmem.countSectors(std::vector<int64_t>(64, kInactiveLane), 4),
+              0);
 }
 
 TEST(GpuSpecs, Table2Presets)

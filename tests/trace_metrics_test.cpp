@@ -2,9 +2,9 @@
  * @file
  * Tests for the observability layer: span recording and nesting,
  * thread safety, Chrome trace-event JSON export (validated with the
- * same jsonlite parser llstat uses), histogram bucket semantics, the
- * Prometheus/JSON expositions, and the disabled-tracer guarantees
- * (no events, no allocations).
+ * same jsonlite parser llstat uses) and its read-back, histogram
+ * bucket semantics, the Prometheus/JSON expositions, and the
+ * disabled-tracer guarantees (no events, no allocations).
  *
  * Tests that record events flip the tracer on explicitly and restore
  * it; the binary is expected to run without LL_TRACE set (the
@@ -412,6 +412,50 @@ TEST(Trace, ChromeExportIsValidBalancedJson)
             }
         }
     }
+}
+
+TEST(Trace, ReadChromeTraceRoundTripsTheExport)
+{
+    // What writeChromeTrace exports, readChromeTrace reads back: every
+    // event's name, category, tid and times (to the export's 3
+    // decimals), in order, through quoted braces and escapes in args.
+    ScopedTracing on;
+    {
+        trace::Span outer("outer", "test");
+        outer.arg("note", "a } brace, a \"quote\" and a \\ backslash {");
+        { trace::Span inner("inner", "test"); }
+    }
+    std::thread([] { trace::Span worker("worker", "test"); }).join();
+    std::ostringstream os;
+    trace::writeChromeTrace(os);
+    const auto recorded = trace::snapshotEvents();
+
+    std::istringstream in(os.str());
+    std::vector<trace::Event> read;
+    ASSERT_TRUE(trace::readChromeTrace(in, read)) << os.str();
+    ASSERT_EQ(read.size(), recorded.size());
+    for (size_t i = 0; i < read.size(); ++i) {
+        EXPECT_EQ(read[i].name, recorded[i].name);
+        EXPECT_EQ(read[i].cat, recorded[i].cat);
+        EXPECT_EQ(read[i].tid, recorded[i].tid);
+        EXPECT_NEAR(read[i].tsUs, recorded[i].tsUs, 1e-3);
+        EXPECT_NEAR(read[i].durUs, recorded[i].durUs, 1e-3);
+    }
+    EXPECT_NE(read.front().tid, read.back().tid);
+
+    // Malformed files are refused, an empty trace is read as empty.
+    for (const char *bad :
+         {"", "{}", "{\"traceEvents\":[{\"ph\":\"X\"}]}",
+          "{\"traceEvents\":[{\"name\":\"a\",\"ph\":\"X\"",
+          "{\"traceEvents\":[{\"name\":\"a\",\"ph\":\"X\",\"tid\":1,"
+          "\"ts\":0,\"dur\":1} {}]}"}) {
+        std::istringstream bin(bad);
+        EXPECT_FALSE(trace::readChromeTrace(bin, read)) << bad;
+    }
+    std::istringstream empty(
+        "{\"traceEvents\":[],\"displayTimeUnit\":\"ns\"}");
+    EXPECT_TRUE(trace::readChromeTrace(empty, read));
+    EXPECT_TRUE(read.empty());
 }
 
 TEST(Trace, FlushAndClearWritesConfiguredPathThenEmptiesBuffer)

@@ -4,12 +4,13 @@
  * scalar reference twins, over the whole check corpus and every forced
  * fallback rung.
  *
- * Three contracts:
+ * Four contracts:
  *  - check::diffF2 finds every fast/reference pair equal (F2Matrix
  *    ops, the subspace layer, applyFlat, enumerateWavefronts,
- *    countWavefronts and the LinearLayout algebra) on every corpus
- *    case under every knockout, and compares something in every
- *    family.
+ *    countWavefronts, the ldmatrix/stmatrix tile test and the
+ *    LinearLayout algebra) on every corpus case under every knockout,
+ *    and compares something in every family; the tile test both finds
+ *    and misses the tile.
  *  - enumerateWavefronts agrees with its reference on each path: the
  *    one-access shortcut (unwindowed, and windowed with every lane in
  *    its window) and the full sweep (lanes straddling a window,
@@ -18,18 +19,23 @@
  *    path.
  *  - sim::SharedMemory::countWavefronts and its node-based reference
  *    agree on random address patterns with idle lanes.
+ *  - The Section 5.3 tiles divide what they should (the tile-division
+ *    reference in check::reference), and the column tile test agrees
+ *    with that division on hand-built maps.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <filesystem>
+#include <iostream>
 #include <random>
 #include <string>
 #include <vector>
 
 #include "check/case_io.h"
 #include "check/oracle.h"
+#include "check/tiles_reference.h"
 #include "codegen/conversion.h"
 #include "codegen/shared_exec.h"
 #include "codegen/swizzle.h"
@@ -166,7 +172,13 @@ TEST(WavefrontEquiv, EnumerateMatchesReferenceOnCorpusPlans)
     EXPECT_GT(total.subspace, 0);
     EXPECT_GT(total.applyFlat, 0);
     EXPECT_GT(total.wavefront, 0) << "no corpus case reached a shared rung";
+    EXPECT_GT(total.tile, 0) << "no corpus case reached a shared rung";
+    EXPECT_GT(total.tileMatched, 0) << "no side took the ldmatrix tile";
+    EXPECT_LT(total.tileMatched, total.tile)
+        << "every side took the ldmatrix tile";
     EXPECT_GT(total.layout, 0);
+    std::cout << "tile comparisons: " << total.tile << ", "
+              << total.tileMatched << " matched\n";
 }
 
 // The shared executor against two independent references, at every
@@ -590,6 +602,146 @@ TEST(WavefrontEquiv, CountWavefrontsMatchesReferenceOnRandomAccesses)
                 << "trial " << trial << " accessBytes " << accessBytes;
         }
     }
+}
+
+// ----------------------------------------------------------------------
+// Tiles and division (Section 5.3): the reference the column tile
+// test is held to
+// ----------------------------------------------------------------------
+
+using check::reference::ldmatrixTile;
+using check::reference::matchesLdmatrixTile;
+using check::reference::maxVectorization;
+using check::reference::permuteRegistersForTile;
+using check::reference::tileMatches;
+using check::reference::vectorTile;
+using dims::kLane;
+using dims::kOffset;
+using dims::kReg;
+
+TEST(Tiles, VectorTileDividesAlignedLayout)
+{
+    // registers map identically to low offset bits.
+    auto cvt = LinearLayout::identity1D(8, kReg, kOffset) *
+               LinearLayout::identity1D(32, kLane, kOffset);
+    EXPECT_TRUE(tileMatches(cvt, vectorTile(4)));
+    EXPECT_TRUE(tileMatches(cvt, vectorTile(8)));
+}
+
+TEST(Tiles, VectorTileRejectsStridedLayout)
+{
+    // Lanes own the low offset bits: no register vectorization.
+    auto cvt = LinearLayout::identity1D(32, kLane, kOffset) *
+               LinearLayout::identity1D(8, kReg, kOffset);
+    EXPECT_FALSE(tileMatches(cvt, vectorTile(2)));
+    EXPECT_EQ(maxVectorization(cvt, 8), 1);
+}
+
+TEST(Tiles, RegisterPermutationEnablesVectorization)
+{
+    // Registers map to offset bits in reversed order; a permutation
+    // fixes it (generalized vectorization).
+    LinearLayout::BasesT bases;
+    bases.insert(kReg, {{4}, {2}, {1}});
+    bases.insert(kLane, {{8}, {16}, {32}, {64}, {128}});
+    LinearLayout cvt(std::move(bases), {{kOffset, 256}});
+    EXPECT_FALSE(tileMatches(cvt, vectorTile(8)));
+    auto permuted = permuteRegistersForTile(cvt, 8);
+    ASSERT_TRUE(permuted.has_value());
+    EXPECT_TRUE(tileMatches(*permuted, vectorTile(8)));
+    EXPECT_EQ(maxVectorization(cvt, 8), 8);
+}
+
+TEST(Tiles, LdmatrixTileShape)
+{
+    // f16: 2 register bits (4 bytes) + 2 lane bits (16-byte rows).
+    auto tile = ldmatrixTile(2);
+    EXPECT_EQ(tile.getInDimSize(kReg), 2);
+    EXPECT_EQ(tile.getInDimSize(kLane), 4);
+    EXPECT_EQ(tile.getOutDimSize(kOffset), 8);
+}
+
+TEST(Tiles, LdmatrixMatchesRowMajorSharedForMmaOperand)
+{
+    // A f16 mma A-operand fragment loading from unswizzled row-major
+    // shared memory: reg bit 0 covers contiguous k, lanes 0-1 continue
+    // the row. Construct the resource->offset map directly.
+    triton::DotOperandEncoding enc;
+    enc.parent.version = 2;
+    enc.parent.warpsPerCta = {1, 1};
+    enc.opIdx = 0;
+    enc.bitwidth = 16;
+    auto frag = enc.toLinearLayout({16, 16});
+    auto shared = triton::unswizzledSharedLayout({16, 16}, {1, 0});
+    auto cvt = frag.compose(
+        shared.invert().transposeIns(frag.getOutDimNames()));
+    EXPECT_TRUE(tileMatches(cvt, ldmatrixTile(2)));
+}
+
+/** `dist`'s OffsetColumns through the invertible memory layout `mem`. */
+codegen::OffsetColumns
+columnsThrough(const LinearLayout &dist, const LinearLayout &mem)
+{
+    codegen::SwizzledShared swz;
+    swz.memLayout = mem;
+    swz.tensorToOffset = mem.invert();
+    return codegen::OffsetColumns(swz, dist);
+}
+
+/** The column tile test and tile division of the same composed map
+ *  agree at every element width. */
+void
+expectTileTestsAgree(const LinearLayout &dist, const LinearLayout &mem,
+                     const std::string &label)
+{
+    const auto cols = columnsThrough(dist, mem);
+    const auto cvt =
+        dist.compose(mem.invert().transposeIns(dist.getOutDimNames()));
+    for (int elemBytes : {1, 2, 4, 8}) {
+        EXPECT_EQ(codegen::matchesMatrixTile(cols, elemBytes),
+                  matchesLdmatrixTile(cvt, elemBytes))
+            << label << " at " << elemBytes << " bytes";
+    }
+}
+
+TEST(Tiles, ColumnTestAgreesWithDivision)
+{
+    // The f16 mma A operand of LdmatrixMatchesRowMajorSharedForMmaOperand
+    // through row-major shared memory, and a blocked layout whose lanes
+    // own the low offset bits.
+    triton::DotOperandEncoding enc;
+    enc.parent.version = 2;
+    enc.parent.warpsPerCta = {1, 1};
+    enc.opIdx = 0;
+    enc.bitwidth = 16;
+    const auto shared = triton::unswizzledSharedLayout({16, 16}, {1, 0});
+    expectTileTestsAgree(enc.toLinearLayout({16, 16}), shared,
+                         "mma operand");
+    expectTileTestsAgree(
+        blocked({1, 4}, {16, 2}, {1, 1}, {0, 1}, {16, 16}), shared,
+        "strided");
+
+    // Offsets written out directly (memory is the identity on dim0):
+    // the 1-byte tile (two register bits, two lane bits) with its
+    // registers in reverse order, then the same map with a warp column
+    // reaching into the tile's low bits.
+    const auto mem = LinearLayout::identity1D(256, kOffset, "dim0");
+    auto offsets = [](std::vector<std::vector<int32_t>> warp) {
+        LinearLayout::BasesT bases;
+        bases.insert(kReg, {{2}, {1}, {128}});
+        bases.insert(kLane, {{4}, {8}, {16}, {32}, {64}});
+        bases.insert(dims::kWarp, std::move(warp));
+        return LinearLayout(std::move(bases), {{"dim0", 256}},
+                            /*requireSurjective=*/false);
+    };
+    const auto clean = offsets({{0}});
+    const auto touching = offsets({{129}});
+    expectTileTestsAgree(clean, mem, "permuted registers");
+    expectTileTestsAgree(touching, mem, "warp in the tile's bits");
+
+    EXPECT_TRUE(codegen::matchesMatrixTile(columnsThrough(clean, mem), 1));
+    EXPECT_FALSE(
+        codegen::matchesMatrixTile(columnsThrough(touching, mem), 1));
 }
 
 } // namespace

@@ -53,8 +53,8 @@
  * --diff-f2 fuzzes the word-parallel F2 core against its scalar
  * references via check::diffF2: any divergence fails the run and is
  * shrunk to a minimal reproducer, and a comparison family (matrix,
- * subspace, applyFlat, wavefront, layout) that compared nothing over
- * the run fails it too.
+ * subspace, applyFlat, wavefront, tile, layout) that compared nothing
+ * over the run fails it too.
  *
  * --diff-cute fuzzes the CuteLayout bridge and the non-pow2 admission
  * path. Each iteration (a) generates a random nested (shape,stride)
@@ -797,6 +797,7 @@ runDiffF2(const Options &opt)
           {"subspace", total.subspace},
           {"applyFlat", total.applyFlat},
           {"wavefront", total.wavefront},
+          {"tile", total.tile},
           {"layout", total.layout}}) {
         std::cout << "  compared " << family << ": " << count << "\n";
         if (count == 0) {

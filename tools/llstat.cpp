@@ -25,10 +25,12 @@
  *                       timeline into bounded segments;
  *   --metrics text|json metrics exposition format on stdout (default
  *                       text, Prometheus-style; "none" to suppress);
- *   --profile           after the workloads, print count, inclusive and
+ *   --profile [TRACE]   after the workloads, print count, inclusive and
  *                       self time per span name (trace::aggregateSpans,
  *                       spans nested per thread), largest self time
- *                       first;
+ *                       first; given a saved LL_TRACE / --trace file,
+ *                       print that file's table instead and run no
+ *                       workload;
  *   --check-spans       fail (exit 1) unless every planned conversion
  *                       produced a "plan.conversion" span carrying the
  *                       selected rung and modeled cycles, and — with
@@ -84,6 +86,7 @@ struct Options
     std::string metricsFormat = "text";
     bool checkSpans = false;
     bool profile = false;
+    std::string profileTrace;
     std::string validateBenchDir;
 };
 
@@ -93,7 +96,7 @@ usage()
     std::cerr
         << "usage: llstat [--corpus DIR] [--case FILE] [--kernels]\n"
            "              [--trace PATH] [--trace-reset]\n"
-           "              [--metrics text|json|none] [--profile]\n"
+           "              [--metrics text|json|none] [--profile [TRACE]]\n"
            "              [--check-spans] [--validate-bench-json DIR]\n";
 }
 
@@ -144,6 +147,8 @@ parseArgs(int argc, char **argv, Options &opt)
             opt.checkSpans = true;
         } else if (arg == "--profile") {
             opt.profile = true;
+            if (i + 1 < argc && argv[i + 1][0] != '-')
+                opt.profileTrace = argv[++i];
         } else if (arg == "--validate-bench-json") {
             const char *v = needValue("--validate-bench-json");
             if (!v)
@@ -158,8 +163,15 @@ parseArgs(int argc, char **argv, Options &opt)
             return false;
         }
     }
-    if (opt.corpusDir.empty() && opt.caseFile.empty() && !opt.kernels &&
-        opt.validateBenchDir.empty()) {
+    const bool workloads =
+        !opt.corpusDir.empty() || !opt.caseFile.empty() || opt.kernels;
+    if (!opt.profileTrace.empty() && workloads) {
+        std::cerr << "llstat: --profile " << opt.profileTrace
+                  << " reads a saved trace and runs no workload\n";
+        return false;
+    }
+    if (!workloads && opt.validateBenchDir.empty() &&
+        opt.profileTrace.empty()) {
         std::cerr << "llstat: nothing to do\n";
         usage();
         return false;
@@ -329,11 +341,11 @@ runKernels(const Options &opt, ReplayTally &tally)
     return 0;
 }
 
-/** The per-span-name table of everything traced so far. */
+/** The per-span-name table of `events`. */
 void
-printProfile()
+printProfile(const std::vector<trace::Event> &events)
 {
-    const auto rows = trace::aggregateSpans(trace::snapshotEvents());
+    const auto rows = trace::aggregateSpans(events);
     std::cout << "llstat: profile of " << rows.size() << " span name(s)\n";
     char line[160];
     std::snprintf(line, sizeof line, "%-32s %10s %12s %12s\n", "span",
@@ -560,8 +572,22 @@ main(int argc, char **argv)
         if (rc != 0)
             return rc;
         if (opt.corpusDir.empty() && opt.caseFile.empty() &&
-            !opt.kernels)
+            !opt.kernels && opt.profileTrace.empty())
             return 0;
+    }
+
+    if (!opt.profileTrace.empty()) {
+        std::ifstream in(opt.profileTrace);
+        std::vector<trace::Event> events;
+        if (!in || !trace::readChromeTrace(in, events)) {
+            std::cerr << "llstat: cannot read a Chrome trace from "
+                      << opt.profileTrace << "\n";
+            return 2;
+        }
+        std::cout << "llstat: " << events.size() << " span(s) read from "
+                  << opt.profileTrace << "\n";
+        printProfile(events);
+        return 0;
     }
 
     // Span checking and explicit trace output both need the tracer on,
@@ -602,7 +628,7 @@ main(int argc, char **argv)
                   << (tally.spanViolations ? "FAILED" : "ok") << " ("
                   << tally.spanViolations << " violation(s))\n";
     if (opt.profile)
-        printProfile();
+        printProfile(trace::snapshotEvents());
 
     if (opt.traceReset) {
         const size_t events = trace::eventCount();
