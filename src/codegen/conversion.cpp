@@ -436,7 +436,16 @@ tryPlanConversionImpl(const LinearLayout &src, const LinearLayout &dst,
     // tryPlanConversionBelow included, so it pairs with the
     // plan.rung.<rung>.evaluated counters as the ladder's accept count.
     auto countKind = [](ConversionKind kind) {
-        metrics::counter("plan.kind." + toString(kind)).inc();
+        // Indexed by kind, in ConversionKind's order.
+        static metrics::Counter *const kindCounters[] = {
+            &metrics::counter("plan.kind.no-op"),
+            &metrics::counter("plan.kind.register-permute"),
+            &metrics::counter("plan.kind.warp-shuffle"),
+            &metrics::counter("plan.kind.shared-memory"),
+            &metrics::counter("plan.kind.shared-padded"),
+            &metrics::counter("plan.kind.shared-scalar"),
+        };
+        kindCounters[static_cast<int>(kind)]->inc();
     };
 
     // Each rung gets its own span so a trace shows where planning time

@@ -34,6 +34,31 @@ isNoOpConversion(const LinearLayout &have, const LinearLayout &want)
     }
 }
 
+/** A counter name as a template argument, so each counter name gets
+ *  its own function-local static in addToCounter. */
+template <size_t N>
+struct CounterName
+{
+    char text[N];
+    constexpr CounterName(const char (&name)[N])
+    {
+        std::copy_n(name, N, text);
+    }
+};
+
+/** Add a nonzero `value` to the registry counter `Name`. The counter
+ *  is looked up once, on the first nonzero value, so a run takes no
+ *  registry lock and a counter that never moves stays unregistered. */
+template <CounterName Name>
+void
+addToCounter(int value)
+{
+    if (value == 0)
+        return;
+    static auto &counter = metrics::counter(Name.text);
+    counter.add(value);
+}
+
 } // namespace
 
 // The anchor and MMA layout constructors live in synth/candidates.cpp
@@ -408,7 +433,7 @@ LayoutEngine::synthesizeAssignment(const ir::Function &f,
             std::string("synthesis failed, using the default "
                         "assignment: ") +
             e.what());
-        metrics::counter("synth.search_failures").inc();
+        addToCounter<"synth.search_failures">(1);
         return std::nullopt;
     }
     if (sr.anchors.empty() || sr.ranked.empty())
@@ -467,7 +492,7 @@ LayoutEngine::synthesizeAssignment(const ir::Function &f,
             std::string("synthesis repricing failed, using the default "
                         "assignment: ") +
             e.what());
-        metrics::counter("synth.search_failures").inc();
+        addToCounter<"synth.search_failures">(1);
         return std::nullopt;
     }
     const int evaluated = static_cast<int>(sr.ranked.size());
@@ -493,7 +518,6 @@ LayoutEngine::run(ir::Function &f)
     trace::Span span("engine.run", "engine");
     if (span.active())
         span.arg("function", f.name());
-    const auto before = metrics::Registry::instance().counterSnapshot();
 
     EngineStats stats;
     // The run's one plan cache: the shared cache when there is one,
@@ -529,31 +553,22 @@ LayoutEngine::run(ir::Function &f)
 
     // Mirror the struct counters into the registry (the struct fields
     // stay the primary API; the registry feeds llstat / bench JSON).
-    auto mirror = [](const char *name, int value) {
-        if (value != 0)
-            metrics::counter(name).add(value);
-    };
-    mirror("engine.converts_inserted", stats.convertsInserted);
-    mirror("engine.converts_eliminated", stats.convertsEliminated);
-    mirror("engine.converts_planned", stats.convertsPlanned);
-    mirror("engine.plan_fallbacks", stats.planFallbacks);
-    mirror("engine.plan_failures", stats.planFailures);
-    mirror("engine.transfer_fallbacks", stats.transferFallbacks);
-    mirror("engine.plan_cache_hits", stats.planCacheHits);
-    mirror("engine.plan_cache_negative_hits",
-           stats.planCacheNegativeHits);
-    mirror("engine.plan_cache_misses", stats.planCacheMisses);
-    mirror("synth.converts_eliminated", stats.synthConvertsEliminated);
-    mirror("synth.assignments_evaluated",
-           stats.synthAssignmentsEvaluated);
-    mirror("synth.chose_synthesized", stats.synthChoseSynthesized);
-    if (options_.synthesizeLayouts)
-        metrics::counter("synth.runs").inc();
-    static auto &runsC = metrics::counter("engine.runs");
-    runsC.inc();
-    // The per-run metric delta: every registry counter that moved while
-    // this run was underway, on any thread.
-    stats.metrics = metrics::Registry::instance().counterDelta(before);
+    addToCounter<"engine.converts_inserted">(stats.convertsInserted);
+    addToCounter<"engine.converts_eliminated">(stats.convertsEliminated);
+    addToCounter<"engine.converts_planned">(stats.convertsPlanned);
+    addToCounter<"engine.plan_fallbacks">(stats.planFallbacks);
+    addToCounter<"engine.plan_failures">(stats.planFailures);
+    addToCounter<"engine.transfer_fallbacks">(stats.transferFallbacks);
+    addToCounter<"engine.plan_cache_hits">(stats.planCacheHits);
+    addToCounter<"engine.plan_cache_negative_hits">(
+        stats.planCacheNegativeHits);
+    addToCounter<"engine.plan_cache_misses">(stats.planCacheMisses);
+    addToCounter<"synth.converts_eliminated">(stats.synthConvertsEliminated);
+    addToCounter<"synth.assignments_evaluated">(
+        stats.synthAssignmentsEvaluated);
+    addToCounter<"synth.chose_synthesized">(stats.synthChoseSynthesized);
+    addToCounter<"synth.runs">(options_.synthesizeLayouts ? 1 : 0);
+    addToCounter<"engine.runs">(1);
     if (span.active()) {
         span.arg("converts_planned", stats.convertsPlanned);
         span.arg("converts_eliminated", stats.convertsEliminated);

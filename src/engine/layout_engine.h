@@ -120,16 +120,14 @@ struct EngineStats
     /** Human-readable notes from every fallback or failure, in op
      *  order. */
     std::vector<std::string> planDiagnostics;
-    /** Per-run delta of every registry counter that moved during this
-     *  run (metrics::Registry names — see DESIGN.md "Observability").
-     *  The registry is process-wide, so the delta is exact only when no
-     *  other thread is compiling; summing the deltas of concurrent runs
-     *  counts each other's increments again (CompileService takes one
-     *  delta around the whole batch instead). The int fields above are
-     *  mirrors of the engine.* entries here; they keep working
-     *  unchanged. The planner's plan.rung.<rung>.evaluated and
-     *  plan.kind.<kind> counters appear here too: per rung, how often
-     *  it was evaluated and accepted (llprof --bench, DESIGN.md §16). */
+    /** Registry counter deltas. LayoutEngine::run leaves this empty:
+     *  the registry is process-wide, so a per-run delta is exact only
+     *  when no other thread compiles, and copying every counter twice
+     *  per run under the registry mutex serialized concurrent
+     *  compiles. A caller that wants a per-run delta takes
+     *  metrics::Registry::counterSnapshot/counterDelta around its own
+     *  single-threaded call; CompileService fills its report's
+     *  `totals.metrics` with one delta around each batch. */
     std::map<std::string, int64_t> metrics;
 };
 

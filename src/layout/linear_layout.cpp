@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "support/bits.h"
+#include "support/hash.h"
 #include "support/string_utils.h"
 
 namespace ll {
@@ -1137,35 +1138,18 @@ LinearLayout::operator==(const LinearLayout &other) const
 uint64_t
 LinearLayout::structuralHash() const
 {
-    // FNV-1a over everything operator== compares: input dim names and
-    // sizes in order, every column, and the named/sized output dims.
-    // Layouts that compare equal hash equal; the interner relies on it.
-    uint64_t h = 1469598103934665603ull;
-    auto mix = [&h](uint64_t v) {
-        for (int byte = 0; byte < 8; ++byte) {
-            h ^= (v >> (8 * byte)) & 0xff;
-            h *= 1099511628211ull;
-        }
-    };
-    auto mixString = [&h](const std::string &s) {
-        for (char c : s) {
-            h ^= static_cast<unsigned char>(c);
-            h *= 1099511628211ull;
-        }
-        h ^= 0xff; // terminator so "ab","c" != "a","bc"
-        h *= 1099511628211ull;
-    };
-    for (const auto &[inDim, log2] : inDims_) {
-        mixString(inDim);
-        mix(static_cast<uint64_t>(log2));
-    }
+    // One word per step over everything operator== compares: input dim
+    // names and sizes in order, every column, and the named/sized
+    // output dims. Layouts that compare equal hash equal; the interner
+    // relies on it.
+    WordHash h;
+    for (const auto &[inDim, log2] : inDims_)
+        h.bytes(inDim).word(static_cast<uint64_t>(log2));
     for (uint64_t c : cols_)
-        mix(c);
-    for (const auto &[outDim, size] : outDims_) {
-        mixString(outDim);
-        mix(static_cast<uint64_t>(static_cast<uint32_t>(size)));
-    }
-    return h;
+        h.word(c);
+    for (const auto &[outDim, size] : outDims_)
+        h.bytes(outDim).word(static_cast<uint32_t>(size));
+    return h.value();
 }
 
 bool

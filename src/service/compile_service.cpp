@@ -393,8 +393,8 @@ ServiceReport
 CompileService::run(const std::vector<CompileRequest> &requests)
 {
     trace::Span span("service.batch", "service");
-    // One delta around the whole call: the workers' own per-run deltas
-    // overlap whenever more than one of them compiles at a time.
+    // One delta around the whole call: engine runs take none, and
+    // per-run deltas would overlap whenever two workers compile at once.
     const auto before = metrics::Registry::instance().counterSnapshot();
     static auto &runs = metrics::counter("service.batch.runs");
     runs.inc();

@@ -216,8 +216,8 @@ class CompileService
 };
 
 /** Sum `from` into `into`: every counter field; planDiagnostics are
- *  appended. The metric deltas are not summed — concurrent runs' deltas
- *  overlap (EngineStats::metrics). */
+ *  appended. `metrics` is not summed: engine runs leave it empty, and
+ *  the batch takes one registry delta around the whole call. */
 void accumulateStats(engine::EngineStats &into,
                      const engine::EngineStats &from);
 

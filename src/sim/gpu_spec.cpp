@@ -1,54 +1,28 @@
 #include "sim/gpu_spec.h"
 
-#include <cstring>
+#include <bit>
+
+#include "support/hash.h"
 
 namespace ll {
 namespace sim {
 
-namespace {
-
-void
-mixBytes(uint64_t &h, const void *data, size_t len)
-{
-    const auto *bytes = static_cast<const unsigned char *>(data);
-    for (size_t i = 0; i < len; ++i) {
-        h ^= bytes[i];
-        h *= 1099511628211ull;
-    }
-}
-
-void
-mixDouble(uint64_t &h, double v)
-{
-    uint64_t bits;
-    std::memcpy(&bits, &v, sizeof bits);
-    mixBytes(h, &bits, sizeof bits);
-}
-
-} // namespace
-
 uint64_t
 GpuSpec::fingerprint() const
 {
-    uint64_t h = 1469598103934665603ull; // FNV-1a
-    mixBytes(h, name.data(), name.size());
-    const int32_t ints[] = {static_cast<int32_t>(warpSize),
-                            static_cast<int32_t>(numBanks),
-                            static_cast<int32_t>(bankWidthBytes),
-                            static_cast<int32_t>(maxVectorBits),
-                            static_cast<int32_t>(wavefrontBytes),
-                            static_cast<int32_t>(sharedMemPerCta),
-                            hasLdmatrix,
-                            hasStmatrix,
-                            hasWgmma,
-                            hasTma};
-    mixBytes(h, ints, sizeof ints);
+    WordHash h;
+    h.bytes(name);
+    for (int v : {warpSize, numBanks, bankWidthBytes, maxVectorBits,
+                  wavefrontBytes, sharedMemPerCta})
+        h.word(static_cast<uint32_t>(v));
+    h.word(uint64_t(hasLdmatrix) | uint64_t(hasStmatrix) << 1 |
+           uint64_t(hasWgmma) << 2 | uint64_t(hasTma) << 3);
     for (double v : {sharedWavefrontCycles, shuffleCycles,
                      sharedRoundTripCycles, globalSectorCycles,
                      ldmatrixCyclesPerTile, mmaMacsPerCyclePerWarp,
                      aluOpsPerLanePerCycle})
-        mixDouble(h, v);
-    return h;
+        h.word(std::bit_cast<uint64_t>(v));
+    return h.value();
 }
 
 GpuSpec

@@ -67,11 +67,13 @@ struct GpuSpec
     static GpuSpec mi250();
 
     /**
-     * Stable value-identity over every field (name, geometry, feature
-     * flags, cost-model constants). Two specs with equal fingerprints
-     * plan identically, so the service-layer plan cache uses this as
-     * the GpuSpec component of its keys; a tweaked cost constant
-     * changes the fingerprint and naturally misses the cache.
+     * Value identity over every field (name, geometry, feature flags,
+     * cost-model constants), hashed a word at a time (support/hash.h).
+     * Two specs with equal fingerprints plan identically, so the
+     * service-layer plan cache uses this as the GpuSpec component of
+     * its keys; a tweaked cost constant changes the fingerprint and
+     * naturally misses the cache. In-memory keys only: never persist
+     * it.
      */
     uint64_t fingerprint() const;
 };

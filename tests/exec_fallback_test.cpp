@@ -802,9 +802,14 @@ TEST(ExecFallback, HealthyEngineReportsNoExecFallbacks)
 {
     const auto spec = sim::GpuSpec::gh200();
     auto f = gemmFunction();
+    // The engine takes no per-run registry delta; this single-threaded
+    // test takes its own around the run.
+    auto &reg = metrics::Registry::instance();
+    const auto before = reg.counterSnapshot();
     auto stats = engine::LayoutEngine({spec, 4}).run(f);
+    const auto delta = reg.counterDelta(before);
     EXPECT_GE(stats.convertsPlanned, 1);
-    for (const auto &[name, moved] : stats.metrics)
+    for (const auto &[name, moved] : delta)
         EXPECT_NE(name.rfind("exec.", 0), 0u)
             << name << " moved by " << moved << " during the run";
 

@@ -402,7 +402,12 @@ TEST(Engine, RunCachePlansEachDistinctConversionOnce)
     };
 
     Function f1 = build();
+    // The engine takes no per-run registry delta; this single-threaded
+    // test takes its own around the run.
+    auto &registry = metrics::Registry::instance();
+    const auto before = registry.counterSnapshot();
     auto stats = LayoutEngine({spec, 4}).run(f1);
+    auto moved = registry.counterDelta(before);
     EXPECT_EQ(stats.planFailures, 0);
     EXPECT_EQ(stats.planCacheHits + stats.planCacheMisses, 0)
         << "the run's own cache is not the shared plan cache";
@@ -414,7 +419,7 @@ TEST(Engine, RunCachePlansEachDistinctConversionOnce)
         << "fixture no longer repeats a conversion";
     EXPECT_EQ(stats.convertsPlanned,
               static_cast<int>(conversions(f1).size()));
-    EXPECT_EQ(stats.metrics["plan.planned"],
+    EXPECT_EQ(moved["plan.planned"],
               static_cast<int64_t>(distinct.size()));
 
     service::PlanCache cache;

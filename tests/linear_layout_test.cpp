@@ -8,13 +8,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
+#include <unordered_map>
+#include <vector>
 
 #include "check/generators.h"
 #include "check/layout_reference.h"
 #include "check/oracle.h"
 #include "layout/dims.h"
 #include "layout/linear_layout.h"
+#include "sim/gpu_spec.h"
 
 namespace ll {
 namespace {
@@ -528,6 +532,85 @@ TEST(LinearLayout, InferredOutDimSizes)
         std::move(bases), {"a", "b"});
     EXPECT_EQ(l.getOutDimSize("a"), 2);
     EXPECT_EQ(l.getOutDimSize("b"), 4);
+}
+
+// structuralHash keys the layout interner: equal layouts must hash
+// equal, and distinct ones should not collide in 64 bits. The draws
+// cover every distributed family and shared layouts, plus each one
+// moved into the high 32 output bits (below a 32-bit padding layout)
+// so that the column words' high halves are hashed too. GpuSpec's
+// fingerprint keys the plan cache the same way.
+TEST(Layout, StructuralHashAgreesWithEquality)
+{
+    std::mt19937 rng(2027);
+    check::GenOptions gen;
+    const auto pad = LinearLayout::identity1D(1 << 30, "pad", "pad0") *
+                     LinearLayout::identity1D(4, "pad2", "pad1");
+    std::unordered_map<uint64_t, LinearLayout> byHash;
+    int drawn = 0;
+    auto record = [&](const LinearLayout &l) {
+        ++drawn;
+        const uint64_t h = l.structuralHash();
+        const LinearLayout copy = l;
+        ASSERT_EQ(copy.structuralHash(), h) << l.toString();
+        auto outs = l.getOutDimNames();
+        std::reverse(outs.begin(), outs.end());
+        const auto roundTrip =
+            l.transposeOuts(outs).transposeOuts(l.getOutDimNames());
+        ASSERT_EQ(roundTrip, l);
+        ASSERT_EQ(roundTrip.structuralHash(), h) << l.toString();
+        std::vector<DimSize> ins;
+        std::vector<uint64_t> cols;
+        for (const auto &in : l.getInDimNames()) {
+            ins.emplace_back(in, l.getInDimSizeLog2(in));
+            for (uint64_t c : l.flattenedBases(in))
+                cols.push_back(c);
+        }
+        const auto rebuilt = LinearLayout::fromColumns(
+            std::move(ins), l.getOutDims(), std::move(cols), false);
+        ASSERT_EQ(rebuilt, l);
+        ASSERT_EQ(rebuilt.structuralHash(), h) << l.toString();
+        auto [it, fresh] = byHash.try_emplace(h, l);
+        ASSERT_TRUE(fresh || it->second == l)
+            << "64-bit collision:\n"
+            << it->second.toString() << "\n"
+            << l.toString();
+    };
+    for (int i = 0; i < 2500; ++i) {
+        const int rank =
+            1 + std::uniform_int_distribution<int>(0, gen.maxRank - 1)(rng);
+        const auto shape = check::randomShape(rng, rank, gen.maxElements);
+        const auto distributed = check::randomDistributed(rng, shape, gen);
+        const auto shared = check::randomSharedMemoryLayout(rng, shape);
+        for (const auto &l : {distributed, shared}) {
+            record(l);
+            const auto wide = pad * l;
+            ASSERT_EQ(wide.getOutDimOffset(l.getOutDimNames().front()), 32);
+            record(wide);
+        }
+        if (HasFatalFailure())
+            return;
+    }
+    EXPECT_GE(drawn, 10000);
+    EXPECT_GE(byHash.size(), 2000u) << "too few distinct layouts drawn";
+
+    const auto rtx = sim::GpuSpec::rtx4090();
+    const auto gh = sim::GpuSpec::gh200();
+    const auto mi = sim::GpuSpec::mi250();
+    EXPECT_EQ(rtx.fingerprint(), sim::GpuSpec::rtx4090().fingerprint());
+    EXPECT_NE(rtx.fingerprint(), gh.fingerprint());
+    EXPECT_NE(rtx.fingerprint(), mi.fingerprint());
+    EXPECT_NE(gh.fingerprint(), mi.fingerprint());
+    auto renamed = gh;
+    renamed.name = "GH200b";
+    auto widened = gh;
+    widened.sharedMemPerCta += 1;
+    auto repriced = gh;
+    repriced.shuffleCycles += 0.5;
+    auto flagged = gh;
+    flagged.hasTma = false;
+    for (const auto &changed : {renamed, widened, repriced, flagged})
+        EXPECT_NE(changed.fingerprint(), gh.fingerprint());
 }
 
 /** Property sweep over random invertible layouts. */

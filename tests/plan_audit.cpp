@@ -20,13 +20,16 @@
  *     the shipped plan (identical describePlan);
  *   - check::checkPlan, the full oracle, must pass it.
  * A key that ships two different plans, and an op the engine left
- * unplanned, fail too. Prints how many plans it audited; exits 1 on any
- * failure or when it audited none.
+ * unplanned, fail too. Prints how many plans it audited, then a digest
+ * line: FNV-1a over every "key => describePlan" line in key order, so
+ * two builds ship the same plans exactly when their digest lines match.
+ * Exits 1 on any failure or when it audited none.
  *
  * Usage: plan_audit CORPUS_DIR
  */
 
 #include <algorithm>
+#include <cstdio>
 #include <filesystem>
 #include <iostream>
 #include <map>
@@ -144,6 +147,23 @@ class Audit
         }
     }
 
+    /** FNV-1a over the sorted "key => describePlan" lines. */
+    uint64_t
+    digest() const
+    {
+        uint64_t h = 1469598103934665603ull;
+        for (const auto &[key, s] : plans_) {
+            const std::string line =
+                key + " => " + codegen::describePlan(*s.plan) + "\n";
+            for (unsigned char c : line) {
+                h ^= c;
+                h *= 1099511628211ull;
+            }
+        }
+        return h;
+    }
+
+    int64_t planCount() const { return static_cast<int64_t>(plans_.size()); }
     int64_t shipped() const { return shipped_; }
     int64_t audited() const { return audited_; }
     int64_t failures() const { return failures_; }
@@ -259,6 +279,11 @@ main(int argc, char **argv)
               << " distinct plan(s) audited (verifyPlan + checkPlan) of "
               << audit.shipped() << " shipped conversion(s), "
               << audit.failures() << " failure(s)\n";
+    char digest[17];
+    std::snprintf(digest, sizeof digest, "%016llx",
+                  static_cast<unsigned long long>(audit.digest()));
+    std::cout << "plan_audit: digest " << digest << " over "
+              << audit.planCount() << " plan(s)\n";
     if (audit.audited() == 0) {
         std::cerr << "plan_audit: audited nothing\n";
         return 1;
