@@ -41,7 +41,8 @@ makeCase(int32_t rows, int32_t cols)
 }
 
 bool
-verifyPlan(const ConvCase &c, const codegen::WarpShufflePlan &plan)
+shuffleRoutesEveryElement(const ConvCase &c,
+                          const codegen::WarpShufflePlan &plan)
 {
     const int regLog = c.src.getInDimSizeLog2("register");
     std::vector<std::vector<uint64_t>> regs(
@@ -105,7 +106,7 @@ printTable(bench::Results &results)
                     plan.kind == codegen::ConversionKind::WarpShuffle;
                 bool ok = true;
                 if (shuffle)
-                    ok = verifyPlan(c, *plan.shuffle);
+                    ok = shuffleRoutesEveryElement(c, *plan.shuffle);
                 const double speedup = padded.cycles / linearCycles;
                 std::printf("[%4d,%4d]   %8s %18s %12.0f %12.0f %8.2fx"
                             " %6s\n",

@@ -3,7 +3,6 @@
 #include <fstream>
 #include <sstream>
 
-#include "check/verify.h"
 #include "support/diagnostics.h"
 
 namespace ll {
@@ -227,43 +226,6 @@ checkCuteCase(const CuteCase &c)
         return report;
     }
     return checkCutePlan(*plan, c.request, spec);
-}
-
-CuteDemotionReport
-checkCuteCaseWithDemotion(const CuteCase &c)
-{
-    CuteDemotionReport out;
-    auto spec = c.spec();
-    auto decomposed = cute::decomposeCuteConversion(c.request, spec);
-    if (!decomposed) {
-        out.survived = false;
-        out.report.detail = decomposed.diag().toString();
-        out.notes.push_back(decomposed.diag().toString());
-        return out;
-    }
-    cute::CutePlan plan = std::move(*decomposed);
-    if (plan.needsCorePlan()) {
-        auto verified = verifyPlan(plan.coreSrc, plan.coreDst,
-                                   c.request.elemBytes, spec);
-        out.notes = std::move(verified.notes);
-        if (!verified.plan.ok()) {
-            out.survived = false;
-            out.report.detail = verified.plan.diag().toString();
-            out.notes.push_back(out.report.detail);
-            return out;
-        }
-        out.initialKind = verified.initialKind;
-        out.finalKind = verified.plan->kind;
-        out.demotions = verified.demotions;
-        if (verified.execFailed) {
-            out.survived = false;
-            return out;
-        }
-        plan.corePlan = std::move(*verified.plan);
-        plan.hasCorePlan = true;
-    }
-    out.report = checkCutePlan(plan, c.request, spec);
-    return out;
 }
 
 // ---------------------------------------------------------------------

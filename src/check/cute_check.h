@@ -116,27 +116,6 @@ CuteOracleReport checkCutePlan(const cute::CutePlan &plan,
 /** Plan a case with cute::tryPlanCuteConversion, then audit. */
 CuteOracleReport checkCuteCase(const CuteCase &c);
 
-/** Demotion-aware admission audit (mirrors checkCaseWithDemotion). */
-struct CuteDemotionReport
-{
-    codegen::ConversionKind initialKind = codegen::ConversionKind::NoOp;
-    codegen::ConversionKind finalKind = codegen::ConversionKind::NoOp;
-    int demotions = 0;
-    /** False when the core plan ran out of rungs to demote to. */
-    bool survived = true;
-    CuteOracleReport report;
-    std::vector<std::string> notes;
-};
-
-/**
- * Decompose the case, run the core's distributed conversion through
- * check::verifyPlan (plan, smoke-execute, demote until a rung
- * survives), then run the full admission oracle on the surviving plan.
- * Cases with no core plan (single-element box) skip straight to the
- * oracle.
- */
-CuteDemotionReport checkCuteCaseWithDemotion(const CuteCase &c);
-
 // ---------------------------------------------------------------------
 // `.cute` corpus format: line-oriented, '#' comments, layouts in
 // CuteLayout::toString form.

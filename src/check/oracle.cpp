@@ -7,7 +7,6 @@
 
 #include "check/layout_reference.h"
 #include "check/tiles_reference.h"
-#include "check/verify.h"
 #include "codegen/shared_exec.h"
 #include "codegen/swizzle.h"
 #include "f2/subspace.h"
@@ -334,26 +333,6 @@ checkConversionCase(const ConversionCase &c, const PlanMutator &mutate)
     if (mutate)
         mutate(plan);
     return checkPlan(plan, c.src, c.dst, c.elemBytes, spec);
-}
-
-DemotionReport
-checkCaseWithDemotion(const ConversionCase &c)
-{
-    auto spec = c.spec();
-    failpoint::ScopedSet guard(c.failpoints);
-    auto verified = verifyPlan(c.src, c.dst, c.elemBytes, spec);
-    llUserCheck(verified.plan.ok(), "planConversion failed: " +
-                                        verified.plan.diag().toString());
-    DemotionReport out;
-    out.initialKind = verified.initialKind;
-    out.finalKind = verified.plan->kind;
-    out.demotions = verified.demotions;
-    out.survived = !verified.execFailed;
-    out.notes = std::move(verified.notes);
-    if (out.survived)
-        out.report = checkPlan(*verified.plan, c.src, c.dst, c.elemBytes,
-                               spec);
-    return out;
 }
 
 OracleReport

@@ -145,36 +145,6 @@ using PlanMutator = std::function<void(codegen::ConversionPlan &)>;
 OracleReport checkConversionCase(const ConversionCase &c,
                                  const PlanMutator &mutate = nullptr);
 
-/** A demotion-aware oracle run: what happened on the way down. */
-struct DemotionReport
-{
-    /** The rung the planner picked before any execution failure. */
-    codegen::ConversionKind initialKind = codegen::ConversionKind::NoOp;
-    /** The rung whose execution finally succeeded (== the checked
-     *  plan's kind), or the last rung that failed when !survived. */
-    codegen::ConversionKind finalKind = codegen::ConversionKind::NoOp;
-    /** Execution-triggered demotion steps taken. */
-    int demotions = 0;
-    /** False when execution failed on the terminal rung or a demoted
-     *  re-plan could not be built; `report` is then default-initialized
-     *  and must not be trusted. */
-    bool survived = true;
-    /** The full oracle verdict on the finally-executed plan. */
-    OracleReport report;
-    /** Execution failures, demotions and re-plan failures on the way
-     *  (check::VerifiedPlan::notes). */
-    std::vector<std::string> notes;
-};
-
-/**
- * Run one conversion case through check::verifyPlan (plan, smoke-run,
- * demote) under the case's failpoint set, then audit the surviving plan
- * with the full oracle. This is how the exec-fallback tests prove a
- * demoted re-plan still round-trips bit-exactly. Planning failures raise
- * UserError, like checkConversionCase.
- */
-DemotionReport checkCaseWithDemotion(const ConversionCase &c);
-
 /**
  * The word-parallel F2 core against its scalar `*_reference` twins,
  * called directly. Plans the case under its failpoints, then compares

@@ -93,8 +93,8 @@ validateInputs(const LinearLayout &src, const LinearLayout &dst,
  * Returns a CtaBudgetExceeded Diagnostic when the candidate's actual
  * allocation (one window for windowed candidates, the whole padded
  * tensor otherwise) does not fit the CTA shared budget, so the ladder
- * demotes instead of the executor aborting. Throws only on internal
- * invariant violations, which the caller turns into a
+ * steps down instead of shipping a plan that cannot run. Throws only
+ * on internal invariant violations, which the caller turns into a
  * PlannerInternalError note.
  */
 Result<ConversionPlan>
@@ -265,24 +265,10 @@ plannerFailpointSites()
 }
 
 std::vector<std::string>
-executionFailpointSites()
-{
-    return {
-        "exec.shuffle.shape",     "exec.shuffle.lane-range",
-        "exec.shuffle.reg-range", "exec.gather.invert",
-        "exec.gather.index-range", "exec.gather.cross-warp",
-        "exec.shared.file-size",  "exec.shared.alloc",
-        "exec.shared.window",     "exec.shared.bank-budget",
-    };
-}
-
-std::vector<std::string>
 demotionSitesFor(ConversionKind kind)
 {
     // Cumulative knockout sets: disabling every rung at or above `kind`
-    // forces the re-plan strictly below it. The shared executors serve
-    // rungs 4-6 alike, so an ExecDiagnostic cannot tell which shared
-    // rung misbehaved — demotion steps below the one the plan names.
+    // forces planning strictly below it.
     switch (kind) {
       case ConversionKind::NoOp:
         return {"plan.noop"};
@@ -300,7 +286,7 @@ demotionSitesFor(ConversionKind kind)
                 "plan.warp-shuffle", "plan.optimal-swizzle",
                 "plan.legacy-swizzle", "plan.padded"};
       case ConversionKind::SharedScalar:
-        return {}; // terminal: nowhere left to demote to
+        return {}; // terminal: nothing below it
     }
     return {};
 }
@@ -376,23 +362,9 @@ smokeExecutePlan(const ConversionPlan &plan, const LinearLayout &src,
     return std::nullopt;
 }
 
-namespace {
-// Ladder positions, used to resume planning strictly below a failed
-// rung. Matches the rung order in tryPlanConversionImpl.
-enum Rung : int {
-    kRungNoOp = 1,
-    kRungRegisterPermute = 2,
-    kRungWarpShuffle = 3,
-    kRungSharedMemory = 4,
-    kRungSharedPadded = 5,
-    kRungSharedScalar = 6,
-};
-} // namespace
-
 static Result<ConversionPlan>
 tryPlanConversionImpl(const LinearLayout &src, const LinearLayout &dst,
-                      int elemBytes, const sim::GpuSpec &spec,
-                      int startRung = kRungNoOp)
+                      int elemBytes, const sim::GpuSpec &spec)
 {
     if (auto bad = validateInputs(src, dst, elemBytes))
         return *bad;
@@ -432,8 +404,7 @@ tryPlanConversionImpl(const LinearLayout &src, const LinearLayout &dst,
         return true;
     };
 
-    // plan.kind.<kind> counts every accepted rung, the re-plans of
-    // tryPlanConversionBelow included, so it pairs with the
+    // plan.kind.<kind> counts every accepted rung, so it pairs with the
     // plan.rung.<rung>.evaluated counters as the ladder's accept count.
     auto countKind = [](ConversionKind kind) {
         // Indexed by kind, in ConversionKind's order.
@@ -460,7 +431,7 @@ tryPlanConversionImpl(const LinearLayout &src, const LinearLayout &dst,
     };
 
     // Rung 1: no movement at all.
-    if (startRung <= kRungNoOp) {
+    {
         trace::Span rung("plan.rung.noop", "plan");
         static auto &evals = metrics::counter("plan.rung.noop.evaluated");
         evals.inc();
@@ -475,7 +446,7 @@ tryPlanConversionImpl(const LinearLayout &src, const LinearLayout &dst,
     }
 
     // Rung 2: data stays within each thread.
-    if (startRung <= kRungRegisterPermute) {
+    {
         trace::Span rung("plan.rung.register-permute", "plan");
         static auto &evals =
             metrics::counter("plan.rung.register-permute.evaluated");
@@ -494,7 +465,7 @@ tryPlanConversionImpl(const LinearLayout &src, const LinearLayout &dst,
     }
 
     // Rung 3: data stays within each warp.
-    if (startRung <= kRungWarpShuffle && !deadlineCutoff()) {
+    if (!deadlineCutoff()) {
         trace::Span rung("plan.rung.warp-shuffle", "plan");
         static auto &evals =
             metrics::counter("plan.rung.warp-shuffle.evaluated");
@@ -526,7 +497,7 @@ tryPlanConversionImpl(const LinearLayout &src, const LinearLayout &dst,
 
     // Rungs 4-6 go through shared memory. The matrix instructions are
     // independently droppable riders on rung 4.
-    if (startRung <= kRungSharedMemory && !deadlineCutoff()) {
+    if (!deadlineCutoff()) {
     bool allowLdmatrix = true;
     if (LL_FAILPOINT("plan.ldmatrix")) {
         allowLdmatrix = false;
@@ -651,10 +622,10 @@ tryPlanConversionImpl(const LinearLayout &src, const LinearLayout &dst,
         countKind(best.kind);
         return best;
     }
-    } // startRung <= kRungSharedMemory
+    } // rung 4
 
     // Rung 5: unswizzled shared memory with bank-offset padding.
-    if (startRung <= kRungSharedPadded && !deadlineCutoff()) {
+    if (!deadlineCutoff()) {
         trace::Span rung("plan.rung.shared-padded", "plan");
         static auto &evals =
             metrics::counter("plan.rung.shared-padded.evaluated");
@@ -783,36 +754,6 @@ planConversion(const LinearLayout &src, const LinearLayout &dst,
     llUserCheck(plan.ok(), "planConversion failed: " +
                                plan.diag().toString());
     return std::move(*plan);
-}
-
-Result<ConversionPlan>
-tryPlanConversionBelow(ConversionKind kind, const LinearLayout &src,
-                       const LinearLayout &dst, int elemBytes,
-                       const sim::GpuSpec &spec)
-{
-    int startRung;
-    switch (kind) {
-      case ConversionKind::NoOp:
-        startRung = kRungRegisterPermute;
-        break;
-      case ConversionKind::RegisterPermute:
-        startRung = kRungWarpShuffle;
-        break;
-      case ConversionKind::WarpShuffle:
-        startRung = kRungSharedMemory;
-        break;
-      case ConversionKind::SharedMemory:
-        startRung = kRungSharedPadded;
-        break;
-      case ConversionKind::SharedPadded:
-        startRung = kRungSharedScalar;
-        break;
-      case ConversionKind::SharedScalar:
-      default:
-        return makeDiag(DiagCode::PlannerInternalError, "plan.replan",
-                        "nothing below the terminal scalar rung");
-    }
-    return tryPlanConversionImpl(src, dst, elemBytes, spec, startRung);
 }
 
 double

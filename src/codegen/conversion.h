@@ -129,21 +129,6 @@ ConversionPlan planConversion(const LinearLayout &src,
                               const sim::GpuSpec &spec);
 
 /**
- * tryPlanConversion with the fallback ladder resumed strictly below the
- * rung of `kind`: the rungs at or above it are neither evaluated nor
- * noted (no spans, no FailpointInjected notes), so the result equals
- * planning under the demotionSitesFor(kind) knockout minus those
- * notes. Opens no "plan.conversion" span. Returns a Diagnostic when
- * `kind` is the terminal SharedScalar rung or every remaining rung
- * fails. check::verifyPlan demotes through it.
- */
-Result<ConversionPlan> tryPlanConversionBelow(ConversionKind kind,
-                                              const LinearLayout &src,
-                                              const LinearLayout &dst,
-                                              int elemBytes,
-                                              const sim::GpuSpec &spec);
-
-/**
  * Every failpoint site the planner consults, in ladder order, minus the
  * terminal "plan.scalar" (activating that together with the rest leaves
  * no rung standing, which is an engine-survival scenario rather than a
@@ -152,20 +137,10 @@ Result<ConversionPlan> tryPlanConversionBelow(ConversionKind kind,
 std::vector<std::string> plannerFailpointSites();
 
 /**
- * Every failpoint site the Result-returning executors consult
- * (exec.shuffle.*, exec.gather.*, exec.shared.*). These guard the
- * execution-time error paths rather than planning rungs; activating one
- * with a limit of 1 fails exactly one execution attempt, so the smoke
- * execution of check::verifyPlan's demoted re-plan succeeds. Used by
- * llfuzz --failpoint-coverage and the exec-fallback tests.
- */
-std::vector<std::string> executionFailpointSites();
-
-/**
- * The planner-failpoint knockout set that forces a re-plan strictly
+ * The planner-failpoint knockout set that forces planning strictly
  * below `kind` on the fallback ladder (every rung at or above it is
- * disabled). Empty for SharedScalar: the terminal rung has nowhere to
- * demote to, so an execution failure there is a verification failure.
+ * disabled), so tests can pin a conversion to a lower rung. Empty for
+ * SharedScalar: nothing lies below the terminal rung.
  */
 std::vector<std::string> demotionSitesFor(ConversionKind kind);
 
@@ -180,9 +155,10 @@ std::vector<std::string> demotionSitesFor(ConversionKind kind);
  * the plan's storeWavefrontsTotal/loadWavefrontsTotal (a CostMismatch at
  * stage "exec.shared.cost"). NoOp and RegisterPermute have no executor
  * and trivially pass. Returns the first failure, or nullopt when
- * execution succeeded. Off the compile path: check::verifyPlan
- * smoke-runs and demotes with it, and the full audit — Lemma 9.4,
- * every kind's data — stays the oracle's job (check::checkPlan).
+ * execution succeeded. Off the compile path: plan_audit and llstat
+ * smoke-run shipped plans with it, and a failure is a failed check,
+ * never a new plan; the full audit — Lemma 9.4, every kind's data —
+ * stays the oracle's job (check::checkPlan).
  */
 std::optional<ExecDiagnostic>
 smokeExecutePlan(const ConversionPlan &plan, const LinearLayout &src,

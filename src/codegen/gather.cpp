@@ -2,7 +2,6 @@
 
 #include "layout/dims.h"
 #include "support/bits.h"
-#include "support/failpoint.h"
 #include "support/metrics.h"
 #include "support/trace.h"
 
@@ -75,15 +74,13 @@ executeGather(const GatherPlan &plan, const LinearLayout &layout,
                                 "plan reads");
         }
     }
-    if (LL_FAILPOINT("exec.gather.invert") || !layout.isInvertible()) {
+    if (!layout.isInvertible()) {
         return makeExecDiag(ExecError::NonInvertibleStep,
                             "exec.gather.invert",
                             "gather layout is not invertible");
     }
     LinearLayout inv = layout.invert();
     const int64_t axisSize = layout.getOutDimSize(axisDim);
-    const bool failIndex = LL_FAILPOINT("exec.gather.index-range");
-    const bool failWarp = LL_FAILPOINT("exec.gather.cross-warp");
 
     std::vector<std::vector<uint64_t>> out(
         static_cast<size_t>(warpSize),
@@ -92,7 +89,7 @@ executeGather(const GatherPlan &plan, const LinearLayout &layout,
         for (int reg = 0; reg < numRegs; ++reg) {
             int32_t index = idx[static_cast<size_t>(lane)]
                                [static_cast<size_t>(reg)];
-            if (failIndex || index < 0 || index >= axisSize) {
+            if (index < 0 || index >= axisSize) {
                 return makeExecDiag(
                     ExecError::RegisterOutOfRange,
                     "exec.gather.index-range",
@@ -116,7 +113,7 @@ executeGather(const GatherPlan &plan, const LinearLayout &layout,
                 else if (dim == kWarp)
                     srcWarp = value;
             }
-            if (failWarp || srcWarp != warp) {
+            if (srcWarp != warp) {
                 return makeExecDiag(
                     ExecError::CrossWarpSource, "exec.gather.cross-warp",
                     "gather source landed in warp " +

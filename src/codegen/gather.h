@@ -54,10 +54,11 @@ std::optional<GatherPlan> planGather(const LinearLayout &layout, int axis,
  * index value (a coordinate along `axis`). Returns the gathered values
  * in the same layout, verifying en route that every fetch stays inside
  * the warp (the plan's guarantee). Total over any input: a
- * non-invertible layout, an index outside the gathered axis, or a fetch
- * that crosses warps comes back as an ExecDiagnostic instead of
- * aborting. Failpoint sites: "exec.gather.invert",
- * "exec.gather.index-range", "exec.gather.cross-warp".
+ * non-invertible layout (NonInvertibleStep at stage
+ * "exec.gather.invert"), an index outside the gathered axis
+ * (RegisterOutOfRange at "exec.gather.index-range"), or a fetch that
+ * crosses warps (CrossWarpSource at "exec.gather.cross-warp") comes
+ * back as an ExecDiagnostic instead of aborting.
  */
 Result<std::vector<std::vector<uint64_t>>, ExecDiagnostic>
 executeGather(const GatherPlan &plan, const LinearLayout &layout,

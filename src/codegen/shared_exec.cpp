@@ -6,7 +6,6 @@
 
 #include "layout/dims.h"
 #include "support/bits.h"
-#include "support/failpoint.h"
 #include "support/metrics.h"
 #include "support/trace.h"
 
@@ -18,23 +17,6 @@ namespace {
 using dims::kLane;
 using dims::kReg;
 using dims::kWarp;
-
-/** The failpoint decisions for one executor run, each site evaluated
- *  exactly once per call so limited activations ("site:1") fail one
- *  execution and let the demoted re-plan's execution succeed. */
-struct SharedExecFaults
-{
-    bool alloc;
-    bool window;
-    bool bankBudget;
-
-    SharedExecFaults()
-        : alloc(LL_FAILPOINT("exec.shared.alloc")),
-          window(LL_FAILPOINT("exec.shared.window")),
-          bankBudget(LL_FAILPOINT("exec.shared.bank-budget"))
-    {
-    }
-};
 
 /**
  * Mask a warp access's storage offsets down to the current window:
@@ -181,12 +163,10 @@ runSharedRoundTrip(const SwizzledShared &swz, const LinearLayout &srcIn,
   runs.inc();
   int64_t lanesMasked = 0;
   try {
-    SharedExecFaults faults;
     LinearLayout src = srcIn.transposeOuts(swz.memLayout.getOutDimNames());
     LinearLayout dstAligned =
         dst.transposeOuts(swz.memLayout.getOutDimNames());
-    if (LL_FAILPOINT("exec.shared.file-size") ||
-        srcFile.size() != static_cast<size_t>(src.getTotalInDimSize())) {
+    if (srcFile.size() != static_cast<size_t>(src.getTotalInDimSize())) {
         return makeExecDiag(
             ExecError::PlanShapeMismatch, "exec.shared.file-size",
             "source register file holds " +
@@ -200,7 +180,7 @@ runSharedRoundTrip(const SwizzledShared &swz, const LinearLayout &srcIn,
     const int64_t storage = swz.storageElems(numElems);
     const int64_t alloc = swz.allocElems(numElems);
     const int64_t passes = swz.passesFor(numElems);
-    if (faults.alloc || !sim::SharedMemory::fits(spec, elemBytes, alloc)) {
+    if (!sim::SharedMemory::fits(spec, elemBytes, alloc)) {
         return makeExecDiag(
             ExecError::SharedWindowOverflow, "exec.shared.alloc",
             "allocation of " + std::to_string(alloc * elemBytes) +
@@ -267,8 +247,7 @@ runSharedRoundTrip(const SwizzledShared &swz, const LinearLayout &srcIn,
                 values.assign(offsets.size() * vecSz,
                               sim::SharedMemory::kPoison);
                 for (size_t lane = 0; lane < offsets.size(); ++lane) {
-                    if (faults.window || offsets[lane] < 0 ||
-                        offsets[lane] + vec > storage) {
+                    if (offsets[lane] < 0 || offsets[lane] + vec > storage) {
                         return makeExecDiag(
                             ExecError::SharedWindowOverflow,
                             "exec.shared.window",
@@ -327,9 +306,7 @@ runSharedRoundTrip(const SwizzledShared &swz, const LinearLayout &srcIn,
     const int64_t measured =
         result.storeStats.wavefronts + result.loadStats.wavefronts;
     const int lanes = static_cast<int>(std::max(srcLanes, dstLanes));
-    if (faults.bankBudget ||
-        measured >
-            bankBudget(instructions, lanes, vec * elemBytes, spec)) {
+    if (measured > bankBudget(instructions, lanes, vec * elemBytes, spec)) {
         return makeExecDiag(
             ExecError::BankBudgetExceeded, "exec.shared.bank-budget",
             std::to_string(measured) +

@@ -52,9 +52,10 @@ struct SharedRoundTrip
  * it in every pass. Total over any input: a mismatched register file,
  * an oversize allocation, an out-of-window offset, or a blown
  * bank-conflict budget comes back as an ExecDiagnostic instead of
- * aborting, so the engine can demote the plan. Failpoint sites:
- * "exec.shared.file-size", "exec.shared.alloc", "exec.shared.window",
- * "exec.shared.bank-budget".
+ * aborting, so the check that runs the plan fails on it. Stages:
+ * "exec.shared.file-size" (PlanShapeMismatch), "exec.shared.alloc"
+ * and "exec.shared.window" (SharedWindowOverflow),
+ * "exec.shared.bank-budget" (BankBudgetExceeded).
  */
 Result<SharedRoundTrip, ExecDiagnostic>
 runSharedRoundTrip(const SwizzledShared &swz, const LinearLayout &src,

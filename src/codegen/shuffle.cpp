@@ -173,16 +173,11 @@ Result<std::vector<std::vector<uint64_t>>, ExecDiagnostic>
 WarpShufflePlan::execute(const std::vector<std::vector<uint64_t>> &src) const
 {
     // Execution is total: every surprise — malformed register file,
-    // corrupted plan — is reported as data so the engine can demote the
-    // conversion instead of aborting a long-running process.
+    // corrupted plan — is reported as data, so the check that ran the
+    // plan fails with a diagnostic instead of aborting the process.
     trace::Span span("exec.shuffle", "exec");
     static auto &runs = metrics::counter("exec.shuffle.runs");
     runs.inc();
-    if (LL_FAILPOINT("exec.shuffle.shape")) {
-        return makeExecDiag(ExecError::FailpointInjected,
-                            "exec.shuffle.shape",
-                            "failpoint forced a shape mismatch");
-    }
     if (static_cast<int>(src.size()) != warpSize || warpSize <= 0) {
         return makeExecDiag(ExecError::PlanShapeMismatch,
                             "exec.shuffle.shape",
@@ -202,8 +197,6 @@ WarpShufflePlan::execute(const std::vector<std::vector<uint64_t>> &src) const
     std::vector<std::vector<uint64_t>> dst(
         static_cast<size_t>(warpSize),
         std::vector<uint64_t>(static_cast<size_t>(numRegsB), ~uint64_t(0)));
-    const bool failLane = LL_FAILPOINT("exec.shuffle.lane-range");
-    const bool failReg = LL_FAILPOINT("exec.shuffle.reg-range");
     int64_t elementsMoved = 0;
     for (const auto &round : xfers) {
         for (size_t lane = 0; lane < round.size(); ++lane) {
@@ -214,15 +207,14 @@ WarpShufflePlan::execute(const std::vector<std::vector<uint64_t>> &src) const
                                     "the warp holds");
             }
             const ShuffleXfer &x = round[lane];
-            if (failLane || x.srcLane < 0 || x.srcLane >= warpSize) {
+            if (x.srcLane < 0 || x.srcLane >= warpSize) {
                 return makeExecDiag(
                     ExecError::LaneOutOfRange, "exec.shuffle.lane-range",
                     "source lane " + std::to_string(x.srcLane) +
                         " outside warp of " + std::to_string(warpSize));
             }
             for (const auto &[ra, rb] : x.regPairs) {
-                if (failReg || ra < 0 || ra >= numRegsA || rb < 0 ||
-                    rb >= numRegsB) {
+                if (ra < 0 || ra >= numRegsA || rb < 0 || rb >= numRegsB) {
                     return makeExecDiag(
                         ExecError::RegisterOutOfRange,
                         "exec.shuffle.reg-range",

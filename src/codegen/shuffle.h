@@ -69,11 +69,10 @@ struct WarpShufflePlan
      * Execute on one warp's register file: src[lane][regA] are the
      * values held under layout A; returns values arranged per layout B.
      * Total over any input: a malformed register file or a corrupted
-     * plan comes back as an ExecDiagnostic (PlanShapeMismatch,
-     * LaneOutOfRange, RegisterOutOfRange) instead of aborting, so the
-     * engine can re-plan one rung further down. Failpoint sites:
-     * "exec.shuffle.shape", "exec.shuffle.lane-range",
-     * "exec.shuffle.reg-range".
+     * plan comes back as an ExecDiagnostic (PlanShapeMismatch at stage
+     * "exec.shuffle.shape", LaneOutOfRange at "exec.shuffle.lane-range",
+     * RegisterOutOfRange at "exec.shuffle.reg-range") instead of
+     * aborting, so the check that runs the plan fails on it.
      */
     Result<std::vector<std::vector<uint64_t>>, ExecDiagnostic>
     execute(const std::vector<std::vector<uint64_t>> &src) const;

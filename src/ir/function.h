@@ -75,7 +75,7 @@ struct Op
     bool erased = false;        ///< dead ops are tombstoned, not removed
     /** ConvertLayout only: the plan the layout engine shipped for this
      *  op's endpoint layouts and GPU model, which the cost model prices
-     *  (check::verifyPlan verifies shipped plans off the compile path).
+     *  (plan_audit executes shipped plans off the compile path).
      *  Null until the engine plans the op, or when no plan survived (the
      *  op is then tagged kUnplannedConvertTag). Whoever edits an
      *  endpoint layout outside the engine must reset it; the engine

@@ -29,8 +29,9 @@
  * service.retry.attempts, service.deadline.queue_expired, and the
  * "service.request_latency_us" histogram.
  *
- * Failpoints on the service path (all folded into llfuzz
- * --failpoint-coverage via serviceFailpointSites()): "svc.admit",
+ * Failpoints on the service path (llfuzz --failpoint-coverage forces
+ * each of serviceFailpointSites() alongside the planner sites):
+ * "svc.admit",
  * "svc.singleflight.leader", "svc.queue.timeout" (a popped job is
  * treated as having out-waited its deadline), "svc.retry" (a retry
  * attempt fails before re-planning).
@@ -232,9 +233,9 @@ std::vector<double> poissonArrivalOffsetsUs(double ratePerSec,
                                             uint64_t seed,
                                             int64_t maxRequests = 0);
 
-/** Every failpoint site on the service path, for llfuzz
- *  --failpoint-coverage: svc.admit, svc.singleflight.leader,
- *  svc.queue.timeout, svc.retry. */
+/** Every failpoint site on the service path: svc.admit,
+ *  svc.singleflight.leader, svc.queue.timeout, svc.retry. llfuzz
+ *  --failpoint-coverage pools them with the planner sites. */
 std::vector<std::string> serviceFailpointSites();
 
 } // namespace service

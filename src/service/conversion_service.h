@@ -7,8 +7,8 @@
  * engine: consult the plan cache, and on a miss plan with
  * codegen::tryPlanConversion and publish the plan for every later
  * requester. Nothing here executes a plan: the lowerings are correct
- * by construction, and check::verifyPlan smoke-runs them in the
- * oracle and the tests. The engine passes its EngineOptions::planCache,
+ * by construction, and the oracle, plan_audit and the tests execute
+ * them, where a failure is a failed check. The engine passes its EngineOptions::planCache,
  * or a per-run plan memo of its own when none is configured.
  *
  * Span: "service.conversion" (cat "service") with an "outcome" arg of

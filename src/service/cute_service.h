@@ -11,8 +11,8 @@
  * layouts share the interner and the sharded plan cache with every
  * ordinary F2 request — two different non-pow2 logical shapes whose
  * floor-pow2 cores coincide hit the same cached plan. Like every
- * conversion, the core ships as planned; its smoke run and demotion
- * belong to check::checkCuteCaseWithDemotion.
+ * conversion, the core ships as planned and unexecuted; the admission
+ * oracle (check::checkCuteCase) executes and audits it.
  *
  * Where serveConversion rejects malformed requests with InvalidInput,
  * this entry distinguishes malformed (InvalidInput, memoizable) from

@@ -32,8 +32,6 @@ toString(DiagCode code)
         return "failpoint-injected";
       case DiagCode::DeadlineExceeded:
         return "deadline-exceeded";
-      case DiagCode::ExecutionFailed:
-        return "execution-failed";
       case DiagCode::PlannerInternalError:
         return "planner-internal-error";
     }
@@ -58,14 +56,10 @@ toString(ExecError code)
         return "shared-window-overflow";
       case ExecError::BankBudgetExceeded:
         return "bank-budget-exceeded";
-      case ExecError::UnfilledSlot:
-        return "unfilled-slot";
       case ExecError::DataMismatch:
         return "data-mismatch";
       case ExecError::CostMismatch:
         return "cost-mismatch";
-      case ExecError::FailpointInjected:
-        return "failpoint-injected";
       case ExecError::ExecInternalError:
         return "exec-internal-error";
     }
@@ -80,14 +74,6 @@ ExecDiagnostic::toString() const
     if (!message.empty())
         os << ": " << message;
     return os.str();
-}
-
-Diagnostic
-ExecDiagnostic::toDiagnostic() const
-{
-    return makeDiag(DiagCode::ExecutionFailed, stage,
-                    ll::toString(code) +
-                        (message.empty() ? "" : ": " + message));
 }
 
 std::string

@@ -39,7 +39,6 @@ enum class DiagCode
     CtaBudgetExceeded,       ///< allocation exceeds the CTA shared budget
     FailpointInjected,       ///< a failpoint forced this stage off
     DeadlineExceeded,        ///< the request's deadline cut this stage off
-    ExecutionFailed,         ///< a built plan failed while executing
     PlannerInternalError,    ///< unexpected exception inside a stage
 };
 
@@ -66,7 +65,8 @@ makeDiag(DiagCode code, std::string stage, std::string message)
  * Stable identifiers for why an *executor* failed at runtime. Planning
  * codes (DiagCode) describe why a rung was not built; these describe
  * why a built plan could not be run — a different failure domain with
- * a different consumer (the engine's execution-triggered demotion).
+ * a different consumer (the checks that execute plans, which fail on
+ * one).
  */
 enum class ExecError
 {
@@ -77,10 +77,8 @@ enum class ExecError
     CrossWarpSource,       ///< intra-warp plan asked for another warp's data
     SharedWindowOverflow,  ///< shared offset outside the allocated window
     BankBudgetExceeded,    ///< measured wavefronts blew the conflict budget
-    UnfilledSlot,          ///< a destination slot was never written
     DataMismatch,          ///< a destination register got the wrong value
     CostMismatch,          ///< measured wavefronts differ from the priced
-    FailpointInjected,     ///< a failpoint forced this execution site off
     ExecInternalError,     ///< unexpected exception inside an executor
 };
 
@@ -90,13 +88,11 @@ std::string toString(ExecError code);
 struct ExecDiagnostic
 {
     ExecError code = ExecError::ExecInternalError;
-    /** Executor stage/failpoint site ("exec.shuffle.lane-range", ...). */
+    /** Executor stage ("exec.shuffle.lane-range", ...). */
     std::string stage;
     std::string message;
 
     std::string toString() const;
-    /** Bridge into planner diagnostics (DiagCode::ExecutionFailed). */
-    Diagnostic toDiagnostic() const;
 };
 
 inline ExecDiagnostic

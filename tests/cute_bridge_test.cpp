@@ -16,8 +16,8 @@
  *    (12,100) — plan and execute end to end, audited by the
  *    tagged-buffer oracle, through the planner, the service (with plan
  *    cache sharing), and the engine entry point.
- *  - The committed `.cute` corpus replays through the demotion-aware
- *    oracle on every run.
+ *  - The committed `.cute` corpus replays through the admission oracle
+ *    (check::checkCuteCase) on every run.
  */
 
 #include <algorithm>
@@ -378,17 +378,14 @@ TEST(CuteAdmissionTest, MalformedStaysInvalidInput)
               toString(DiagCode::InvalidInput));
 }
 
-TEST(CuteAdmissionTest, CuteCorpusReplaysWithDemotion)
+TEST(CuteAdmissionTest, CuteCorpusReplaysThroughTheOracle)
 {
     std::vector<std::string> files = corpusFiles(".cute");
     ASSERT_GE(files.size(), 4u);
     for (const std::string &path : files) {
         check::CuteCase c = check::readCuteCaseFile(path);
-        check::CuteDemotionReport rep =
-            check::checkCuteCaseWithDemotion(c);
-        EXPECT_TRUE(rep.survived) << path;
-        EXPECT_TRUE(rep.report.ok())
-            << path << ": " << rep.report.toString();
+        check::CuteOracleReport rep = check::checkCuteCase(c);
+        EXPECT_TRUE(rep.ok()) << path << ": " << rep.toString();
         // Round-trip the corpus format itself.
         std::ostringstream oss;
         check::writeCuteCase(oss, c);

@@ -1,15 +1,21 @@
 /**
  * @file
- * Execution-triggered demotion in check::verifyPlan: every executor
- * failure path, forced via the exec.* failpoint sites, must push the
- * planner one rung down the ladder and leave a demoted plan that still
- * round-trips bit-exactly under the oracle, at a modeled cost no lower
- * than the plan it replaced. Also covers the CTA budget (an oversized
- * tensor keeps a windowed rung-4 swizzle, or demotes to a windowed
- * scalar plan, instead of raising UserError), the padding search
- * regression pins, and the split between the compile path and the
- * check path: the engine and the service ship the planned plan and
- * execute nothing, so an executor fault reaches only verifyPlan.
+ * What happens when a plan is wrong, and the rungs below the top of the
+ * ladder. The paper's lowerings are correct by construction, so the
+ * compile path executes nothing; executing a plan is the checks' job,
+ * and an executor failure there is a failed check, never a new plan.
+ * Covers:
+ *   - every executor error path, reached with a malformed input or a
+ *     corrupted plan, reports its ExecError code and stage instead of
+ *     aborting;
+ *   - the smoke run (codegen::smokeExecutePlan) rejects an aliased
+ *     swizzle and a mispriced plan;
+ *   - a healthy engine executes nothing and ships what the planner
+ *     plans;
+ *   - the lower rungs: the CTA budget (an oversized tensor keeps a
+ *     windowed rung-4 swizzle, or falls to a windowed scalar plan,
+ *     instead of raising UserError), the padding search pins, and the
+ *     price of a conversion no rung could plan.
  */
 
 #include <gtest/gtest.h>
@@ -23,7 +29,6 @@
 #include "check/case_io.h"
 #include "check/generators.h"
 #include "check/oracle.h"
-#include "check/verify.h"
 #include "codegen/conversion.h"
 #include "codegen/gather.h"
 #include "codegen/shared_exec.h"
@@ -31,7 +36,6 @@
 #include "engine/layout_engine.h"
 #include "ir/function.h"
 #include "layout/dims.h"
-#include "service/conversion_service.h"
 #include "support/failpoint.h"
 #include "support/metrics.h"
 #include "synth/candidates.h"
@@ -41,7 +45,6 @@ namespace ll {
 namespace {
 
 using check::ConversionCase;
-using check::DemotionReport;
 using codegen::ConversionKind;
 
 struct CorpusEntry
@@ -110,27 +113,9 @@ shuffleCase()
     return c;
 }
 
-int
-rung(ConversionKind k)
-{
-    return static_cast<int>(k);
-}
-
-TEST(ExecFallback, SitePoolIsCompleteAndDisjointFromPlannerSites)
-{
-    auto exec = codegen::executionFailpointSites();
-    EXPECT_EQ(exec.size(), 10u);
-    auto planner = codegen::plannerFailpointSites();
-    for (const auto &s : exec) {
-        EXPECT_EQ(s.rfind("exec.", 0), 0u) << s;
-        EXPECT_EQ(std::count(exec.begin(), exec.end(), s), 1) << s;
-        EXPECT_EQ(std::count(planner.begin(), planner.end(), s), 0) << s;
-    }
-}
-
-// Cumulative knockout sets: each demotion step disables strictly more
-// rungs, so verifyPlan's demotion loop must terminate; the terminal
-// scalar rung has nowhere left to go.
+// Cumulative knockout sets: each rung's set disables strictly more
+// rungs than the set of the rung above it, and the terminal scalar
+// rung has nothing below it.
 TEST(ExecFallback, DemotionSitesGrowStrictlyDownTheLadder)
 {
     const ConversionKind ladder[] = {
@@ -148,229 +133,210 @@ TEST(ExecFallback, DemotionSitesGrowStrictlyDownTheLadder)
                     .empty());
 }
 
-// Each exec.shared.* site, forced for exactly one execution over every
-// corpus case (driven onto the shared rung), must trigger exactly one
-// demotion whose surviving plan is strictly lower on the ladder,
-// oracle-clean, and no cheaper than the plan it replaced. A case whose
-// forced plan already sits on the terminal scalar rung must fail
-// terminally instead — the designed engine-failure outcome.
-TEST(ExecFallback, SharedExecSitesDemoteBitExactOverCorpus)
+// ----------------------------------------------------------------------
+// Executor error paths, reached through real inputs
+// ----------------------------------------------------------------------
+
+/** `result` failed with `code` at `stage`. */
+template <typename T>
+void
+expectExecError(const Result<T, ExecDiagnostic> &result, ExecError code,
+                const std::string &stage)
 {
-    const std::vector<std::string> sites = {
-        "exec.shared.file-size", "exec.shared.alloc",
-        "exec.shared.window", "exec.shared.bank-budget"};
-    for (const auto &site : sites) {
-        int fired = 0;
-        for (const auto &e : corpus()) {
-            ConversionCase c = e.c;
-            c.failpoints = forceShared();
-            auto original = planWith(c, c.failpoints);
-
-            failpoint::activate(site, 1);
-            DemotionReport dr = check::checkCaseWithDemotion(c);
-            failpoint::deactivate(site);
-
-            EXPECT_EQ(dr.initialKind, original.kind) << e.file;
-            if (dr.initialKind == ConversionKind::SharedScalar) {
-                EXPECT_FALSE(dr.survived) << e.file << " with " << site;
-                continue;
-            }
-            ++fired;
-            EXPECT_TRUE(dr.survived) << e.file << " with " << site;
-            EXPECT_EQ(dr.demotions, 1) << e.file << " with " << site;
-            EXPECT_GT(rung(dr.finalKind), rung(dr.initialKind))
-                << e.file << ": " << toString(dr.initialKind) << " -> "
-                << toString(dr.finalKind);
-            EXPECT_TRUE(dr.report.ok())
-                << e.file << " with " << site << ": "
-                << dr.report.toString();
-
-            // Demotion may only raise the modeled cost (the original
-            // rung was preferred for a reason).
-            auto demoted =
-                planWith(c, codegen::demotionSitesFor(original.kind));
-            const auto spec = c.spec();
-            EXPECT_LE(original.estimateCycles(c.src, c.elemBytes, spec),
-                      demoted.estimateCycles(c.src, c.elemBytes, spec))
-                << e.file << ": " << toString(original.kind) << " vs "
-                << toString(demoted.kind);
-        }
-        EXPECT_GE(fired, 1) << site << " never reached a demotable plan";
-    }
+    ASSERT_FALSE(result.ok()) << stage << " passed";
+    EXPECT_EQ(result.diag().code, code) << result.diag().toString();
+    EXPECT_EQ(result.diag().stage, stage);
 }
 
-// The exec.shuffle.* sites, forced on a conversion that plans to the
-// shuffle rung, demote it onto a shared rung that still routes every
-// element correctly.
-TEST(ExecFallback, ShuffleExecSitesDemoteToOracleCleanSharedPlan)
+/** One warp's register and index files for a gather: register r of
+ *  lane l holds a distinct tag, and every index is `index(lane, reg)`. */
+template <typename IndexFn>
+std::pair<std::vector<std::vector<uint64_t>>,
+          std::vector<std::vector<int32_t>>>
+gatherFiles(int warpSize, int numRegs, IndexFn index)
 {
-    const std::vector<std::string> sites = {
-        "exec.shuffle.shape", "exec.shuffle.lane-range",
-        "exec.shuffle.reg-range"};
-    ConversionCase c = shuffleCase();
-    {
-        auto plan = planWith(c, {});
-        ASSERT_EQ(plan.kind, ConversionKind::WarpShuffle)
-            << "fixture no longer plans to the shuffle rung";
-    }
-    for (const auto &site : sites) {
-        failpoint::activate(site, 1);
-        DemotionReport dr = check::checkCaseWithDemotion(c);
-        failpoint::deactivate(site);
-
-        EXPECT_EQ(dr.initialKind, ConversionKind::WarpShuffle) << site;
-        EXPECT_TRUE(dr.survived) << site;
-        EXPECT_EQ(dr.demotions, 1) << site;
-        EXPECT_GT(rung(dr.finalKind), rung(ConversionKind::WarpShuffle))
-            << site << ": demoted to " << toString(dr.finalKind);
-        EXPECT_TRUE(dr.report.ok()) << site << ": "
-                                    << dr.report.toString();
-    }
-
-    // Demotion invariants must also hold wherever a shuffle plan occurs
-    // naturally in the corpus.
-    for (const auto &site : sites) {
-        for (const auto &e : corpus()) {
-            if (planWith(e.c, {}).kind != ConversionKind::WarpShuffle)
-                continue;
-            failpoint::activate(site, 1);
-            DemotionReport dr = check::checkCaseWithDemotion(e.c);
-            failpoint::deactivate(site);
-            EXPECT_TRUE(dr.survived) << e.file << " with " << site;
-            EXPECT_EQ(dr.demotions, 1) << e.file << " with " << site;
-            EXPECT_TRUE(dr.report.ok())
-                << e.file << " with " << site << ": "
-                << dr.report.toString();
+    std::vector<std::vector<uint64_t>> regs(static_cast<size_t>(warpSize));
+    std::vector<std::vector<int32_t>> idx(static_cast<size_t>(warpSize));
+    for (int lane = 0; lane < warpSize; ++lane) {
+        for (int reg = 0; reg < numRegs; ++reg) {
+            regs[static_cast<size_t>(lane)].push_back(
+                static_cast<uint64_t>(lane * numRegs + reg));
+            idx[static_cast<size_t>(lane)].push_back(index(lane, reg));
         }
     }
+    return {regs, idx};
 }
 
-// Demotion must resume the ladder strictly below the failed rung
-// instead of re-walking it from the top: a forced mid-ladder execution
-// failure leaves the rungs at or above the failure evaluated exactly
-// once (by the initial plan), while the demoted re-plan starts at the
-// rung below. Counted via the plan.rung.*.evaluated metrics.
-TEST(ExecFallback, DemotedReplanResumesBelowFailedRung)
-{
-    ConversionCase c = shuffleCase();
-    {
-        auto plan = planWith(c, {});
-        ASSERT_EQ(plan.kind, ConversionKind::WarpShuffle)
-            << "fixture no longer plans to the shuffle rung";
-    }
-    auto &reg = metrics::Registry::instance();
-    auto at = [](const std::map<std::string, int64_t> &snap,
-                 const std::string &name) {
-        auto it = snap.find(name);
-        return it == snap.end() ? int64_t(0) : it->second;
-    };
-    const auto before = reg.counterSnapshot();
-
-    failpoint::activate("exec.shuffle.shape", 1);
-    DemotionReport dr = check::checkCaseWithDemotion(c);
-    failpoint::deactivate("exec.shuffle.shape");
-    ASSERT_TRUE(dr.survived);
-    ASSERT_EQ(dr.demotions, 1);
-    EXPECT_GT(rung(dr.finalKind), rung(ConversionKind::WarpShuffle));
-
-    const auto after = reg.counterSnapshot();
-    auto delta = [&](const std::string &name) {
-        return at(after, name) - at(before, name);
-    };
-    // The initial plan walks rungs 1-3 exactly once; the demoted
-    // re-plan resumes at rung 4 and never revisits them.
-    EXPECT_EQ(delta("plan.rung.noop.evaluated"), 1);
-    EXPECT_EQ(delta("plan.rung.register-permute.evaluated"), 1);
-    EXPECT_EQ(delta("plan.rung.warp-shuffle.evaluated"), 1);
-    EXPECT_GE(delta("plan.rung.shared-memory.evaluated"), 1);
-    EXPECT_EQ(delta("plan.replans"), 1);
-}
-
-// plan.kind.<kind> counts accepted rungs, so the plan a demotion ships
-// is counted like any other: one shot of a shared executor failure on a
-// shared-memory plan raises both the rejected kind's counter and the
-// shipped kind's by exactly 1. llprof's accept column reads it.
-TEST(ExecFallback, DemotedPlanCountsItsShippedKind)
-{
-    const ConversionCase *c = nullptr;
-    for (const auto &e : corpus()) {
-        if (planWith(e.c, {}).kind == ConversionKind::SharedMemory) {
-            c = &e.c;
-            break;
-        }
-    }
-    ASSERT_NE(c, nullptr) << "no corpus case plans to shared memory";
-    auto &reg = metrics::Registry::instance();
-    const auto before = reg.counterSnapshot();
-
-    failpoint::activate("exec.shared.file-size", 1);
-    auto verified =
-        check::verifyPlan(c->src, c->dst, c->elemBytes, c->spec());
-    failpoint::deactivate("exec.shared.file-size");
-    ASSERT_TRUE(verified.plan.ok());
-    ASSERT_EQ(verified.demotions, 1);
-    ASSERT_FALSE(verified.execFailed);
-    const ConversionKind shipped = verified.plan->kind;
-    ASSERT_NE(shipped, ConversionKind::SharedMemory);
-
-    const auto after = reg.counterSnapshot();
-    auto delta = [&](ConversionKind k) {
-        const std::string name = "plan.kind." + codegen::toString(k);
-        auto a = after.find(name);
-        auto b = before.find(name);
-        return (a == after.end() ? 0 : a->second) -
-               (b == before.end() ? 0 : b->second);
-    };
-    EXPECT_EQ(delta(ConversionKind::SharedMemory), 1);
-    EXPECT_EQ(delta(shipped), 1) << toString(shipped);
-}
-
-// The gather executor is not part of the conversion ladder, so its
-// error paths are proven reachable directly: each forced site must fail
-// that one execution with a structured ExecDiagnostic naming the site,
-// and the immediately following clean run must succeed.
-TEST(ExecFallback, GatherExecSitesFailOnceThenRecover)
+// A warp-local gather along axis 1 of a 32 x 8 tile: each thread holds
+// one row. The identity index tensor reproduces the input; a layout
+// that cannot be inverted, an index at the axis size, a source in
+// another warp and a source register outside the plan's file each come
+// back as their own ExecError at their own stage.
+TEST(ExecErrors, GatherReportsMalformedInputs)
 {
     auto spec = sim::GpuSpec::gh200();
     auto layout = blocked({1, 8}, {32, 1}, {1, 1}, {1, 0}, {32, 8});
     auto plan = codegen::planGather(layout, 1, spec);
     ASSERT_TRUE(plan.has_value());
+    const int warpSize = plan->warpSize;
+    const int numRegs = plan->numRegs;
+    ASSERT_EQ(warpSize, 32);
+    ASSERT_EQ(numRegs, 8);
 
-    std::vector<std::vector<uint64_t>> regs(
-        static_cast<size_t>(plan->warpSize));
-    std::vector<std::vector<int32_t>> idx(
-        static_cast<size_t>(plan->warpSize));
-    for (int lane = 0; lane < plan->warpSize; ++lane) {
-        for (int reg = 0; reg < plan->numRegs; ++reg) {
-            regs[static_cast<size_t>(lane)].push_back(
-                static_cast<uint64_t>(lane * plan->numRegs + reg));
-            idx[static_cast<size_t>(lane)].push_back(reg);
-        }
-    }
+    auto [regs, identity] =
+        gatherFiles(warpSize, numRegs, [](int, int reg) { return reg; });
+    auto clean = codegen::executeGather(*plan, layout, 0, regs, identity);
+    ASSERT_TRUE(clean.ok()) << clean.diag().toString();
+    EXPECT_EQ(*clean, regs);
 
-    for (const std::string site : {"exec.gather.invert",
-                                   "exec.gather.index-range",
-                                   "exec.gather.cross-warp"}) {
-        failpoint::activate(site, 1);
-        auto forced = codegen::executeGather(*plan, layout, 0, regs, idx);
-        failpoint::deactivate(site);
-        ASSERT_FALSE(forced.ok()) << site << " did not fire";
-        EXPECT_EQ(forced.diag().stage, site);
+    // A 16-row tile under the same encoding broadcasts one lane bit,
+    // so the layout has no inverse.
+    auto broadcast = blocked({1, 8}, {32, 1}, {1, 1}, {1, 0}, {16, 8});
+    ASSERT_FALSE(broadcast.isInvertible());
+    expectExecError(
+        codegen::executeGather(*plan, broadcast, 0, regs, identity),
+        ExecError::NonInvertibleStep, "exec.gather.invert");
 
-        auto clean = codegen::executeGather(*plan, layout, 0, regs, idx);
-        ASSERT_TRUE(clean.ok())
-            << site << ": " << clean.diag().toString();
-        // Identity index tensor: the gather must reproduce the input.
-        for (int lane = 0; lane < plan->warpSize; ++lane) {
-            for (int reg = 0; reg < plan->numRegs; ++reg) {
-                EXPECT_EQ((*clean)[static_cast<size_t>(lane)]
-                                  [static_cast<size_t>(reg)],
-                          regs[static_cast<size_t>(lane)]
-                              [static_cast<size_t>(reg)])
-                    << site << " lane " << lane << " reg " << reg;
-            }
-        }
-    }
+    auto pastAxis = gatherFiles(warpSize, numRegs, [](int lane, int reg) {
+        return lane == 5 && reg == 3 ? 8 : reg;
+    });
+    expectExecError(codegen::executeGather(*plan, layout, 0, pastAxis.first,
+                                           pastAxis.second),
+                    ExecError::RegisterOutOfRange, "exec.gather.index-range");
+
+    // Two warps split the gathered axis, so warp 0 holds columns 0-3
+    // and index 4 lives in warp 1. The planner declines this layout;
+    // a plan that claims it is warp-local meets the cross-warp check.
+    auto split = blocked({1, 4}, {32, 1}, {1, 2}, {1, 0}, {32, 8});
+    ASSERT_FALSE(codegen::planGather(split, 1, spec).has_value());
+    codegen::GatherPlan splitPlan = *plan;
+    splitPlan.numRegs = 4;
+    auto crossWarp = gatherFiles(warpSize, 4, [](int, int reg) {
+        return reg == 2 ? 4 : reg;
+    });
+    expectExecError(codegen::executeGather(splitPlan, split, 0,
+                                           crossWarp.first, crossWarp.second),
+                    ExecError::CrossWarpSource, "exec.gather.cross-warp");
+
+    // A plan that reads only 4 of the layout's 8 registers: index 6
+    // names a source register outside the file it holds.
+    codegen::GatherPlan shortPlan = *plan;
+    shortPlan.numRegs = 4;
+    auto pastFile = gatherFiles(warpSize, 4, [](int, int reg) {
+        return reg == 1 ? 6 : reg;
+    });
+    expectExecError(codegen::executeGather(shortPlan, layout, 0,
+                                           pastFile.first, pastFile.second),
+                    ExecError::LaneOutOfRange, "exec.gather.cross-warp");
+
+    // A register file that does not span the warp.
+    auto halfWarp = gatherFiles(16, numRegs, [](int, int reg) { return reg; });
+    expectExecError(codegen::executeGather(*plan, layout, 0, halfWarp.first,
+                                           halfWarp.second),
+                    ExecError::PlanShapeMismatch, "exec.gather");
+}
+
+/** The first transfer of `plan` that moves a register, as (round, lane). */
+std::pair<size_t, size_t>
+firstMovingTransfer(const codegen::WarpShufflePlan &plan)
+{
+    for (size_t r = 0; r < plan.xfers.size(); ++r)
+        for (size_t lane = 0; lane < plan.xfers[r].size(); ++lane)
+            if (!plan.xfers[r][lane].regPairs.empty())
+                return {r, lane};
+    return {plan.xfers.size(), 0};
+}
+
+// The shuffle executor on a register file of the wrong shape and on a
+// plan whose source lane, register index or round width was corrupted.
+TEST(ExecErrors, ShuffleReportsMalformedInputs)
+{
+    ConversionCase c = shuffleCase();
+    auto planned = planWith(c, {});
+    ASSERT_EQ(planned.kind, ConversionKind::WarpShuffle)
+        << "fixture no longer plans to the shuffle rung";
+    const codegen::WarpShufflePlan &plan = *planned.shuffle;
+    ASSERT_EQ(plan.warpSize, 32);
+    const auto numRegsA = static_cast<size_t>(plan.numRegsA);
+    const std::vector<std::vector<uint64_t>> file(
+        32, std::vector<uint64_t>(numRegsA, 0));
+    ASSERT_TRUE(plan.execute(file).ok());
+
+    const std::vector<std::vector<uint64_t>> halfWarp(
+        16, std::vector<uint64_t>(numRegsA, 0));
+    expectExecError(plan.execute(halfWarp), ExecError::PlanShapeMismatch,
+                    "exec.shuffle.shape");
+    auto shortLane = file;
+    shortLane[7].pop_back();
+    expectExecError(plan.execute(shortLane), ExecError::PlanShapeMismatch,
+                    "exec.shuffle.shape");
+
+    const auto [round, lane] = firstMovingTransfer(plan);
+    ASSERT_LT(round, plan.xfers.size()) << "the plan moves no register";
+
+    auto badLane = plan;
+    badLane.xfers[round][lane].srcLane = plan.warpSize;
+    expectExecError(badLane.execute(file), ExecError::LaneOutOfRange,
+                    "exec.shuffle.lane-range");
+
+    auto badReg = plan;
+    badReg.xfers[round][lane].regPairs.front().first = plan.numRegsA;
+    expectExecError(badReg.execute(file), ExecError::RegisterOutOfRange,
+                    "exec.shuffle.reg-range");
+
+    auto wideRound = plan;
+    wideRound.xfers[round].resize(static_cast<size_t>(plan.warpSize) + 1);
+    expectExecError(wideRound.execute(file), ExecError::PlanShapeMismatch,
+                    "exec.shuffle.shape");
+}
+
+// The shared round trip on a source file of the wrong size, on a tile
+// too big for the CTA budget with its window stripped, and on a swizzle
+// planned for a larger tile, whose offsets run past this tile's storage.
+TEST(ExecErrors, SharedRoundTripReportsMalformedInputs)
+{
+    const auto spec = sim::GpuSpec::gh200();
+    ConversionCase c;
+    c.src = blocked({1, 4}, {8, 4}, {4, 1}, {1, 0}, {32, 32});
+    c.dst = blocked({4, 1}, {8, 4}, {4, 1}, {0, 1}, {32, 32});
+    c.elemBytes = 2;
+    auto plan = planWith(c, forceShared());
+    ASSERT_TRUE(plan.shared.has_value());
+    const LinearLayout src = codegen::canonicalIns(c.src);
+    const LinearLayout dst = codegen::canonicalIns(c.dst);
+    auto srcFile = codegen::flatImage(src);
+    ASSERT_TRUE(codegen::runSharedRoundTrip(*plan.shared, src, dst,
+                                            srcFile, c.elemBytes, spec)
+                    .ok());
+    srcFile.pop_back();
+    expectExecError(codegen::runSharedRoundTrip(*plan.shared, src, dst,
+                                                srcFile, c.elemBytes, spec),
+                    ExecError::PlanShapeMismatch, "exec.shared.file-size");
+
+    // 256 x 256 x f32 exceeds the GH200 CTA budget: the planner windows
+    // the swizzle, and without its window it no longer fits.
+    auto bigSrc = blocked({1, 4}, {8, 4}, {2, 2}, {1, 0}, {256, 256});
+    auto bigDst = blocked({4, 1}, {4, 8}, {2, 2}, {0, 1}, {256, 256});
+    auto big = codegen::planConversion(bigSrc, bigDst, 4, spec);
+    ASSERT_TRUE(big.shared.has_value());
+    ASSERT_TRUE(big.shared->windowed());
+    codegen::SwizzledShared unwindowed = *big.shared;
+    unwindowed.windowElems = 0;
+    expectExecError(codegen::executeSharedConversion(unwindowed, bigSrc,
+                                                     bigDst, 4, spec),
+                    ExecError::SharedWindowOverflow, "exec.shared.alloc");
+
+    // The same encodings on a 64 x 64 tile: that swizzle addresses 4096
+    // elements, and the 32 x 32 tile stores only 1024.
+    ConversionCase wide = c;
+    wide.src = blocked({1, 4}, {8, 4}, {4, 1}, {1, 0}, {64, 64});
+    wide.dst = blocked({4, 1}, {8, 4}, {4, 1}, {0, 1}, {64, 64});
+    auto widePlan = planWith(wide, forceShared());
+    ASSERT_TRUE(widePlan.shared.has_value());
+    expectExecError(codegen::executeSharedConversion(*widePlan.shared, c.src,
+                                                     c.dst, c.elemBytes,
+                                                     spec),
+                    ExecError::SharedWindowOverflow, "exec.shared.window");
 }
 
 // ----------------------------------------------------------------------
@@ -484,7 +450,7 @@ TEST(ExecFallback, PaddingSearchPinsChosenPairOnCorpusCases)
 }
 
 // ----------------------------------------------------------------------
-// The compile path ships the planned plan; the check path verifies it
+// The compile path ships the planned plan; the checks execute it
 // ----------------------------------------------------------------------
 
 ir::Function
@@ -517,153 +483,6 @@ shippedConversions(const ir::Function &f)
         out.emplace_back(i, std::move(c));
     }
     return out;
-}
-
-/** The first shipped conversion of the healthy gemm, pinned to the
- *  shared-memory rung a shared executor fault can demote. */
-std::pair<int, ConversionCase>
-firstSharedGemmConversion()
-{
-    auto healthy = gemmFunction();
-    engine::LayoutEngine({sim::GpuSpec::gh200(), 4}).run(healthy);
-    auto shipped = shippedConversions(healthy);
-    EXPECT_FALSE(shipped.empty());
-    if (shipped.empty())
-        return {-1, {}};
-    EXPECT_EQ(healthy.op(shipped.front().first).tag,
-              "convert:shared-memory")
-        << "fixture no longer plans its first conversion to shared";
-    return shipped.front();
-}
-
-// The engine executes nothing, so a one-shot executor fault armed
-// across a compile stays armed: every conversion ships its healthy plan.
-// The fault surfaces where plans are verified — check::verifyPlan on
-// the shipped shared conversion takes the shot and demotes it once.
-TEST(ExecFallback, TransientExecFaultDemotesInVerifyPlanNotTheEngine)
-{
-    const auto spec = sim::GpuSpec::gh200();
-    const std::string site = "exec.shared.file-size";
-    auto healthy = gemmFunction();
-    engine::LayoutEngine({spec, 4}).run(healthy);
-
-    failpoint::Scoped fault(site, 1);
-    const int64_t hitsBefore = failpoint::hitCount(site);
-    auto f = gemmFunction();
-    engine::EngineStats stats;
-    EXPECT_NO_THROW(stats = engine::LayoutEngine({spec, 4}).run(f));
-    EXPECT_EQ(failpoint::hitCount(site), hitsBefore)
-        << "the engine executed a shared plan";
-    EXPECT_EQ(stats.planFailures, 0);
-    EXPECT_GE(stats.convertsPlanned, 1);
-    ASSERT_EQ(f.numOps(), healthy.numOps());
-    for (int i = 0; i < f.numOps(); ++i) {
-        EXPECT_EQ(f.op(i).tag, healthy.op(i).tag) << "op " << i;
-        if (f.op(i).plan) {
-            EXPECT_EQ(codegen::describePlan(*f.op(i).plan),
-                      codegen::describePlan(*healthy.op(i).plan))
-                << "op " << i;
-        }
-    }
-
-    auto [opIdx, c] = firstSharedGemmConversion();
-    ASSERT_GE(opIdx, 0);
-    auto verified = check::verifyPlan(c.src, c.dst, c.elemBytes, spec);
-    EXPECT_GT(failpoint::hitCount(site), hitsBefore);
-    ASSERT_TRUE(verified.verified());
-    EXPECT_EQ(verified.initialKind, ConversionKind::SharedMemory);
-    EXPECT_EQ(verified.demotions, 1);
-    EXPECT_GT(rung(verified.plan->kind), rung(ConversionKind::SharedMemory));
-}
-
-// A persistent executor outage (every shared execution failing,
-// including the terminal scalar rung's) leaves the engine untouched —
-// it never executes a plan — while verifyPlan exhausts the ladder on
-// every shipped shared conversion and reports a terminal failure.
-TEST(ExecFallback, EngineSurvivesPersistentExecutionFailure)
-{
-    const auto spec = sim::GpuSpec::gh200();
-    failpoint::ScopedSet guard({"exec.shared.file-size"});
-    auto f = gemmFunction();
-    engine::EngineStats stats;
-    EXPECT_NO_THROW(stats = engine::LayoutEngine({spec, 4}).run(f));
-    EXPECT_EQ(stats.planFailures, 0);
-
-    int terminal = 0;
-    for (const auto &[opIdx, c] : shippedConversions(f)) {
-        const auto &o = f.op(opIdx);
-        EXPECT_NE(o.tag, ir::kUnplannedConvertTag) << "op " << opIdx;
-        ASSERT_NE(o.plan, nullptr) << "op " << opIdx;
-        if (!o.plan->shared.has_value())
-            continue;
-        auto verified = check::verifyPlan(c.src, c.dst, c.elemBytes, spec);
-        ASSERT_TRUE(verified.plan.ok()) << "op " << opIdx;
-        EXPECT_TRUE(verified.execFailed) << "op " << opIdx;
-        EXPECT_GE(verified.demotions, 1) << "op " << opIdx;
-        EXPECT_EQ(verified.plan->kind, ConversionKind::SharedScalar);
-        EXPECT_FALSE(verified.notes.empty()) << "op " << opIdx;
-        ++terminal;
-    }
-    EXPECT_GE(terminal, 1) << "the gemm ships no shared conversion";
-}
-
-// The engine and the service ship the same plan, tryPlanConversion's,
-// whether or not an executor fault is armed; the service publishes it
-// once no failpoint is active. check::verifyPlan and the demotion-aware
-// oracle share one demotion routine, so a single forced allocation
-// failure ends both on the same rung after one demotion, and the
-// engine's modeled kernel price does not move.
-TEST(ExecFallback, EngineAndServiceShipWhatVerifyPlanVerifies)
-{
-    const auto spec = sim::GpuSpec::gh200();
-    const std::string site = "exec.shared.alloc";
-    auto [opIdx, c] = firstSharedGemmConversion();
-    ASSERT_GE(opIdx, 0);
-    auto healthy = gemmFunction();
-    engine::LayoutEngine({spec, 4}).run(healthy);
-    const auto planned =
-        codegen::tryPlanConversion(c.src, c.dst, c.elemBytes, spec);
-    ASSERT_TRUE(planned.ok());
-
-    service::PlanCache cache;
-    auto f = gemmFunction();
-    {
-        failpoint::Scoped fault(site, 1);
-        engine::LayoutEngine({spec, 4}).run(f);
-        auto served = service::serveConversion(&cache, c.src, c.dst,
-                                               c.elemBytes, spec);
-        ASSERT_TRUE(served.planned()) << served.error;
-        EXPECT_EQ(codegen::describePlan(*served.plan),
-                  codegen::describePlan(*planned));
-        EXPECT_EQ(cache.size(), 0)
-            << "a plan was published while a failpoint was armed";
-    }
-    ASSERT_NE(f.op(opIdx).plan, nullptr);
-    EXPECT_EQ(codegen::describePlan(*f.op(opIdx).plan),
-              codegen::describePlan(*planned));
-    EXPECT_DOUBLE_EQ(engine::estimateKernelCost(f, spec, 4).cycles,
-                     engine::estimateKernelCost(healthy, spec, 4).cycles);
-
-    auto served =
-        service::serveConversion(&cache, c.src, c.dst, c.elemBytes, spec);
-    ASSERT_TRUE(served.planned()) << served.error;
-    EXPECT_EQ(cache.size(), 1) << "the planned plan was not published";
-    EXPECT_EQ(cache.stats().inserts, 1);
-
-    failpoint::activate(site, 1);
-    auto verified = check::verifyPlan(c.src, c.dst, c.elemBytes, spec);
-    failpoint::deactivate(site);
-    ASSERT_TRUE(verified.verified());
-    EXPECT_EQ(verified.demotions, 1);
-
-    failpoint::activate(site, 1);
-    DemotionReport dr = check::checkCaseWithDemotion(c);
-    failpoint::deactivate(site);
-    ASSERT_TRUE(dr.survived);
-    EXPECT_EQ(dr.demotions, 1);
-    EXPECT_EQ(dr.initialKind, ConversionKind::SharedMemory);
-    EXPECT_EQ(dr.finalKind, verified.plan->kind);
-    EXPECT_TRUE(dr.report.ok()) << dr.report.toString();
 }
 
 // When no rung of a conversion can be planned, the engine tags the op
@@ -719,7 +538,7 @@ TEST(ExecFallback, CostModelPricesARejectedConversionAsUnplannable)
 // loses data: two elements share one cell, so some register loads
 // poison or the other element. executeSharedConversion compares what
 // each dst register received and reports it, so the smoke run fails
-// the plan (and verifyPlan would demote it) instead of passing it.
+// the plan instead of passing it.
 TEST(ExecFallback, SmokeRejectsAnAliasedSwizzle)
 {
     const auto spec = sim::GpuSpec::gh200();
@@ -756,9 +575,8 @@ TEST(ExecFallback, SmokeRejectsAnAliasedSwizzle)
 // The smoke run audits the price as well as the data: a shared plan is
 // priced by its enumerated store/load wavefront totals, and the round
 // trip must measure exactly those. A plan whose recorded total is off
-// by one moves every element correctly, yet fails at exec.shared.cost
-// and demotes to a rung below that passes.
-TEST(ExecFallback, SmokeRejectsAMispricedPlanAndDemotes)
+// by one moves every element correctly, yet fails at exec.shared.cost.
+TEST(ExecFallback, SmokeRejectsAMispricedPlan)
 {
     const auto spec = sim::GpuSpec::gh200();
     ConversionCase c;
@@ -782,22 +600,13 @@ TEST(ExecFallback, SmokeRejectsAMispricedPlanAndDemotes)
             << " total mispriced by one passed its smoke run";
         EXPECT_EQ(fail->code, ExecError::CostMismatch) << fail->toString();
         EXPECT_EQ(fail->stage, "exec.shared.cost");
-
-        auto demoted = codegen::tryPlanConversionBelow(
-            mispriced.kind, c.src, c.dst, c.elemBytes, spec);
-        ASSERT_TRUE(demoted.ok()) << demoted.diag().toString();
-        EXPECT_GT(rung(demoted->kind), rung(mispriced.kind));
-        EXPECT_FALSE(codegen::smokeExecutePlan(*demoted, c.src, c.dst,
-                                               c.elemBytes, spec))
-            << "the demoted " << codegen::toString(demoted->kind)
-            << " plan must pass";
     }
 }
 
 // A healthy engine executes nothing — no exec.* counter moves during
 // its run, and it reports no execution fallbacks because it takes none
-// — and every plan it ships passes check::verifyPlan undemoted, ending
-// on the very plan the engine attached.
+// — and every plan it ships passes its smoke run and is the very plan
+// a fresh tryPlanConversion gives.
 TEST(ExecFallback, HealthyEngineReportsNoExecFallbacks)
 {
     const auto spec = sim::GpuSpec::gh200();
@@ -817,10 +626,13 @@ TEST(ExecFallback, HealthyEngineReportsNoExecFallbacks)
     for (const auto &[opIdx, c] : shippedConversions(f)) {
         const auto &shipped = f.op(opIdx).plan;
         ASSERT_NE(shipped, nullptr) << "op " << opIdx;
-        auto v = check::verifyPlan(c.src, c.dst, c.elemBytes, spec);
-        ASSERT_TRUE(v.verified()) << "op " << opIdx;
-        EXPECT_EQ(v.demotions, 0) << "op " << opIdx;
-        EXPECT_EQ(codegen::describePlan(*v.plan),
+        EXPECT_FALSE(codegen::smokeExecutePlan(*shipped, c.src, c.dst,
+                                               c.elemBytes, spec))
+            << "op " << opIdx;
+        auto fresh =
+            codegen::tryPlanConversion(c.src, c.dst, c.elemBytes, spec);
+        ASSERT_TRUE(fresh.ok()) << "op " << opIdx;
+        EXPECT_EQ(codegen::describePlan(*fresh),
                   codegen::describePlan(*shipped))
             << "op " << opIdx;
         ++verified;

@@ -15,15 +15,18 @@
  *     service::serveConversion, each cute case's pow2 core through
  *     service::serveCuteConversion;
  * collects every distinct (src, dst, elemBytes, spec) conversion they
- * ship, and audits each one's shipped plan twice:
- *   - check::verifyPlan must smoke-run it without a demotion and end on
- *     the shipped plan (identical describePlan);
- *   - check::checkPlan, the full oracle, must pass it.
- * A key that ships two different plans, and an op the engine left
- * unplanned, fail too. Prints how many plans it audited, then a digest
- * line: FNV-1a over every "key => describePlan" line in key order, so
- * two builds ship the same plans exactly when their digest lines match.
- * Exits 1 on any failure or when it audited none.
+ * ship, and audits each one's shipped plan three ways:
+ *   - codegen::smokeExecutePlan must run it cleanly;
+ *   - check::checkPlan, the full oracle, must pass it;
+ *   - a fresh codegen::tryPlanConversion must give the same plan
+ *     (identical describePlan).
+ * A failure is a failed check, never a new plan. A key that ships two
+ * different plans, and an op the engine left unplanned, fail too.
+ * Prints how many plans it audited, then a digest line: FNV-1a over
+ * every "key => describePlan" line in key order, so two builds ship the
+ * same plans exactly when their digest lines match; then the number of
+ * distinct shipped plans of each kind. Exits 1 on any failure or when
+ * it audited none.
  *
  * Usage: plan_audit CORPUS_DIR
  */
@@ -40,7 +43,6 @@
 #include "check/case_io.h"
 #include "check/cute_check.h"
 #include "check/oracle.h"
-#include "check/verify.h"
 #include "codegen/conversion.h"
 #include "engine/layout_engine.h"
 #include "ir/function.h"
@@ -115,30 +117,25 @@ class Audit
         std::cerr << "plan_audit: " << where << ": " << why << "\n";
     }
 
-    /** verifyPlan + checkPlan on every distinct shipped plan. */
+    /** Smoke run, oracle and a fresh re-plan on every distinct shipped
+     *  plan. */
     void
     run()
     {
         for (const auto &[key, s] : plans_) {
             const std::string label =
                 s.origin + " (" + codegen::toString(s.plan->kind) + ")";
-            auto verified =
-                check::verifyPlan(s.src, s.dst, s.elemBytes, s.spec);
-            if (!verified.verified()) {
-                std::string why = "check::verifyPlan failed";
-                for (const auto &n : verified.notes)
-                    why += "\n  " + n;
-                if (!verified.plan.ok())
-                    why += "\n  " + verified.plan.diag().toString();
-                fail(label, why);
-            } else if (verified.demotions != 0) {
-                fail(label, "check::verifyPlan demoted the plan " +
-                                std::to_string(verified.demotions) +
-                                " time(s)");
-            } else if (codegen::describePlan(*verified.plan) !=
-                       codegen::describePlan(*s.plan)) {
-                fail(label, "check::verifyPlan ended on another plan");
-            }
+            if (auto smoke = codegen::smokeExecutePlan(
+                    *s.plan, s.src, s.dst, s.elemBytes, s.spec))
+                fail(label, "smoke run failed: " + smoke->toString());
+            auto fresh = codegen::tryPlanConversion(s.src, s.dst,
+                                                    s.elemBytes, s.spec);
+            if (!fresh.ok())
+                fail(label,
+                     "a fresh plan failed: " + fresh.diag().toString());
+            else if (codegen::describePlan(*fresh) !=
+                     codegen::describePlan(*s.plan))
+                fail(label, "a fresh plan differs from the shipped one");
             auto report =
                 check::checkPlan(*s.plan, s.src, s.dst, s.elemBytes, s.spec);
             if (!report.ok())
@@ -161,6 +158,25 @@ class Audit
             }
         }
         return h;
+    }
+
+    /** "no-op N, register-permute N, ...": distinct plans per kind, in
+     *  ladder order, zeros included. */
+    std::string
+    kindCounts() const
+    {
+        std::map<codegen::ConversionKind, int64_t> counts;
+        for (const auto &[key, s] : plans_)
+            ++counts[s.plan->kind];
+        constexpr int kLast =
+            static_cast<int>(codegen::ConversionKind::SharedScalar);
+        std::string out;
+        for (int k = 0; k <= kLast; ++k) {
+            const auto kind = static_cast<codegen::ConversionKind>(k);
+            out += (k ? ", " : "") + codegen::toString(kind) + " " +
+                   std::to_string(counts[kind]);
+        }
+        return out;
     }
 
     int64_t planCount() const { return static_cast<int64_t>(plans_.size()); }
@@ -276,14 +292,17 @@ main(int argc, char **argv)
         return 1;
     }
     std::cout << "plan_audit: " << audit.audited()
-              << " distinct plan(s) audited (verifyPlan + checkPlan) of "
+              << " distinct plan(s) audited (smoke run + checkPlan + "
+                 "re-plan) of "
               << audit.shipped() << " shipped conversion(s), "
               << audit.failures() << " failure(s)\n";
     char digest[17];
     std::snprintf(digest, sizeof digest, "%016llx",
                   static_cast<unsigned long long>(audit.digest()));
     std::cout << "plan_audit: digest " << digest << " over "
-              << audit.planCount() << " plan(s)\n";
+              << audit.planCount() << " plan(s)\n"
+              << "plan_audit: plans per kind: " << audit.kindCounts()
+              << "\n";
     if (audit.audited() == 0) {
         std::cerr << "plan_audit: audited nothing\n";
         return 1;

@@ -17,16 +17,14 @@
  *     identical assignments and identical conversion plans (the tsan
  *     target);
  *   - every conversion a synthesized run leaves behind still passes the
- *     end-to-end tagged-buffer oracle, demotion loop included;
+ *     end-to-end tagged-buffer oracle;
  *   - a synthesized run ships its winning trial, and its search, its
  *     trials and its shipped pass plan through one cache, so a compile
  *     plans each distinct conversion once, with or without a shared
  *     cache, and a second compile on a warm shared cache plans nothing;
  *   - the search prices edges from their plans alone: it smoke-runs
  *     nothing and publishes every plan to the cache it is handed, and
- *     neither does the engine execute a plan, so the first shared
- *     round trip after a synthesized run is check::verifyPlan's on a
- *     conversion it ships.
+ *     neither does the engine execute a plan.
  */
 
 #include <cstdint>
@@ -40,13 +38,11 @@
 
 #include "check/generators.h"
 #include "check/oracle.h"
-#include "check/verify.h"
 #include "codegen/conversion.h"
 #include "engine/cost_model.h"
 #include "engine/layout_engine.h"
 #include "kernels.h"
 #include "service/plan_cache.h"
-#include "support/failpoint.h"
 #include "support/metrics.h"
 #include "synth/candidates.h"
 #include "synth/synthesize.h"
@@ -468,54 +464,9 @@ TEST(SynthEngine, DeterministicAcrossThreads)
     }
 }
 
-// A one-shot exec fault must reach a conversion the run ships. Neither
-// the search nor the engine executes a plan, so on every fig9 GH200
-// kernel that ships a convert:shared-memory op the shot survives the
-// synthesized compile untouched, and check::verifyPlan on that shipped
-// conversion consumes it and demotes exactly once.
-TEST(SynthEngine, OneShotExecFaultReachesShippedConversion)
-{
-    const auto spec = sim::GpuSpec::gh200();
-    const std::string site = "exec.shared.file-size";
-    int kernelsChecked = 0;
-    for (const auto &k : kernels::allKernels()) {
-        const int32_t size = k.sizes[0];
-        service::PlanCache cache;
-        ir::Function f = k.build(size);
-        failpoint::Scoped fault(site, 1);
-        const int64_t hits = failpoint::hitCount(site);
-        engine::LayoutEngine(optionsFor(spec, true, &cache)).run(f);
-        EXPECT_EQ(failpoint::hitCount(site), hits)
-            << k.name << "(" << size << "): the compile executed a plan";
-        int opIdx = -1;
-        for (int i = 0; i < f.numOps() && opIdx < 0; ++i)
-            if (!f.op(i).erased &&
-                f.op(i).tag == "convert:shared-memory")
-                opIdx = i;
-        if (opIdx < 0)
-            continue;
-
-        const ir::Op &o = f.op(opIdx);
-        const auto &src = *f.value(o.operands[0]).layout;
-        const auto &dst = *f.value(o.results[0]).layout;
-        auto verified = check::verifyPlan(
-            src, dst.transposeOuts(src.getOutDimNames()),
-            ir::byteWidth(f.value(o.results[0]).type.dtype), spec);
-        EXPECT_EQ(verified.demotions, 1)
-            << k.name << "(" << size << "): the fault did not reach a "
-            << "shipped conversion";
-        EXPECT_TRUE(verified.verified()) << k.name << "(" << size << ")";
-        ++kernelsChecked;
-    }
-    std::cout << "kernels shipping a shared conversion: "
-              << kernelsChecked << "\n";
-    EXPECT_GT(kernelsChecked, 0)
-        << "no fig9 kernel ships a convert:shared-memory op";
-}
-
 // Every conversion a synthesized run leaves behind must still pass the
-// end-to-end tagged-buffer oracle (with the engine-style demotion
-// loop) — synthesized layouts get no trust the default ones don't.
+// end-to-end tagged-buffer oracle — synthesized layouts get no trust
+// the default ones don't.
 TEST(SynthEngine, SynthesizedPlansOracleVerify)
 {
     auto spec = sim::GpuSpec::gh200();
@@ -539,10 +490,9 @@ TEST(SynthEngine, SynthesizedPlansOracleVerify)
                 ir::byteWidth(f.value(o.results[0]).type.dtype);
             cc.specName = "gh200";
             cc.summary = f.name() + " op " + std::to_string(i);
-            auto dr = check::checkCaseWithDemotion(cc);
-            EXPECT_TRUE(dr.survived) << cc.summary;
-            EXPECT_TRUE(dr.report.ok())
-                << cc.summary << ": " << dr.report.detail;
+            auto report = check::checkConversionCase(cc);
+            EXPECT_TRUE(report.ok())
+                << cc.summary << ": " << report.detail;
             ++audited;
         }
     }

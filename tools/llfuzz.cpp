@@ -31,24 +31,13 @@
  * reproducers replay the exact same injected failures.
  *
  * --failpoint-coverage runs coverage-guided fault injection over the
- * combined planner + execution site pool: each iteration picks one site
- * with probability inversely proportional to its hit count, forces it
- * (planner sites for a whole random case, execution sites one-shot
- * against a deterministic probe whose plan reaches that executor), and
- * demands check::verifyPlan's demotion survives with a bit-exact oracle
- * verdict. The run fails unless every pooled site was hit at least once
- * within the --iters budget.
- *
- * --failpoint-pairs forces a random *pair* per iteration: one executor
- * site one-shot (to trigger a demotion) plus one planner site held
- * active (so the demoted re-plan may fail its next rung too, or —
- * when the pair knocks out the terminal scalar rung — fail planning
- * outright, the demote-then-plan-fail terminal of check::verifyPlan).
- * Unlike --failpoint-coverage, the planner pool here
- * includes "plan.scalar". The run demands no exception ever escapes,
- * every surviving demotion is oracle-clean, and that the budget
- * reached at least one demotion and at least one demote-then-plan-fail
- * terminal.
+ * combined planner + service site pool: each iteration picks one site
+ * with probability inversely proportional to its hit count and forces
+ * it — a planner site for a whole random case, which must still pass
+ * the oracle on whatever rung the planner falls to, a service site
+ * one-shot against a deterministic service drill. The run fails unless
+ * every pooled site was hit at least once within the --iters budget,
+ * and when the pool is empty or no planner case ran.
  *
  * --diff-f2 fuzzes the word-parallel F2 core against its scalar
  * references via check::diffF2: any divergence fails the run and is
@@ -71,7 +60,7 @@
  * each iteration builds a random but always-valid mini-IR graph and
  * runs the layout engine twice, synth-off and synth-on. Both runs must
  * complete, every surviving ConvertLayout in *both* functions must
- * oracle-verify end to end via checkCaseWithDemotion, and the
+ * oracle-verify end to end via checkConversionCase, and the
  * synthesized function's modeled kernel cost must not exceed the
  * default's (the never-worse guarantee). A divergence is shrunk by
  * regenerating the graph from the same seed with a decreasing op
@@ -90,7 +79,6 @@
 #include "check/oracle.h"
 #include "check/shrink.h"
 #include "codegen/conversion.h"
-#include "codegen/gather.h"
 #include "codegen/swizzle.h"
 #include "cute/bridge.h"
 #include "engine/cost_model.h"
@@ -114,7 +102,6 @@ struct Options
     bool injectBug = false;
     double failpointRate = 0.0;
     bool failpointCoverage = false;
-    bool failpointPairs = false;
     bool diffF2 = false;
     bool diffCute = false;
     bool diffSynth = false;
@@ -128,7 +115,7 @@ usage()
         << "usage: llfuzz [--seed N] [--iters M] [--max-rank R]\n"
            "              [--emit-corpus DIR] [--replay FILE]\n"
            "              [--inject-bug] [--failpoint-rate P]\n"
-           "              [--failpoint-coverage] [--failpoint-pairs]\n"
+           "              [--failpoint-coverage]\n"
            "              [--diff-f2] [--diff-cute] [--diff-synth]\n"
            "              [--verbose]\n";
 }
@@ -174,8 +161,6 @@ parseArgs(int argc, char **argv, Options &opt)
             opt.injectBug = true;
         } else if (arg == "--failpoint-coverage") {
             opt.failpointCoverage = true;
-        } else if (arg == "--failpoint-pairs") {
-            opt.failpointPairs = true;
         } else if (arg == "--diff-f2") {
             opt.diffF2 = true;
         } else if (arg == "--diff-cute") {
@@ -317,62 +302,6 @@ startsWith(const std::string &s, const char *prefix)
 }
 
 /**
- * Force one exec.gather.* site against a fixed warp-local gather, then
- * rerun clean: the forced run must fail through the site's error path
- * and the clean run must gather correctly (and, as a side effect,
- * evaluate every gather guard, bumping its hit count).
- */
-bool
-runGatherProbe(const std::string &site)
-{
-    auto spec = sim::GpuSpec::gh200();
-    auto l = coverageBlocked({1, 8}, {32, 1}, {1, 1}, {1, 0}, {32, 8});
-    auto plan = codegen::planGather(l, 1, spec);
-    if (!plan.has_value()) {
-        std::cerr << "gather probe failed to plan\n";
-        return false;
-    }
-    std::vector<std::vector<uint64_t>> regs(
-        32, std::vector<uint64_t>(static_cast<size_t>(plan->numRegs)));
-    std::vector<std::vector<int32_t>> idx(
-        32, std::vector<int32_t>(static_cast<size_t>(plan->numRegs)));
-    for (int lane = 0; lane < 32; ++lane) {
-        for (int reg = 0; reg < plan->numRegs; ++reg) {
-            regs[static_cast<size_t>(lane)][static_cast<size_t>(reg)] =
-                static_cast<uint64_t>(lane * plan->numRegs + reg);
-            idx[static_cast<size_t>(lane)][static_cast<size_t>(reg)] =
-                reg; // identity gather along axis 1
-        }
-    }
-    failpoint::activate(site, 1);
-    auto forced = codegen::executeGather(*plan, l, 0, regs, idx);
-    failpoint::deactivate(site);
-    if (forced.ok()) {
-        std::cerr << "forced gather failpoint " << site
-                  << " did not fire\n";
-        return false;
-    }
-    auto clean = codegen::executeGather(*plan, l, 0, regs, idx);
-    if (!clean.ok()) {
-        std::cerr << "clean gather probe failed: "
-                  << clean.diag().toString() << "\n";
-        return false;
-    }
-    for (int lane = 0; lane < 32; ++lane) {
-        for (int reg = 0; reg < plan->numRegs; ++reg) {
-            if ((*clean)[static_cast<size_t>(lane)]
-                        [static_cast<size_t>(reg)] !=
-                regs[static_cast<size_t>(lane)]
-                    [static_cast<size_t>(reg)]) {
-                std::cerr << "identity gather misrouted an element\n";
-                return false;
-            }
-        }
-    }
-    return true;
-}
-
-/**
  * Force one svc.* site against a deterministic single-conversion
  * service drill, then rerun clean: the forced run must resolve through
  * the site's degraded-but-definite outcome (shed, failed leader,
@@ -510,26 +439,14 @@ runFailpointCoverage(const Options &opt)
     gen.maxRank = opt.maxRank;
 
     auto pool = codegen::plannerFailpointSites();
-    auto execSites = codegen::executionFailpointSites();
-    pool.insert(pool.end(), execSites.begin(), execSites.end());
     auto svcSites = service::serviceFailpointSites();
     pool.insert(pool.end(), svcSites.begin(), svcSites.end());
+    if (pool.empty()) {
+        std::cerr << "llfuzz: failpoint coverage has no site to force\n";
+        return 1;
+    }
 
-    // Deterministic probes whose plans reach each executor family: the
-    // forced exec site is then guaranteed to be evaluated (and fire).
-    check::ConversionCase shuffleCase;
-    shuffleCase.src =
-        coverageBlocked({1, 4}, {8, 4}, {2, 2}, {1, 0}, {16, 64});
-    shuffleCase.dst =
-        coverageBlocked({4, 1}, {2, 16}, {2, 2}, {1, 0}, {16, 64});
-    shuffleCase.summary = "coverage shuffle probe";
-    check::ConversionCase sharedCase;
-    sharedCase.src = shuffleCase.src;
-    sharedCase.dst =
-        coverageBlocked({1, 4}, {8, 4}, {4, 1}, {1, 0}, {16, 64});
-    sharedCase.summary = "coverage shared probe";
-
-    int64_t demotions = 0;
+    int64_t plannerCases = 0;
     for (int iter = 0; iter < opt.iters; ++iter) {
         // Coverage guidance: select inversely to how often each site's
         // guard has been evaluated so far.
@@ -547,63 +464,26 @@ runFailpointCoverage(const Options &opt)
         if (startsWith(site, "svc.")) {
             if (!runServiceProbe(site))
                 return 1;
-        } else if (startsWith(site, "exec.gather.")) {
-            if (!runGatherProbe(site))
-                return 1;
-        } else if (startsWith(site, "exec.")) {
-            const auto &c = startsWith(site, "exec.shuffle.")
-                                ? shuffleCase
-                                : sharedCase;
-            failpoint::activate(site, 1);
-            check::DemotionReport dr;
-            try {
-                dr = check::checkCaseWithDemotion(c);
-            } catch (const std::exception &e) {
-                failpoint::deactivate(site);
-                std::cerr << "EXCEPTION forcing " << site << " on "
-                          << c.summary << ": " << e.what() << "\n";
-                return 1;
-            }
-            failpoint::deactivate(site);
-            if (dr.demotions < 1) {
-                std::cerr << "forced exec failpoint " << site
-                          << " did not trigger a demotion on "
-                          << c.summary << "\n";
-                return 1;
-            }
-            if (!dr.survived) {
-                std::cerr << "demotion did not survive forcing " << site
-                          << " on " << c.summary << "\n";
-                for (const auto &n : dr.notes)
-                    std::cerr << "  " << n << "\n";
-                return 1;
-            }
-            if (!dr.report.ok()) {
-                std::cerr << "demoted plan failed the oracle after "
-                          << site << " on " << c.summary << ":\n  "
-                          << dr.report.toString() << "\n";
-                return 1;
-            }
-            demotions += dr.demotions;
-        } else {
-            auto c = check::randomConversionCase(rng, gen);
-            c.failpoints.push_back(site);
-            c.summary += " +failpoints{" + site + "}";
-            check::OracleReport report;
-            try {
-                report = check::checkConversionCase(c);
-            } catch (const std::exception &e) {
-                std::cerr << "EXCEPTION on " << c.summary << ": "
-                          << e.what() << "\n";
-                return 1;
-            }
-            if (!report.ok()) {
-                auto checker = [](const check::ConversionCase &cc) {
-                    return check::checkConversionCase(cc);
-                };
-                return reportFailure(c, report, checker);
-            }
+            continue;
         }
+        auto c = check::randomConversionCase(rng, gen);
+        c.failpoints.push_back(site);
+        c.summary += " +failpoints{" + site + "}";
+        check::OracleReport report;
+        try {
+            report = check::checkConversionCase(c);
+        } catch (const std::exception &e) {
+            std::cerr << "EXCEPTION on " << c.summary << ": " << e.what()
+                      << "\n";
+            return 1;
+        }
+        if (!report.ok()) {
+            auto checker = [](const check::ConversionCase &cc) {
+                return check::checkConversionCase(cc);
+            };
+            return reportFailure(c, report, checker);
+        }
+        ++plannerCases;
     }
 
     std::vector<std::string> missed;
@@ -619,130 +499,16 @@ runFailpointCoverage(const Options &opt)
             std::cerr << "  " << s << "\n";
         return 1;
     }
+    if (plannerCases == 0) {
+        std::cerr << "llfuzz: failpoint coverage ran no planner case "
+                     "within "
+                  << opt.iters << " iterations\n";
+        return 1;
+    }
     std::cout << "llfuzz: failpoint coverage " << pool.size() << "/"
               << pool.size() << " sites hit over " << opt.iters
-              << " cases, " << demotions
-              << " execution-triggered demotions (seed " << opt.seed
-              << ")\n";
-    return 0;
-}
-
-/**
- * Force random (planner, executor) failpoint pairs against the
- * deterministic probes: the executor site (one- or two-shot) triggers
- * execution failures and demotions, while the held planner site
- * narrows where each demoted re-plan may land. The pool deliberately
- * includes "plan.scalar" — pairing it with a two-shot shared executor
- * fault walks SharedMemory -> SharedPadded -> (re-plan, terminal rung
- * knocked out) -> plan failure, check::verifyPlan's
- * demote-then-plan-fail terminal. A deterministic probe of
- * exactly that pair runs after the random sweep so the terminal path
- * is exercised on every run regardless of what the sweep drew.
- */
-int
-runFailpointPairs(const Options &opt)
-{
-    failpoint::clearAll();
-    std::mt19937 rng(opt.seed);
-
-    auto plannerPool = codegen::plannerFailpointSites();
-    plannerPool.push_back("plan.scalar");
-    std::vector<std::string> execPool;
-    for (const auto &s : codegen::executionFailpointSites()) {
-        // Gather executors are not on the conversion path; pairing
-        // them with a planner site can never demote a conversion.
-        if (!startsWith(s, "exec.gather."))
-            execPool.push_back(s);
-    }
-
-    check::ConversionCase shuffleCase;
-    shuffleCase.src =
-        coverageBlocked({1, 4}, {8, 4}, {2, 2}, {1, 0}, {16, 64});
-    shuffleCase.dst =
-        coverageBlocked({4, 1}, {2, 16}, {2, 2}, {1, 0}, {16, 64});
-    shuffleCase.summary = "pairs shuffle probe";
-    check::ConversionCase sharedCase;
-    sharedCase.src = shuffleCase.src;
-    sharedCase.dst =
-        coverageBlocked({1, 4}, {8, 4}, {4, 1}, {1, 0}, {16, 64});
-    sharedCase.summary = "pairs shared probe";
-
-    int64_t demotions = 0;
-    int64_t terminals = 0; ///< demote-then-plan-fail (or terminal-rung)
-    int64_t survivals = 0;
-
-    auto runPair = [&](const std::string &planSite,
-                       const std::string &execSite,
-                       int64_t execShots) -> bool {
-        const auto &c = startsWith(execSite, "exec.shuffle.")
-                            ? shuffleCase
-                            : sharedCase;
-        check::DemotionReport dr;
-        try {
-            failpoint::Scoped planGuard(planSite);
-            failpoint::Scoped execGuard(execSite, execShots);
-            dr = check::checkCaseWithDemotion(c);
-        } catch (const std::exception &e) {
-            std::cerr << "EXCEPTION forcing pair {" << planSite << ", "
-                      << execSite << " x" << execShots << "} on "
-                      << c.summary << ": " << e.what() << "\n";
-            return false;
-        }
-        demotions += dr.demotions;
-        if (!dr.survived) {
-            // verifyPlan's terminal outcome: no rung survived. Reaching
-            // it here must not corrupt anything, so just count it.
-            ++terminals;
-            return true;
-        }
-        ++survivals;
-        if (!dr.report.ok()) {
-            std::cerr << "demoted plan failed the oracle under pair {"
-                      << planSite << ", " << execSite << " x"
-                      << execShots << "} on " << c.summary << ":\n  "
-                      << dr.report.toString() << "\n";
-            for (const auto &n : dr.notes)
-                std::cerr << "  " << n << "\n";
-            return false;
-        }
-        return true;
-    };
-
-    std::uniform_int_distribution<size_t> pickPlan(
-        0, plannerPool.size() - 1);
-    std::uniform_int_distribution<size_t> pickExec(0,
-                                                   execPool.size() - 1);
-    std::uniform_int_distribution<int64_t> pickShots(1, 2);
-    for (int iter = 0; iter < opt.iters; ++iter) {
-        const std::string planSite = plannerPool[pickPlan(rng)];
-        const std::string execSite = execPool[pickExec(rng)];
-        const int64_t shots = pickShots(rng);
-        if (opt.verbose)
-            std::cout << "[" << iter << "] pair {" << planSite << ", "
-                      << execSite << " x" << shots << "}\n";
-        if (!runPair(planSite, execSite, shots))
-            return 1;
-    }
-
-    const int64_t terminalsBefore = terminals;
-    if (!runPair("plan.scalar", "exec.shared.alloc", 2))
-        return 1;
-    if (terminals == terminalsBefore) {
-        std::cerr << "llfuzz: deterministic demote-then-plan-fail "
-                     "probe did not reach a terminal plan failure\n";
-        return 1;
-    }
-    if (demotions < 1) {
-        std::cerr << "llfuzz: failpoint pairs triggered no "
-                     "execution-triggered demotion\n";
-        return 1;
-    }
-
-    std::cout << "llfuzz: failpoint pairs: " << opt.iters
-              << " random pairs (+1 terminal probe), " << demotions
-              << " demotions, " << survivals
-              << " oracle-clean survivals, " << terminals
-              << " demote-then-plan-fail terminals (seed " << opt.seed
+              << " iterations, " << plannerCases
+              << " planner cases oracle-clean (seed " << opt.seed
               << ")\n";
     return 0;
 }
@@ -1017,8 +783,7 @@ randomSynthGraph(uint32_t seed, int opBudget)
  * --diff-synth: differential fuzzing of whole-kernel layout synthesis.
  * Per graph the layout engine runs synth-off and synth-on; both runs
  * must complete, every surviving ConvertLayout in each annotated
- * function must oracle-verify end to end (checkCaseWithDemotion, the
- * same audit the exec-fallback tests use), and the
+ * function must oracle-verify end to end (checkConversionCase), and the
  * synthesized run's modeled cost must not exceed the default's.
  */
 int
@@ -1072,12 +837,9 @@ runDiffSynth(const Options &opt)
             std::string verdict;
             try {
                 cc.dst = want->transposeOuts(have->getOutDimNames());
-                check::DemotionReport dr =
-                    check::checkCaseWithDemotion(cc);
-                if (!dr.survived)
-                    verdict = "demotion ladder exhausted";
-                else if (!dr.report.ok())
-                    verdict = dr.report.detail;
+                check::OracleReport report = check::checkConversionCase(cc);
+                if (!report.ok())
+                    verdict = report.detail;
             } catch (const std::exception &e) {
                 verdict = std::string("exception: ") + e.what();
             }
@@ -1179,9 +941,6 @@ main(int argc, char **argv)
     if (opt.failpointCoverage)
         return runFailpointCoverage(opt);
 
-    if (opt.failpointPairs)
-        return runFailpointPairs(opt);
-
     if (opt.diffF2)
         return runDiffF2(opt);
 
@@ -1199,9 +958,17 @@ main(int argc, char **argv)
             std::cerr << "llfuzz: " << e.what() << "\n";
             return 2;
         }
-        auto report = checker(c);
-        std::cout << (c.summary.empty() ? opt.replayFile : c.summary)
-                  << ": " << report.toString() << "\n";
+        const std::string label =
+            c.summary.empty() ? opt.replayFile : c.summary;
+        check::OracleReport report;
+        try {
+            report = checker(c);
+        } catch (const std::exception &e) {
+            // A case whose failpoints knock out every rung cannot plan.
+            std::cerr << "llfuzz: " << label << ": " << e.what() << "\n";
+            return 1;
+        }
+        std::cout << label << ": " << report.toString() << "\n";
         if (!report.ok())
             return reportFailure(c, report, checker);
         return 0;

@@ -6,12 +6,16 @@
  * Three workloads, combinable in one invocation:
  *
  *   --corpus DIR   replay every corpus case file in DIR (the fuzzer's
- *                  text format) through check::verifyPlan: plan,
- *                  smoke-execute, demote on an executor failure;
+ *                  text format): plan each under its failpoints with
+ *                  codegen::tryPlanConversion and smoke-execute the
+ *                  plan with codegen::smokeExecutePlan;
  *   --case FILE    replay one corpus case file;
  *   --kernels      run the Figure 9 kernel suite through LayoutEngine
  *                  (first size knob of each kernel), the full
  *                  assign/cleanup/plan pipeline.
+ *
+ * A replayed case that fails to plan or fails its smoke run, and a
+ * kernel conversion the engine leaves unplanned, fail the run (exit 1).
  *
  * Reporting:
  *
@@ -64,10 +68,10 @@
 #include <vector>
 
 #include "check/case_io.h"
-#include "check/verify.h"
 #include "codegen/conversion.h"
 #include "engine/layout_engine.h"
 #include "kernels.h"
+#include "support/failpoint.h"
 #include "support/json_lite.h"
 #include "support/metrics.h"
 #include "support/trace.h"
@@ -200,11 +204,11 @@ struct ReplayTally
 };
 
 /**
- * Replay one conversion case through check::verifyPlan: plan,
- * smoke-execute, demote on an executor failure. With span checking on,
- * the window of trace events this case appended must contain a
- * "plan.conversion" span whose args carry the initially selected rung
- * ("kind") and the modeled cost ("cycles").
+ * Replay one conversion case: plan it under the case's failpoints and
+ * smoke-execute the plan; a planning or smoke failure is tallied and
+ * fails the run. With span checking on, the window of trace events
+ * this case appended must contain a "plan.conversion" span whose args
+ * carry the selected rung ("kind") and the modeled cost ("cycles").
  */
 void
 replayCase(const check::ConversionCase &c, const std::string &label,
@@ -212,15 +216,18 @@ replayCase(const check::ConversionCase &c, const std::string &label,
 {
     ++tally.cases;
     const size_t before = trace::eventCount();
-    auto verified = check::verifyPlan(c.src, c.dst, c.elemBytes, c.spec());
-    if (!verified.plan.ok()) {
+    failpoint::ScopedSet guard(c.failpoints);
+    const auto spec = c.spec();
+    auto plan = codegen::tryPlanConversion(c.src, c.dst, c.elemBytes, spec);
+    if (!plan.ok()) {
         ++tally.planFailed;
         std::cerr << "llstat: planning failed on " << label << ": "
-                  << verified.plan.diag().toString() << "\n";
-    } else if (verified.execFailed) {
+                  << plan.diag().toString() << "\n";
+    } else if (auto fail = codegen::smokeExecutePlan(*plan, c.src, c.dst,
+                                                     c.elemBytes, spec)) {
         ++tally.execFailed;
         std::cerr << "llstat: smoke execution failed on " << label
-                  << ": " << verified.notes.back() << "\n";
+                  << ": " << fail->toString() << "\n";
     } else {
         ++tally.planned;
     }
@@ -236,8 +243,8 @@ replayCase(const check::ConversionCase &c, const std::string &label,
         const std::string *kind = spanArg(e, "kind");
         if (!kind)
             continue;
-        if (verified.plan.ok()) {
-            if (*kind == codegen::toString(verified.initialKind) &&
+        if (plan.ok()) {
+            if (*kind == codegen::toString(plan->kind) &&
                 spanArg(e, "cycles")) {
                 found = true;
                 break;
@@ -657,5 +664,7 @@ main(int argc, char **argv)
     else if (opt.metricsFormat == "json")
         metrics::Registry::instance().writeJson(std::cout);
 
-    return tally.spanViolations ? 1 : 0;
+    return tally.spanViolations || tally.planFailed || tally.execFailed
+               ? 1
+               : 0;
 }
