@@ -86,10 +86,12 @@ main()
     // Show one round's traffic for lane 0..3.
     std::printf("\nround 0 receives:\n");
     for (int lane = 0; lane < 4; ++lane) {
-        const auto &x = shuffle.xfers[0][lane];
-        std::printf("  lane %d <- lane %d, regs:", lane, x.srcLane);
-        for (auto [ra, rb] : x.regPairs)
-            std::printf(" %d->%d", ra, rb);
+        std::printf("  lane %d <- lane %d, regs:", lane,
+                    shuffle.transfer(0, lane, 0).srcLane);
+        for (int slot = 0; slot < shuffle.vecElems; ++slot) {
+            const auto t = shuffle.transfer(0, lane, slot);
+            std::printf(" %d->%d", t.srcReg, t.dstReg);
+        }
         std::printf("\n");
     }
     return errors == 0 ? 0 : 1;

@@ -7,6 +7,7 @@
 
 #include "check/layout_reference.h"
 #include "check/tiles_reference.h"
+#include "check/wavefront_reference.h"
 #include "codegen/shared_exec.h"
 #include "codegen/swizzle.h"
 #include "f2/subspace.h"
@@ -460,7 +461,7 @@ diffF2(const ConversionCase &c)
         same(n.wavefront,
              codegen::enumerateWavefronts(*swz, *layout, c.elemBytes,
                                           spec) ==
-                 codegen::enumerateWavefronts_reference(
+                 reference::enumerateWavefronts(
                      *swz, *layout, c.elemBytes, spec),
              "enumerateWavefronts");
         // The ldmatrix/stmatrix tile test on the side's columns against

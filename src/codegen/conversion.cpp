@@ -211,15 +211,15 @@ describePlan(const ConversionPlan &plan)
             h ^= v;
             h *= 1099511628211ull;
         };
-        for (const auto &round : s.xfers) {
-            mix(round.size());
-            for (const ShuffleXfer &x : round) {
-                mix(static_cast<uint64_t>(
-                    static_cast<int64_t>(x.srcLane)));
-                mix(x.regPairs.size());
-                for (const auto &[a, b] : x.regPairs) {
-                    mix(static_cast<uint64_t>(static_cast<int64_t>(a)));
-                    mix(static_cast<uint64_t>(static_cast<int64_t>(b)));
+        for (int round = 0; round < s.rounds; ++round) {
+            mix(static_cast<uint64_t>(s.warpSize));
+            for (int lane = 0; lane < s.warpSize; ++lane) {
+                mix(static_cast<uint64_t>(s.transfer(round, lane, 0).srcLane));
+                mix(static_cast<uint64_t>(s.vecElems));
+                for (int slot = 0; slot < s.vecElems; ++slot) {
+                    const ShuffleTransfer t = s.transfer(round, lane, slot);
+                    mix(static_cast<uint64_t>(t.srcReg));
+                    mix(static_cast<uint64_t>(t.dstReg));
                 }
             }
         }
@@ -476,9 +476,14 @@ tryPlanConversionImpl(const LinearLayout &src, const LinearLayout &dst,
                 plan.kind = ConversionKind::WarpShuffle;
                 plan.shuffle = std::move(*shuffle);
                 rung.arg("outcome", "accept");
-                if (rung.active())
+                if (rung.active()) {
                     rung.arg("cycles",
                              plan.estimateCycles(src, elemBytes, spec));
+                    rung.arg("vec", plan.shuffle->vecElems);
+                    rung.arg("rounds", plan.shuffle->rounds);
+                    rung.arg("communicating_rounds",
+                             plan.shuffle->communicatingRounds());
+                }
                 countKind(plan.kind);
                 return plan;
             }

@@ -1,6 +1,7 @@
 #include "codegen/shuffle.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "f2/matrix.h"
 #include "f2/subspace.h"
@@ -70,6 +71,33 @@ paddedColumns(const LinearLayout &l, const std::string &dim, int bits)
     auto cols = flatColumns(l, dim);
     cols.resize(static_cast<size_t>(bits), 0);
     return cols;
+}
+
+/**
+ * Why a singular P admits no plan, in the words of the first collision
+ * a walk over warp-0 elements in input order meets. `index` maps A's
+ * input bits to transfer indices. `in` and `in ^ k` collide when k's
+ * index has no lane or round bits, and the walk meets the pair at `in`
+ * when `in` holds k's top bit; so adding input bits one at a time, the
+ * first such k to appear names the text (DESIGN.md §13).
+ */
+std::string
+collisionText(const f2::F2Matrix &index, int v, int regLogA)
+{
+    const int dw = index.numCols();
+    f2::EchelonBasis cell, cellAndLane, full;
+    for (int h = 0; h < dw; ++h) {
+        const uint64_t x = index.getCol(h);
+        const uint64_t srcLane = h < regLogA ? 0 : uint64_t(1) << (h - regLogA);
+        cell.insert(x >> v);
+        cellAndLane.insert((x >> v) | srcLane << dw);
+        full.insert(x);
+        if (cellAndLane.dimension() > cell.dimension())
+            break;
+        if (full.dimension() <= h)
+            return "duplicate V-slot in shuffle payload";
+    }
+    return "slice contains two source lanes for one destination lane";
 }
 
 } // namespace
@@ -149,24 +177,53 @@ conversionIsIntraWarp(const LinearLayout &a, const LinearLayout &bIn)
     return true;
 }
 
+ShuffleTransfer
+WarpShufflePlan::transfer(int round, int lane, int slot) const
+{
+    const int v = std::countr_zero(static_cast<unsigned>(vecElems));
+    const int laneLog = std::countr_zero(static_cast<unsigned>(warpSize));
+    const int regLogA = std::countr_zero(static_cast<unsigned>(numRegsA));
+    uint64_t index = static_cast<uint64_t>(slot) |
+                     static_cast<uint64_t>(lane) << v |
+                     static_cast<uint64_t>(round) << (v + laneLog);
+    uint64_t word = 0;
+    for (size_t k = 0; index != 0 && k < columns.size(); ++k, index >>= 1)
+        word ^= index & 1 ? columns[k] : 0;
+    const uint64_t dstReg = word >> (regLogA + laneLog);
+    return {static_cast<int32_t>((word >> regLogA) & (warpSize - 1)),
+            static_cast<int32_t>(word & (numRegsA - 1)),
+            static_cast<int32_t>(std::min<uint64_t>(dstReg, INT32_MAX))};
+}
+
+int
+WarpShufflePlan::communicatingRounds() const
+{
+    // srcLane is lane ^ D(lane) ^ S(round) for linear D and S (V moves
+    // registers only). If D != 0, every round has a lane that reads
+    // elsewhere; otherwise the rounds outside ker S communicate.
+    const int v = std::countr_zero(static_cast<unsigned>(vecElems));
+    const int laneLog = std::countr_zero(static_cast<unsigned>(warpSize));
+    const int regLogA = std::countr_zero(static_cast<unsigned>(numRegsA));
+    auto srcLane = [&](size_t k) {
+        return (columns[k] >> regLogA) & static_cast<uint64_t>(warpSize - 1);
+    };
+    f2::EchelonBasis roundLanes;
+    for (size_t k = static_cast<size_t>(v); k < columns.size(); ++k) {
+        const int t = static_cast<int>(k) - v;
+        if (t >= laneLog)
+            roundLanes.insert(srcLane(k));
+        else if (srcLane(k) != uint64_t(1) << t)
+            return rounds;
+    }
+    return rounds - (rounds >> roundLanes.dimension());
+}
+
 int64_t
 WarpShufflePlan::countShuffleInstructions(int elemBytes) const
 {
     int payloadBytes = vecElems * elemBytes;
     int shufflesPerRound = (payloadBytes + 3) / 4;
-    int64_t total = 0;
-    for (const auto &round : xfers) {
-        bool communicates = false;
-        for (size_t lane = 0; lane < round.size(); ++lane) {
-            if (round[lane].srcLane != static_cast<int32_t>(lane)) {
-                communicates = true;
-                break;
-            }
-        }
-        if (communicates)
-            total += shufflesPerRound;
-    }
-    return total;
+    return static_cast<int64_t>(communicatingRounds()) * shufflesPerRound;
 }
 
 Result<std::vector<std::vector<uint64_t>>, ExecDiagnostic>
@@ -185,8 +242,10 @@ WarpShufflePlan::execute(const std::vector<std::vector<uint64_t>> &src) const
                                 " lanes, got " +
                                 std::to_string(src.size()));
     }
+    // srcReg and srcLane decode under masks numRegsA - 1 and
+    // warpSize - 1, so they index `src` whenever both are positive.
     for (const auto &laneRegs : src) {
-        if (static_cast<int>(laneRegs.size()) < numRegsA) {
+        if (numRegsA <= 0 || static_cast<int>(laneRegs.size()) < numRegsA) {
             return makeExecDiag(
                 ExecError::PlanShapeMismatch, "exec.shuffle.shape",
                 "a lane holds " + std::to_string(laneRegs.size()) +
@@ -198,44 +257,33 @@ WarpShufflePlan::execute(const std::vector<std::vector<uint64_t>> &src) const
         static_cast<size_t>(warpSize),
         std::vector<uint64_t>(static_cast<size_t>(numRegsB), ~uint64_t(0)));
     int64_t elementsMoved = 0;
-    for (const auto &round : xfers) {
-        for (size_t lane = 0; lane < round.size(); ++lane) {
-            if (lane >= static_cast<size_t>(warpSize)) {
-                return makeExecDiag(ExecError::PlanShapeMismatch,
-                                    "exec.shuffle.shape",
-                                    "round addresses more lanes than "
-                                    "the warp holds");
-            }
-            const ShuffleXfer &x = round[lane];
-            if (x.srcLane < 0 || x.srcLane >= warpSize) {
-                return makeExecDiag(
-                    ExecError::LaneOutOfRange, "exec.shuffle.lane-range",
-                    "source lane " + std::to_string(x.srcLane) +
-                        " outside warp of " + std::to_string(warpSize));
-            }
-            for (const auto &[ra, rb] : x.regPairs) {
-                if (ra < 0 || ra >= numRegsA || rb < 0 || rb >= numRegsB) {
+    for (int round = 0; round < rounds; ++round) {
+        for (int lane = 0; lane < warpSize; ++lane) {
+            for (int slot = 0; slot < vecElems; ++slot) {
+                const ShuffleTransfer t = transfer(round, lane, slot);
+                if (t.dstReg >= numRegsB) {
                     return makeExecDiag(
                         ExecError::RegisterOutOfRange,
                         "exec.shuffle.reg-range",
-                        "register pair (" + std::to_string(ra) + ", " +
-                            std::to_string(rb) + ") outside " +
-                            std::to_string(numRegsA) + "/" +
+                        "register pair (" + std::to_string(t.srcReg) +
+                            ", " + std::to_string(t.dstReg) +
+                            ") outside " + std::to_string(numRegsA) + "/" +
                             std::to_string(numRegsB));
                 }
-                dst[lane][static_cast<size_t>(rb)] =
-                    src[static_cast<size_t>(x.srcLane)]
-                       [static_cast<size_t>(ra)];
+                dst[static_cast<size_t>(lane)]
+                   [static_cast<size_t>(t.dstReg)] =
+                    src[static_cast<size_t>(t.srcLane)]
+                       [static_cast<size_t>(t.srcReg)];
                 ++elementsMoved;
             }
         }
     }
     static auto &roundsRun = metrics::counter("exec.shuffle.rounds");
-    roundsRun.add(static_cast<int64_t>(xfers.size()));
+    roundsRun.add(rounds);
     static auto &moved = metrics::counter("exec.shuffle.elements_moved");
     moved.add(elementsMoved);
     if (span.active()) {
-        span.arg("rounds", static_cast<int64_t>(xfers.size()));
+        span.arg("rounds", static_cast<int64_t>(rounds));
         span.arg("warp_size", warpSize);
         span.arg("elements_moved", elementsMoved);
     }
@@ -342,93 +390,63 @@ planWarpShuffle(const LinearLayout &a, const LinearLayout &bIn,
         return degenerate("warp element space basis has wrong dimension");
 
     // Full-space coordinate system [V | I | G | R | Wrp].
-    f2::F2Matrix basisM(d, d);
-    {
-        int col = 0;
-        for (uint64_t x : vec)
-            basisM.setCol(col++, x);
-        for (uint64_t x : iBasis)
-            basisM.setCol(col++, x);
-        for (uint64_t x : g)
-            basisM.setCol(col++, x);
-        for (uint64_t x : r)
-            basisM.setCol(col++, x);
-        for (uint64_t x : flatColumns(a, kWarp))
-            basisM.setCol(col++, x);
-        if (col != d)
-            return degenerate("basis column count mismatch");
-    }
-    if (!basisM.isInvertible())
+    std::vector<uint64_t> basis = vec;
+    for (const auto &part : {iBasis, g, r, flatColumns(a, kWarp)})
+        basis.insert(basis.end(), part.begin(), part.end());
+    if (static_cast<int>(basis.size()) != d)
+        return degenerate("basis column count mismatch");
+    if (!f2::F2Matrix(d, basis).isInvertible())
         return degenerate("conversion basis is singular");
-    f2::F2Matrix coordOf = basisM.inverse();
 
-    LinearLayout binv = b.invert();
-
+    // Per warp-0 coordinate column: its transfer index (V is the slot,
+    // R the round, B^-1 gives the destination lane) and its packed word
+    // (A^-1 gives the source register and lane, B^-1 the destination
+    // register). P, the index map, is invertible exactly when every
+    // (round, lane, slot) receives one element, and then the plan is
+    // words . P^-1 (DESIGN.md §13, "Shuffle plans are F2 maps").
+    const LinearLayout ainv = a.invert();
+    const LinearLayout binv = b.invert();
+    const int regLogB = b.getInDimSizeLog2(kReg);
+    const uint64_t laneMask = (uint64_t(1) << laneLog) - 1;
+    std::vector<uint64_t> index(static_cast<size_t>(dw));
+    std::vector<uint64_t> words(static_cast<size_t>(dw));
+    for (int j = 0; j < dw; ++j) {
+        const uint64_t x = basis[static_cast<size_t>(j)];
+        const uint64_t srcIn = ainv.applyFlat(x);
+        if ((srcIn >> dw) != 0)
+            return degenerate("warp-0 element has nonzero warp coord");
+        const uint64_t dstIn = binv.applyFlat(x);
+        if ((dstIn >> (regLogB + laneLog)) != 0)
+            return degenerate("warp-0 element maps outside warp 0 in B");
+        uint64_t idx = ((dstIn >> regLogB) & laneMask) << v;
+        if (j < v)
+            idx |= uint64_t(1) << j;
+        else if (j >= v + i + gsz)
+            idx |= uint64_t(1) << (j - i - gsz + laneLog);
+        index[static_cast<size_t>(j)] = idx;
+        words[static_cast<size_t>(j)] =
+            srcIn | (dstIn & ((uint64_t(1) << regLogB) - 1)) << dw;
+    }
+    const f2::F2Matrix p(dw, index);
+    if (!p.isInvertible()) {
+        // The theorem guarantees one source lane per slice per
+        // destination; a violation means the plan is infeasible.
+        std::vector<uint64_t> inOf(words);
+        for (uint64_t &w : inOf)
+            w &= (uint64_t(1) << dw) - 1;
+        return degenerate(collisionText(
+            p.multiply(f2::F2Matrix(dw, std::move(inOf)).inverse()), v,
+            regLogA));
+    }
     WarpShufflePlan plan;
     plan.vecElems = 1 << v;
     plan.rounds = 1 << rsz;
     plan.numRegsA = a.getInDimSize(kReg);
     plan.numRegsB = b.getInDimSize(kReg);
     plan.warpSize = spec.warpSize;
-    plan.xfers.assign(
-        static_cast<size_t>(plan.rounds),
-        std::vector<ShuffleXfer>(static_cast<size_t>(spec.warpSize)));
-    // Pre-size every payload so register pairs land at their V-slot.
-    for (auto &round : plan.xfers) {
-        for (auto &x : round)
-            x.regPairs.assign(static_cast<size_t>(plan.vecElems),
-                              {-1, -1});
-    }
-
-    const int regLogB = b.getInDimSizeLog2(kReg);
-    for (uint64_t in = 0; in < (uint64_t(1) << dw); ++in) {
-        int32_t srcReg = static_cast<int32_t>(
-            in & ((uint64_t(1) << regLogA) - 1));
-        int32_t srcLane = static_cast<int32_t>(in >> regLogA);
-        uint64_t x = a.applyFlat(in);
-        uint64_t coords = coordOf.apply(x);
-        if ((coords >> dw) != 0)
-            return degenerate("warp-0 element has nonzero warp coord");
-        int32_t vSlot = static_cast<int32_t>(
-            coords & ((uint64_t(1) << v) - 1));
-        int32_t round = static_cast<int32_t>(
-            (coords >> (v + i + gsz)) & ((uint64_t(1) << rsz) - 1));
-
-        uint64_t dstIn = binv.applyFlat(x);
-        int32_t dstReg = static_cast<int32_t>(
-            dstIn & ((uint64_t(1) << regLogB) - 1));
-        int32_t dstLane = static_cast<int32_t>(
-            (dstIn >> regLogB) & ((uint64_t(1) << laneLog) - 1));
-        if ((dstIn >> (regLogB + laneLog)) != 0)
-            return degenerate("warp-0 element maps outside warp 0 in B");
-
-        ShuffleXfer &xfer = plan.xfers[static_cast<size_t>(round)]
-                                      [static_cast<size_t>(dstLane)];
-        if (xfer.srcLane == -1) {
-            xfer.srcLane = srcLane;
-        } else if (xfer.srcLane != srcLane) {
-            // The theorem guarantees one source lane per slice per
-            // destination; a violation means the plan is infeasible.
-            return degenerate("slice contains two source lanes for one "
-                              "destination lane");
-        }
-        auto &slot = xfer.regPairs[static_cast<size_t>(vSlot)];
-        if (slot.first != -1)
-            return degenerate("duplicate V-slot in shuffle payload");
-        slot = {srcReg, dstReg};
-    }
-
-    // Every payload slot must be filled.
-    for (const auto &round : plan.xfers) {
-        for (const auto &x : round) {
-            if (x.srcLane < 0)
-                return degenerate("lane received no data in a round");
-            for (const auto &[ra, rb] : x.regPairs) {
-                if (ra < 0 || rb < 0)
-                    return degenerate("unfilled payload slot");
-            }
-        }
-    }
+    plan.columns = f2::F2Matrix(dw + regLogB, std::move(words))
+                       .multiply(p.inverse())
+                       .columns();
     return plan;
 }
 

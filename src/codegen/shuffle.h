@@ -18,17 +18,18 @@
  *        one vectorized element per thread of A and per thread of B, and
  *        is exchanged in one shuffle round.
  *
- * The resulting plan is fully concrete — per round and destination lane
- * it records the source lane and the register pairs — so the simulator
- * can execute it on data and the tests can verify every element lands
- * where layout B demands.
+ * The plan stores that construction as one F2 map, from the transfer
+ * index `slot | dstLane << v | round << (v + laneLog)` to the packed
+ * word `srcReg | srcLane << regLogA | dstReg << (regLogA + laneLog)`:
+ * dw columns, one per index bit. transfer() decodes any (round, lane,
+ * slot), so the simulator can execute the plan on data and the tests
+ * can verify every element lands where layout B demands.
  */
 
 #ifndef LL_CODEGEN_SHUFFLE_H
 #define LL_CODEGEN_SHUFFLE_H
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "layout/linear_layout.h"
@@ -38,30 +39,44 @@
 namespace ll {
 namespace codegen {
 
-/** One lane's receive action in one shuffle round. */
-struct ShuffleXfer
+/** One payload element of one lane's receive in one shuffle round. */
+struct ShuffleTransfer
 {
-    int32_t srcLane = -1;
-    /** (source register in A, destination register in B) pairs; the
-     *  vectorized payload of this round. */
-    std::vector<std::pair<int32_t, int32_t>> regPairs;
+    int32_t srcLane = 0;
+    int32_t srcReg = 0; ///< register in A read on srcLane
+    int32_t dstReg = 0; ///< register in B written on the receiving lane
+
+    bool operator==(const ShuffleTransfer &) const = default;
 };
 
 struct WarpShufflePlan
 {
     int vecElems = 1; ///< elements exchanged per shuffle (2^|V|)
     int rounds = 0;   ///< 2^|R| shuffle rounds
-    /** xfers[round][dstLane]: what each lane receives. Identical for
-     *  every warp (the conversion is warp-invariant by construction). */
-    std::vector<std::vector<ShuffleXfer>> xfers;
     int numRegsA = 0;
     int numRegsB = 0;
     int warpSize = 0;
+    /**
+     * columns[k] is the packed word of transfer index 1 << k; the word
+     * of any index is the xor of the columns of its set bits. Identical
+     * for every warp (the conversion is warp-invariant by
+     * construction).
+     */
+    std::vector<uint64_t> columns;
+
+    /** Decode the transfer of payload `slot` that `lane` receives in
+     *  `round`. srcReg and srcLane are masked to A's register file and
+     *  the warp; dstReg is everything above them, so a corrupted column
+     *  can decode past B's register file. */
+    ShuffleTransfer transfer(int round, int lane, int slot) const;
+
+    /** Rounds in which some lane receives from another lane. */
+    int communicatingRounds() const;
 
     /**
-     * Warp-level shuffle instructions issued: rounds where at least one
-     * lane receives from another lane cost ceil(payloadBytes / 4)
-     * shuffles; all-local rounds are register moves and cost zero.
+     * Warp-level shuffle instructions issued: communicating rounds cost
+     * ceil(payloadBytes / 4) shuffles; all-local rounds are register
+     * moves and cost zero.
      */
     int64_t countShuffleInstructions(int elemBytes) const;
 
@@ -70,9 +85,9 @@ struct WarpShufflePlan
      * values held under layout A; returns values arranged per layout B.
      * Total over any input: a malformed register file or a corrupted
      * plan comes back as an ExecDiagnostic (PlanShapeMismatch at stage
-     * "exec.shuffle.shape", LaneOutOfRange at "exec.shuffle.lane-range",
-     * RegisterOutOfRange at "exec.shuffle.reg-range") instead of
-     * aborting, so the check that runs the plan fails on it.
+     * "exec.shuffle.shape", RegisterOutOfRange at
+     * "exec.shuffle.reg-range") instead of aborting, so the check that
+     * runs the plan fails on it.
      */
     Result<std::vector<std::vector<uint64_t>>, ExecDiagnostic>
     execute(const std::vector<std::vector<uint64_t>> &src) const;

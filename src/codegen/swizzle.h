@@ -283,16 +283,6 @@ int64_t enumerateWavefronts(const SwizzledShared &swz,
                             const sim::GpuSpec &spec);
 
 /**
- * The original enumerateWavefronts — one warpAccessOffsets layout walk
- * per access — kept as the differential oracle for the table-driven
- * fast path, called directly by check::diffF2.
- */
-int64_t enumerateWavefronts_reference(const SwizzledShared &swz,
-                                      const LinearLayout &dist,
-                                      int elemBytes,
-                                      const sim::GpuSpec &spec);
-
-/**
  * Precomputed per-warp access addressing for one side of a swizzle.
  * The map lane/reg/warp -> storage offset decomposes as
  *     off(rep | lane | warp) = C(rep) ^ C(lane) ^ C(warp)

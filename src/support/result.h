@@ -71,7 +71,7 @@ makeDiag(DiagCode code, std::string stage, std::string message)
 enum class ExecError
 {
     PlanShapeMismatch,     ///< register file shape disagrees with the plan
-    LaneOutOfRange,        ///< shuffle/gather source lane outside the warp
+    LaneOutOfRange,        ///< gather source lane outside the warp
     RegisterOutOfRange,    ///< register index outside the file
     NonInvertibleStep,     ///< a layout inversion the plan relied on failed
     CrossWarpSource,       ///< intra-warp plan asked for another warp's data
@@ -88,7 +88,7 @@ std::string toString(ExecError code);
 struct ExecDiagnostic
 {
     ExecError code = ExecError::ExecInternalError;
-    /** Executor stage ("exec.shuffle.lane-range", ...). */
+    /** Executor stage ("exec.shuffle.reg-range", ...). */
     std::string stage;
     std::string message;
 

@@ -21,6 +21,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <filesystem>
 #include <map>
 #include <string>
@@ -236,19 +237,10 @@ TEST(ExecErrors, GatherReportsMalformedInputs)
                     ExecError::PlanShapeMismatch, "exec.gather");
 }
 
-/** The first transfer of `plan` that moves a register, as (round, lane). */
-std::pair<size_t, size_t>
-firstMovingTransfer(const codegen::WarpShufflePlan &plan)
-{
-    for (size_t r = 0; r < plan.xfers.size(); ++r)
-        for (size_t lane = 0; lane < plan.xfers[r].size(); ++lane)
-            if (!plan.xfers[r][lane].regPairs.empty())
-                return {r, lane};
-    return {plan.xfers.size(), 0};
-}
-
 // The shuffle executor on a register file of the wrong shape and on a
-// plan whose source lane, register index or round width was corrupted.
+// plan with a corrupted column. A column's srcLane and srcReg fields are
+// exactly as wide as the warp and A's register file, so a corruption
+// can only reach past the top field, B's register file.
 TEST(ExecErrors, ShuffleReportsMalformedInputs)
 {
     ConversionCase c = shuffleCase();
@@ -271,23 +263,13 @@ TEST(ExecErrors, ShuffleReportsMalformedInputs)
     expectExecError(plan.execute(shortLane), ExecError::PlanShapeMismatch,
                     "exec.shuffle.shape");
 
-    const auto [round, lane] = firstMovingTransfer(plan);
-    ASSERT_LT(round, plan.xfers.size()) << "the plan moves no register";
-
-    auto badLane = plan;
-    badLane.xfers[round][lane].srcLane = plan.warpSize;
-    expectExecError(badLane.execute(file), ExecError::LaneOutOfRange,
-                    "exec.shuffle.lane-range");
-
+    const int wordBits = std::countr_zero(unsigned(plan.numRegsA)) +
+                         std::countr_zero(unsigned(plan.warpSize)) +
+                         std::countr_zero(unsigned(plan.numRegsB));
     auto badReg = plan;
-    badReg.xfers[round][lane].regPairs.front().first = plan.numRegsA;
+    badReg.columns.front() ^= uint64_t(1) << wordBits;
     expectExecError(badReg.execute(file), ExecError::RegisterOutOfRange,
                     "exec.shuffle.reg-range");
-
-    auto wideRound = plan;
-    wideRound.xfers[round].resize(static_cast<size_t>(plan.warpSize) + 1);
-    expectExecError(wideRound.execute(file), ExecError::PlanShapeMismatch,
-                    "exec.shuffle.shape");
 }
 
 // The shared round trip on a source file of the wrong size, on a tile

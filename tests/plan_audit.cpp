@@ -19,14 +19,17 @@
  *   - codegen::smokeExecutePlan must run it cleanly;
  *   - check::checkPlan, the full oracle, must pass it;
  *   - a fresh codegen::tryPlanConversion must give the same plan
- *     (identical describePlan).
+ *     (identical describePlan);
+ * and each warp-shuffle plan a fourth way: its decoded table must equal
+ * the per-element reference builder's (check::diffShuffleTable).
  * A failure is a failed check, never a new plan. A key that ships two
  * different plans, and an op the engine left unplanned, fail too.
  * Prints how many plans it audited, then a digest line: FNV-1a over
  * every "key => describePlan" line in key order, so two builds ship the
  * same plans exactly when their digest lines match; then the number of
- * distinct shipped plans of each kind. Exits 1 on any failure or when
- * it audited none.
+ * distinct shipped plans of each kind, then how many shuffle plans it
+ * compared with the reference. Exits 1 on any failure, or when it
+ * audited no plan or compared no shuffle plan.
  *
  * Usage: plan_audit CORPUS_DIR
  */
@@ -43,6 +46,7 @@
 #include "check/case_io.h"
 #include "check/cute_check.h"
 #include "check/oracle.h"
+#include "check/shuffle_reference.h"
 #include "codegen/conversion.h"
 #include "engine/layout_engine.h"
 #include "ir/function.h"
@@ -140,6 +144,15 @@ class Audit
                 check::checkPlan(*s.plan, s.src, s.dst, s.elemBytes, s.spec);
             if (!report.ok())
                 fail(label, "check::checkPlan: " + report.toString());
+            if (s.plan->shuffle) {
+                const std::string diff = check::diffShuffleTable(
+                    *s.plan->shuffle,
+                    check::shuffleTable_reference(s.src, s.dst, s.elemBytes,
+                                                  s.spec));
+                if (!diff.empty())
+                    fail(label, "the shuffle reference disagrees: " + diff);
+                ++shufflesCompared_;
+            }
             ++audited_;
         }
     }
@@ -182,12 +195,14 @@ class Audit
     int64_t planCount() const { return static_cast<int64_t>(plans_.size()); }
     int64_t shipped() const { return shipped_; }
     int64_t audited() const { return audited_; }
+    int64_t shufflesCompared() const { return shufflesCompared_; }
     int64_t failures() const { return failures_; }
 
   private:
     std::map<std::string, Shipped> plans_;
     int64_t shipped_ = 0;
     int64_t audited_ = 0;
+    int64_t shufflesCompared_ = 0;
     int64_t failures_ = 0;
 };
 
@@ -302,9 +317,16 @@ main(int argc, char **argv)
     std::cout << "plan_audit: digest " << digest << " over "
               << audit.planCount() << " plan(s)\n"
               << "plan_audit: plans per kind: " << audit.kindCounts()
-              << "\n";
+              << "\n"
+              << "plan_audit: " << audit.shufflesCompared()
+              << " warp-shuffle plan(s) compared with the per-element "
+                 "reference\n";
     if (audit.audited() == 0) {
         std::cerr << "plan_audit: audited nothing\n";
+        return 1;
+    }
+    if (audit.shufflesCompared() == 0) {
+        std::cerr << "plan_audit: compared no warp-shuffle plan\n";
         return 1;
     }
     return audit.failures() == 0 ? 0 : 1;

@@ -36,6 +36,7 @@
 #include "check/case_io.h"
 #include "check/oracle.h"
 #include "check/tiles_reference.h"
+#include "check/wavefront_reference.h"
 #include "codegen/conversion.h"
 #include "codegen/shared_exec.h"
 #include "codegen/swizzle.h"
@@ -118,11 +119,11 @@ referenceSharedCycles(const codegen::ConversionPlan &plan,
     const int numWarps =
         src.hasInDim(dims::kWarp) ? src.getInDimSize(dims::kWarp) : 1;
     const double store = static_cast<double>(
-                             codegen::enumerateWavefronts_reference(
+                             check::reference::enumerateWavefronts(
                                  swz, src, elemBytes, spec)) /
                          numWarps * spec.sharedWavefrontCycles;
     const double load = static_cast<double>(
-                            codegen::enumerateWavefronts_reference(
+                            check::reference::enumerateWavefronts(
                                 swz, dst, elemBytes, spec)) /
                         numWarps * spec.sharedWavefrontCycles;
     const double passes =
@@ -304,9 +305,9 @@ straddlingWindowedPlan(LinearLayout &src, LinearLayout &dst)
     codegen::ConversionPlan plan = scalarTransposePlan(src, dst);
     plan.shared->windowElems = 8;
     plan.storeWavefrontsTotal =
-        codegen::enumerateWavefronts_reference(*plan.shared, src, 4, spec);
+        check::reference::enumerateWavefronts(*plan.shared, src, 4, spec);
     plan.loadWavefrontsTotal =
-        codegen::enumerateWavefronts_reference(*plan.shared, dst, 4, spec);
+        check::reference::enumerateWavefronts(*plan.shared, dst, 4, spec);
     return plan;
 }
 
@@ -358,12 +359,12 @@ TEST(WavefrontEquiv, WindowedPlanMatchesReference)
             << f.label << ": fixture no longer forces a windowed plan";
         EXPECT_EQ(codegen::enumerateWavefronts(*f.plan.shared, f.src,
                                                elemBytes, spec),
-                  codegen::enumerateWavefronts_reference(
+                  check::reference::enumerateWavefronts(
                       *f.plan.shared, f.src, elemBytes, spec))
             << f.label;
         EXPECT_EQ(codegen::enumerateWavefronts(*f.plan.shared, f.dst,
                                                elemBytes, spec),
-                  codegen::enumerateWavefronts_reference(
+                  check::reference::enumerateWavefronts(
                       *f.plan.shared, f.dst, elemBytes, spec))
             << f.label;
     }
@@ -452,7 +453,7 @@ TEST(WavefrontEquiv, OneAccessShortcutMatchesReference)
             << p.label << ": fixture no longer takes the intended path";
         int64_t reference = 0, oneAccessPriced = 0;
         for (const auto *side : {&p.src, &p.dst}) {
-            const int64_t ref = codegen::enumerateWavefronts_reference(
+            const int64_t ref = check::reference::enumerateWavefronts(
                 swz, *side, p.elemBytes, p.spec);
             EXPECT_EQ(codegen::enumerateWavefronts(swz, *side, p.elemBytes,
                                                    p.spec),
