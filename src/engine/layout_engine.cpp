@@ -376,24 +376,17 @@ LayoutEngine::planConversions(ir::Function &f, EngineStats &stats,
         const auto outcome = service::serveConversion(
             &cache, *have, dst, elemBytes, options_.spec);
         if (sharedCache) {
-            if (!outcome.fromCache)
-                ++stats.planCacheMisses;
-            else if (outcome.cachedRejection)
-                ++stats.planCacheNegativeHits;
-            else
+            if (outcome.fromCache) {
                 ++stats.planCacheHits;
-            if (outcome.fromCache)
-                opSpan.arg("plan_cache", outcome.cachedRejection
-                                             ? "negative-hit"
-                                             : "hit");
+                opSpan.arg("plan_cache", "hit");
+            } else {
+                ++stats.planCacheMisses;
+            }
         }
         if (!outcome.plan) {
             o.tag = ir::kUnplannedConvertTag;
             ++stats.planFailures;
-            stats.planDiagnostics.push_back(
-                opName + (outcome.cachedRejection ? " (plan-cache): "
-                                                  : ": ") +
-                outcome.error);
+            stats.planDiagnostics.push_back(opName + ": " + outcome.error);
             opSpan.arg("outcome", "unplanned");
             continue;
         }
@@ -560,8 +553,6 @@ LayoutEngine::run(ir::Function &f)
     addToCounter<"engine.plan_failures">(stats.planFailures);
     addToCounter<"engine.transfer_fallbacks">(stats.transferFallbacks);
     addToCounter<"engine.plan_cache_hits">(stats.planCacheHits);
-    addToCounter<"engine.plan_cache_negative_hits">(
-        stats.planCacheNegativeHits);
     addToCounter<"engine.plan_cache_misses">(stats.planCacheMisses);
     addToCounter<"synth.converts_eliminated">(stats.synthConvertsEliminated);
     addToCounter<"synth.assignments_evaluated">(

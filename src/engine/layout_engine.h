@@ -54,10 +54,10 @@ struct EngineOptions
      *  trials that do not ship. Every conversion is served by
      *  service::serveConversion, which ships the plan
      *  codegen::tryPlanConversion returns and executes nothing: a hit
-     *  serves the memoized plan — or a memoized InvalidInput
-     *  rejection — without planning. Only the shipped pass's
-     *  shared-cache traffic is counted in EngineStats::planCacheHits /
-     *  planCacheNegativeHits / planCacheMisses. Plans shaped by
+     *  serves the memoized plan without planning; a rejection is never
+     *  cached, so a failing conversion is re-validated on every
+     *  request. Only the shipped pass's shared-cache traffic is counted
+     *  in EngineStats::planCacheHits / planCacheMisses. Plans shaped by
      *  failpoints or a deadline, or planned while any failpoint was
      *  active, are never inserted. */
     service::PlanCache *planCache = nullptr;
@@ -96,9 +96,6 @@ struct EngineStats
      *  Mirrored as "engine.plan_cache_hits";
      *  the cache's own counters live under "service.plan_cache.*". */
     int planCacheHits = 0;
-    /** Conversions rejected from a memoized InvalidInput entry; also
-     *  counted in planFailures (the op is tagged convert:unplanned). */
-    int planCacheNegativeHits = 0;
     /** Conversions that consulted the shared plan cache and missed. */
     int planCacheMisses = 0;
     /** Conversions the synthesized assignment avoided relative to the

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <deque>
 #include <random>
 #include <thread>
@@ -85,7 +84,7 @@ struct ExecContext
 };
 
 /** Busy-wait out the remainder of the configured service floor so one
- *  attempt never completes faster than `floorUs` from `t0`. */
+ *  request never completes faster than `floorUs` from `t0`. */
 void
 spinServiceFloor(SteadyClock::time_point t0, double floorUs)
 {
@@ -101,7 +100,7 @@ spinServiceFloor(SteadyClock::time_point t0, double floorUs)
 }
 
 /**
- * Run one attempt of one request into `resp` (ok / outcome / error /
+ * Run one request, once, into `resp` (ok / outcome / error /
  * stats / coalesced / freshPlan). Never throws. Latency and outcome
  * metrics are the caller's job — batch mode measures the attempt,
  * server mode measures arrival-to-terminal.
@@ -146,13 +145,8 @@ executeAttempt(const CompileRequest &req, const ExecContext &ctx,
                 resp.outcome = resp.ok ? RequestOutcome::Planned
                                        : RequestOutcome::Failed;
                 if (outcome.fromCache) {
-                    if (outcome.cachedRejection) {
-                        resp.stats.planCacheNegativeHits = 1;
-                        resp.stats.planFailures = 1;
-                    } else {
-                        resp.stats.planCacheHits = 1;
-                        resp.stats.convertsPlanned = 1;
-                    }
+                    resp.stats.planCacheHits = 1;
+                    resp.stats.convertsPlanned = 1;
                 } else {
                     if (ctx.cache != nullptr)
                         resp.stats.planCacheMisses = 1;
@@ -180,85 +174,6 @@ executeAttempt(const CompileRequest &req, const ExecContext &ctx,
         span.arg("outcome", toString(resp.outcome));
 }
 
-/**
- * One request with retries: run an attempt, and while the terminal
- * state is Failed and budget remains, back off (jittered exponential,
- * capped by the deadline) and try again. A "svc.retry" failpoint fails
- * a retry attempt before it reaches the planner. The deadline, when
- * present, is installed for the whole loop so the planner can demote
- * at rung boundaries.
- */
-void
-executeWithRetries(const CompileRequest &req, const ExecContext &ctx,
-                   std::optional<SteadyClock::time_point> deadline,
-                   int retryBudget, double retryBackoffMs,
-                   std::mt19937_64 &rng, CompileResponse &resp)
-{
-    std::optional<deadline::Scoped> scoped;
-    if (deadline.has_value())
-        scoped.emplace(*deadline);
-
-    for (int attempt = 0;; ++attempt) {
-        if (attempt > 0) {
-            ++resp.retries;
-            static auto &retries =
-                metrics::counter("service.retry.attempts");
-            retries.inc();
-            double backoffMs = retryBackoffMs *
-                               std::ldexp(1.0, attempt - 1);
-            std::uniform_real_distribution<double> jitter(0.5, 1.0);
-            backoffMs *= jitter(rng);
-            if (deadline.has_value()) {
-                const double remainMs =
-                    toUs(*deadline - SteadyClock::now()) / 1e3;
-                if (remainMs <= 0.0) {
-                    resp.ok = false;
-                    resp.outcome = RequestOutcome::DeadlineExceeded;
-                    resp.error = "deadline-exceeded: retry budget "
-                                 "outlived the request deadline";
-                    return;
-                }
-                backoffMs = std::min(backoffMs, remainMs);
-            }
-            if (backoffMs > 0.0)
-                std::this_thread::sleep_for(
-                    std::chrono::duration<double, std::milli>(
-                        backoffMs));
-            if (deadline.has_value() &&
-                SteadyClock::now() >= *deadline) {
-                resp.ok = false;
-                resp.outcome = RequestOutcome::DeadlineExceeded;
-                resp.error = "deadline-exceeded: request deadline "
-                             "expired during retry backoff";
-                return;
-            }
-            if (LL_FAILPOINT("svc.retry")) {
-                resp.ok = false;
-                resp.outcome = RequestOutcome::Failed;
-                resp.error =
-                    "[svc.retry] failpoint-injected: retry attempt "
-                    "failed before re-planning";
-                if (attempt >= retryBudget)
-                    return;
-                continue;
-            }
-        }
-
-        CompileResponse attemptResp;
-        executeAttempt(req, ctx, deadline, attemptResp);
-        resp.ok = attemptResp.ok;
-        resp.outcome = attemptResp.outcome;
-        resp.error = attemptResp.error;
-        resp.coalesced = attemptResp.coalesced;
-        resp.freshPlan = resp.freshPlan || attemptResp.freshPlan;
-        accumulateStats(resp.stats, attemptResp.stats);
-        if (resp.ok || resp.outcome == RequestOutcome::DeadlineExceeded)
-            return;
-        if (attempt >= retryBudget)
-            return;
-    }
-}
-
 /** Fold the per-response terminal states and latencies into the
  *  report: outcome split, totals, percentiles (admitted only). */
 void
@@ -283,19 +198,18 @@ finalizeReport(ServiceReport &report)
         }
         if (resp.outcome != RequestOutcome::Shed)
             latencies.push_back(resp.latencyUs);
-        report.retries += resp.retries;
         if (resp.coalesced)
             ++report.coalesced;
         if (resp.freshPlan)
             ++report.freshPlans;
         accumulateStats(report.totals, resp.stats);
     }
-    report.failures =
+    const int64_t unplanned =
         report.shed + report.deadlineExceeded + report.failed;
-    if (report.failures > 0) {
+    if (unplanned > 0) {
         static auto &failures =
             metrics::counter("service.request_failures");
-        failures.add(report.failures);
+        failures.add(unplanned);
     }
     static auto &served = metrics::counter("service.requests");
     served.add(report.requests);
@@ -348,7 +262,6 @@ accumulateStats(engine::EngineStats &into,
     into.planFailures += from.planFailures;
     into.transferFallbacks += from.transferFallbacks;
     into.planCacheHits += from.planCacheHits;
-    into.planCacheNegativeHits += from.planCacheNegativeHits;
     into.planCacheMisses += from.planCacheMisses;
     into.synthConvertsEliminated += from.synthConvertsEliminated;
     into.synthAssignmentsEvaluated += from.synthAssignmentsEvaluated;
@@ -380,8 +293,7 @@ poissonArrivalOffsetsUs(double ratePerSec, double durationSec,
 std::vector<std::string>
 serviceFailpointSites()
 {
-    return {"svc.admit", "svc.singleflight.leader", "svc.queue.timeout",
-            "svc.retry"};
+    return {"svc.admit", "svc.singleflight.leader", "svc.queue.timeout"};
 }
 
 CompileService::CompileService(Options options)
@@ -446,7 +358,7 @@ CompileService::run(const std::vector<CompileRequest> &requests)
     if (span.active()) {
         span.arg("requests", report.requests);
         span.arg("threads", report.threads);
-        span.arg("failures", report.failures);
+        span.arg("failed", report.failed);
     }
     report.totals.metrics =
         metrics::Registry::instance().counterDelta(before);
@@ -499,10 +411,7 @@ CompileService::serve(const std::vector<CompileRequest> &stream,
         recordOutcome(RequestOutcome::Shed);
     };
 
-    auto worker = [&](int workerIndex) {
-        std::mt19937_64 rng(cfg.seed ^
-                            (0x9e3779b97f4a7c15ULL *
-                             static_cast<uint64_t>(workerIndex + 1)));
+    auto worker = [&] {
         ServerJob job;
         while (queue.pop(job)) {
             CompileResponse &resp = *job.response;
@@ -522,12 +431,15 @@ CompileService::serve(const std::vector<CompileRequest> &stream,
                     metrics::counter("service.deadline.queue_expired");
                 queueExpirations.inc();
             } else {
+                // The planner demotes at rung boundaries once the
+                // installed deadline has passed.
                 std::optional<SteadyClock::time_point> deadline;
-                if (job.deadline != SteadyClock::time_point::max())
+                std::optional<deadline::Scoped> scoped;
+                if (job.deadline != SteadyClock::time_point::max()) {
                     deadline = job.deadline;
-                executeWithRetries(*job.request, ctx, deadline,
-                                   cfg.retryBudget, cfg.retryBackoffMs,
-                                   rng, resp);
+                    scoped.emplace(job.deadline);
+                }
+                executeAttempt(*job.request, ctx, deadline, resp);
             }
             resp.latencyUs = toUs(SteadyClock::now() - job.arrival);
             latencyHistogram().observe(resp.latencyUs);
@@ -539,7 +451,7 @@ CompileService::serve(const std::vector<CompileRequest> &stream,
     std::vector<std::thread> workers;
     workers.reserve(static_cast<size_t>(report.threads));
     for (int t = 0; t < report.threads; ++t)
-        workers.emplace_back(worker, t);
+        workers.emplace_back(worker);
 
     // This thread is the open-loop generator: arrivals fire on the
     // precomputed schedule whether or not the workers keep up.

@@ -13,8 +13,9 @@
  * deterministic-seed Poisson process, pass a bounded admission queue
  * with a configurable shed policy, carry per-request deadlines
  * (cooperatively checked at the planner's rung boundaries via
- * deadline::Scoped) and a per-request retry budget with jittered
- * backoff, and are accounted against a p99 latency SLO.
+ * deadline::Scoped), and are accounted against a p99 latency SLO.
+ * Each request runs exactly one attempt: planning is a pure function
+ * of the request, so a second attempt would fail the same way.
  *
  * Every request terminates with a definite outcome — Planned, Shed,
  * DeadlineExceeded, or Failed — under any load and any injected fault;
@@ -26,15 +27,13 @@
  * own (see admission.h, singleflight.h). Metrics: service.requests,
  * service.request_failures, service.batch.runs, service.server.runs,
  * service.outcome.{planned,shed,deadline_exceeded,failed},
- * service.retry.attempts, service.deadline.queue_expired, and the
- * "service.request_latency_us" histogram.
+ * service.deadline.queue_expired, and the "service.request_latency_us"
+ * histogram.
  *
  * Failpoints on the service path (llfuzz --failpoint-coverage forces
  * each of serviceFailpointSites() alongside the planner sites):
- * "svc.admit",
- * "svc.singleflight.leader", "svc.queue.timeout" (a popped job is
- * treated as having out-waited its deadline), "svc.retry" (a retry
- * attempt fails before re-planning).
+ * "svc.admit", "svc.singleflight.leader", "svc.queue.timeout" (a
+ * popped job is treated as having out-waited its deadline).
  */
 
 #ifndef LL_SERVICE_COMPILE_SERVICE_H
@@ -104,8 +103,6 @@ struct CompileResponse
     /** This request ran the planner itself: a cold singleflight leader,
      *  neither a cache hit nor a follower. */
     bool freshPlan = false;
-    /** Retry attempts consumed beyond the first attempt. */
-    int retries = 0;
     /** Kernel requests: the engine's full per-run stats. Conversion
      *  requests: plan-cache fields only (planCacheHits et al.). */
     engine::EngineStats stats;
@@ -123,9 +120,6 @@ struct ServiceReport
     int64_t shed = 0;
     int64_t deadlineExceeded = 0;
     int64_t failed = 0;
-    /** Legacy fold: everything that did not reach Planned. */
-    int64_t failures = 0;
-    int64_t retries = 0;
     /** Requests served as singleflight followers. */
     int64_t coalesced = 0;
     /** Conversion requests that ran the planner themselves (neither a
@@ -162,7 +156,7 @@ class CompileService
         /** Engine configuration for kernel requests. The planCache
          *  field is overwritten with `cache` per run. */
         engine::EngineOptions engine;
-        /** Minimum per-attempt service time in microseconds (spin after
+        /** Minimum per-request service time in microseconds (spin after
          *  the real work). 0 = none. Lets overload drills and the
          *  saturation calibration model a heavier planner than the
          *  microsecond-cached reality, keeping arrival generation and
@@ -177,7 +171,7 @@ class CompileService
         double ratePerSec = 100.0;
         /** Generation window in seconds (first arrival at t=0). */
         double durationSec = 1.0;
-        /** Seed for the arrival process and retry jitter. */
+        /** Seed for the arrival process. */
         uint64_t seed = 42;
         /** Stop after this many arrivals; 0 = duration only. */
         int64_t maxRequests = 0;
@@ -185,11 +179,6 @@ class CompileService
         AdmissionPolicy policy = AdmissionPolicy::ShedOldest;
         /** Per-request deadline from arrival; <= 0 = none. */
         double deadlineMs = 0.0;
-        /** Retry attempts allowed per request beyond the first. */
-        int retryBudget = 0;
-        /** Base backoff before a retry; doubles per attempt, with
-         *  deterministic jitter in [0.5x, 1x). */
-        double retryBackoffMs = 1.0;
         /** p99 target for admitted requests; <= 0 = no SLO check. */
         double sloP99Ms = 0.0;
     };
@@ -234,7 +223,7 @@ std::vector<double> poissonArrivalOffsetsUs(double ratePerSec,
                                             int64_t maxRequests = 0);
 
 /** Every failpoint site on the service path: svc.admit,
- *  svc.singleflight.leader, svc.queue.timeout, svc.retry. llfuzz
+ *  svc.singleflight.leader, svc.queue.timeout. llfuzz
  *  --failpoint-coverage pools them with the planner sites. */
 std::vector<std::string> serviceFailpointSites();
 

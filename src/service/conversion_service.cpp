@@ -10,12 +10,7 @@ outcomeFromCache(const CachedPlan &hit)
 {
     ConversionOutcome out;
     out.fromCache = true;
-    if (hit.negative()) {
-        out.cachedRejection = true;
-        out.error = hit.rejection->toString();
-    } else {
-        out.plan = hit.plan;
-    }
+    out.plan = hit.plan;
     return out;
 }
 
@@ -29,8 +24,7 @@ serveConversion(PlanCache *cache, const LinearLayout &src,
     if (cache != nullptr) {
         key = cache->key(src, dst, elemBytes, spec);
         if (auto hit = cache->lookup(*key)) {
-            span.arg("outcome",
-                     hit->negative() ? "cached-rejection" : "cache-hit");
+            span.arg("outcome", "cache-hit");
             return outcomeFromCache(*hit);
         }
     }
@@ -58,8 +52,6 @@ planAndPublish(PlanCache *cache, const PlanKey *key,
     }();
     if (!planned.ok()) {
         out.error = planned.diag().toString();
-        if (key)
-            cache->insertRejection(*key, planned.diag());
         span.arg("outcome", "plan-failed");
         return out;
     }

@@ -12,7 +12,7 @@
  * or a per-run plan memo of its own when none is configured.
  *
  * Span: "service.conversion" (cat "service") with an "outcome" arg of
- * cache-hit | cached-rejection | planned | plan-failed.
+ * cache-hit | planned | plan-failed.
  */
 
 #ifndef LL_SERVICE_CONVERSION_SERVICE_H
@@ -32,16 +32,13 @@ struct ConversionOutcome
     /** The (possibly shared) plan; null when planning failed. */
     std::shared_ptr<const codegen::ConversionPlan> plan;
     bool fromCache = false;
-    /** The failure was served from a memoized InvalidInput entry. */
-    bool cachedRejection = false;
     /** Planner failure rendering; empty on success. */
     std::string error;
 
     bool planned() const { return plan != nullptr; }
 };
 
-/** The outcome a cache hit serves: the shared plan or the memoized
- *  rejection. */
+/** The outcome a cache hit serves: the shared plan. */
 ConversionOutcome outcomeFromCache(const CachedPlan &hit);
 
 /**
@@ -57,13 +54,13 @@ ConversionOutcome serveConversion(PlanCache *cache,
 /**
  * The post-lookup half of serveConversion: tryPlanConversion (a planner
  * exception becomes a PlannerInternalError diagnostic), then publish
- * the plan (or a rejection) to `cache` under `key` (both may be null —
- * the --no-cache path); the cache's failpoint and deadline policy
- * decides whether it is kept. The caller has already taken the cache
- * miss; this never performs (or counts) a lookup. The singleflight
- * leader calls this after its
- * stat-free peek() double-check so each request records exactly one
- * cache lookup no matter how the flight resolves.
+ * the plan to `cache` under `key` (both may be null — the --no-cache
+ * path); the cache's failpoint and deadline policy decides whether it
+ * is kept. A rejection is returned, never cached. The caller has
+ * already taken the cache miss; this never performs (or counts) a
+ * lookup. The singleflight leader calls this after its stat-free
+ * peek() double-check so each request records exactly one cache
+ * lookup no matter how the flight resolves.
  */
 ConversionOutcome planAndPublish(PlanCache *cache, const PlanKey *key,
                                  const LinearLayout &src,

@@ -43,7 +43,6 @@ serveCuteConversion(PlanCache *cache,
     auto core = serveConversion(cache, plan.coreSrc, plan.coreDst,
                                 req.elemBytes, spec);
     out.coreFromCache = core.fromCache;
-    out.cachedRejection = core.cachedRejection;
     if (!core.plan) {
         out.error = core.error;
         span.arg("outcome", "core-plan-failed");

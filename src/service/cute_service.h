@@ -15,10 +15,10 @@
  * oracle (check::checkCuteCase) executes and audits it.
  *
  * Where serveConversion rejects malformed requests with InvalidInput,
- * this entry distinguishes malformed (InvalidInput, memoizable) from
- * well-formed non-pow2 (DiagCode::NonPow2Bridgeable, which is not a
- * rejection at all here: it simply marks the request as taking the
- * decomposition path).
+ * this entry distinguishes malformed (InvalidInput) from well-formed
+ * non-pow2 (DiagCode::NonPow2Bridgeable, which is not a rejection at
+ * all here: it simply marks the request as taking the decomposition
+ * path).
  *
  * Span: "service.cute" (cat "service") with an "outcome" arg.
  */
@@ -44,8 +44,6 @@ struct CuteConversionOutcome
     bool decomposed = false;
     /** The core's ladder plan came from the shared plan cache. */
     bool coreFromCache = false;
-    /** The core failure was served from a memoized rejection. */
-    bool cachedRejection = false;
     /** Failure rendering; empty on success. */
     std::string error;
 

@@ -29,8 +29,7 @@ planWasFaultShaped(const codegen::ConversionPlan &plan)
 PlanCache::PlanCache(Config config)
     : interner_(config.interner ? config.interner
                                 : &LayoutInterner::global()),
-      capacity_(std::max<size_t>(config.capacity, 1)),
-      negativeTtl_(config.negativeTtlLookups)
+      capacity_(std::max<size_t>(config.capacity, 1))
 {
     const int numShards = std::max(config.shards, 1);
     capacityPerShard_ =
@@ -69,7 +68,6 @@ PlanCache::lookup(const PlanKey &key)
 {
     Shard &shard = shardFor(key);
     std::lock_guard<std::mutex> lock(shard.mu);
-    ++shard.lookupGen;
     auto it = shard.index.find(key);
     if (it == shard.index.end()) {
         ++shard.stats.misses;
@@ -78,34 +76,12 @@ PlanCache::lookup(const PlanKey &key)
         misses.inc();
         return std::nullopt;
     }
-    Entry &entry = *it->second;
-    if (entry.value.negative()) {
-        if (negativeTtl_ > 0 &&
-            shard.lookupGen - entry.insertGen > negativeTtl_) {
-            shard.lru.erase(it->second);
-            shard.index.erase(it);
-            ++shard.stats.negativeExpired;
-            ++shard.stats.misses;
-            static auto &expired =
-                metrics::counter("service.plan_cache.negative_expired");
-            expired.inc();
-            static auto &misses =
-                metrics::counter("service.plan_cache.misses");
-            misses.inc();
-            return std::nullopt;
-        }
-        ++shard.stats.negativeHits;
-        static auto &negHits =
-            metrics::counter("service.plan_cache.negative_hits");
-        negHits.inc();
-    } else {
-        ++shard.stats.hits;
-        static auto &hits = metrics::counter("service.plan_cache.hits");
-        hits.inc();
-    }
+    ++shard.stats.hits;
+    static auto &hits = metrics::counter("service.plan_cache.hits");
+    hits.inc();
     // Refresh recency.
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-    return entry.value;
+    return it->second->value;
 }
 
 std::optional<CachedPlan>
@@ -116,61 +92,7 @@ PlanCache::peek(const PlanKey &key) const
     auto it = shard.index.find(key);
     if (it == shard.index.end())
         return std::nullopt;
-    const Entry &entry = *it->second;
-    // An expired negative reads as a miss: a rejection past its TTL
-    // must never suppress fresh planning (lookup() reaps it later).
-    if (entry.value.negative() && negativeTtl_ > 0 &&
-        shard.lookupGen - entry.insertGen > negativeTtl_)
-        return std::nullopt;
-    return entry.value;
-}
-
-bool
-PlanCache::insertEntry(const PlanKey &key, CachedPlan value,
-                       bool negative)
-{
-    Shard &shard = shardFor(key);
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.index.find(key);
-    if (it != shard.index.end()) {
-        // Positive results replace negatives (and stale positives);
-        // a negative never displaces a cached plan — that offer is
-        // refused outright.
-        if (negative && !it->second->value.negative()) {
-            ++shard.stats.insertRefusals;
-            static auto &refusals =
-                metrics::counter("service.plan_cache.insert_refusals");
-            refusals.inc();
-            return false;
-        }
-        it->second->value = std::move(value);
-        it->second->insertGen = shard.lookupGen;
-        shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-        return true;
-    }
-    while (shard.lru.size() >= capacityPerShard_) {
-        shard.index.erase(shard.lru.back().key);
-        shard.lru.pop_back();
-        ++shard.stats.evictions;
-        static auto &evictions =
-            metrics::counter("service.plan_cache.evictions");
-        evictions.inc();
-    }
-    shard.lru.push_front(
-        Entry{key, std::move(value), shard.lookupGen});
-    shard.index.emplace(key, shard.lru.begin());
-    if (negative) {
-        ++shard.stats.negativeInserts;
-        static auto &negInserts =
-            metrics::counter("service.plan_cache.negative_inserts");
-        negInserts.inc();
-    } else {
-        ++shard.stats.inserts;
-        static auto &inserts =
-            metrics::counter("service.plan_cache.inserts");
-        inserts.inc();
-    }
-    return true;
+    return it->second->value;
 }
 
 bool
@@ -184,36 +106,36 @@ bool
 PlanCache::insert(const PlanKey &key,
                   std::shared_ptr<const codegen::ConversionPlan> plan)
 {
-    if (failpoint::anyActive() || planWasFaultShaped(*plan)) {
-        Shard &shard = shardFor(key);
-        std::lock_guard<std::mutex> lock(shard.mu);
+    const bool refused = failpoint::anyActive() || planWasFaultShaped(*plan);
+    Shard &shard = shardFor(key);
+    std::lock_guard<std::mutex> lock(shard.mu);
+    if (refused) {
         ++shard.stats.insertRefusals;
         static auto &refusals =
             metrics::counter("service.plan_cache.insert_refusals");
         refusals.inc();
         return false;
     }
-    CachedPlan value;
-    value.plan = std::move(plan);
-    return insertEntry(key, std::move(value), /*negative=*/false);
-}
-
-bool
-PlanCache::insertRejection(const PlanKey &key, Diagnostic why)
-{
-    if (negativeTtl_ <= 0 || why.code != DiagCode::InvalidInput ||
-        failpoint::anyActive()) {
-        Shard &shard = shardFor(key);
-        std::lock_guard<std::mutex> lock(shard.mu);
-        ++shard.stats.insertRefusals;
-        static auto &refusals =
-            metrics::counter("service.plan_cache.insert_refusals");
-        refusals.inc();
-        return false;
+    auto it = shard.index.find(key);
+    if (it != shard.index.end()) {
+        it->second->value.plan = std::move(plan);
+        shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+        return true;
     }
-    CachedPlan value;
-    value.rejection = std::make_shared<const Diagnostic>(std::move(why));
-    return insertEntry(key, std::move(value), /*negative=*/true);
+    while (shard.lru.size() >= capacityPerShard_) {
+        shard.index.erase(shard.lru.back().key);
+        shard.lru.pop_back();
+        ++shard.stats.evictions;
+        static auto &evictions =
+            metrics::counter("service.plan_cache.evictions");
+        evictions.inc();
+    }
+    shard.lru.push_front(Entry{key, CachedPlan{std::move(plan)}});
+    shard.index.emplace(key, shard.lru.begin());
+    ++shard.stats.inserts;
+    static auto &inserts = metrics::counter("service.plan_cache.inserts");
+    inserts.inc();
+    return true;
 }
 
 PlanCacheStats
@@ -225,12 +147,9 @@ PlanCache::stats() const
         const PlanCacheStats &s = shard->stats;
         total.hits += s.hits;
         total.misses += s.misses;
-        total.negativeHits += s.negativeHits;
         total.inserts += s.inserts;
-        total.negativeInserts += s.negativeInserts;
         total.evictions += s.evictions;
         total.insertRefusals += s.insertRefusals;
-        total.negativeExpired += s.negativeExpired;
     }
     return total;
 }

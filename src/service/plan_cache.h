@@ -14,25 +14,23 @@
  * Policy, centralized here so every caller (the layout engine, the
  * conversion replay path, the batch driver) shares it:
  *
- *  - Positive entries are plans as tryPlanConversion returned them.
+ *  - Entries are plans as tryPlanConversion returned them.
  *    insert() *refuses* (a) while any failpoint is active — globally or
  *    on the calling thread's overlay — and (b) plans whose diagnostics
- *    carry a FailpointInjected note (a drained limit-N activation is no
- *    longer "active" but still shaped the plan). This is the PR-2 rule
- *    "failures are never cached" extended to fault-injected successes:
- *    a fuzzing run can never poison a shared cache.
- *  - Negative entries memoize *deterministic* InvalidInput rejections
- *    only (mismatched spaces, bad element sizes, ...), and age out
- *    after `negativeTtlLookups` lookups on their shard so a
- *    long-running service periodically re-validates. Planner trouble
- *    with any other code (failpoints, internal errors) is never
- *    cached.
+ *    carry a FailpointInjected or DeadlineExceeded note (a drained
+ *    limit-N activation is no longer "active" but still shaped the
+ *    plan). Failures are never cached, and neither are fault-injected
+ *    successes: a fuzzing run can never poison a shared cache.
+ *  - There are no negative entries. A rejection is a pure function of
+ *    the key too, so caching one would only save re-validation — a few
+ *    word compares — at the price of an expiry policy; every request
+ *    whose key plans to a failure runs the planner again.
  *  - Eviction is LRU per shard with capacity split evenly across
  *    shards; each shard has its own mutex so compilation threads do
  *    not serialize.
  *
- * Metric family: service.plan_cache.{hits,misses,negative_hits,
- * inserts,negative_inserts,evictions,insert_refusals,negative_expired}.
+ * Metric family: service.plan_cache.{hits,misses,inserts,evictions,
+ * insert_refusals}.
  */
 
 #ifndef LL_SERVICE_PLAN_CACHE_H
@@ -49,7 +47,6 @@
 #include "codegen/conversion.h"
 #include "service/interner.h"
 #include "sim/gpu_spec.h"
-#include "support/result.h"
 
 namespace ll {
 namespace service {
@@ -89,33 +86,24 @@ struct PlanKeyHash
     }
 };
 
-/** A cache hit: either a shared plan or a memoized rejection. */
+/** A cache hit: the shared plan. */
 struct CachedPlan
 {
-    /** Set for positive entries; immutable and safe to share across
-     *  threads (every ConversionPlan member function is const). */
+    /** Immutable and safe to share across threads (every
+     *  ConversionPlan member function is const). */
     std::shared_ptr<const codegen::ConversionPlan> plan;
-    /** Set for negative entries: the memoized InvalidInput rejection. */
-    std::shared_ptr<const Diagnostic> rejection;
-
-    bool negative() const { return rejection != nullptr; }
 };
 
 struct PlanCacheStats
 {
     int64_t hits = 0;
     int64_t misses = 0;
-    int64_t negativeHits = 0;
     int64_t inserts = 0;
-    int64_t negativeInserts = 0;
     int64_t evictions = 0;
-    /** Inserts refused by the failpoint policy (or a non-InvalidInput
-     *  rejection offered to insertRejection). */
+    /** Inserts refused by the failpoint / deadline policy. */
     int64_t insertRefusals = 0;
-    /** Negative entries dropped because their TTL ran out. */
-    int64_t negativeExpired = 0;
 
-    int64_t lookups() const { return hits + negativeHits + misses; }
+    int64_t lookups() const { return hits + misses; }
 };
 
 class PlanCache
@@ -127,9 +115,6 @@ class PlanCache
          *  keeps at least one slot). */
         size_t capacity = 4096;
         int shards = 8;
-        /** Shard lookups a negative entry survives before it expires.
-         *  <= 0 disables negative caching entirely. */
-        int64_t negativeTtlLookups = 4096;
         /** Interner producing the keys' LayoutRefs; nullptr means the
          *  process-global interner. */
         LayoutInterner *interner = nullptr;
@@ -150,21 +135,18 @@ class PlanCache
     std::optional<CachedPlan> lookup(const PlanKey &key);
 
     /**
-     * Stat-free, LRU-neutral read: no counters move, the lookup
-     * generation does not advance, and recency is untouched. A negative
-     * entry whose TTL has already run out reads as a miss (it is left
-     * in place for the next lookup() to reap), so an expired rejection
-     * can never suppress fresh planning. This is the singleflight
-     * leader's double-check between losing the lookup() race and
-     * planning: a racing leader's freshly inserted plan is found
-     * without double-counting the request's one recorded lookup.
+     * Stat-free, LRU-neutral read: no counters move and recency is
+     * untouched. This is the singleflight leader's double-check
+     * between losing the lookup() race and planning: a racing
+     * leader's freshly inserted plan is found without double-counting
+     * the request's one recorded lookup.
      */
     std::optional<CachedPlan> peek(const PlanKey &key) const;
 
     /**
      * Store a successfully planned plan. Returns false (and
      * stores nothing) when the failpoint policy refuses — see the file
-     * comment. Overwrites any negative entry under the same key.
+     * comment. Overwrites any entry under the same key.
      */
     bool insert(const PlanKey &key, codegen::ConversionPlan plan);
 
@@ -173,13 +155,6 @@ class PlanCache
      *  immutable plan. */
     bool insert(const PlanKey &key,
                 std::shared_ptr<const codegen::ConversionPlan> plan);
-
-    /**
-     * Memoize a deterministic rejection. Only DiagCode::InvalidInput
-     * qualifies and the same failpoint policy applies; anything else
-     * returns false and stores nothing.
-     */
-    bool insertRejection(const PlanKey &key, Diagnostic why);
 
     PlanCacheStats stats() const;
     int64_t size() const;
@@ -191,9 +166,6 @@ class PlanCache
     {
         PlanKey key;
         CachedPlan value;
-        /** Shard lookup generation at insert; negatives expire when
-         *  the shard's generation outruns this by the TTL. */
-        int64_t insertGen = 0;
     };
 
     struct Shard
@@ -204,19 +176,16 @@ class PlanCache
         std::unordered_map<PlanKey, std::list<Entry>::iterator,
                            PlanKeyHash>
             index;
-        int64_t lookupGen = 0;
         PlanCacheStats stats;
     };
 
     Shard &shardFor(const PlanKey &key);
     const Shard &shardFor(const PlanKey &key) const;
-    bool insertEntry(const PlanKey &key, CachedPlan value, bool negative);
 
     LayoutInterner *interner_;
     std::vector<std::unique_ptr<Shard>> shards_;
     size_t capacity_;
     size_t capacityPerShard_;
-    int64_t negativeTtl_;
 };
 
 } // namespace service

@@ -149,7 +149,7 @@ serveConversionCoalesced(
             // Double-check: a previous flight may have published this
             // key between our counted miss and this flight opening.
             // peek() is stat-free, so the request still records exactly
-            // one lookup, and an expired negative reads as a miss.
+            // one lookup.
             if (auto hit = cache->peek(key))
                 return outcomeFromCache(*hit);
             return planAndPublish(cache, &key, src, dst, elemBytes,

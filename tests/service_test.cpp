@@ -2,9 +2,9 @@
  * @file
  * The compilation service's contracts: layout interning canonicalizes
  * structurally equal layouts to one pointer; the sharded plan cache
- * shares immutable plans, evicts LRU, memoizes only deterministic
- * InvalidInput rejections (with a lookup-count TTL), and refuses
- * inserts under fault injection; the engine distinguishes plan-cache
+ * shares immutable plans, evicts LRU, holds plans only (a rejected
+ * request is validated afresh every time), and refuses inserts under
+ * fault injection; the engine distinguishes plan-cache
  * hits from its private per-run cache with no double counting;
  * cached plans are bit-identical to freshly planned ones over the
  * whole committed corpus; and the thread-pool batch driver aggregates
@@ -139,7 +139,6 @@ TEST_F(PlanCacheTest, HitSharesTheInsertedPlanObject)
     ASSERT_TRUE(cache.insert(key, plan));
     auto hit = cache.lookup(key);
     ASSERT_TRUE(hit.has_value());
-    EXPECT_FALSE(hit->negative());
     EXPECT_EQ(hit->plan.get(), plan.get()); // same object, no copy
 
     auto stats = cache.stats();
@@ -191,139 +190,36 @@ TEST_F(PlanCacheTest, LruEvictionDropsTheColdestEntry)
     EXPECT_EQ(cache.stats().evictions, 1);
 }
 
-TEST_F(PlanCacheTest, OnlyInvalidInputRejectionsAreMemoized)
+TEST_F(PlanCacheTest, PeekIsStatFreeAndLruNeutral)
 {
     service::PlanCache::Config config;
-    config.negativeTtlLookups = 100;
+    config.capacity = 2;
+    config.shards = 1; // deterministic: one LRU list
     service::PlanCache cache(config);
     const auto spec = sim::GpuSpec::gh200();
-    auto key = cache.key(regLayout(2), regLayout(4), 4, spec);
+    auto keyFor = [&](int size) {
+        return cache.key(regLayout(size), regLayout(size), 4, spec);
+    };
 
-    // Non-deterministic failure codes are never cached.
-    EXPECT_FALSE(cache.insertRejection(
-        key, makeDiag(DiagCode::FailpointInjected, "t", "injected")));
-    EXPECT_FALSE(cache.insertRejection(
-        key, makeDiag(DiagCode::PlannerInternalError, "t", "boom")));
-    EXPECT_FALSE(cache.lookup(key).has_value());
-
-    ASSERT_TRUE(cache.insertRejection(
-        key, makeDiag(DiagCode::InvalidInput, "t", "bad width")));
-    auto hit = cache.lookup(key);
-    ASSERT_TRUE(hit.has_value());
-    EXPECT_TRUE(hit->negative());
-    EXPECT_EQ(hit->rejection->code, DiagCode::InvalidInput);
-    auto stats = cache.stats();
-    EXPECT_EQ(stats.negativeInserts, 1);
-    EXPECT_EQ(stats.negativeHits, 1);
-    EXPECT_EQ(stats.insertRefusals, 2);
-}
-
-TEST_F(PlanCacheTest, NegativeEntriesExpireAfterTtlLookups)
-{
-    service::PlanCache::Config config;
-    config.shards = 1;
-    config.negativeTtlLookups = 3;
-    service::PlanCache cache(config);
-    const auto spec = sim::GpuSpec::gh200();
-    auto key = cache.key(regLayout(2), regLayout(4), 4, spec);
-    auto other = cache.key(regLayout(8), regLayout(8), 4, spec);
-
-    ASSERT_TRUE(cache.insertRejection(
-        key, makeDiag(DiagCode::InvalidInput, "t", "bad")));
-    EXPECT_TRUE(cache.lookup(key).has_value());
-    // Age the shard past the TTL with unrelated lookups.
-    for (int i = 0; i < 4; ++i)
-        (void)cache.lookup(other);
-    EXPECT_FALSE(cache.lookup(key).has_value()); // expired
-    EXPECT_EQ(cache.stats().negativeExpired, 1);
-
-    // TTL <= 0 disables negative caching outright.
-    service::PlanCache::Config off;
-    off.negativeTtlLookups = 0;
-    service::PlanCache noNeg(off);
-    EXPECT_FALSE(noNeg.insertRejection(
-        noNeg.key(regLayout(2), regLayout(4), 4, spec),
-        makeDiag(DiagCode::InvalidInput, "t", "bad")));
-}
-
-TEST_F(PlanCacheTest, PeekIsStatFreeAndTreatsExpiredNegativesAsMisses)
-{
-    service::PlanCache::Config config;
-    config.shards = 1;
-    config.negativeTtlLookups = 2;
-    service::PlanCache cache(config);
-    const auto spec = sim::GpuSpec::gh200();
-    auto key = cache.key(regLayout(2), regLayout(4), 4, spec);
-    auto other = cache.key(regLayout(8), regLayout(8), 4, spec);
-
-    ASSERT_TRUE(cache.insertRejection(
-        key, makeDiag(DiagCode::InvalidInput, "t", "bad")));
+    auto plan = std::make_shared<const codegen::ConversionPlan>();
+    ASSERT_TRUE(cache.insert(keyFor(2), plan));
+    ASSERT_TRUE(cache.insert(keyFor(4), codegen::ConversionPlan{}));
     const auto before = cache.stats();
-    auto fresh = cache.peek(key);
-    ASSERT_TRUE(fresh.has_value());
-    EXPECT_TRUE(fresh->negative());
-    // peek moved no counters and advanced no lookup generation.
+    auto seen = cache.peek(keyFor(2));
+    ASSERT_TRUE(seen.has_value());
+    EXPECT_EQ(seen->plan.get(), plan.get());
+    EXPECT_FALSE(cache.peek(keyFor(8)).has_value());
+    // peek moved no counters...
     EXPECT_EQ(cache.stats().lookups(), before.lookups());
-    EXPECT_EQ(cache.stats().negativeHits, before.negativeHits);
+    EXPECT_EQ(cache.stats().hits, before.hits);
+    EXPECT_EQ(cache.stats().misses, before.misses);
 
-    // Age the shard past the TTL; the entry is left in place (peek
-    // never reaps) but must read as a miss.
-    for (int i = 0; i < 3; ++i)
-        (void)cache.lookup(other);
-    EXPECT_FALSE(cache.peek(key).has_value());
-    EXPECT_EQ(cache.stats().negativeExpired, 0); // reaping is lookup's
-}
-
-TEST_F(ServiceTest, NegativeEntryExpiringMidFlightDoesNotSuppressPlan)
-{
-    // The PR-6 TTL edge: a negative entry that expires while a
-    // singleflight leader holds the flight must not make the leader's
-    // double-check peek() serve the stale rejection — the leader must
-    // plan fresh and publish.
-    service::PlanCache::Config config;
-    config.shards = 1;
-    config.negativeTtlLookups = 2;
-    service::PlanCache cache(config);
-    const auto spec = sim::GpuSpec::gh200();
-    const auto src = regLayout(8);
-    const auto dst = regLayout(8); // valid conversion (no-op plan)
-    const auto key = cache.key(src, dst, 4, spec);
-    const auto other = cache.key(regLayout(16), regLayout(16), 4, spec);
-
-    service::Singleflight flights;
-    auto result = flights.run(key, [&]() {
-        // While the flight is open: a (fabricated) stale rejection
-        // lands under our key, then ages past its TTL.
-        EXPECT_TRUE(cache.insertRejection(
-            key, makeDiag(DiagCode::InvalidInput, "t", "stale")));
-        for (int i = 0; i < 3; ++i)
-            (void)cache.lookup(other);
-        // The leader's double-check must read the expired negative as
-        // a miss and fall through to fresh planning.
-        EXPECT_FALSE(cache.peek(key).has_value());
-        return service::planAndPublish(&cache, &key, src, dst, 4,
-                                       spec);
-    });
-    ASSERT_TRUE(result.outcome.planned()) << result.outcome.error;
-    EXPECT_FALSE(result.outcome.fromCache);
-
-    // The fresh plan displaced the expired rejection.
-    auto hit = cache.lookup(key);
-    ASSERT_TRUE(hit.has_value());
-    EXPECT_FALSE(hit->negative());
-}
-
-TEST_F(PlanCacheTest, PositiveEntryIsNeverDisplacedByARejection)
-{
-    service::PlanCache cache;
-    const auto spec = sim::GpuSpec::gh200();
-    auto key = cache.key(regLayout(4), regLayout(4), 4, spec);
-    ASSERT_TRUE(cache.insert(key, codegen::ConversionPlan{}));
-    EXPECT_FALSE(cache.insertRejection(
-        key, makeDiag(DiagCode::InvalidInput, "t", "late rejection")));
-    auto hit = cache.lookup(key);
-    ASSERT_TRUE(hit.has_value());
-    EXPECT_FALSE(hit->negative());
+    // ...and refreshed no recency: the peeked entry is still the
+    // coldest, so the next insert evicts it.
+    ASSERT_TRUE(cache.insert(keyFor(8), codegen::ConversionPlan{}));
+    EXPECT_FALSE(cache.peek(keyFor(2)).has_value());
+    EXPECT_TRUE(cache.peek(keyFor(4)).has_value());
+    EXPECT_EQ(cache.stats().evictions, 1);
 }
 
 TEST_F(PlanCacheTest, InsertsAreRefusedWhileAnyFailpointIsActive)
@@ -335,14 +231,12 @@ TEST_F(PlanCacheTest, InsertsAreRefusedWhileAnyFailpointIsActive)
     {
         failpoint::ScopedSet guard({"fp.cache.global"});
         EXPECT_FALSE(cache.insert(key, codegen::ConversionPlan{}));
-        EXPECT_FALSE(cache.insertRejection(
-            key, makeDiag(DiagCode::InvalidInput, "t", "bad")));
     }
     {
         failpoint::ScopedThreadLocal guard({"fp.cache.local"});
         EXPECT_FALSE(cache.insert(key, codegen::ConversionPlan{}));
     }
-    EXPECT_EQ(cache.stats().insertRefusals, 3);
+    EXPECT_EQ(cache.stats().insertRefusals, 2);
     EXPECT_EQ(cache.size(), 0);
 
     // A plan *shaped* by a failpoint (drained limit-N activation) is
@@ -379,6 +273,77 @@ TEST_F(ServiceTest, ServeConversionPlansOnceThenServesTheSharedPlan)
     ASSERT_TRUE(fresh.planned());
     EXPECT_FALSE(fresh.fromCache);
     EXPECT_NE(fresh.plan.get(), first.plan.get());
+}
+
+// Planning is a pure function of its key, so a rejection is never
+// cached: every request for an InvalidInput pair is a miss that
+// validates afresh, and each answer renders the same error.
+TEST_F(ServiceTest, InvalidInputIsRejectedAfreshWithoutCaching)
+{
+    service::PlanCache cache;
+    engine::EngineOptions options;
+    options.planCache = &cache;
+    const ir::TensorType type{ir::DType::F32, {128}};
+    // The engine's own anchor against a layout of a smaller tensor:
+    // the output spaces differ, so the planner rejects the pair.
+    const LinearLayout src =
+        engine::LayoutEngine{options}.anchorForMemory(type);
+    const LinearLayout dst = LinearLayout::identity1D(
+        2, dims::kReg, src.getOutDimNames().front());
+    const auto &spec = options.spec;
+
+    std::vector<std::string> errors;
+    auto expectMissed = [&](const std::string &what) {
+        const auto stats = cache.stats();
+        EXPECT_EQ(stats.misses, static_cast<int64_t>(errors.size()))
+            << what;
+        EXPECT_EQ(stats.hits, 0) << what;
+        EXPECT_EQ(stats.inserts, 0) << what;
+        EXPECT_EQ(cache.size(), 0) << what;
+    };
+    for (int i = 0; i < 2; ++i) {
+        auto served = service::serveConversion(&cache, src, dst, 4, spec);
+        EXPECT_FALSE(served.planned());
+        EXPECT_FALSE(served.fromCache);
+        errors.push_back(served.error);
+        expectMissed("serveConversion #" + std::to_string(i));
+    }
+    service::Singleflight flights;
+    for (int i = 0; i < 2; ++i) {
+        auto flight = service::serveConversionCoalesced(
+            &cache, &flights, src, dst, 4, spec);
+        EXPECT_EQ(flight.role, service::FlightRole::Leader);
+        EXPECT_FALSE(flight.outcome.planned());
+        EXPECT_FALSE(flight.outcome.fromCache);
+        errors.push_back(flight.outcome.error);
+        expectMissed("serveConversionCoalesced #" + std::to_string(i));
+    }
+
+    // The same pair as a kernel op: load, convert to `dst`, store.
+    ir::Function f("invalid-convert");
+    const int loaded = f.load(type);
+    const int converted = f.convertLayout(loaded, dst);
+    f.store(converted);
+    auto stats = engine::LayoutEngine{options}.run(f);
+    EXPECT_EQ(stats.planFailures, 1);
+    EXPECT_EQ(stats.planCacheMisses, 1);
+    EXPECT_EQ(stats.planCacheHits, 0);
+    EXPECT_EQ(f.op(f.value(converted).defOp).tag,
+              ir::kUnplannedConvertTag);
+    ASSERT_EQ(stats.planDiagnostics.size(), 1u);
+    const std::string prefix =
+        "op " + std::to_string(f.value(converted).defOp) + ": ";
+    ASSERT_EQ(stats.planDiagnostics[0].rfind(prefix, 0), 0u)
+        << stats.planDiagnostics[0];
+    errors.push_back(stats.planDiagnostics[0].substr(prefix.size()));
+    expectMissed("kernel op");
+
+    ASSERT_EQ(errors.size(), 5u);
+    EXPECT_NE(errors[0].find(toString(DiagCode::InvalidInput)),
+              std::string::npos)
+        << errors[0];
+    for (const auto &e : errors)
+        EXPECT_EQ(e, errors[0]);
 }
 
 // Over the whole committed corpus: the plan served from the cache must
@@ -422,7 +387,6 @@ TEST_F(ServiceTest, StressInternerAndCacheUnderConcurrentEviction)
     service::PlanCache::Config config;
     config.capacity = 4; // far fewer slots than hot keys
     config.shards = 2;
-    config.negativeTtlLookups = 16;
     config.interner = &interner;
     service::PlanCache cache(config);
     const auto spec = sim::GpuSpec::gh200();
@@ -437,12 +401,8 @@ TEST_F(ServiceTest, StressInternerAndCacheUnderConcurrentEviction)
                 auto key = cache.key(l, regLayout(1 << (which % 4)),
                                      1 << (which % 3), spec);
                 if (auto hit = cache.lookup(key)) {
-                    if (!hit->negative() && hit->plan)
+                    if (hit->plan)
                         hits.fetch_add(1, std::memory_order_relaxed);
-                } else if (which % 3 == 0) {
-                    (void)cache.insertRejection(
-                        key, makeDiag(DiagCode::InvalidInput, "stress",
-                                      "synthetic"));
                 } else {
                     (void)cache.insert(key,
                                        codegen::ConversionPlan{});
@@ -572,7 +532,7 @@ TEST_F(ServiceTest, BatchDriverAggregatesExactlyThePerResponseStats)
     for (const auto &r : report.responses)
         if (!r.ok)
             failureText += r.name + ": " + r.error + "\n";
-    EXPECT_EQ(report.failures, 0) << failureText;
+    EXPECT_EQ(report.planned, report.requests) << failureText;
     EXPECT_GE(report.wallMs, 0.0);
     EXPECT_GE(report.p90LatencyUs, report.p50LatencyUs);
 
@@ -622,7 +582,8 @@ TEST_F(ServiceTest, BatchMetricsCountEachKernelRunOnceAcrossThreads)
         options.threads = threads;
         service::CompileService svc{options};
         auto report = svc.run(requests);
-        EXPECT_EQ(report.failures, 0) << threads << " thread(s)";
+        EXPECT_EQ(report.planned, report.requests)
+            << threads << " thread(s)";
         return report.totals.metrics;
     };
     const auto serial = metricsWith(1);
@@ -661,7 +622,7 @@ TEST_F(ServiceTest, LedgerAttributesEachConversionOnceAcrossThreads)
     options.cache = &cache;
     service::CompileService svc{options};
     auto report = svc.run(requests);
-    EXPECT_EQ(report.failures, 0);
+    EXPECT_EQ(report.planned, report.requests);
 
     const auto distinct = static_cast<int64_t>(corpus().size());
     EXPECT_EQ(report.totals.metrics["plan.planned"], distinct);

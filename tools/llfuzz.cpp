@@ -305,7 +305,7 @@ startsWith(const std::string &s, const char *prefix)
  * Force one svc.* site against a deterministic single-conversion
  * service drill, then rerun clean: the forced run must resolve through
  * the site's degraded-but-definite outcome (shed, failed leader,
- * deadline-exceeded, burned retry) and the clean run must plan.
+ * deadline-exceeded) and the clean run must plan.
  */
 bool
 runServiceProbe(const std::string &site)
@@ -401,26 +401,6 @@ runServiceProbe(const std::string &site)
         const auto clean = svc.serve(stream, cfg);
         if (clean.planned != 1) {
             std::cerr << "clean queue-timeout probe failed\n";
-            return false;
-        }
-        return true;
-    }
-
-    if (site == "svc.retry") {
-        cfg.retryBudget = 2;
-        cfg.retryBackoffMs = 0.1;
-        // Transient first attempt (failed leader), a burned first
-        // retry (svc.retry), then the second retry plans clean.
-        failpoint::activate("svc.singleflight.leader", 1);
-        failpoint::activate("svc.retry", 1);
-        const auto forced = svc.serve(stream, cfg);
-        failpoint::deactivate("svc.singleflight.leader");
-        failpoint::deactivate("svc.retry");
-        if (forced.planned != 1 || forced.retries != 2) {
-            std::cerr << "forced svc.retry drill wanted planned after "
-                         "2 retries, saw planned="
-                      << forced.planned
-                      << " retries=" << forced.retries << "\n";
             return false;
         }
         return true;

@@ -27,8 +27,10 @@
  *                  cache's speedup claims);
  *   --cache-capacity N  total plan-cache entries (default 4096).
  *
- * Server mode (open-loop Poisson arrivals; enabled by --rate or
- * --rate-x-saturation):
+ * Server mode (open-loop Poisson arrivals seeded by --seed; enabled
+ * by --rate or --rate-x-saturation). Each request is planned once: a
+ * failed request is not retried, since planning is pure and a second
+ * attempt would fail the same way.
  *
  *   --rate R              mean arrival rate, requests/second;
  *   --rate-x-saturation X calibrate the closed-loop saturation
@@ -39,10 +41,8 @@
  *   --queue-capacity N    admission queue bound (default 64);
  *   --policy P            block | shed-newest | shed-oldest;
  *   --deadline-ms D       per-request deadline from arrival;
- *   --retry-budget N      retries per request for failed attempts;
- *   --retry-backoff-ms B  base backoff, doubled per attempt, jittered;
  *   --slo-p99-ms P        p99 target over admitted requests;
- *   --service-floor-us F  minimum per-attempt service time (spin) so
+ *   --service-floor-us F  minimum per-request service time (spin) so
  *                         overload drills have a controllable
  *                         saturation point;
  *   --rate-sweep M1,M2,.. serve once per multiplier of the base rate
@@ -112,8 +112,6 @@ struct Options
     service::AdmissionPolicy policy =
         service::AdmissionPolicy::ShedOldest;
     double deadlineMs = 0.0;
-    int retryBudget = 0;
-    double retryBackoffMs = 1.0;
     double sloP99Ms = 0.0;
     double serviceFloorUs = 0.0;
     std::vector<double> rateSweep;
@@ -142,8 +140,7 @@ usage()
            "               [--duration SEC] [--max-requests N]\n"
            "               [--queue-capacity N]\n"
            "               [--policy block|shed-newest|shed-oldest]\n"
-           "               [--deadline-ms D] [--retry-budget N]\n"
-           "               [--retry-backoff-ms B] [--slo-p99-ms P]\n"
+           "               [--deadline-ms D] [--slo-p99-ms P]\n"
            "               [--service-floor-us F]\n"
            "               [--rate-sweep M1,M2,...]\n"
            "               [--expect-slo] [--expect-sheds N]\n"
@@ -244,16 +241,6 @@ parseArgs(int argc, char **argv, Options &opt)
             if (!v)
                 return false;
             opt.deadlineMs = std::atof(v);
-        } else if (arg == "--retry-budget") {
-            const char *v = needValue("--retry-budget");
-            if (!v)
-                return false;
-            opt.retryBudget = std::max(0, std::atoi(v));
-        } else if (arg == "--retry-backoff-ms") {
-            const char *v = needValue("--retry-backoff-ms");
-            if (!v)
-                return false;
-            opt.retryBackoffMs = std::atof(v);
         } else if (arg == "--slo-p99-ms") {
             const char *v = needValue("--slo-p99-ms");
             if (!v)
@@ -431,18 +418,23 @@ struct CurvePoint
     int64_t shed = 0;
 };
 
+/** Requests that did not reach Planned: the shed, deadline-exceeded
+ *  and failed outcomes together. */
+int64_t
+unplannedCount(const service::ServiceReport &report)
+{
+    return report.shed + report.deadlineExceeded + report.failed;
+}
+
 double
 computeHitRatePct(const service::ServiceReport &report)
 {
     const auto &t = report.totals;
-    const int64_t lookups = static_cast<int64_t>(t.planCacheHits) +
-                            t.planCacheNegativeHits + t.planCacheMisses;
-    return lookups > 0
-               ? 100.0 *
-                     static_cast<double>(t.planCacheHits +
-                                         t.planCacheNegativeHits) /
-                     static_cast<double>(lookups)
-               : 0.0;
+    const int64_t lookups =
+        static_cast<int64_t>(t.planCacheHits) + t.planCacheMisses;
+    return lookups > 0 ? 100.0 * static_cast<double>(t.planCacheHits) /
+                             static_cast<double>(lookups)
+                       : 0.0;
 }
 
 /** BENCH_service.json, same schema as bench::emitBenchJson (llstat
@@ -483,15 +475,13 @@ writeBenchJson(const Options &opt, const service::ServiceReport &report,
     emit("service.stream.requests",
          static_cast<double>(report.requests));
     emit("service.stream.failures",
-         static_cast<double>(report.failures));
+         static_cast<double>(unplannedCount(report)));
     emit("service.stream.planned",
          static_cast<double>(report.planned));
     emit("service.stream.shed", static_cast<double>(report.shed));
     emit("service.stream.deadline_exceeded",
          static_cast<double>(report.deadlineExceeded));
     emit("service.stream.failed", static_cast<double>(report.failed));
-    emit("service.stream.retries",
-         static_cast<double>(report.retries));
     emit("service.stream.coalesced",
          static_cast<double>(report.coalesced));
     emit("service.stream.fresh_plans",
@@ -534,8 +524,7 @@ printOutcomeSplit(const service::ServiceReport &report)
     std::cout << "llserve: outcomes: " << report.planned
               << " planned, " << report.shed << " shed, "
               << report.deadlineExceeded << " deadline-exceeded, "
-              << report.failed << " failed; " << report.retries
-              << " retry(ies), " << report.coalesced
+              << report.failed << " failed; " << report.coalesced
               << " coalesced, " << report.freshPlans
               << " fresh plan(s)\n";
 }
@@ -548,8 +537,7 @@ printCacheLine(service::PlanCache *cache,
     if (cache) {
         auto cs = cache->stats();
         std::cout << "llserve: plan cache: " << t.planCacheHits
-                  << " hit(s), " << t.planCacheNegativeHits
-                  << " negative hit(s), " << t.planCacheMisses
+                  << " hit(s), " << t.planCacheMisses
                   << " miss(es) — hit rate " << hitRatePct
                   << "%; size " << cache->size() << "/"
                   << cache->capacity() << ", " << cs.evictions
@@ -637,8 +625,6 @@ main(int argc, char **argv)
         cfg.queueCapacity = opt.queueCapacity;
         cfg.policy = opt.policy;
         cfg.deadlineMs = opt.deadlineMs;
-        cfg.retryBudget = opt.retryBudget;
-        cfg.retryBackoffMs = opt.retryBackoffMs;
         cfg.sloP99Ms = opt.sloP99Ms;
 
         for (const double m : multipliers) {
@@ -698,7 +684,7 @@ main(int argc, char **argv)
                   << " request(s) on " << report.threads
                   << " thread(s) in " << report.wallMs << " ms ("
                   << report.requestsPerSec << " req/s), "
-                  << report.failures << " failure(s)\n";
+                  << unplannedCount(report) << " failure(s)\n";
         printOutcomeSplit(report);
         std::cout << "llserve: latency p50 " << report.p50LatencyUs
                   << " us, p90 " << report.p90LatencyUs << " us, p99 "
