@@ -23,6 +23,7 @@
 #include "codegen/swizzle.h"
 #include "layout/linear_layout.h"
 #include "sim/gpu_spec.h"
+#include "support/host.h"
 #include "support/metrics.h"
 #include "triton/encodings.h"
 
@@ -96,8 +97,9 @@ using Results = std::vector<std::pair<std::string, double>>;
 /**
  * Run a figure's experiment `fn` LL_BENCH_REPS times (default 5) and
  * write a machine-readable BENCH_<name>.json report next to the
- * process (or into $LL_BENCH_JSON_DIR): name, rep count, wall-time
- * median / p90 / min / mean in milliseconds, the delta of every
+ * process (or into $LL_BENCH_JSON_DIR): name, rep count, the host
+ * fingerprint (host::fingerprintJson), wall-time median / p90 / min /
+ * mean in milliseconds, the delta of every
  * metrics-registry counter the reps moved and, when `results` is not
  * empty after the last rep, a "results" object of its values (fn
  * fills it; the repro_claims_smoke ctest checks the paper's claims on
@@ -163,6 +165,7 @@ emitBenchJson(const std::string &name, const std::function<void()> &fn,
     os << "{\n"
        << "  \"name\": \"" << name << "\",\n"
        << "  \"reps\": " << reps << ",\n"
+       << "  \"host\": " << host::fingerprintJson() << ",\n"
        << "  \"wall_ms\": {";
     char buf[256];
     std::snprintf(buf, sizeof(buf),

@@ -6,7 +6,6 @@
 #include "triton/encodings.h"
 #include "layout/dims.h"
 #include "sim/memory_sim.h"
-#include "support/deadline.h"
 #include "support/failpoint.h"
 #include "support/metrics.h"
 #include "support/trace.h"
@@ -380,30 +379,6 @@ tryPlanConversionImpl(const LinearLayout &src, const LinearLayout &dst,
         return false;
     };
 
-    // Cooperative cancellation for the serving path: when the calling
-    // request's deadline (deadline::Scoped, thread-local) has expired,
-    // the rung boundaries below skip straight to the terminal scalar
-    // rung instead of sweeping the expensive middle rungs. The demoted
-    // plan stays correct — scalar is total over valid inputs — and the
-    // DeadlineExceeded note keeps it out of the shared plan cache (the
-    // demotion reflects load, not the inputs). Checked only between
-    // rungs, so a rung in progress always completes its evaluation.
-    bool deadlineDemoted = false;
-    auto deadlineCutoff = [&]() {
-        if (deadlineDemoted)
-            return true;
-        if (!deadline::expired())
-            return false;
-        deadlineDemoted = true;
-        notes.note(DiagCode::DeadlineExceeded, "plan.deadline",
-                   "request deadline expired mid-plan; demoting to the "
-                   "terminal scalar rung");
-        static auto &demotions =
-            metrics::counter("plan.deadline_demotions");
-        demotions.inc();
-        return true;
-    };
-
     // plan.kind.<kind> counts every accepted rung, so it pairs with the
     // plan.rung.<rung>.evaluated counters as the ladder's accept count.
     auto countKind = [](ConversionKind kind) {
@@ -465,7 +440,7 @@ tryPlanConversionImpl(const LinearLayout &src, const LinearLayout &dst,
     }
 
     // Rung 3: data stays within each warp.
-    if (!deadlineCutoff()) {
+    {
         trace::Span rung("plan.rung.warp-shuffle", "plan");
         static auto &evals =
             metrics::counter("plan.rung.warp-shuffle.evaluated");
@@ -502,135 +477,134 @@ tryPlanConversionImpl(const LinearLayout &src, const LinearLayout &dst,
 
     // Rungs 4-6 go through shared memory. The matrix instructions are
     // independently droppable riders on rung 4.
-    if (!deadlineCutoff()) {
-    bool allowLdmatrix = true;
-    if (LL_FAILPOINT("plan.ldmatrix")) {
-        allowLdmatrix = false;
-        notes.note(DiagCode::FailpointInjected, "plan.ldmatrix",
-                   "failpoint dropped ldmatrix from the shared plan");
-    }
-    bool allowStmatrix = true;
-    if (LL_FAILPOINT("plan.stmatrix")) {
-        allowStmatrix = false;
-        notes.note(DiagCode::FailpointInjected, "plan.stmatrix",
-                   "failpoint dropped stmatrix from the shared plan");
-    }
+    {
+        bool allowLdmatrix = true;
+        if (LL_FAILPOINT("plan.ldmatrix")) {
+            allowLdmatrix = false;
+            notes.note(DiagCode::FailpointInjected, "plan.ldmatrix",
+                       "failpoint dropped ldmatrix from the shared plan");
+        }
+        bool allowStmatrix = true;
+        if (LL_FAILPOINT("plan.stmatrix")) {
+            allowStmatrix = false;
+            notes.note(DiagCode::FailpointInjected, "plan.stmatrix",
+                       "failpoint dropped stmatrix from the shared plan");
+        }
 
-    // Rung 4: optimally swizzled shared memory. Candidates: the F2
-    // construction and, on 2D tensors, the legacy-parameter mma swizzle
-    // whose vec-granular phases keep 16-byte rows intact and so stay
-    // divisible by the ldmatrix/stmatrix tiles. A candidate too big for
-    // the CTA budget is windowed. Pick by modeled cost.
-    trace::Span rung4("plan.rung.shared-memory", "plan");
-    static auto &rung4Evals =
-        metrics::counter("plan.rung.shared-memory.evaluated");
-    rung4Evals.inc();
-    std::vector<SwizzledShared> candidates;
-    if (!skipped("plan.optimal-swizzle")) {
-        auto opt = tryComputeOptimalSwizzle(src, dst, elemBytes, spec);
-        if (opt)
-            candidates.push_back(std::move(*opt));
-        else
-            notes.note(opt.diag());
-    }
-    if (!skipped("plan.legacy-swizzle") &&
-        (spec.hasLdmatrix || spec.hasStmatrix) && elemBytes <= 4 &&
-        src.getNumOutDims() == 2) {
-        auto outs = src.getOutDims();
-        auto fast = parseDimIndex(outs[0].first);
-        auto slow = parseDimIndex(outs[1].first);
-        if (!fast || !slow || *fast > 1 || *slow > 1 || *fast == *slow) {
-            notes.note(DiagCode::LegacySwizzleUnavailable,
-                       "plan.legacy-swizzle",
-                       "output dims are not the dim0/dim1 pair the "
-                       "legacy mma swizzle expects");
-        } else {
-            triton::Shape shape = {0, 0};
-            shape[static_cast<size_t>(*fast)] = outs[0].second;
-            shape[static_cast<size_t>(*slow)] = outs[1].second;
-            std::vector<int32_t> order = {*fast, 1 - *fast};
-            auto params = triton::chooseMmaSwizzleParams(
-                elemBytes, shape[static_cast<size_t>(*fast)]);
-            auto legacy = triton::mmaSwizzledSharedLayout(
-                shape, params.vec, params.perPhase, params.maxPhase,
-                order);
-            auto wrapped =
-                tryWrapMemoryLayout(legacy, src, dst, elemBytes, spec);
-            if (wrapped)
-                candidates.push_back(std::move(*wrapped));
+        // Rung 4: optimally swizzled shared memory. Candidates: the F2
+        // construction and, on 2D tensors, the legacy-parameter mma swizzle
+        // whose vec-granular phases keep 16-byte rows intact and so stay
+        // divisible by the ldmatrix/stmatrix tiles. A candidate too big for
+        // the CTA budget is windowed. Pick by modeled cost.
+        trace::Span rung("plan.rung.shared-memory", "plan");
+        static auto &evals =
+            metrics::counter("plan.rung.shared-memory.evaluated");
+        evals.inc();
+        std::vector<SwizzledShared> candidates;
+        if (!skipped("plan.optimal-swizzle")) {
+            auto opt = tryComputeOptimalSwizzle(src, dst, elemBytes, spec);
+            if (opt)
+                candidates.push_back(std::move(*opt));
             else
-                notes.note(wrapped.diag());
+                notes.note(opt.diag());
         }
-    }
+        if (!skipped("plan.legacy-swizzle") &&
+            (spec.hasLdmatrix || spec.hasStmatrix) && elemBytes <= 4 &&
+            src.getNumOutDims() == 2) {
+            auto outs = src.getOutDims();
+            auto fast = parseDimIndex(outs[0].first);
+            auto slow = parseDimIndex(outs[1].first);
+            if (!fast || !slow || *fast > 1 || *slow > 1 || *fast == *slow) {
+                notes.note(DiagCode::LegacySwizzleUnavailable,
+                           "plan.legacy-swizzle",
+                           "output dims are not the dim0/dim1 pair the "
+                           "legacy mma swizzle expects");
+            } else {
+                triton::Shape shape = {0, 0};
+                shape[static_cast<size_t>(*fast)] = outs[0].second;
+                shape[static_cast<size_t>(*slow)] = outs[1].second;
+                std::vector<int32_t> order = {*fast, 1 - *fast};
+                auto params = triton::chooseMmaSwizzleParams(
+                    elemBytes, shape[static_cast<size_t>(*fast)]);
+                auto legacy = triton::mmaSwizzledSharedLayout(
+                    shape, params.vec, params.perPhase, params.maxPhase,
+                    order);
+                auto wrapped =
+                    tryWrapMemoryLayout(legacy, src, dst, elemBytes, spec);
+                if (wrapped)
+                    candidates.push_back(std::move(*wrapped));
+                else
+                    notes.note(wrapped.diag());
+            }
+        }
 
-    bool haveBest = false;
-    double bestCost = 0.0;
-    int bestMatrixSides = 0;
-    ConversionPlan best;
-    const int64_t numElems = src.getTotalOutDimSize();
-    for (auto &cand : candidates) {
-        // A tile bigger than one CTA keeps its swizzle and runs in
-        // windowed passes. Only a budget that cannot hold one
-        // vectorized access leaves the candidate unwindowed, for
-        // evaluateSharedCandidate to reject as CtaBudgetExceeded.
-        if (!sim::SharedMemory::fits(spec, elemBytes,
-                                     cand.storageElems(numElems)))
-            cand.windowElems =
-                ctaWindowElems(elemBytes, spec, cand.vecElems());
-        try {
-            auto evaluated = evaluateSharedCandidate(
-                plan, std::move(cand), src, dst, elemBytes, spec,
-                allowLdmatrix, allowStmatrix);
-            if (!evaluated) {
-                notes.note(evaluated.diag());
-                continue;
+        bool haveBest = false;
+        double bestCost = 0.0;
+        int bestMatrixSides = 0;
+        ConversionPlan best;
+        const int64_t numElems = src.getTotalOutDimSize();
+        for (auto &cand : candidates) {
+            // A tile bigger than one CTA keeps its swizzle and runs in
+            // windowed passes. Only a budget that cannot hold one
+            // vectorized access leaves the candidate unwindowed, for
+            // evaluateSharedCandidate to reject as CtaBudgetExceeded.
+            if (!sim::SharedMemory::fits(spec, elemBytes,
+                                         cand.storageElems(numElems)))
+                cand.windowElems =
+                    ctaWindowElems(elemBytes, spec, cand.vecElems());
+            try {
+                auto evaluated = evaluateSharedCandidate(
+                    plan, std::move(cand), src, dst, elemBytes, spec,
+                    allowLdmatrix, allowStmatrix);
+                if (!evaluated) {
+                    notes.note(evaluated.diag());
+                    continue;
+                }
+                ConversionPlan trial = std::move(*evaluated);
+                trial.kind = ConversionKind::SharedMemory;
+                double cost = trial.estimateCycles(src, elemBytes, spec);
+                // Cost ties (common: several conflict-free layouts) break
+                // toward the candidate using more matrix-instruction sides
+                // — ldmatrix/stmatrix save issue slots the wavefront count
+                // cannot see.
+                int matrixSides = (trial.usesLdmatrix ? 1 : 0) +
+                                  (trial.usesStmatrix ? 1 : 0);
+                constexpr double kTie = 1e-9;
+                if (!haveBest || cost < bestCost - kTie ||
+                    (cost <= bestCost + kTie &&
+                     matrixSides > bestMatrixSides)) {
+                    haveBest = true;
+                    bestCost = cost;
+                    bestMatrixSides = matrixSides;
+                    best = std::move(trial);
+                }
+            } catch (const std::exception &e) {
+                notes.note(DiagCode::PlannerInternalError,
+                           "plan.optimal-swizzle",
+                           std::string("shared candidate rejected: ") +
+                               e.what());
             }
-            ConversionPlan trial = std::move(*evaluated);
-            trial.kind = ConversionKind::SharedMemory;
-            double cost = trial.estimateCycles(src, elemBytes, spec);
-            // Cost ties (common: several conflict-free layouts) break
-            // toward the candidate using more matrix-instruction sides
-            // — ldmatrix/stmatrix save issue slots the wavefront count
-            // cannot see.
-            int matrixSides = (trial.usesLdmatrix ? 1 : 0) +
-                              (trial.usesStmatrix ? 1 : 0);
-            constexpr double kTie = 1e-9;
-            if (!haveBest || cost < bestCost - kTie ||
-                (cost <= bestCost + kTie &&
-                 matrixSides > bestMatrixSides)) {
-                haveBest = true;
-                bestCost = cost;
-                bestMatrixSides = matrixSides;
-                best = std::move(trial);
-            }
-        } catch (const std::exception &e) {
-            notes.note(DiagCode::PlannerInternalError,
-                       "plan.optimal-swizzle",
-                       std::string("shared candidate rejected: ") +
-                           e.what());
         }
-    }
-    if (rung4.active()) {
-        rung4.arg("candidates",
-                  static_cast<int64_t>(candidates.size()));
-        rung4.arg("outcome", haveBest ? "accept" : "reject");
+        if (rung.active()) {
+            rung.arg("candidates",
+                      static_cast<int64_t>(candidates.size()));
+            rung.arg("outcome", haveBest ? "accept" : "reject");
+            if (haveBest) {
+                rung.arg("cycles", bestCost);
+                rung.arg("store_wavefronts", best.storeWavefrontsTotal);
+                rung.arg("load_wavefronts", best.loadWavefrontsTotal);
+            } else if (!notes.empty()) {
+                rung.arg("reason", notes.notes.back().toString());
+            }
+        }
         if (haveBest) {
-            rung4.arg("cycles", bestCost);
-            rung4.arg("store_wavefronts", best.storeWavefrontsTotal);
-            rung4.arg("load_wavefronts", best.loadWavefrontsTotal);
-        } else if (!notes.empty()) {
-            rung4.arg("reason", notes.notes.back().toString());
+            countKind(best.kind);
+            return best;
         }
     }
-    rung4.finish();
-    if (haveBest) {
-        countKind(best.kind);
-        return best;
-    }
-    } // rung 4
 
     // Rung 5: unswizzled shared memory with bank-offset padding.
-    if (!deadlineCutoff()) {
+    {
         trace::Span rung("plan.rung.shared-padded", "plan");
         static auto &evals =
             metrics::counter("plan.rung.shared-padded.evaluated");

@@ -6,6 +6,7 @@
 #include "codegen/gather.h"
 #include "layout/dims.h"
 #include "support/bits.h"
+#include "support/trace.h"
 #include "synth/candidates.h"
 
 namespace ll {
@@ -42,6 +43,7 @@ KernelCost
 estimateKernelCost(const ir::Function &f, const sim::GpuSpec &spec,
                    int numWarps)
 {
+    trace::Span span("engine.cost", "engine");
     KernelCost cost;
     for (int i = 0; i < f.numOps(); ++i) {
         const ir::Op &o = f.op(i);
@@ -221,6 +223,10 @@ estimateKernelCost(const ir::Function &f, const sim::GpuSpec &spec,
           default:
             break; // shape ops and constants are free
         }
+    }
+    if (span.active()) {
+        span.arg("converts", cost.converts);
+        span.arg("cycles", cost.cycles);
     }
     return cost;
 }

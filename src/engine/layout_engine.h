@@ -58,8 +58,8 @@ struct EngineOptions
      *  cached, so a failing conversion is re-validated on every
      *  request. Only the shipped pass's shared-cache traffic is counted
      *  in EngineStats::planCacheHits / planCacheMisses. Plans shaped by
-     *  failpoints or a deadline, or planned while any failpoint was
-     *  active, are never inserted. */
+     *  failpoints, or planned while any failpoint was active, are never
+     *  inserted. */
     service::PlanCache *planCache = nullptr;
     /** Run the whole-kernel anchor-assignment search (src/synth),
      *  trial its finalists through the true pipeline, and adopt the

@@ -7,7 +7,6 @@
 #include <random>
 #include <thread>
 
-#include "support/deadline.h"
 #include "support/failpoint.h"
 #include "support/metrics.h"
 #include "support/trace.h"
@@ -431,14 +430,11 @@ CompileService::serve(const std::vector<CompileRequest> &stream,
                     metrics::counter("service.deadline.queue_expired");
                 queueExpirations.inc();
             } else {
-                // The planner demotes at rung boundaries once the
-                // installed deadline has passed.
+                // The deadline bounds only a coalesced follower's wait;
+                // it never changes what gets planned.
                 std::optional<SteadyClock::time_point> deadline;
-                std::optional<deadline::Scoped> scoped;
-                if (job.deadline != SteadyClock::time_point::max()) {
+                if (job.deadline != SteadyClock::time_point::max())
                     deadline = job.deadline;
-                    scoped.emplace(job.deadline);
-                }
                 executeAttempt(*job.request, ctx, deadline, resp);
             }
             resp.latencyUs = toUs(SteadyClock::now() - job.arrival);

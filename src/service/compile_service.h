@@ -11,9 +11,11 @@
  * through the Singleflight latch so every cold key is planned exactly
  * once. In *server* mode (serve()) requests arrive on a
  * deterministic-seed Poisson process, pass a bounded admission queue
- * with a configurable shed policy, carry per-request deadlines
- * (cooperatively checked at the planner's rung boundaries via
- * deadline::Scoped), and are accounted against a p99 latency SLO.
+ * with a configurable shed policy, carry per-request deadlines, and
+ * are accounted against a p99 latency SLO. A deadline bounds only
+ * waiting — in the admission queue, or as a coalesced follower on
+ * another request's flight — and never changes what gets planned: a
+ * request whose deadline passes mid-compile ships its full plan.
  * Each request runs exactly one attempt: planning is a pure function
  * of the request, so a second attempt would fail the same way.
  *

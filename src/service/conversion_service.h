@@ -55,12 +55,12 @@ ConversionOutcome serveConversion(PlanCache *cache,
  * The post-lookup half of serveConversion: tryPlanConversion (a planner
  * exception becomes a PlannerInternalError diagnostic), then publish
  * the plan to `cache` under `key` (both may be null — the --no-cache
- * path); the cache's failpoint and deadline policy decides whether it
- * is kept. A rejection is returned, never cached. The caller has
- * already taken the cache miss; this never performs (or counts) a
- * lookup. The singleflight leader calls this after its stat-free
- * peek() double-check so each request records exactly one cache
- * lookup no matter how the flight resolves.
+ * path); the cache's failpoint policy decides whether it is kept. A
+ * rejection is returned, never cached. The caller has already taken
+ * the cache miss; this never performs (or counts) a lookup. The
+ * singleflight leader calls this after its stat-free peek()
+ * double-check so each request records exactly one cache lookup no
+ * matter how the flight resolves.
  */
 ConversionOutcome planAndPublish(PlanCache *cache, const PlanKey *key,
                                  const LinearLayout &src,

@@ -10,15 +10,14 @@ namespace service {
 
 namespace {
 
-/** True when any diagnostic note records an injected failpoint or a
- *  deadline demotion: the plan's shape was forced by fault injection or
- *  by load, not by the inputs, so it must not be shared. */
+/** True when any diagnostic note records an injected failpoint: the
+ *  plan's shape was forced by fault injection, not by the inputs, so it
+ *  must not be shared. */
 bool
 planWasFaultShaped(const codegen::ConversionPlan &plan)
 {
     for (const auto &note : plan.diagnostics.notes) {
-        if (note.code == DiagCode::FailpointInjected ||
-            note.code == DiagCode::DeadlineExceeded)
+        if (note.code == DiagCode::FailpointInjected)
             return true;
     }
     return false;

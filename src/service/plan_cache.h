@@ -17,10 +17,10 @@
  *  - Entries are plans as tryPlanConversion returned them.
  *    insert() *refuses* (a) while any failpoint is active — globally or
  *    on the calling thread's overlay — and (b) plans whose diagnostics
- *    carry a FailpointInjected or DeadlineExceeded note (a drained
- *    limit-N activation is no longer "active" but still shaped the
- *    plan). Failures are never cached, and neither are fault-injected
- *    successes: a fuzzing run can never poison a shared cache.
+ *    carry a FailpointInjected note (a drained limit-N activation is no
+ *    longer "active" but still shaped the plan). Failures are never
+ *    cached, and neither are fault-injected successes: a fuzzing run
+ *    can never poison a shared cache.
  *  - There are no negative entries. A rejection is a pure function of
  *    the key too, so caching one would only save re-validation — a few
  *    word compares — at the price of an expiry policy; every request
@@ -100,7 +100,7 @@ struct PlanCacheStats
     int64_t misses = 0;
     int64_t inserts = 0;
     int64_t evictions = 0;
-    /** Inserts refused by the failpoint / deadline policy. */
+    /** Inserts refused by the failpoint policy. */
     int64_t insertRefusals = 0;
 
     int64_t lookups() const { return hits + misses; }

@@ -30,8 +30,6 @@ toString(DiagCode code)
         return "cta-budget-exceeded";
       case DiagCode::FailpointInjected:
         return "failpoint-injected";
-      case DiagCode::DeadlineExceeded:
-        return "deadline-exceeded";
       case DiagCode::PlannerInternalError:
         return "planner-internal-error";
     }

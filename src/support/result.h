@@ -38,7 +38,6 @@ enum class DiagCode
     ScalarUnavailable,       ///< scalar shared rung failed (terminal)
     CtaBudgetExceeded,       ///< allocation exceeds the CTA shared budget
     FailpointInjected,       ///< a failpoint forced this stage off
-    DeadlineExceeded,        ///< the request's deadline cut this stage off
     PlannerInternalError,    ///< unexpected exception inside a stage
 };
 

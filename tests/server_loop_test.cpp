@@ -4,9 +4,9 @@
  * misses on one key into exactly one planner invocation (and failures
  * propagate to followers without ever being cached); the bounded
  * admission queue gives every offered job a definite outcome under all
- * three shed policies; per-request deadlines demote planning to the
- * terminal scalar rung at rung boundaries and deadline-shaped plans
- * are never cached; a failed request runs once and is not retried;
+ * three shed policies; a follower whose deadline passes while it waits
+ * on a flight times out without changing what the leader plans or
+ * caches; a failed request runs once and is not retried;
  * the open-loop Poisson schedule is a pure function of its seed; and
  * every serve() arrival lands in exactly one terminal-outcome bucket.
  * The multi-thread tests here are TSan targets (-DLL_SANITIZE=tsan).
@@ -28,7 +28,6 @@
 #include "service/plan_cache.h"
 #include "service/singleflight.h"
 #include "sim/gpu_spec.h"
-#include "support/deadline.h"
 #include "support/failpoint.h"
 #include "support/metrics.h"
 #include "triton/encodings.h"
@@ -50,8 +49,8 @@ blocked(const triton::Shape &sizePerThread,
     return enc.toLinearLayout(shape);
 }
 
-/** A conversion whose plan lands on a shared-memory rung — the rungs
- *  the deadline cutoff is allowed to skip. */
+/** A conversion whose plan lands on the swizzled shared-memory rung,
+ *  not the terminal scalar one. */
 struct SharedConversion
 {
     LinearLayout src =
@@ -84,7 +83,6 @@ struct CleanFailpoints : ::testing::Test
 
 using SingleflightTest = CleanFailpoints;
 using AdmissionTest = CleanFailpoints;
-using DeadlineTest = CleanFailpoints;
 using ServerLoopTest = CleanFailpoints;
 
 TEST(PoissonScheduleTest, SameSeedSameSchedule)
@@ -284,6 +282,60 @@ TEST_F(SingleflightTest, LeaderFailpointFailsColdServeWithoutCaching)
     EXPECT_EQ(cache.size(), 1);
 }
 
+TEST_F(SingleflightTest, FollowerPastItsDeadlineTimesOutAndLeaderShipsFullPlan)
+{
+    SharedConversion conv;
+    service::PlanCache cache;
+    const service::PlanKey key =
+        cache.key(conv.src, conv.dst, 2, conv.spec);
+    service::Singleflight flights;
+    auto &timeoutCounter = metrics::counter("service.singleflight.timeout");
+    const int64_t timeoutsBefore = timeoutCounter.value();
+
+    // The leader's work holds the flight open until the test releases
+    // it, so the follower below is guaranteed to find the flight open.
+    std::atomic<bool> release{false};
+    service::FlightResult leaderResult;
+    std::thread leader([&] {
+        leaderResult = flights.run(key, [&]() {
+            while (!release.load())
+                std::this_thread::yield();
+            return service::planAndPublish(&cache, &key, conv.src,
+                                           conv.dst, 2, conv.spec);
+        });
+    });
+    while (flights.stats().leaders == 0)
+        std::this_thread::yield();
+
+    // A deadline already in the past: the follower returns at once,
+    // without waiting for the leader and without planning.
+    auto follower = service::serveConversionCoalesced(
+        &cache, &flights, conv.src, conv.dst, 2, conv.spec,
+        std::chrono::steady_clock::now() - std::chrono::milliseconds(1));
+    EXPECT_EQ(follower.role, service::FlightRole::TimedOut);
+    EXPECT_FALSE(follower.outcome.planned());
+    EXPECT_NE(follower.outcome.error.find("deadline-exceeded"),
+              std::string::npos);
+    EXPECT_EQ(flights.stats().timeouts, 1);
+    EXPECT_EQ(timeoutCounter.value() - timeoutsBefore, 1);
+
+    release.store(true);
+    leader.join();
+
+    // The timeout changed nothing about what was planned or cached.
+    EXPECT_EQ(leaderResult.role, service::FlightRole::Leader);
+    ASSERT_TRUE(leaderResult.outcome.planned())
+        << leaderResult.outcome.error;
+    auto direct =
+        codegen::tryPlanConversion(conv.src, conv.dst, 2, conv.spec);
+    ASSERT_TRUE(direct.has_value());
+    EXPECT_NE(direct->kind, codegen::ConversionKind::SharedScalar);
+    EXPECT_EQ(codegen::describePlan(*leaderResult.outcome.plan),
+              codegen::describePlan(*direct));
+    EXPECT_EQ(cache.size(), 1);
+    EXPECT_EQ(cache.stats().insertRefusals, 0);
+}
+
 TEST_F(AdmissionTest, ShedNewestRefusesTheOfferedJob)
 {
     service::AdmissionQueue queue(
@@ -392,80 +444,6 @@ TEST_F(AdmissionTest, AdmitFailpointShedsRegardlessOfCapacity)
     EXPECT_EQ(queue.stats().shedFailpoint, 1);
     EXPECT_EQ(queue.push(job, shed),
               service::AdmissionQueue::PushResult::Admitted);
-}
-
-TEST_F(DeadlineTest, ExpiredDeadlineDemotesToTerminalScalarRung)
-{
-    SharedConversion conv;
-
-    // Without a deadline the pair plans onto a non-terminal rung.
-    auto unconstrained =
-        codegen::tryPlanConversion(conv.src, conv.dst, 2, conv.spec);
-    ASSERT_TRUE(unconstrained.has_value());
-    ASSERT_NE(unconstrained->kind,
-              codegen::ConversionKind::SharedScalar);
-
-    auto &demotions = metrics::counter("plan.deadline_demotions");
-    const int64_t before = demotions.value();
-
-    deadline::Scoped expired(deadline::Clock::now() -
-                             std::chrono::milliseconds(1));
-    auto demoted =
-        codegen::tryPlanConversion(conv.src, conv.dst, 2, conv.spec);
-    // Planning stays total under deadline pressure: the terminal rung
-    // always runs.
-    ASSERT_TRUE(demoted.has_value());
-    EXPECT_EQ(demoted->kind, codegen::ConversionKind::SharedScalar);
-    EXPECT_EQ(demotions.value() - before, 1);
-    bool noted = false;
-    for (const auto &n : demoted->diagnostics.notes)
-        noted = noted || n.code == DiagCode::DeadlineExceeded;
-    EXPECT_TRUE(noted)
-        << "demoted plan lacks a DeadlineExceeded note: "
-        << demoted->diagnostics.toString();
-}
-
-TEST_F(DeadlineTest, NoOpRungIgnoresTheDeadline)
-{
-    // A conversion answered before the guarded rungs is not demoted:
-    // the cutoff sits at the expensive rung boundaries only.
-    SharedConversion conv;
-    deadline::Scoped expired(deadline::Clock::now() -
-                             std::chrono::milliseconds(1));
-    auto plan =
-        codegen::tryPlanConversion(conv.src, conv.src, 2, conv.spec);
-    ASSERT_TRUE(plan.has_value());
-    EXPECT_EQ(plan->kind, codegen::ConversionKind::NoOp);
-}
-
-TEST_F(DeadlineTest, DeadlineShapedPlansAreNeverCached)
-{
-    SharedConversion conv;
-    service::PlanCache cache;
-    service::Singleflight flights;
-
-    {
-        deadline::Scoped expired(deadline::Clock::now() -
-                                 std::chrono::milliseconds(1));
-        auto outcome = service::serveConversionCoalesced(
-            &cache, &flights, conv.src, conv.dst, 2, conv.spec);
-        // The request is still served — demoted, not dropped.
-        ASSERT_TRUE(outcome.outcome.planned())
-            << outcome.outcome.error;
-        EXPECT_EQ(outcome.outcome.plan->kind,
-                  codegen::ConversionKind::SharedScalar);
-    }
-    // ...but the load-shaped plan must not poison the shared cache.
-    EXPECT_EQ(cache.size(), 0);
-    EXPECT_GE(cache.stats().insertRefusals, 1);
-
-    // Freed of the deadline, the same key plans and caches normally.
-    auto clean = service::serveConversionCoalesced(
-        &cache, &flights, conv.src, conv.dst, 2, conv.spec);
-    ASSERT_TRUE(clean.outcome.planned());
-    EXPECT_NE(clean.outcome.plan->kind,
-              codegen::ConversionKind::SharedScalar);
-    EXPECT_EQ(cache.size(), 1);
 }
 
 TEST_F(ServerLoopTest, AFailedServeRequestRunsOnce)

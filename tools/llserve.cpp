@@ -40,13 +40,19 @@
  *   --max-requests N      cap the arrival count (deterministic tests);
  *   --queue-capacity N    admission queue bound (default 64);
  *   --policy P            block | shed-newest | shed-oldest;
- *   --deadline-ms D       per-request deadline from arrival;
+ *   --deadline-ms D       per-request deadline from arrival; it bounds
+ *                         only the wait in the admission queue or on
+ *                         another request's in-flight plan, never
+ *                         what gets planned;
  *   --slo-p99-ms P        p99 target over admitted requests;
  *   --service-floor-us F  minimum per-request service time (spin) so
  *                         overload drills have a controllable
  *                         saturation point;
  *   --rate-sweep M1,M2,.. serve once per multiplier of the base rate
  *                         and emit a throughput-vs-latency curve.
+ *
+ * Every numeric value must be one whole finite number ("5ms", "abc"
+ * and "nan" are refused); a bad flag or value exits 2 naming the flag.
  *
  * Reporting: a human summary (throughput, hit rate, outcome split,
  * latency percentiles) plus a schema-valid BENCH_service.json written
@@ -63,6 +69,8 @@
  */
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -70,6 +78,7 @@
 #include <memory>
 #include <random>
 #include <string>
+#include <type_traits>
 #include <unordered_set>
 #include <vector>
 
@@ -77,6 +86,7 @@
 #include "kernels.h"
 #include "service/compile_service.h"
 #include "service/plan_cache.h"
+#include "support/host.h"
 #include "support/metrics.h"
 
 using namespace ll;
@@ -147,6 +157,30 @@ usage()
            "               [--expect-no-duplicate-plans]\n";
 }
 
+/** Strict numeric flag value: the whole token must be one finite
+ *  number of T's kind (no trailing units, no sign on an unsigned
+ *  value, no nan/inf). Prints the flag on failure. */
+template <typename T>
+bool
+parseNumber(const char *flag, const std::string &text, T &out)
+{
+    T value{};
+    const char *end = text.data() + text.size();
+    auto [ptr, ec] = std::from_chars(text.data(), end, value);
+    bool ok = !text.empty() && ec == std::errc() && ptr == end;
+    if constexpr (std::is_floating_point_v<T>)
+        ok = ok && std::isfinite(value);
+    if (!ok) {
+        std::cerr << "llserve: " << flag << " wants "
+                  << (std::is_floating_point_v<T> ? "a finite number"
+                                                  : "an integer")
+                  << ", got '" << text << "'\n";
+        return false;
+    }
+    out = value;
+    return true;
+}
+
 bool
 parseArgs(int argc, char **argv, Options &opt)
 {
@@ -159,6 +193,10 @@ parseArgs(int argc, char **argv, Options &opt)
             }
             return argv[++i];
         };
+        auto number = [&](auto &out) {
+            const char *v = needValue(arg.c_str());
+            return v != nullptr && parseNumber(arg.c_str(), v, out);
+        };
         if (arg == "--corpus") {
             const char *v = needValue("--corpus");
             if (!v)
@@ -169,61 +207,47 @@ parseArgs(int argc, char **argv, Options &opt)
         } else if (arg == "--synth") {
             opt.synth = true;
         } else if (arg == "--threads") {
-            const char *v = needValue("--threads");
-            if (!v)
+            if (!number(opt.threads))
                 return false;
-            opt.threads = std::max(1, std::atoi(v));
+            opt.threads = std::max(1, opt.threads);
         } else if (arg == "--repeat") {
-            const char *v = needValue("--repeat");
-            if (!v)
+            if (!number(opt.repeat))
                 return false;
-            opt.repeat = std::max(1, std::atoi(v));
+            opt.repeat = std::max(1, opt.repeat);
         } else if (arg == "--shuffle") {
             opt.shuffle = true;
         } else if (arg == "--seed") {
-            const char *v = needValue("--seed");
-            if (!v)
+            if (!number(opt.seed))
                 return false;
-            opt.seed = std::strtoull(v, nullptr, 10);
         } else if (arg == "--no-cache") {
             opt.noCache = true;
         } else if (arg == "--cache-capacity") {
-            const char *v = needValue("--cache-capacity");
-            if (!v)
+            int64_t n = 0;
+            if (!number(n))
                 return false;
-            opt.cacheCapacity = static_cast<size_t>(
-                std::max(1LL, std::atoll(v)));
+            opt.cacheCapacity =
+                static_cast<size_t>(std::max<int64_t>(1, n));
         } else if (arg == "--expect-hit-rate") {
-            const char *v = needValue("--expect-hit-rate");
-            if (!v)
+            if (!number(opt.expectHitRate))
                 return false;
-            opt.expectHitRate = std::atof(v);
         } else if (arg == "--rate") {
-            const char *v = needValue("--rate");
-            if (!v)
+            if (!number(opt.ratePerSec))
                 return false;
-            opt.ratePerSec = std::atof(v);
         } else if (arg == "--rate-x-saturation") {
-            const char *v = needValue("--rate-x-saturation");
-            if (!v)
+            if (!number(opt.rateXSaturation))
                 return false;
-            opt.rateXSaturation = std::atof(v);
         } else if (arg == "--duration") {
-            const char *v = needValue("--duration");
-            if (!v)
+            if (!number(opt.durationSec))
                 return false;
-            opt.durationSec = std::atof(v);
         } else if (arg == "--max-requests") {
-            const char *v = needValue("--max-requests");
-            if (!v)
+            if (!number(opt.maxRequests))
                 return false;
-            opt.maxRequests = std::atoll(v);
         } else if (arg == "--queue-capacity") {
-            const char *v = needValue("--queue-capacity");
-            if (!v)
+            int64_t n = 0;
+            if (!number(n))
                 return false;
-            opt.queueCapacity = static_cast<size_t>(
-                std::max(1LL, std::atoll(v)));
+            opt.queueCapacity =
+                static_cast<size_t>(std::max<int64_t>(1, n));
         } else if (arg == "--policy") {
             const char *v = needValue("--policy");
             if (!v)
@@ -237,20 +261,14 @@ parseArgs(int argc, char **argv, Options &opt)
             }
             opt.policy = *policy;
         } else if (arg == "--deadline-ms") {
-            const char *v = needValue("--deadline-ms");
-            if (!v)
+            if (!number(opt.deadlineMs))
                 return false;
-            opt.deadlineMs = std::atof(v);
         } else if (arg == "--slo-p99-ms") {
-            const char *v = needValue("--slo-p99-ms");
-            if (!v)
+            if (!number(opt.sloP99Ms))
                 return false;
-            opt.sloP99Ms = std::atof(v);
         } else if (arg == "--service-floor-us") {
-            const char *v = needValue("--service-floor-us");
-            if (!v)
+            if (!number(opt.serviceFloorUs))
                 return false;
-            opt.serviceFloorUs = std::atof(v);
         } else if (arg == "--rate-sweep") {
             const char *v = needValue("--rate-sweep");
             if (!v)
@@ -261,8 +279,10 @@ parseArgs(int argc, char **argv, Options &opt)
                 size_t comma = list.find(',', pos);
                 if (comma == std::string::npos)
                     comma = list.size();
-                const double m =
-                    std::atof(list.substr(pos, comma - pos).c_str());
+                double m = 0.0;
+                if (!parseNumber("--rate-sweep",
+                                 list.substr(pos, comma - pos), m))
+                    return false;
                 if (m > 0.0)
                     opt.rateSweep.push_back(m);
                 pos = comma + 1;
@@ -275,10 +295,8 @@ parseArgs(int argc, char **argv, Options &opt)
         } else if (arg == "--expect-slo") {
             opt.expectSlo = true;
         } else if (arg == "--expect-sheds") {
-            const char *v = needValue("--expect-sheds");
-            if (!v)
+            if (!number(opt.expectSheds))
                 return false;
-            opt.expectSheds = std::atoll(v);
         } else if (arg == "--expect-no-duplicate-plans") {
             opt.expectNoDuplicatePlans = true;
         } else if (arg == "--help" || arg == "-h") {
@@ -458,7 +476,8 @@ writeBenchJson(const Options &opt, const service::ServiceReport &report,
     char buf[512];
     os << "{\n"
        << "  \"name\": \"service\",\n"
-       << "  \"reps\": " << opt.repeat << ",\n";
+       << "  \"reps\": " << opt.repeat << ",\n"
+       << "  \"host\": " << host::fingerprintJson() << ",\n";
     std::snprintf(buf, sizeof(buf),
                   "  \"wall_ms\": {\"median\": %.6g, \"p90\": %.6g, "
                   "\"total\": %.6g},\n",

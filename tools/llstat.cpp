@@ -12,7 +12,8 @@
  *   --case FILE    replay one corpus case file;
  *   --kernels      run the Figure 9 kernel suite through LayoutEngine
  *                  (first size knob of each kernel), the full
- *                  assign/cleanup/plan pipeline.
+ *                  assign/cleanup/plan pipeline, and price each
+ *                  compiled kernel with engine::estimateKernelCost.
  *
  * A replayed case that fails to plan or fails its smoke run, and a
  * kernel conversion the engine leaves unplanned, fail the run (exit 1).
@@ -45,7 +46,9 @@
  *
  *   --validate-bench-json DIR  check every BENCH_*.json in DIR against
  *                              the benchmark report schema (name, reps,
- *                              wall_ms.median/p90, metrics object, and
+ *                              host {nproc >= 1, compiler,
+ *                              build_type}, wall_ms.median/p90,
+ *                              metrics object, and
  *                              an optional results object of finite
  *                              numbers whose geomean.<platform> pairs
  *                              with cases.<platform>); fails if DIR
@@ -69,6 +72,7 @@
 
 #include "check/case_io.h"
 #include "codegen/conversion.h"
+#include "engine/cost_model.h"
 #include "engine/layout_engine.h"
 #include "kernels.h"
 #include "support/failpoint.h"
@@ -201,6 +205,8 @@ struct ReplayTally
     int planFailed = 0;
     int execFailed = 0;
     int spanViolations = 0;
+    int kernels = 0;
+    double modeledCycles = 0.0;
 };
 
 /**
@@ -313,10 +319,15 @@ runKernels(const Options &opt, ReplayTally &tally)
     for (const auto &spec : kernels::allKernels()) {
         auto f = spec.build(spec.sizes.front());
         const size_t before = trace::eventCount();
-        engine::LayoutEngine eng{engine::EngineOptions{}};
+        const engine::EngineOptions options{};
+        engine::LayoutEngine eng{options};
         auto stats = eng.run(f);
         tally.planned += stats.convertsPlanned;
         tally.planFailed += stats.planFailures;
+        ++tally.kernels;
+        tally.modeledCycles +=
+            engine::estimateKernelCost(f, options.spec, options.numWarps)
+                .cycles;
 
         if (!opt.checkSpans)
             continue;
@@ -387,6 +398,27 @@ validateBenchReport(const std::string &path, const jsonlite::Value &v,
                             static_cast<long long>(reps->number))) {
         why = "\"reps\" missing or not an integer >= 1";
         return false;
+    }
+    // The host fingerprint: a wall time is comparable only with one
+    // taken on the same kind of machine and build.
+    const auto *host = v.find("host");
+    if (!host || !host->isObject()) {
+        why = "\"host\" missing or not an object";
+        return false;
+    }
+    const auto *nproc = host->find("nproc");
+    if (!nproc || !nproc->isNumber() || nproc->number < 1.0 ||
+        nproc->number != std::floor(nproc->number)) {
+        why = "\"host.nproc\" missing or not an integer >= 1";
+        return false;
+    }
+    for (const char *field : {"compiler", "build_type"}) {
+        const auto *x = host->find(field);
+        if (!x || !x->isString() || x->str.empty()) {
+            why = std::string("\"host.") + field +
+                  "\" missing or not a non-empty string";
+            return false;
+        }
     }
     const auto *wall = v.find("wall_ms");
     if (!wall || !wall->isObject()) {
@@ -630,6 +662,10 @@ main(int argc, char **argv)
               << tally.planned << " planned, " << tally.planFailed
               << " plan failures, " << tally.execFailed
               << " exec failures\n";
+    if (tally.kernels > 0)
+        std::cout << "llstat: " << tally.kernels
+                  << " kernel(s) priced at " << tally.modeledCycles
+                  << " modeled cycle(s)\n";
     if (opt.checkSpans)
         std::cout << "llstat: span check "
                   << (tally.spanViolations ? "FAILED" : "ok") << " ("

@@ -2,7 +2,8 @@
 # and from the trace that run saved:
 #   llstat --kernels --profile --metrics none --trace T.json must exit 0
 #   and print a non-empty per-span table in which
-#     - engine.assign has a row with a count > 0, and
+#     - engine.assign and engine.cost (the kernel cost model) each have
+#       a row with a count > 0, and
 #     - every row has 0 <= self_ms <= incl_ms (spans nest per thread,
 #       so no self time is negative);
 #   llstat --profile T.json must exit 0 and print the same span names
@@ -26,6 +27,7 @@ function(profile_rows out result)
     string(REPLACE "\n" ";" lines "${CMAKE_MATCH_1}")
     set(rows "")
     set(assign_count 0)
+    set(cost_count 0)
     foreach(line IN LISTS lines)
         if(line STREQUAL "" OR line MATCHES "^llstat: ")
             continue()
@@ -48,6 +50,8 @@ function(profile_rows out result)
         endif()
         if(name STREQUAL "engine.assign")
             set(assign_count "${count}")
+        elseif(name STREQUAL "engine.cost")
+            set(cost_count "${count}")
         endif()
         list(APPEND rows "${name}=${count}")
     endforeach()
@@ -57,6 +61,10 @@ function(profile_rows out result)
     endif()
     if(NOT assign_count GREATER 0)
         message(FATAL_ERROR "the profile has no engine.assign row with a "
+                            "count > 0")
+    endif()
+    if(NOT cost_count GREATER 0)
+        message(FATAL_ERROR "the profile has no engine.cost row with a "
                             "count > 0")
     endif()
     list(SORT rows)
